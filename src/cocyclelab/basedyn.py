@@ -23,7 +23,6 @@ from .exact import (
     SILVER_MEAN,
     QuadExt,
     best_denominators,
-    continued_fraction,
     convergents,
     mod1,
     to_float,
@@ -307,9 +306,6 @@ class CircleRotation(BaseSystem):
     def scalar(self, x: BasePoint):
         return self.coords(x)[0]
 
-    def partial_quotients(self, depth: int = 30) -> list[int]:
-        return continued_fraction(self.alpha, depth)
-
     def convergent_pairs(self, depth: int = 30) -> list[tuple[int, int]]:
         return convergents(self.alpha, depth)
 
@@ -408,6 +404,15 @@ class SturmianShift(BaseSystem):
     def translate_cell(self, cell: Cell, n: int) -> Cell:
         out = self._rot.translate_cell(cell, n)
         return Cell(axes=out.axes, boundary=())
+
+
+def rotation_of(sys: BaseSystem) -> CircleRotation:
+    """The circle rotation that presents a rotation or Sturmian base."""
+    if isinstance(sys, CircleRotation):
+        return sys
+    if isinstance(sys, SturmianShift):
+        return sys.rotation
+    raise CocycleLabError("a rotation-presented base is required")
 
 
 class TorusTranslation(BaseSystem):

@@ -10,6 +10,7 @@ certified check failed, 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import basedyn, cocycle, perturb, scenarios, surgery, towers
 from ._parallel import parallel_lanes
 from .errors import CocycleLabError, ConfigError, NotApplicable
 from .exact import GOLDEN_MEAN
-from .sl2 import Mat2
+from .sl2 import Mat2, general_operator_norm
 
 ENV_OUT = "COCYCLELAB_OUT"
 
@@ -85,7 +86,22 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, _, val = item.partition("=")
         _set_path(cfg, key.strip().lstrip("-"), val)
+    _check_config(cfg)
     return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    """Reject values that no command can run with, before any work starts."""
+    try:
+        eps = float(cfg["eps"])
+        grid = cfg["base"]["grid"]
+        grid_ok = int(grid) == grid and grid >= 1
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"eps and base.grid must be numbers: {e}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and positive, got {cfg['eps']!r}")
+    if not grid_ok:
+        raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
 
 
 def build_base(cfg: dict) -> basedyn.BaseSystem:
@@ -161,22 +177,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _sweep(co: cocycle.Cocycle, n: int, threads: int) -> cocycle.GrowthReport:
-    xs = co._grid_coords()
-    vals = parallel_lanes(lambda sl: cocycle.log_norms_batch(co, sl, n), xs, threads) / n
-    diffs = np.abs(np.diff(vals))
-    return cocycle.GrowthReport(
-        n=n, grid_size=xs.size, min=float(vals.min()), max=float(vals.max()),
-        mean=float(vals.mean()), argmax=float(xs[int(np.argmax(vals))]),
-        values=vals, positions=xs, margin=4.0 * float(diffs.max()) if diffs.size else 0.0)
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_exponent(cfg: dict) -> int:
     co = build_cocycle(cfg)
-    rep = _sweep(co, int(cfg["n"]), int(cfg["threads"]))
+    rep = cocycle.growth_sweep(co, int(cfg["n"]), threads=int(cfg["threads"]))
     out = out_dir(cfg)
     rep.to_csv(out / "exponent.csv")
     _write_json(out / "exponent.json", {
@@ -188,7 +194,7 @@ def cmd_exponent(cfg: dict) -> int:
 
 def cmd_growth_test(cfg: dict) -> int:
     co = build_cocycle(cfg)
-    rep = _sweep(co, int(cfg["n"]), int(cfg["threads"]))
+    rep = cocycle.growth_sweep(co, int(cfg["n"]), threads=int(cfg["threads"]))
     eps = float(cfg["eps"])
     ok = rep.max < eps - rep.margin
     out = out_dir(cfg)
@@ -225,13 +231,9 @@ def cmd_steer(cfg: dict) -> int:
     blk = perturb.steer_direction(co, x, v, w, float(cfg["eps"]), int(s["m_max"]))
     dist = 0.0
     if blk.matrices:
-        from .sl2 import general_operator_norm
-
-        pos = co.orbit(x, blk.length)
-        ga, gb, gc, gd = co.generator.entries(pos)
-        dist = max(general_operator_norm(M.a - ga[j], M.b - gb[j],
-                                         M.c - gc[j], M.d - gd[j])
-                   for j, M in enumerate(blk.matrices))
+        gen = co.generator.entries(co.orbit(x, blk.length))
+        mats = np.array([M.entries() for M in blk.matrices])
+        dist = float(general_operator_norm(*(mats[:, k] - g for k, g in enumerate(gen))).max())
     out = out_dir(cfg)
     _write_json(out / "steer.json", {
         "m": blk.length, "achieved_error": blk.achieved_error,
@@ -265,12 +267,11 @@ def cmd_castle(cfg: dict) -> int:
     base = build_base(cfg)
     N = int(cfg["castle_n"])
     castle = towers.build_castle(base, N)
-    report = castle.verify()
     out = out_dir(cfg)
     castle.to_csv(out / "castle.csv")
     _write_json(out / "castle.json", {
         "N": N, "towers": len(castle.towers), "floors": castle.floor_count(),
-        "heights": sorted({t.height for t in castle.towers}), **report})
+        "heights": sorted({t.height for t in castle.towers}), **castle.report})
     print(f"castle N={N}: {len(castle.towers)} towers, heights "
           f"{sorted({t.height for t in castle.towers})}")
     return 0
@@ -307,9 +308,7 @@ def cmd_surgery(cfg: dict) -> int:
     before = parallel_lanes(lambda sl: cocycle.log_norms_batch(co, sl, 2048), grid, threads) / 2048
     after = parallel_lanes(lambda sl: cocycle.log_norms_batch(pc.cocycle, sl, 2048), grid, threads) / 2048
     with open(out / "surgery_growth.csv", "w", newline="") as fh:
-        import csv as _csv
-
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["x", "log_growth_before", "log_growth_after"])
         for row in zip(grid, before, after):
             w.writerow([f"{v:.17g}" for v in row])

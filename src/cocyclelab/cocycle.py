@@ -1,9 +1,8 @@
 """Cocycle products, exponent estimation, growth tests and UH certification.
 
-Long products run through a pairwise tree with per-level renormalization:
-deterministic (fixed reduction order, independent of any thread count),
-overflow-free to astronomical horizons, and fast because every level is one
-vectorized pass.  Grid sweeps chunk lanes to bound memory.
+Long products run through the pairwise tree of `sl2.tree_product`: a fixed
+reduction order, independent of any thread count, and one vectorized pass per
+level.  Grid sweeps chunk lanes to bound memory.
 """
 
 from __future__ import annotations
@@ -15,11 +14,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basedyn import BasePoint, BaseSystem, CircleRotation, SturmianShift
+from ._parallel import parallel_lanes
+from .basedyn import BasePoint, BaseSystem, CircleRotation, SturmianShift, rotation_of
 from .errors import CocycleLabError, Overflow
-from .sl2 import Mat2, exp_traceless_arrays, log_sl2_arrays
+from .sl2 import (
+    Mat2,
+    _mul,
+    _rescale,
+    exp_traceless_arrays,
+    general_operator_norm,
+    log_norm,
+    log_sl2_arrays,
+    scan_product,
+    tree_product,
+)
 
-RESCALE_STRIDE = 32
 _OVERFLOW_LIMIT = 1e300
 
 
@@ -104,14 +113,9 @@ class TableGenerator(Generator):
             raise CocycleLabError("table must have shape (G, 4)")
         self.values = vals
         self.size = vals.shape[0]
-        nxt = np.roll(vals, -1, axis=0)
         a, b, c, d = vals.T
         # step = A_i^{-1} A_{i+1}; its log drives the interpolation
-        sa = d * nxt[:, 0] - b * nxt[:, 2]
-        sb = d * nxt[:, 1] - b * nxt[:, 3]
-        sc = -c * nxt[:, 0] + a * nxt[:, 2]
-        sd = -c * nxt[:, 1] + a * nxt[:, 3]
-        self._xi = log_sl2_arrays(sa, sb, sc, sd)
+        self._xi = log_sl2_arrays(*_mul(d, -b, -c, a, *np.roll(vals, -1, axis=0).T))
 
     def entries(self, xs):
         xs = np.mod(np.asarray(xs, dtype=float), 1.0)
@@ -119,9 +123,7 @@ class TableGenerator(Generator):
         idx = np.minimum(pos.astype(int), self.size - 1)
         t = pos - idx
         t1, t2, t3 = (xi[idx] * t for xi in self._xi)
-        ea, eb, ec, ed = exp_traceless_arrays(t1, t2, t3)
-        a, b, c, d = (self.values[idx, k] for k in range(4))
-        return a * ea + b * ec, a * eb + b * ed, c * ea + d * ec, c * eb + d * ed
+        return _mul(*(self.values[idx, k] for k in range(4)), *exp_traceless_arrays(t1, t2, t3))
 
 
 class CallableGenerator(Generator):
@@ -166,7 +168,8 @@ class Cocycle:
         if self._sup_norm is None:
             xs = self._grid_coords()
             a, b, c, d = self.generator.entries(xs)
-            self._sup_norm = float(np.max(_opnorm_arrays(a, b, c, d)))
+            # unimodular, so sigma1 >= 1: the floor only removes rounding
+            self._sup_norm = max(float(np.max(general_operator_norm(a, b, c, d))), 1.0)
         return self._sup_norm
 
     def _grid_coords(self) -> np.ndarray:
@@ -186,27 +189,12 @@ class Cocycle:
         return self.generator.at(self.base.float_coords(x)[0])
 
 
-def _opnorm_arrays(a, b, c, d) -> np.ndarray:
-    """Operator norms, floored at 1 (valid for unimodular and rescaled products)."""
-    g = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = np.maximum((g - 2.0 * det) * (g + 2.0 * det), 0.0)
-    return np.sqrt(np.maximum((g + np.sqrt(disc)) / 2.0, 1.0))
-
-
-def diff_opnorm_arrays(a, b, c, d) -> np.ndarray:
-    """Operator norms of arbitrary matrices (difference matrices included)."""
-    g = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = np.maximum((g - 2.0 * det) * (g + 2.0 * det), 0.0)
-    return np.sqrt(np.maximum((g + np.sqrt(disc)) / 2.0, 0.0))
-
-
 def iterate(co: Cocycle, x: BasePoint, n: int) -> Mat2:
     """Ordered product A(f^{n-1} x) ... A(x); n = 0 gives the identity.
 
     Raises Overflow once intermediate entries pass 1e300; callers needing long
-    horizons use the log-scaled routines instead.
+    horizons use the log-scaled routines instead.  The unscaled product loop
+    here is the reference that the tests hold the sl2 kernel to.
     """
     if n < 0:
         raise CocycleLabError("iterate needs n >= 0")
@@ -228,116 +216,41 @@ def iterate(co: Cocycle, x: BasePoint, n: int) -> Mat2:
     return Mat2(float(pa), float(pb), float(pc), float(pd))
 
 
-def _tree_reduce(a, b, c, d):
-    """Reduce ordered products along the last axis by pairwise combination.
-
-    Input arrays have shape (lanes, n); returns entry arrays (lanes,) of the
-    max-entry-normalized product plus the accumulated log scales.  Index 0 is
-    applied first, so pairs combine as M[2k+1] @ M[2k]; reduction order is
-    fixed, independent of chunking or thread counts.
-    """
-    logs = np.zeros(a.shape[0], dtype=float)
-    while a.shape[1] > 1:
-        if a.shape[1] % 2 == 1:  # pad with identity on the late side
-            pad = np.zeros((a.shape[0], 1))
-            one = np.ones((a.shape[0], 1))
-            a = np.concatenate([a, one], axis=1)
-            b = np.concatenate([b, pad], axis=1)
-            c = np.concatenate([c, pad], axis=1)
-            d = np.concatenate([d, one], axis=1)
-        a0, b0, c0, d0 = a[:, 0::2], b[:, 0::2], c[:, 0::2], d[:, 0::2]
-        a1, b1, c1, d1 = a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2]
-        a = a1 * a0 + b1 * c0
-        b = a1 * b0 + b1 * d0
-        c = c1 * a0 + d1 * c0
-        d = c1 * b0 + d1 * d0
-        scale = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
-        scale = np.maximum(scale, 1e-300)
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
-        logs += np.sum(np.log(scale), axis=1)
-    return a[:, 0], b[:, 0], c[:, 0], d[:, 0], logs
-
-
-def _tree_log_norms(a, b, c, d) -> np.ndarray:
-    ra, rb, rc, rd, logs = _tree_reduce(a, b, c, d)
-    return logs + np.log(_opnorm_arrays(ra, rb, rc, rd))
-
-
 def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
                     max_elems: int = 1 << 23) -> np.ndarray:
     """log ||A_n(x)|| for an array of float anchors.
 
     Lane-chunked, and step-chunked with a carried running product for long
-    horizons, so memory stays bounded at any n.
+    horizons, so memory stays bounded at any n.  Each step chunk is a tree
+    product; the carry is rescaled by powers of two like the tree.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
         raise CocycleLabError("need n >= 1")
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
     out = np.empty(anchors.size, dtype=float)
     lane_chunk = max(1, min(anchors.size, max(max_elems // max(n, 1), 256)))
     step_chunk = max(1, max_elems // lane_chunk)
     for lo in range(0, anchors.size, lane_chunk):
         sl = anchors[lo:lo + lane_chunk]
-        L = sl.size
-        ca = np.ones(L)
-        cb = np.zeros(L)
-        cc = np.zeros(L)
-        cd = np.ones(L)
-        acc = np.zeros(L)
+        carry = (np.ones(sl.size), np.zeros(sl.size), np.zeros(sl.size), np.ones(sl.size))
+        exp2 = np.zeros(sl.size, dtype=np.int64)
         for s0 in range(0, n, step_chunk):
             s1 = min(s0 + step_chunk, n)
             ks = np.arange(s0, s1, dtype=float) * alpha
             pos = np.mod(sl[:, None] + ks[None, :], 1.0)
-            a, b, c, d = co.generator.entries(pos)
-            ra, rb, rc, rd, logs = _tree_reduce(a, b, c, d)
-            ca, cb, cc, cd = (
-                ra * ca + rb * cc,
-                ra * cb + rb * cd,
-                rc * ca + rd * cc,
-                rc * cb + rd * cd,
-            )
-            acc += logs
-            scale = np.maximum.reduce([np.abs(ca), np.abs(cb), np.abs(cc), np.abs(cd)])
-            scale = np.maximum(scale, 1e-300)
-            ca, cb, cc, cd = ca / scale, cb / scale, cc / scale, cd / scale
-            acc += np.log(scale)
-        out[lo:lo + lane_chunk] = acc + np.log(_opnorm_arrays(ca, cb, cc, cd))
+            *chunk, e_chunk = tree_product(*co.generator.entries(pos))
+            *carry, e_carry = _rescale(*_mul(*chunk, *carry))
+            exp2 += e_chunk + e_carry
+        out[lo:lo + lane_chunk] = log_norm(*carry, exp2)
     return out
 
 
-def _rotation_angle(base: BaseSystem) -> float:
-    if isinstance(base, CircleRotation):
-        return base.alpha_float
-    if isinstance(base, SturmianShift):
-        return base.rotation.alpha_float
-    raise CocycleLabError("rotation-presented base required")
-
-
 def log_norm_of_product(co: Cocycle, x: BasePoint, n: int) -> float:
-    """Overflow-safe log ||A_n(x)||, stride-32 rescaled sequential product."""
+    """Overflow-safe log ||A_n(x)|| by the sequential sl2.scan_product."""
     if n < 1:
         raise CocycleLabError("need n >= 1")
-    pos = co.orbit(x, n)
-    a, b, c, d = co.generator.entries(pos)
-    pa, pb, pc, pd = float(a[0]), float(b[0]), float(c[0]), float(d[0])
-    acc = 0.0
-    for j in range(1, n):
-        na, nb, nc, nd = float(a[j]), float(b[j]), float(c[j]), float(d[j])
-        pa, pb, pc, pd = (
-            na * pa + nb * pc,
-            na * pb + nb * pd,
-            nc * pa + nd * pc,
-            nc * pb + nd * pd,
-        )
-        if j % RESCALE_STRIDE == 0:
-            scale = max(abs(pa), abs(pb), abs(pc), abs(pd))
-            if scale > 0.0:
-                acc += math.log(scale)
-                pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-    from .sl2 import general_operator_norm
-
-    return acc + math.log(general_operator_norm(pa, pb, pc, pd))
+    return float(log_norm(*scan_product(*co.generator.entries(co.orbit(x, n)))))
 
 
 def lyapunov_estimate(co: Cocycle, x: BasePoint, n: int) -> float:
@@ -369,10 +282,14 @@ class GrowthReport:
                 w.writerow([f"{x:.17g}", self.n, f"{v:.17g}"])
 
 
-def growth_sweep(co: Cocycle, n: int, grid: Optional[np.ndarray] = None) -> GrowthReport:
+def growth_sweep(co: Cocycle, n: int, grid: Optional[np.ndarray] = None,
+                 threads: int = 1) -> GrowthReport:
+    """(1/n) log ||A_n|| over the grid; lanes split over `threads` without
+    changing any bit of the result."""
     xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
+    logs = parallel_lanes(lambda sl: log_norms_batch(co, sl, n), xs, threads)
     # unimodular products have norm >= 1 exactly; clip tree rounding at 0
-    vals = np.maximum(log_norms_batch(co, xs, n), 0.0) / n
+    vals = np.maximum(logs, 0.0) / n
     diffs = np.abs(np.diff(vals))
     margin = 4.0 * float(diffs.max()) if diffs.size else 0.0
     return GrowthReport(
@@ -489,7 +406,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
     """Semi-decision: invariant-cone Certificate, norm-collapse Witness, or Inconclusive."""
     xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
     G = xs.size
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
     spacing = 1.0 / G
 
     # candidate unstable field at each grid point: push a generic direction

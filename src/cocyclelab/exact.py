@@ -26,12 +26,6 @@ class QuadExt:
         self.b = Fraction(b)
         self.D = int(D)
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def rational(cls, r, D: int) -> "QuadExt":
-        return cls(r, 0, D)
-
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.D != self.D:
@@ -183,12 +177,6 @@ SILVER_MEAN = QuadExt(-1, 1, 2)  # sqrt 2 - 1
 
 
 # -- scalar helpers usable on both float and QuadExt ---------------------------
-
-
-def floor_scalar(x) -> int:
-    if isinstance(x, QuadExt):
-        return math.floor(x)
-    return math.floor(x)
 
 
 def mod1(x):

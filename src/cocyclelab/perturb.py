@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basedyn import BasePoint, Cell
-from .cocycle import Cocycle, _opnorm_arrays, diff_opnorm_arrays, _rotation_angle
+from .basedyn import BasePoint, Cell, rotation_of
+from .cocycle import Cocycle, log_norms_batch
 from .errors import (
     BudgetExhausted,
     CertificationFailed,
@@ -33,7 +33,14 @@ from .errors import (
     SteeringFailed,
 )
 from .exact import QuadExt, min_orbit_gap, to_float
-from .sl2 import Mat2, singular_axes_arrays
+from .sl2 import (
+    Mat2,
+    general_operator_norm,
+    log_norm,
+    scan_lanes,
+    scan_product,
+    singular_axes_arrays,
+)
 
 ANGLE_TOL = 1e-6
 _LANE_CHUNK = 256
@@ -143,7 +150,7 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
     """
     anchors = np.asarray(anchors, dtype=float)
     L = anchors.size
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
     pos = np.mod(anchors[:, None] + np.arange(m)[None, :] * alpha, 1.0)
     ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
     tx, ty = _pullback_targets(ea, eb, ec, ed, wx, wy)
@@ -167,7 +174,7 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
         unrm = np.hypot(ux_, uy_)
         correct = (~done) & safe & (unrm < cap_scale)
         # greedy rotation fallback
-        anorm = _opnorm_arrays(a, b, c, d)
+        anorm = np.maximum(general_operator_norm(a, b, c, d), 1.0)  # unimodular A
         cap = 2.0 * np.arcsin(np.minimum(cap_scale / (2.0 * anorm), 1.0))
         psi = np.arctan2(mdy, mdx)
         tau = np.arctan2(t2, t1)
@@ -231,48 +238,18 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
 def _prefix_suffix_logs(co: Cocycle, anchors: np.ndarray, N: int):
     """log ||A_j(x)|| and log ||A_{N-j}(f^j x)|| for j = 0..N, per anchor lane.
 
-    Sequential scans vectorized across lanes with stride-32 renormalization.
-    Also returns the orbit positions (L, N) for reuse.
+    Two running sl2.scan_lanes scans.  The suffix S_j = A_{N-1} ... A_j grows
+    by right multiplication, so it is scanned as its transpose A_j^T ...
+    A_{N-1}^T (same norm) over the reversed, transposed steps.  Also returns
+    the orbit positions (L, N) for reuse.
     """
     anchors = np.asarray(anchors, dtype=float)
-    L = anchors.size
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
     pos = np.mod(anchors[:, None] + np.arange(N)[None, :] * alpha, 1.0)
     ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
-    pre = np.zeros((L, N + 1))
-    suf = np.zeros((L, N + 1))
-
-    pa = np.ones(L)
-    pb = np.zeros(L)
-    pc = np.zeros(L)
-    pd = np.ones(L)
-    acc = np.zeros(L)
-    for j in range(N):
-        a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
-        pa, pb, pc, pd = a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd
-        if (j + 1) % 32 == 0:
-            scale = np.maximum.reduce([np.abs(pa), np.abs(pb), np.abs(pc), np.abs(pd)])
-            scale = np.maximum(scale, 1e-300)
-            acc += np.log(scale)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-        pre[:, j + 1] = acc + np.log(np.maximum(diff_opnorm_arrays(pa, pb, pc, pd), 1e-300))
-
-    pa = np.ones(L)
-    pb = np.zeros(L)
-    pc = np.zeros(L)
-    pd = np.ones(L)
-    acc = np.zeros(L)
-    for j in range(N - 1, -1, -1):
-        a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
-        # suffix product S_j = S_{j+1} @ A_j
-        pa, pb, pc, pd = pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
-        if (N - j) % 32 == 0:
-            scale = np.maximum.reduce([np.abs(pa), np.abs(pb), np.abs(pc), np.abs(pd)])
-            scale = np.maximum(scale, 1e-300)
-            acc += np.log(scale)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-        suf[:, j] = acc + np.log(np.maximum(diff_opnorm_arrays(pa, pb, pc, pd), 1e-300))
-    return pre, suf, pos
+    _, pre = scan_lanes(ea, eb, ec, ed, running=True)
+    _, suf = scan_lanes(ea[:, ::-1], ec[:, ::-1], eb[:, ::-1], ed[:, ::-1], running=True)
+    return pre, suf[:, ::-1], pos
 
 
 def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfile:
@@ -316,12 +293,7 @@ def choose_N(co: Cocycle, eps: float, c: float, m1: int) -> int:
 
 
 def _window_disjoint(co: Cocycle, W: Cell, m: int) -> bool:
-    base = co.base
-    from .basedyn import CircleRotation, SturmianShift
-
-    rot = base.rotation if isinstance(base, SturmianShift) else base
-    if not isinstance(rot, CircleRotation):
-        return False
+    rot = rotation_of(co.base)
     pieces = []
     for j in range(m):
         pieces.extend(rot.translate_cell(W, j).intervals)
@@ -365,14 +337,7 @@ def choose_steering_window(co: Cocycle, eps: float,
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    from .cocycle import log_norms_batch
-
-    base = co.base
-    from .basedyn import CircleRotation, SturmianShift
-
-    rot = base.rotation if isinstance(base, SturmianShift) else base
-    if not isinstance(rot, CircleRotation):
-        raise CocycleLabError("steering windows need a rotation-presented base")
+    rot = rotation_of(co.base)
     alpha = rot.alpha
     m_cap = 10 * math.ceil(1.0 / eps)
     xs = rot.grid_floats()
@@ -487,7 +452,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
     j0 = np.argmax(inside, axis=1)
 
     wlo, whi = W.float_breaks()
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
 
     # nothing to prove where the unperturbed product already meets the bound
     trivially_small = pre[:, N] < 0.999 * eps * N
@@ -562,74 +527,40 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
 
 
 def _masked_products(co, anchors, pos, N, j1, m, lanes):
-    """Scaled entries of X (prefix to j1) and Z (suffix from j1+m) per lane."""
-    ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos[lanes]))
-    L = lanes.size
-    j1s = j1[lanes]
+    """Mantissa entries of X (prefix to j1) and Z (suffix from j1+m) per lane.
 
-    def scan(forward: bool):
-        pa, pb = np.ones(L), np.zeros(L)
-        pc, pd = np.zeros(L), np.ones(L)
-        rng = range(N) if forward else range(N - 1, -1, -1)
-        for j in rng:
-            active = (j < j1s) if forward else (j >= j1s + m)
-            if not active.any():
-                if forward:
-                    break
-                continue
-            a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
-            if forward:
-                na, nb = a * pa + b * pc, a * pb + b * pd
-                nc, nd = c * pa + d * pc, c * pb + d * pd
-            else:
-                na, nb = pa * a + pb * c, pa * b + pb * d
-                nc, nd = pc * a + pd * c, pc * b + pd * d
-            pa = np.where(active, na, pa)
-            pb = np.where(active, nb, pb)
-            pc = np.where(active, nc, pc)
-            pd = np.where(active, nd, pd)
-            scale = np.maximum.reduce([np.abs(pa), np.abs(pb), np.abs(pc), np.abs(pd)])
-            scale = np.maximum(scale, 1e-30)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-        return pa, pb, pc, pd
+    One sl2.scan_lanes scan each, with the steps outside the range set to the
+    identity.
+    """
+    ents = [np.asarray(e, dtype=float) for e in co.generator.entries(pos[lanes])]
+    j1s = j1[lanes][:, None]
 
-    return scan(True), scan(False)
+    def scan(lo, hi, active):
+        # identity steps leave a product bitwise unchanged, so columns that
+        # are inactive in every lane are dropped
+        steps = np.arange(lo, hi)[None, :]
+        masked = (np.where(active(steps), e[:, lo:hi], one)
+                  for e, one in zip(ents, (1.0, 0.0, 0.0, 1.0)))
+        return scan_lanes(*masked)[0][:4]
+
+    X = scan(0, int(j1s.max()), lambda j: j < j1s)
+    Z = scan(int(j1s.min()) + m, N, lambda j: j >= j1s + m)
+    return X, Z
 
 
 def _certify_chunk(co, anchors, pos, N, j1, m, early, blocks):
     """Recompute max_j ||L_j - A(f^j x)|| and log ||L_{N-1}...L_0|| per lane."""
-    ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
-    L = anchors.size
-    max_dist = np.zeros(L)
-    lanes = [lane for lane in range(L) if not early[lane]]
-    for lane in lanes:
-        blk = blocks[lane]
-        jj = j1[lane]
-        for k, M in enumerate(blk.matrices):
-            da = M.a - ea[lane, jj + k]
-            db = M.b - eb[lane, jj + k]
-            dc = M.c - ec[lane, jj + k]
-            dd = M.d - ed[lane, jj + k]
-            from .sl2 import general_operator_norm
-
-            max_dist[lane] = max(max_dist[lane], general_operator_norm(da, db, dc, dd))
-            ea[lane, jj + k] = M.a
-            eb[lane, jj + k] = M.b
-            ec[lane, jj + k] = M.c
-            ed[lane, jj + k] = M.d
-    pa, pb = np.ones(L), np.zeros(L)
-    pc, pd = np.zeros(L), np.ones(L)
-    acc = np.zeros(L)
-    for j in range(N):
-        a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
-        pa, pb, pc, pd = a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd
-        if (j + 1) % 32 == 0:
-            scale = np.maximum.reduce([np.abs(pa), np.abs(pb), np.abs(pc), np.abs(pd)])
-            scale = np.maximum(scale, 1e-300)
-            acc += np.log(scale)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-    prod_logs = acc + np.log(np.maximum(diff_opnorm_arrays(pa, pb, pc, pd), 1e-300))
-    return prod_logs, max_dist
+    ents = [np.asarray(e, dtype=float) for e in co.generator.entries(pos)]
+    max_dist = np.zeros(anchors.size)
+    lanes = np.flatnonzero(~early)
+    if lanes.size:
+        mats = np.array([[M.entries() for M in blocks[lane].matrices] for lane in lanes])
+        rows, cols = lanes[:, None], j1[lanes][:, None] + np.arange(m)[None, :]
+        diffs = (mats[:, :, k] - e[rows, cols] for k, e in enumerate(ents))
+        max_dist[lanes] = general_operator_norm(*diffs).max(axis=1)
+        for k, e in enumerate(ents):
+            e[rows, cols] = mats[:, :, k]
+    return log_norm(*scan_lanes(*ents)[0]), max_dist
 
 
 @dataclass
@@ -647,24 +578,8 @@ class SegmentReport:
 def verify_segment(co: Cocycle, plan: SegmentPlan) -> SegmentReport:
     """Independent recomputation of both plan bounds from the raw matrices."""
     ents = plan_entries(co, plan)
-    pos = co.orbit(plan.x, plan.N)
-    ga, gb, gc, gd = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
-    from .sl2 import general_operator_norm
-
-    dist = 0.0
-    for j in range(plan.N):
-        dist = max(dist, general_operator_norm(
-            float(ents[0][j] - ga[j]), float(ents[1][j] - gb[j]),
-            float(ents[2][j] - gc[j]), float(ents[3][j] - gd[j])))
-    pa, pb, pc, pd = 1.0, 0.0, 0.0, 1.0
-    acc = 0.0
-    for j in range(plan.N):
-        a, b, c, d = (float(ents[k][j]) for k in range(4))
-        pa, pb, pc, pd = a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd
-        if (j + 1) % 32 == 0:
-            scale = max(abs(pa), abs(pb), abs(pc), abs(pd), 1e-300)
-            acc += math.log(scale)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-    log_norm = acc + math.log(general_operator_norm(pa, pb, pc, pd))
-    return SegmentReport(max_distance=dist, product_log_norm=log_norm,
+    gen = co.generator.entries(co.orbit(plan.x, plan.N))
+    dist = float(general_operator_norm(*(e - np.asarray(g, dtype=float)
+                                         for e, g in zip(ents, gen))).max())
+    return SegmentReport(max_distance=dist, product_log_norm=float(log_norm(*scan_product(*ents))),
                          eps=plan.eps, N=plan.N)

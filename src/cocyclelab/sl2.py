@@ -1,8 +1,15 @@
 """Closed-form 2x2 unimodular matrix algebra.
 
 Everything here is branch-explicit double precision: products with determinant
-renormalization, the closed-form SVD through the squared Frobenius norm, and a
-principal log/exp chart on traceless matrices used for continuous blending.
+renormalization, the closed-form SVD through the squared Frobenius norm, a
+principal log/exp chart on traceless matrices used for continuous blending,
+and the one kernel for long products.
+
+Long products are rescaled by powers of two (`frexp`/`ldexp`), which is exact
+in binary floating point: a product is a mantissa matrix, largest entry in
+[0.5, 1), times 2^E with E an integer sum, and its bits do not depend on how
+often or where it was rescaled.  log ||.|| splits the power of two off sigma1
+first and multiplies the integer exponent by log 2 once.
 """
 
 from __future__ import annotations
@@ -78,9 +85,6 @@ class Mat2:
     def inv(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def apply(self, v: tuple[float, float]) -> tuple[float, float]:
         x, y = v
         return (self.a * x + self.b * y, self.c * x + self.d * y)
@@ -119,7 +123,7 @@ class TangentVec:
         return TangentVec(self.t1 * f, self.t2 * f, self.t3 * f)
 
     def norm(self) -> float:
-        return general_operator_norm(self.t1, self.t2, self.t3, -self.t1)
+        return float(general_operator_norm(self.t1, self.t2, self.t3, -self.t1))
 
 
 def compose(A: Mat2, B: Mat2) -> Mat2:
@@ -141,17 +145,26 @@ def operator_norm(A: Mat2) -> float:
     return math.sqrt((g + math.sqrt((g - 2.0) * (g + 2.0))) / 2.0)
 
 
-def general_operator_norm(a: float, b: float, c: float, d: float) -> float:
-    """Largest singular value of an arbitrary 2x2 matrix (no det assumption)."""
+def _sigma1_squared(a, b, c, d):
+    """(sigma1^2, det) of [[a, b], [c, d]], entrywise over arrays or floats."""
     g = a * a + b * b + c * c + d * d
     det = a * d - b * c
-    disc = max((g - 2.0 * det) * (g + 2.0 * det), 0.0)
-    return math.sqrt(max((g + math.sqrt(disc)) / 2.0, 0.0))
+    disc = np.maximum((g - 2.0 * det) * (g + 2.0 * det), 0.0)
+    return (g + np.sqrt(disc)) / 2.0, det
+
+
+def general_operator_norm(a, b, c, d):
+    """Largest singular value of arbitrary 2x2 matrices (no det assumption).
+
+    Entrywise over arrays or floats.  Exact power-of-two scaling of the
+    entries scales the result exactly.
+    """
+    return np.sqrt(np.maximum(_sigma1_squared(a, b, c, d)[0], 0.0))
 
 
 def matrix_distance(A: Mat2, B: Mat2) -> float:
     """Operator-norm distance ||A - B||."""
-    return general_operator_norm(A.a - B.a, A.b - B.b, A.c - B.c, A.d - B.d)
+    return float(general_operator_norm(A.a - B.a, A.b - B.b, A.c - B.c, A.d - B.d))
 
 
 def _axis_sign(v: tuple[float, float]) -> tuple[float, float]:
@@ -251,10 +264,7 @@ def singular_axes_arrays(a, b, c, d):
     axes default to the coordinate frame.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    g = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = np.maximum((g - 2.0 * det) * (g + 2.0 * det), 0.0)
-    lam = (g + np.sqrt(disc)) / 2.0  # sigma1^2
+    lam, det = _sigma1_squared(a, b, c, d)
     sig1 = np.sqrt(np.maximum(lam, 1e-300))
     sig2 = np.abs(det) / np.maximum(sig1, 1e-300)
     ratio = sig1 / np.maximum(sig2, 1e-300)
@@ -327,3 +337,93 @@ def log_sl2_arrays(a, b, c, d):
         np.where(ts > 1.0, np.arcsinh(up) / up, np.arccos(np.clip(ts, -1.0, 1.0)) / un),
     )
     return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
+
+
+# -- long products: one kernel, exact power-of-two rescaling --------------------
+
+LN2 = math.log(2.0)
+# steps between rescales; the bits do not depend on it while 16 consecutive
+# steps grow by less than 2^500, which keeps sigma1 of a partial product finite
+_STRIDE = 16
+
+
+def _mul(a1, b1, c1, d1, a0, b0, c0, d0):
+    """[[a1, b1], [c1, d1]] @ [[a0, b0], [c0, d0]], entrywise over arrays or floats."""
+    return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+
+
+def _rescale(a, b, c, d):
+    """Entry arrays times 2^-e with the largest |entry| in [0.5, 1), and e."""
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                               np.maximum(np.abs(c), np.abs(d))))
+    return np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e), np.ldexp(d, -e), e
+
+
+def log_norm(a, b, c, d, e):
+    """log sigma1(2^e [[a, b], [c, d]]), entrywise over arrays or floats.
+
+    sigma1 scales exactly with the entries, and its power of two is split off
+    before the log, so every power-of-two scaling of the same product gives
+    the same bits while the squared entries stay finite (|entries| < 2^511).
+    """
+    m, k = np.frexp(general_operator_norm(a, b, c, d))
+    return np.log(m) + (e + k) * LN2
+
+
+def scan_product(a, b, c, d):
+    """M_{n-1} ... M_0 of one sequence of entries (index 0 applied first).
+
+    Pure-Python floats, one step at a time.  Returns (pa, pb, pc, pd, E): the
+    product is 2^E times the mantissa matrix.  Bitwise equal to the unscaled
+    product times 2^-E while that does not overflow, and to scan_lanes.
+    """
+    a, b, c, d = (np.asarray(v, dtype=float).tolist() for v in (a, b, c, d))
+    pa, pb, pc, pd, e = 1.0, 0.0, 0.0, 1.0, 0
+    for s in range(0, len(a), _STRIDE):
+        t = s + _STRIDE
+        for na, nb, nc, nd in zip(a[s:t], b[s:t], c[s:t], d[s:t]):
+            pa, pb, pc, pd = _mul(na, nb, nc, nd, pa, pb, pc, pd)
+        _, k = math.frexp(max(abs(pa), abs(pb), abs(pc), abs(pd)))
+        pa, pb, pc, pd = (math.ldexp(v, -k) for v in (pa, pb, pc, pd))
+        e += k
+    return pa, pb, pc, pd, e
+
+
+def scan_lanes(a, b, c, d, running: bool = False):
+    """scan_product for every row of (L, n) entry arrays, vectorized over rows.
+
+    Returns ((pa, pb, pc, pd, E), logs): per-row mantissas and exponents, and
+    with `running` the (L, n+1) array of log ||M_{j-1} ... M_0||, j = 0..n
+    (None otherwise).  Row i is bitwise equal to scan_product of row i.
+    """
+    L, n = a.shape
+    pa, pb, pc, pd = np.ones(L), np.zeros(L), np.zeros(L), np.ones(L)
+    e = np.zeros(L, dtype=np.int64)
+    logs = np.zeros((L, n + 1)) if running else None
+    for s in range(0, n, _STRIDE):
+        for j in range(s, min(s + _STRIDE, n)):
+            pa, pb, pc, pd = _mul(a[:, j], b[:, j], c[:, j], d[:, j], pa, pb, pc, pd)
+            if running:
+                logs[:, j + 1] = log_norm(pa, pb, pc, pd, e)
+        pa, pb, pc, pd, k = _rescale(pa, pb, pc, pd)
+        e += k
+    return (pa, pb, pc, pd, e), logs
+
+
+def tree_product(a, b, c, d):
+    """Ordered products along the last axis of (L, n) arrays, pairwise.
+
+    Pairs combine as M[2k+1] @ M[2k] (index 0 applied first), an odd level is
+    padded with the identity on the late side, and every level is rescaled.
+    The reduction order is fixed, independent of chunking or thread counts.
+    Returns per-lane (pa, pb, pc, pd, E) like scan_lanes.
+    """
+    e = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[1] > 1:
+        if a.shape[1] % 2 == 1:
+            a, b, c, d = (np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
+                          for v, one in zip((a, b, c, d), (1.0, 0.0, 0.0, 1.0)))
+        a, b, c, d, k = _rescale(*_mul(a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2],
+                                       a[:, 0::2], b[:, 0::2], c[:, 0::2], d[:, 0::2]))
+        e += k.sum(axis=1)
+    return a[:, 0], b[:, 0], c[:, 0], d[:, 0], e

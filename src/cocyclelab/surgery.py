@@ -30,6 +30,7 @@ from .basedyn import (
     CircleRotation,
     covering_time,
     inter_union,
+    rotation_of,
     shrink_union,
     sub_union,
     to_float,
@@ -39,8 +40,6 @@ from .cocycle import (
     Certificate,
     Cocycle,
     CallableGenerator,
-    _rotation_angle,
-    diff_opnorm_arrays,
     log_norms_batch,
     uh_certify,
 )
@@ -57,9 +56,17 @@ from .perturb import (
     SegmentPlan,
     choose_N,
     choose_steering_window,
+    plan_entries,
     plan_segments,
 )
-from .sl2 import exp_traceless_arrays, log_sl2_arrays
+from .sl2 import (
+    _mul,
+    exp_traceless_arrays,
+    general_operator_norm,
+    log_norm,
+    log_sl2_arrays,
+    scan_product,
+)
 from .towers import Castle, FreqBound, build_castle, visit_freq_bound
 
 EXPONENT_FLOOR = 1e-3
@@ -80,12 +87,8 @@ def continuity_modulus(co: Cocycle, eps: float, N: int) -> float:
         raise CocycleLabError("eps must be positive")
     xs = co._grid_coords()
     spacing = 1.0 / xs.size
-    a, b, c, d = (np.asarray(e, dtype=float) for e in co.generator.entries(xs))
-    da = np.diff(np.concatenate([a, a[:1]]))
-    db = np.diff(np.concatenate([b, b[:1]]))
-    dc = np.diff(np.concatenate([c, c[:1]]))
-    dd = np.diff(np.concatenate([d, d[:1]]))
-    step_norm = diff_opnorm_arrays(da, db, dc, dd)
+    ents = (np.asarray(e, dtype=float) for e in co.generator.entries(xs))
+    step_norm = general_operator_norm(*(np.diff(np.concatenate([e, e[:1]])) for e in ents))
     lip = float(step_norm.max()) / spacing
     diam = co.base.diameter()
     if lip <= 0.0:
@@ -258,7 +261,7 @@ class PerturbedCocycle:
             h, i = key
             plan = self.plans[key]
             col = _column_matrices(co, cfg, plan, h)
-            block_logs[key_index[key]] = _column_log_norm(col)
+            block_logs[key_index[key]] = log_norm(*scan_product(*zip(*col)))
             base_union = cfg.rep_pieces[key]
             for j in range(h):
                 delta_j = mod1(j * rot.alpha)
@@ -331,17 +334,13 @@ class PerturbedCocycle:
         mid = inside & (t < 1.0) & (beta > 0.0)
         if mid.any():
             # xi = log(A^-1 M), blended by beta, applied back through A
-            ia = gd[mid] * ta[mid] - gb[mid] * tc[mid]
-            ib = gd[mid] * tb[mid] - gb[mid] * td[mid]
-            ic = -gc[mid] * ta[mid] + ga[mid] * tc[mid]
-            id_ = -gc[mid] * tb[mid] + ga[mid] * td[mid]
-            t1, t2, t3 = log_sl2_arrays(ia, ib, ic, id_)
+            g = [v[mid] for v in (ga, gb, gc, gd)]
+            t1, t2, t3 = log_sl2_arrays(*_mul(g[3], -g[1], -g[2], g[0],
+                                              ta[mid], tb[mid], tc[mid], td[mid]))
             bme = beta[mid]
-            ea, eb, ec, ed = exp_traceless_arrays(t1 * bme, t2 * bme, t3 * bme)
-            out_a[mid] = ga[mid] * ea + gb[mid] * ec
-            out_b[mid] = ga[mid] * eb + gb[mid] * ed
-            out_c[mid] = gc[mid] * ea + gd[mid] * ec
-            out_d[mid] = gc[mid] * eb + gd[mid] * ed
+            blended = _mul(*g, *exp_traceless_arrays(t1 * bme, t2 * bme, t3 * bme))
+            for out, v in zip((out_a, out_b, out_c, out_d), blended):
+                out[mid] = v
         shape = xs.shape
         return (out_a.reshape(shape), out_b.reshape(shape),
                 out_c.reshape(shape), out_d.reshape(shape))
@@ -360,23 +359,13 @@ class PerturbedCocycle:
         pa, pb, pc, pd = self.entries(probe)
         ga, gb, gc, gd = (np.asarray(e, dtype=float)
                           for e in self.original.generator.entries(probe))
-        dist = diff_opnorm_arrays(pa - ga, pb - gb, pc - gc, pd - gd)
+        dist = general_operator_norm(pa - ga, pb - gb, pc - gc, pd - gd)
         self.sup_distance = float(dist.max())
         bound = math.exp(cfg.c) * (math.exp(cfg.c) + 1.0) * cfg.eps
         if self.sup_distance >= bound:
             raise BlendBoundViolated(
                 f"sup distance {self.sup_distance:.6g} >= e^c(e^c+1) eps = {bound:.6g}")
         return self.sup_distance
-
-    def continuity_check(self) -> float:
-        """Max adjacent-grid jump of the blended map (continuity at resolution)."""
-        xs = self.original._grid_coords()
-        pa, pb, pc, pd = self.entries(xs)
-        da = np.diff(np.concatenate([pa, pa[:1]]))
-        db = np.diff(np.concatenate([pb, pb[:1]]))
-        dc = np.diff(np.concatenate([pc, pc[:1]]))
-        dd = np.diff(np.concatenate([pd, pd[:1]]))
-        return float(diff_opnorm_arrays(da, db, dc, dd).max())
 
     def export_table(self, path, grid: Optional[np.ndarray] = None) -> None:
         xs = self.original._grid_coords() if grid is None else np.asarray(grid)
@@ -391,33 +380,17 @@ class PerturbedCocycle:
 
 def _column_matrices(co: Cocycle, cfg: SurgeryConfig, plan: SegmentPlan, height: int):
     """Entries of L_{l,i,j}, j < height; the extra top slot copies the generator."""
-    from .perturb import plan_entries
-
     ents = plan_entries(co, plan)
     col = [(float(ents[0][j]), float(ents[1][j]), float(ents[2][j]), float(ents[3][j]))
            for j in range(plan.N)]
     if height == plan.N + 1:
         x0 = co.base.float_coords(plan.x)[0]
-        alpha = _rotation_angle(co.base)
+        alpha = rotation_of(co.base).alpha_float
         top = np.mod(x0 + plan.N * alpha, 1.0)
         a, b, c, d = (float(np.asarray(e).reshape(-1)[0])
                       for e in co.generator.entries(np.array([top])))
         col.append((a, b, c, d))
     return col
-
-
-def _column_log_norm(col) -> float:
-    from .sl2 import general_operator_norm
-
-    pa, pb, pc, pd = 1.0, 0.0, 0.0, 1.0
-    acc = 0.0
-    for a, b, c, d in col:
-        pa, pb, pc, pd = a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd
-        scale = max(abs(pa), abs(pb), abs(pc), abs(pd), 1e-300)
-        if scale > 1e100:
-            acc += math.log(scale)
-            pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-    return acc + math.log(general_operator_norm(pa, pb, pc, pd))
 
 
 def assemble_perturbation(co: Cocycle, cfg: SurgeryConfig) -> PerturbedCocycle:
@@ -483,7 +456,7 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
     label is looked up only for visits outside V, where the table pieces cover.
     """
     co = pc.original
-    alpha = _rotation_angle(co.base)
+    alpha = rotation_of(co.base).alpha_float
     blo, bhi, bheights = _castle_base_arrays(cfg.castle)
     plo, phi = pc.base_lo, pc.base_hi
     vlo, vhi = cfg.freq.V.float_breaks()

@@ -17,24 +17,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .basedyn import (
-    BasePoint,
     BaseSystem,
     Cell,
-    CircleRotation,
-    SturmianShift,
-    covering_time,
     first_return,
     norm_union,
+    rotation_of,
     small_boundary_cell,
     to_float,
-    union_contains,
     wrap_interval,
 )
 from .errors import (
@@ -104,6 +100,8 @@ class Castle:
     N: int
     towers: list[Tower]
     system: BaseSystem
+    # what verify() returned when build_castle checked the castle
+    report: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def base_union(self) -> Cell:
@@ -128,7 +126,7 @@ class Castle:
 
     def all_floors(self):
         """Yield (interval piece, tower index, level) for every floor."""
-        rot = _rotation_of(self.system)
+        rot = rotation_of(self.system)
         for ti, t in enumerate(self.towers):
             for j in range(t.height):
                 cell = rot.translate_cell(t.base, j)
@@ -137,7 +135,7 @@ class Castle:
 
     def float_floors(self) -> tuple[np.ndarray, np.ndarray]:
         """All floor intervals as float arrays, built by vectorized translation."""
-        rot = _rotation_of(self.system)
+        rot = rotation_of(self.system)
         alpha = rot.alpha_float
         lows, highs = [], []
         for t in self.towers:
@@ -169,7 +167,7 @@ class Castle:
         was certified by the exact gap comparison); base-cell disjointness
         stays exact at every size.
         """
-        rot = _rotation_of(self.system)
+        rot = rotation_of(self.system)
         n_floors = self.floor_count()
         do_exact = full_exact if full_exact is not None else n_floors <= _CASTLE_EXACT_FLOOR_LIMIT
         report = {"floors": n_floors, "exact_tiling": None, "grid_covered": None,
@@ -248,14 +246,6 @@ class Castle:
                     w.writerow([f"{to_float(lo):.17g}", f"{to_float(hi):.17g}", t.height])
 
 
-def _rotation_of(sys: BaseSystem) -> CircleRotation:
-    if isinstance(sys, CircleRotation):
-        return sys
-    if isinstance(sys, SturmianShift):
-        return sys.rotation
-    raise CocycleLabError("castles need a rotation-presented base")
-
-
 def build_castle(sys: BaseSystem, N: int) -> Castle:
     """Castle with heights in {N, N+1} covering the space (rotation bases).
 
@@ -265,7 +255,7 @@ def build_castle(sys: BaseSystem, N: int) -> Castle:
     geometrically from diameter 4/(n1+1) until the exact gap comparison holds;
     its first-return towers are then cut into N+1-blocks below N-blocks.
     """
-    rot = _rotation_of(sys)
+    rot = rotation_of(sys)
     n1 = frobenius_threshold(N)
     gap = _min_gap_cached(rot.alpha, n1 + 1) if n1 >= 1 else 1.0
     # center the inducing cell at a generic rational point
@@ -300,16 +290,8 @@ def build_castle(sys: BaseSystem, N: int) -> Castle:
         if offset != n:
             raise NotRepresentable(f"block heights {l}x{N} + {lp}x{N + 1} != {n}")
     castle = Castle(N=N, towers=towers, system=sys)
-    castle.verify()
+    castle.report = castle.verify()
     return castle
-
-
-def _iterates_disjoint(rot: CircleRotation, U: Cell, count: int) -> bool:
-    pieces = []
-    for j in range(count):
-        pieces.extend(rot.translate_cell(U, j).intervals)
-    pieces.sort(key=lambda iv: to_float(iv[0]))
-    return all(hi1 <= lo2 for (_, hi1), (lo2, _) in zip(pieces[:-1], pieces[1:]))
 
 
 # -- visit-frequency bound -------------------------------------------------------------
@@ -389,7 +371,7 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    rot = _rotation_of(sys)
+    rot = rotation_of(sys)
     pts = list(L)
     if not pts:
         return FreqBound(V=Cell(axes=((),), boundary=((),)), n0=1, eps=eps,
@@ -435,6 +417,6 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
 
 def measured_visit_frequency(sys: BaseSystem, V: Cell, x0: float, n: int) -> float:
     """Oracle: direct Birkhoff visit count of one orbit (for tests and reports)."""
-    rot = _rotation_of(sys)
+    rot = rotation_of(sys)
     pos = rot.orbit_floats(x0, n)
     return float(V.contains_floats(pos).sum()) / n

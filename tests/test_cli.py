@@ -59,6 +59,16 @@ class TestBasics:
         assert r.returncode == 2
         assert "line" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["growth-test", "--eps=NaN", "--n=10", "--base.grid=64"],
+        ["exponent", "--base.grid=0", "--n=10"],
+    ], ids=["eps-nan", "grid-zero"])
+    def test_bad_value_exit_2(self, tmp_path, args):
+        r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_variant_exit_2(self, tmp_path):
         r = run_cli(["exponent", "--out", "o", "--base.variant=weird"], tmp_path)
         assert r.returncode == 2

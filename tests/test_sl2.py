@@ -1,8 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cocyclelab import basedyn as bd
+from cocyclelab import cocycle as cy
+from cocyclelab import perturb as pb
 from cocyclelab.errors import DegenerateAxes, DeterminantError, LogDomain
 from cocyclelab.sl2 import (
     Mat2,
@@ -10,12 +16,18 @@ from cocyclelab.sl2 import (
     compose,
     exp_map,
     log_map,
+    log_norm,
     matrix_distance,
     operator_norm,
     rotation,
+    scan_lanes,
+    scan_product,
     singular_axes,
     singular_axes_arrays,
 )
+
+# fixed examples, no example database: the suite stays reproducible
+KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def random_sl2(rng, count, t_max=3.0):
@@ -228,3 +240,70 @@ class TestTangentChart:
             got = exp_map(TangentVec(t1, t2, t3)).to_array()
             want = expm_taylor(np.array([[t1, t2], [t3, -t1]]))
             assert np.max(np.abs(got - want)) < 1e-9
+
+
+class TestProductKernel:
+    """The one product kernel: exact power-of-two rescaling, three paths."""
+
+    @KERNEL
+    @given(x0=st.floats(0.0, 1.0, exclude_max=True), energy=st.floats(-3.0, 3.0),
+           coupling=st.floats(0.0, 2.5), n=st.integers(1, 120))
+    def test_scan_equals_unscaled_product(self, x0, energy, coupling, n):
+        # step norms stay below 9, so 9^120 ~ 1e114 never overflows
+        co = cy.Cocycle(bd.CircleRotation.golden(grid_size=64),
+                        cy.SchrodingerGenerator(energy, coupling))
+        x = co.base.point(x0)
+        *mant, e = scan_product(*co.generator.entries(co.orbit(x, n)))
+        assert tuple(math.ldexp(v, e) for v in mant) == cy.iterate(co, x, n).entries()
+        assert 0.5 <= max(abs(v) for v in mant) < 1.0
+
+    @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 6), n=st.integers(0, 70),
+           t_max=st.floats(0.0, 20.0))
+    def test_lane_scan_equals_scalar_scan(self, seed, lanes, n, t_max):
+        # step norms up to e^20 < 2^29: 16 steps between rescales stay below 2^500
+        rng = np.random.default_rng(seed)
+        ents = [v.reshape(lanes, n) for v in random_sl2(rng, lanes * n, t_max)]
+        (*mant, e), logs = scan_lanes(*ents, running=True)
+        for i in range(lanes):
+            want = scan_product(*(v[i] for v in ents))
+            assert tuple(float(v[i]) for v in mant) + (int(e[i]),) == want
+            assert logs[i, n] == log_norm(*want)
+            for j in range(n + 1):  # every running value is a scan of its prefix
+                assert logs[i, j] == log_norm(*scan_product(*(v[i, :j] for v in ents)))
+
+    def test_plan_log_norm_equals_verification(self):
+        """plan_segments' batched scan and verify_segment's scalar scan agree bitwise."""
+        co = cy.Cocycle(bd.CircleRotation.golden(grid_size=2048),
+                        cy.SchrodingerGenerator(0.0, 1.2))
+        rng = np.random.default_rng(3)
+        pts = [co.base.point(float(u)) for u in rng.uniform(0, 1, size=12)]
+        # the window choose_steering_window finds for this input at eps = 0.18
+        lo, hi = Fraction(9598985, 26542848), Fraction(10930249, 26542848)
+        W = bd.Cell.from_union([(bd.QuadExt(lo, 0, 5), bd.QuadExt(hi, 0, 5))])
+        steered = pb.plan_segments(co, pts, 0.18, 800, W, 33, 12)
+        early = pb.plan_segments(co, pts, 0.3, 50, W, 25, 6)
+        assert all(isinstance(p.branch, pb.Steered) for p in steered)
+        assert all(isinstance(p.branch, pb.EarlyExit) for p in early)
+        for plan in steered + early:
+            assert plan.product_log_norm == pb.verify_segment(co, plan).product_log_norm
+
+    def test_log_norms_batch_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        co = cy.Cocycle(bd.CircleRotation.golden(grid_size=64), cy.SchrodingerGenerator(0.3, 2.0))
+        n = 3000
+        anchors = np.array([0.05, 0.41, 0.77])
+        # a small element budget forces several step chunks and the carried product
+        got = cy.log_norms_batch(co, anchors, n, max_elems=1 << 12)
+        with mpmath.workdps(50):
+            for x0, val in zip(anchors, got):
+                a, b, c, d = (np.asarray(v, dtype=float).tolist()
+                              for v in co.generator.entries(co.base.orbit_floats(x0, n)))
+                pa, pb_, pc, pd = (mpmath.mpf(v) for v in (1, 0, 0, 1))
+                for na, nb, nc, nd in zip(a, b, c, d):
+                    pa, pb_, pc, pd = (na * pa + nb * pc, na * pb_ + nb * pd,
+                                       nc * pa + nd * pc, nc * pb_ + nd * pd)
+                g = pa * pa + pb_ * pb_ + pc * pc + pd * pd
+                det = pa * pd - pb_ * pc
+                ref = mpmath.log(mpmath.sqrt((g + mpmath.sqrt((g - 2 * det) * (g + 2 * det))) / 2))
+                assert abs(float(ref) - float(val)) <= 1e-12 * n

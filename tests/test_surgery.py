@@ -7,7 +7,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import NotApplicable, ResolutionExceeded
-from cocyclelab.sl2 import Mat2
+from cocyclelab.sl2 import Mat2, general_operator_norm
 
 
 def golden(grid=1024):
@@ -40,7 +40,7 @@ class TestContinuityModulus:
         xs = np.linspace(0, 1, 400, endpoint=False)
         a, b, c, d = co.generator.entries(xs)
         a2, b2, c2, d2 = co.generator.entries(np.mod(xs + 0.9 * delta, 1.0))
-        dist = cy.diff_opnorm_arrays(a - a2, b - b2, c - c2, d - d2)
+        dist = general_operator_norm(a - a2, b - b2, c - c2, d - d2)
         assert float(dist.max()) < 0.3
 
     def test_halving_keeps_certificate(self):
@@ -51,7 +51,7 @@ class TestContinuityModulus:
             xs = np.linspace(0, 1, 400, endpoint=False)
             a, b, c, d = co.generator.entries(xs)
             a2, b2, c2, d2_ = co.generator.entries(np.mod(xs + d2, 1.0))
-            dist = cy.diff_opnorm_arrays(a - a2, b - b2, c - c2, d - d2_)
+            dist = general_operator_norm(a - a2, b - b2, c - c2, d - d2_)
             assert float(dist.max()) < 0.3
 
     def test_resolution_exceeded(self):
@@ -115,7 +115,7 @@ class TestPipeline:
         edge = pc.region_lo[k]
         xs = edge + np.linspace(-2, 2, 101) * pc.blend_width
         a, b, c, d = pc.entries(np.mod(xs, 1.0))
-        jumps = cy.diff_opnorm_arrays(np.diff(a), np.diff(b), np.diff(c), np.diff(d))
+        jumps = general_operator_norm(np.diff(a), np.diff(b), np.diff(c), np.diff(d))
         assert float(jumps.max()) < 2.1 * cfg.eps
 
     def test_certificate(self, pipeline):
