@@ -25,7 +25,6 @@ from .exact import (
     best_denominators,
     convergents,
     mod1,
-    to_float,
 )
 
 FIRST_RETURN_HORIZON = 10**6
@@ -36,12 +35,14 @@ ORBIT_AVOID_DIST = 1e-7
 
 # -- half-open interval unions ---------------------------------------------------
 # An interval union is a tuple of (lo, hi) pairs with lo < hi, sorted, pairwise
-# disjoint, inside [0, 1).  Scalars are floats or QuadExt; both orders totally.
+# disjoint and non-touching (norm_union merges touching pieces), inside [0, 1).
+# Scalars are floats or QuadExt; both orders totally.  Other modules query
+# unions only through this section.
 
 
 def norm_union(parts) -> tuple:
     parts = [(lo, hi) for lo, hi in parts if hi > lo]
-    parts.sort(key=lambda p: to_float(p[0]))
+    parts.sort(key=lambda p: float(p[0]))
     merged: list = []
     for lo, hi in parts:
         if merged and lo <= merged[-1][1]:
@@ -53,7 +54,7 @@ def norm_union(parts) -> tuple:
 
 
 def union_length(u) -> float:
-    return float(sum(to_float(hi) - to_float(lo) for lo, hi in u))
+    return float(sum(float(hi) - float(lo) for lo, hi in u))
 
 
 def union_contains(u, x) -> bool:
@@ -64,33 +65,65 @@ def union_contains(u, x) -> bool:
 
 
 def inter_union(u1, u2) -> tuple:
+    """Intersection of two normalised unions by one sorted sweep.
+
+    Inputs must be sorted, disjoint and non-touching (as norm_union returns
+    them); then so is the output, and every endpoint is an input endpoint.
+    """
     out = []
-    for lo1, hi1 in u1:
-        for lo2, hi2 in u2:
-            lo = lo1 if lo1 >= lo2 else lo2
-            hi = hi1 if hi1 <= hi2 else hi2
-            if hi > lo:
-                out.append((lo, hi))
-    return norm_union(out)
+    i = j = 0
+    while i < len(u1) and j < len(u2):
+        (lo1, hi1), (lo2, hi2) = u1[i], u2[j]
+        lo = lo1 if lo1 >= lo2 else lo2
+        if hi1 <= hi2:
+            hi = hi1
+            i += 1
+        else:
+            hi = hi2
+            j += 1
+        if hi > lo:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 def sub_union(u1, u2) -> tuple:
-    out = []
-    for lo, hi in u1:
-        pieces = [(lo, hi)]
-        for slo, shi in u2:
-            nxt = []
-            for plo, phi in pieces:
-                if shi <= plo or phi <= slo:
-                    nxt.append((plo, phi))
-                    continue
-                if plo < slo:
-                    nxt.append((plo, slo))
-                if shi < phi:
-                    nxt.append((shi, phi))
-            pieces = nxt
-        out.extend(pieces)
-    return norm_union(out)
+    """u1 minus u2 for normalised unions: u1 meets the gaps of u2 in [0, 1)."""
+    gaps = []
+    start = 0
+    for lo, hi in u2:
+        if lo > start:
+            gaps.append((start, lo))
+        start = hi
+    if start < 1:
+        gaps.append((start, 1))
+    return inter_union(u1, gaps)
+
+
+def locate(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup of float points in sorted half-open pieces [lo[k], hi[k]).
+
+    Returns, per point of xs (any shape), the index of the last piece starting
+    at or before it (clipped into range) and whether the point lies inside that
+    piece; `inside` is all False when there are no pieces.
+    """
+    if lo.size == 0:
+        return np.zeros(np.shape(xs), dtype=int), np.zeros(np.shape(xs), dtype=bool)
+    idx = np.clip(np.searchsorted(lo, xs, side="right") - 1, 0, lo.size - 1)
+    return idx, (xs >= lo[idx]) & (xs < hi[idx])
+
+
+def first_overlap(pieces) -> tuple[list, Optional[int]]:
+    """Sort (lo, hi) pieces by lower end and find the first overlapping pair.
+
+    Returns the sorted list and the least i with pieces[i] reaching past the
+    start of pieces[i + 1] under exact compare, or None when the pieces are
+    pairwise disjoint (touching ends are disjoint: the pieces are half-open).
+    """
+    pieces = sorted(pieces, key=lambda p: float(p[0]))
+    for i in range(len(pieces) - 1):
+        if not pieces[i][1] <= pieces[i + 1][0]:
+            return pieces, i
+    return pieces, None
 
 
 def translate_union(u, delta) -> tuple:
@@ -110,6 +143,11 @@ def translate_union(u, delta) -> tuple:
 
 def shrink_union(u, margin) -> tuple:
     return norm_union([(lo + margin, hi - margin) for lo, hi in u])
+
+
+def float_breaks(u) -> tuple[np.ndarray, np.ndarray]:
+    """Lows and highs of a union's pieces as float arrays, the input of locate."""
+    return np.array([float(lo) for lo, _ in u]), np.array([float(hi) for _, hi in u])
 
 
 def _zero_like(x):
@@ -143,12 +181,6 @@ class Cell:
     boundary: tuple = ()  # per-dimension tuples of boundary scalars
 
     @classmethod
-    def interval(cls, lo, hi, clopen: bool = False) -> "Cell":
-        u = norm_union([(lo, hi)])
-        bd = () if clopen else (tuple(p for iv in u for p in iv),)
-        return cls(axes=(u,), boundary=bd)
-
-    @classmethod
     def from_union(cls, u, clopen: bool = False) -> "Cell":
         u = norm_union(u)
         bd = () if clopen else (tuple(p for iv in u for p in iv),)
@@ -180,18 +212,10 @@ class Cell:
 
     def float_breaks(self) -> tuple[np.ndarray, np.ndarray]:
         """1-d lows/highs as float arrays for vectorized membership."""
-        u = self.intervals
-        lo = np.array([to_float(p[0]) for p in u])
-        hi = np.array([to_float(p[1]) for p in u])
-        return lo, hi
+        return float_breaks(self.intervals)
 
     def contains_floats(self, xs: np.ndarray) -> np.ndarray:
-        lo, hi = self.float_breaks()
-        if lo.size == 0:
-            return np.zeros(np.shape(xs), dtype=bool)
-        idx = np.searchsorted(lo, xs, side="right") - 1
-        idx = np.clip(idx, 0, lo.size - 1)
-        return (xs >= lo[idx]) & (xs < hi[idx])
+        return locate(*self.float_breaks(), xs)[1]
 
     def boundary_points(self) -> tuple:
         if not self.boundary:
@@ -229,7 +253,7 @@ class BaseSystem:
         raise NotImplementedError
 
     def float_coords(self, x: BasePoint) -> tuple[float, ...]:
-        return tuple(to_float(c) for c in self.coords(x))
+        return tuple(float(c) for c in self.coords(x))
 
     def grid_spacing(self) -> float:
         return 1.0 / self.grid_size
@@ -237,7 +261,7 @@ class BaseSystem:
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         out = 0.0
         for x, y in zip(a, b):
-            d = abs(to_float(x) - to_float(y))
+            d = abs(float(x) - float(y))
             d = min(d, 1.0 - d)
             out += d * d
         return math.sqrt(out)
@@ -281,12 +305,12 @@ class CircleRotation(BaseSystem):
 
     @property
     def alpha_float(self) -> float:
-        return to_float(self.alpha)
+        return float(self.alpha)
 
     def _warn_if_near_rational(self):
         best = None
         for _, err in best_denominators(self.alpha, ORBIT_AVOID_HORIZON):
-            best = to_float(err)
+            best = float(err)
         if best is not None and best < 1e-12:
             warnings.warn(
                 f"rotation angle within {best:.2e} of a rational with denominator"
@@ -301,7 +325,7 @@ class CircleRotation(BaseSystem):
                 return (mod1(a0 + x.index * self.alpha),)
             if isinstance(a0, (int, Fraction)):
                 return (mod1(QuadExt(a0, 0, self.alpha.D) + x.index * self.alpha),)
-        return (mod1(to_float(a0) + x.index * self.alpha_float),)
+        return (mod1(float(a0) + x.index * self.alpha_float),)
 
     def scalar(self, x: BasePoint):
         return self.coords(x)[0]
@@ -327,9 +351,9 @@ class CircleRotation(BaseSystem):
         pairs = best_denominators(self.alpha, 10**9)
         prev_q, prev_e = 1, 1.0
         for q, err in pairs:
-            if to_float(err) + prev_e < eps:
+            if float(err) + prev_e < eps:
                 return q + prev_q
-            prev_q, prev_e = q, to_float(err)
+            prev_q, prev_e = q, float(err)
         raise HorizonExceeded(f"no eps={eps} fill horizon below 1e9")
 
     # -- cells ------------------------------------------------------------------
@@ -373,7 +397,7 @@ class SturmianShift(BaseSystem):
 
     def word(self, x: BasePoint, length: Optional[int] = None) -> str:
         n = self.window_depth if length is None else length
-        t = to_float(self.scalar(x))
+        t = float(self.scalar(x))
         beta = self._rot.alpha_float
         bits = ((np.mod(t + np.arange(n) * beta, 1.0)) >= 1.0 - beta).astype(int)
         return "".join(str(b) for b in bits)
@@ -450,45 +474,28 @@ def covering_time(sys: BaseSystem, W: Cell) -> int:
     if all(union_length(u) >= 1.0 - 1e-15 for u in W.axes):
         return 0  # the whole space needs no iterates and no margin
     sp = Fraction(1, sys.grid_size)  # exact margin, compatible with both scalar kinds
-    if isinstance(sys, (CircleRotation, SturmianShift)):
-        rot = sys if isinstance(sys, CircleRotation) else sys.rotation
-        shrunk = shrink_union(W.intervals, sp)
-        if not shrunk:
-            raise EmptyCell("cell below grid resolution after margin")
-        lo = np.array([to_float(p[0]) for p in shrunk])
-        hi = np.array([to_float(p[1]) for p in shrunk])
-        xs = sys.grid_floats()
-        alive = np.arange(xs.size)
-        alpha = rot.alpha_float
-        for j in range(COVERING_HORIZON + 1):
-            pos = np.mod(xs[alive] - j * alpha, 1.0)
-            idx = np.clip(np.searchsorted(lo, pos, side="right") - 1, 0, lo.size - 1)
-            inside = (pos >= lo[idx]) & (pos < hi[idx])
-            alive = alive[~inside]
-            if alive.size == 0:
-                return j
-        raise HorizonExceeded("no cover within 1e6 iterates")
+    # a rotation or Sturmian base is the one-axis translation by (alpha,)
     if isinstance(sys, TorusTranslation):
-        shr = [shrink_union(u, sp) for u in W.axes]
-        if any(not u for u in shr):
-            raise EmptyCell("cell below grid resolution after margin")
-        pts = sys.grid_floats()
-        alive = np.ones(pts.shape[0], dtype=bool)
-        vec = np.array(sys.vector)
-        for j in range(COVERING_HORIZON + 1):
-            pos = np.mod(pts[alive] - j * vec, 1.0)
-            inside = np.ones(pos.shape[0], dtype=bool)
-            for d in range(sys.dim):
-                lo = np.array([to_float(p[0]) for p in shr[d]])
-                hi = np.array([to_float(p[1]) for p in shr[d]])
-                idx = np.clip(np.searchsorted(lo, pos[:, d], side="right") - 1, 0, lo.size - 1)
-                inside &= (pos[:, d] >= lo[idx]) & (pos[:, d] < hi[idx])
-            keep = np.flatnonzero(alive)
-            alive[keep[inside]] = False
-            if not alive.any():
-                return j
-        raise HorizonExceeded("no cover within 1e6 iterates")
-    raise CocycleLabError(f"unsupported system {type(sys).__name__}")
+        pts, vec, axes = sys.grid_floats(), np.array(sys.vector), W.axes
+    elif isinstance(sys, (CircleRotation, SturmianShift)):
+        pts, vec = sys.grid_floats()[:, None], np.array([rotation_of(sys).alpha_float])
+        axes = (W.intervals,)
+    else:
+        raise CocycleLabError(f"unsupported system {type(sys).__name__}")
+    shrunk = [shrink_union(u, sp) for u in axes]
+    if any(not u for u in shrunk):
+        raise EmptyCell("cell below grid resolution after margin")
+    breaks = [float_breaks(u) for u in shrunk]
+    alive = np.arange(pts.shape[0])
+    for j in range(COVERING_HORIZON + 1):
+        pos = np.mod(pts[alive] - j * vec, 1.0)
+        inside = np.ones(alive.size, dtype=bool)
+        for d, (lo, hi) in enumerate(breaks):
+            inside &= locate(lo, hi, pos[:, d])[1]
+        alive = alive[~inside]
+        if alive.size == 0:
+            return j
+    raise HorizonExceeded("no cover within 1e6 iterates")
 
 
 def exact_covering_time(rot: CircleRotation, W: Cell, horizon: int = 10**5) -> int:
@@ -518,7 +525,7 @@ def small_boundary_cell(sys: BaseSystem, x0: BasePoint, eps: float) -> Cell:
         return sys.cylinder(x0, depth)
     if isinstance(sys, CircleRotation):
         c = sys.scalar(x0)
-        cf = to_float(c)
+        cf = float(c)
         orbit = sys.orbit_floats(cf, ORBIT_AVOID_HORIZON)
         r = _avoiding_radius(orbit, cf, min(2.0 * eps, 0.249), sys.exact,
                              sys.alpha.D if sys.exact else 0)
@@ -567,7 +574,7 @@ def _first_entry_below(alpha, h) -> int:
     current positive-side champion and q_k the following negative-side
     denominator; values decrease by |eta_k| per step.  Exact when alpha is.
     """
-    if not (to_float(h) > 0):
+    if not (float(h) > 0):
         raise CocycleLabError("need h > 0")
     pairs = [(1, mod1(alpha))]  # k = 0 convergent (0, 1)
     for p, q in convergents(alpha, 64):
@@ -581,12 +588,12 @@ def _first_entry_below(alpha, h) -> int:
         # positive-side records between this champion and the next convergent
         step = -eta
         need = v_p - h
-        jstar = max(math.floor(to_float(need) / to_float(step)), 0)
+        jstar = max(math.floor(float(need) / float(step)), 0)
         while need - jstar * step >= 0:  # smallest j with v_p + j*eta < h
             jstar += 1
         while jstar > 1 and need - (jstar - 1) * step < 0:
             jstar -= 1
-        jmax = max(math.floor(to_float(v_p) / to_float(step)), 0)  # stay above 0
+        jmax = max(math.floor(float(v_p) / float(step)), 0)  # stay above 0
         while v_p - (jmax + 1) * step > 0:
             jmax += 1
         while jmax > 0 and v_p - jmax * step <= 0:
@@ -654,9 +661,9 @@ def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
             if t > FIRST_RETURN_HORIZON:
                 raise HorizonExceeded(f"return time {t} beyond 1e6")
         got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
-        if abs(to_float(got) - to_float(h)) > 1e-12:
+        if abs(float(got) - float(h)) > 1e-12:
             raise CocycleLabError("three-distance pieces do not tile the interval")
-        return sorted(out, key=lambda p: (p[1], to_float(p[0].intervals[0][0])))
+        return sorted(out, key=lambda p: (p[1], float(p[0].intervals[0][0])))
     return _first_return_marching(sys, U)
 
 
@@ -688,7 +695,7 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
                         cuts.append(ulo)
                     if slo < uhi < shi:
                         cuts.append(uhi)
-                cuts = sorted(set(cuts), key=to_float)
+                cuts = sorted(set(cuts), key=float)
                 for q0, q1 in zip(cuts[:-1], cuts[1:]):
                     pre0 = base + (q0 - slo)
                     if union_contains(u, q0):
@@ -702,4 +709,4 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
     for cell, n in out:
         merged.setdefault(n, []).extend(cell.intervals)
     result = [(Cell.from_union(parts, clopen=clopen), n) for n, parts in merged.items()]
-    return sorted(result, key=lambda p: (p[1], to_float(p[0].intervals[0][0])))
+    return sorted(result, key=lambda p: (p[1], float(p[0].intervals[0][0])))

@@ -189,10 +189,6 @@ def mod1(x):
     return r + 1.0 if r < 0 else r
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 # -- continued fractions --------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basedyn import BasePoint, Cell, rotation_of
+from .basedyn import BasePoint, Cell, first_overlap, locate, rotation_of
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
     BudgetExhausted,
@@ -32,7 +32,7 @@ from .errors import (
     SearchFailed,
     SteeringFailed,
 )
-from .exact import QuadExt, min_orbit_gap, to_float
+from .exact import QuadExt, min_orbit_gap
 from .sl2 import (
     Mat2,
     general_operator_norm,
@@ -297,11 +297,7 @@ def _window_disjoint(co: Cocycle, W: Cell, m: int) -> bool:
     pieces = []
     for j in range(m):
         pieces.extend(rot.translate_cell(W, j).intervals)
-    pieces.sort(key=lambda p: to_float(p[0]))
-    for (lo1, hi1), (lo2, hi2) in zip(pieces[:-1], pieces[1:]):
-        if not hi1 <= lo2:
-            return False
-    return True
+    return first_overlap(pieces)[1] is None
 
 
 def _direction_grid(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +354,7 @@ def choose_steering_window(co: Cocycle, eps: float,
     spacing = Fraction(1, rot.grid_size)
     full_half = {}
     for m in ladder:
-        gap = to_float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
+        gap = float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
         full_half[m] = Fraction(min(gap * 0.45, 0.05)).limit_denominator(1 << 24)
     center_ok: dict = {}  # the center sweep does not depend on the window size
     narrowest = Fraction(1)
@@ -464,8 +460,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         top = min(j0[lane] + m1, N - 1)
         js = np.arange(j0[lane], top + 1)
         p = np.mod(anchors[lane] + js * alpha, 1.0)
-        idx = np.clip(np.searchsorted(wlo, p, side="right") - 1, 0, wlo.size - 1)
-        hit = (p >= wlo[idx]) & (p < whi[idx])
+        hit = locate(wlo, whi, p)[1]
         if hit.any():
             j1[lane] = js[int(np.argmax(hit))]
 

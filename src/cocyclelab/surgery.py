@@ -29,11 +29,13 @@ from .basedyn import (
     Cell,
     CircleRotation,
     covering_time,
+    first_overlap,
+    float_breaks,
     inter_union,
+    locate,
     rotation_of,
     shrink_union,
     sub_union,
-    to_float,
     translate_union,
 )
 from .cocycle import (
@@ -168,7 +170,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False,
     delta = continuity_modulus(co, eps, N)
 
     cover = _cover_cells(base, castle, delta)
-    by_height = {h: castle.bases_by_height(h) for h in (N, N + 1)}
+    by_height = {h: castle.base_union(h) for h in (N, N + 1)}
     pieces = {}
     bnd: list = []
     for h, Bl in by_height.items():
@@ -190,11 +192,9 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False,
         cut = sub_union(inter, V_inner.intervals)
         if not cut:
             continue
-        widths = [to_float(hi) - to_float(lo) for lo, hi in cut]
-        kbest = int(np.argmax(widths))
-        lo, hi = cut[kbest]
-        mid = (to_float(lo) + to_float(hi)) / 2.0
-        reps[key] = base.point(mid)
+        lo, hi = float_breaks(cut)
+        k = int(np.argmax(hi - lo))
+        reps[key] = base.point((lo[k] + hi[k]) / 2.0)
         rep_pieces[key] = cut
     if not reps:
         raise CocycleLabError("every base piece fell inside V; resolution too coarse")
@@ -210,8 +210,8 @@ def _cover_cells(base: CircleRotation, castle: Castle, delta: float) -> list[Cel
     k = max(2, math.ceil(1.0 / (0.95 * delta)) + 1)
     for _ in range(64):
         edges = [Fraction(i, k) for i in range(k)]
-        collision = any(p == e for e in edges for p in bpoints)
-        if not collision:
+        # equal values hash alike across int, Fraction, float and rational QuadExt
+        if set(edges).isdisjoint(bpoints):
             break
         k += 1
     cells = []
@@ -252,7 +252,6 @@ class PerturbedCocycle:
         lo_list: list[float] = []
         hi_list: list[float] = []
         mats: list[tuple[float, float, float, float]] = []
-        labels: list[int] = []
         label_keys: list[tuple] = sorted(cfg.rep_pieces.keys())
         key_index = {k: i for i, k in enumerate(label_keys)}
         exact_pieces = []
@@ -268,63 +267,51 @@ class PerturbedCocycle:
                 shifted = translate_union(base_union, delta_j)
                 for lo, hi in shifted:
                     exact_pieces.append((lo, hi))
-                    lo_list.append(to_float(lo))
-                    hi_list.append(to_float(hi))
+                    lo_list.append(float(lo))
+                    hi_list.append(float(hi))
                     mats.append(col[j])
-                    labels.append(key_index[key])
         order = np.argsort(np.array(lo_list), kind="stable")
         self.region_lo = np.array(lo_list)[order]
         self.region_hi = np.array(hi_list)[order]
         self.region_mat = np.array(mats)[order]
-        self.region_label = np.array(labels)[order]
         self.label_keys = label_keys
         self.block_logs = block_logs
         # exact disjointness of all regions ("these sets are disjoint")
-        exact_pieces.sort(key=lambda iv: to_float(iv[0]))
-        for (l1, h1), (l2, h2) in zip(exact_pieces[:-1], exact_pieces[1:]):
-            if not h1 <= l2:
-                raise CertificationFailed("perturbation regions overlap")
+        if first_overlap(exact_pieces)[1] is not None:
+            raise CertificationFailed("perturbation regions overlap")
         # base pieces (column 0) for structural block lookup
-        base_lo, base_hi, base_lab, base_h = [], [], [], []
+        base_lo, base_hi, base_lab = [], [], []
         for key in label_keys:
             for lo, hi in cfg.rep_pieces[key]:
-                base_lo.append(to_float(lo))
-                base_hi.append(to_float(hi))
+                base_lo.append(float(lo))
+                base_hi.append(float(hi))
                 base_lab.append(key_index[key])
-                base_h.append(key[0])
         order = np.argsort(np.array(base_lo), kind="stable")
         self.base_lo = np.array(base_lo)[order]
         self.base_hi = np.array(base_hi)[order]
         self.base_label = np.array(base_lab)[order]
-        self.base_height = np.array(base_h)[order]
 
     # -- evaluation -------------------------------------------------------------
 
-    def bump(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        idx = np.clip(np.searchsorted(self.region_lo, xs, side="right") - 1,
-                      0, max(self.region_lo.size - 1, 0))
-        if self.region_lo.size == 0:
-            return np.zeros_like(xs)
-        inside = (xs >= self.region_lo[idx]) & (xs < self.region_hi[idx])
+    def _locate_bump(self, xs: np.ndarray):
+        """Region index, inside flag, collar coordinate t in [0, 1] and bump at xs.
+
+        There is at least one region: build_config keeps only non-empty pieces.
+        """
+        idx, inside = locate(self.region_lo, self.region_hi, xs)
         t = np.minimum(xs - self.region_lo[idx], self.region_hi[idx] - xs) / self.blend_width
         t = np.clip(t, 0.0, 1.0)
-        s = t * t * (3.0 - 2.0 * t)
-        return np.where(inside, s, 0.0)
+        return idx, inside, t, np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
+
+    def bump(self, xs: np.ndarray) -> np.ndarray:
+        return self._locate_bump(np.asarray(xs, dtype=float))[3]
 
     def entries(self, xs: np.ndarray):
         xs = np.asarray(xs, dtype=float)
         flat = xs.reshape(-1)
         ga, gb, gc, gd = (np.asarray(e, dtype=float)
                           for e in self.original.generator.entries(flat))
-        if self.region_lo.size == 0:
-            return tuple(x.reshape(xs.shape) for x in (ga, gb, gc, gd))
-        idx = np.clip(np.searchsorted(self.region_lo, flat, side="right") - 1,
-                      0, self.region_lo.size - 1)
-        inside = (flat >= self.region_lo[idx]) & (flat < self.region_hi[idx])
-        t = np.minimum(flat - self.region_lo[idx], self.region_hi[idx] - flat) / self.blend_width
-        t = np.clip(t, 0.0, 1.0)
-        beta = np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
+        idx, inside, t, beta = self._locate_bump(flat)
         ta, tb, tc, td = (self.region_mat[idx, k] for k in range(4))
 
         out_a, out_b, out_c, out_d = ga.copy(), gb.copy(), gc.copy(), gd.copy()
@@ -442,8 +429,8 @@ def _castle_base_arrays(castle: Castle):
     lo, hi, hgt = [], [], []
     for t in castle.towers:
         for l, h in t.base.intervals:
-            lo.append(to_float(l))
-            hi.append(to_float(h))
+            lo.append(float(l))
+            hi.append(float(h))
             hgt.append(t.height)
     order = np.argsort(np.array(lo), kind="stable")
     return np.array(lo)[order], np.array(hi)[order], np.array(hgt)[order]
@@ -466,24 +453,15 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
         s1 = min(s0 + chunk, n)
         ks = np.arange(s0, s1, dtype=float) * alpha
         pos = np.mod(xs[:, None] + ks[None, :], 1.0)
-        bidx = np.clip(np.searchsorted(blo, pos, side="right") - 1, 0, blo.size - 1)
-        in_b = (pos >= blo[bidx]) & (pos < bhi[bidx])
+        bidx, in_b = locate(blo, bhi, pos)
         lanes, offs = np.nonzero(in_b)
         if lanes.size == 0:
             continue
         hit_pos = pos[lanes, offs]
         hit_height = bheights[bidx[lanes, offs]]
-        if vlo.size:
-            vi = np.clip(np.searchsorted(vlo, hit_pos, side="right") - 1, 0, vlo.size - 1)
-            hit_v = (hit_pos >= vlo[vi]) & (hit_pos < vhi[vi])
-        else:
-            hit_v = np.zeros(lanes.size, dtype=bool)
-        if plo.size:
-            pidx = np.clip(np.searchsorted(plo, hit_pos, side="right") - 1, 0, plo.size - 1)
-            in_piece = (hit_pos >= plo[pidx]) & (hit_pos < phi[pidx])
-            lab = np.where(in_piece, pc.base_label[pidx], -1)
-        else:
-            lab = np.full(lanes.size, -1)
+        hit_v = locate(vlo, vhi, hit_pos)[1]
+        pidx, in_piece = locate(plo, phi, hit_pos)
+        lab = np.where(in_piece, pc.base_label[pidx], -1)
         if np.any(~hit_v & (lab < 0)):
             k = int(np.argmax(~hit_v & (lab < 0)))
             raise DecompositionFailed(

@@ -26,11 +26,13 @@ import numpy as np
 from .basedyn import (
     BaseSystem,
     Cell,
+    first_overlap,
     first_return,
+    float_breaks,
+    locate,
     norm_union,
     rotation_of,
     small_boundary_cell,
-    to_float,
     wrap_interval,
 )
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     NotRepresentable,
     ShrinkExhausted,
 )
-from .exact import best_denominators
+from .exact import best_denominators, min_orbit_gap
 
 _CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
 
@@ -103,23 +105,12 @@ class Castle:
     # what verify() returned when build_castle checked the castle
     report: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def base_union(self) -> Cell:
-        parts = []
-        bd = []
-        for t in self.towers:
-            parts.extend(t.base.intervals)
-            bd.extend(t.base.boundary_points())
-        return Cell(axes=(norm_union(parts),), boundary=(tuple(bd),))
-
-    def bases_by_height(self, height: int) -> Cell:
-        parts = []
-        bd = []
-        for t in self.towers:
-            if t.height == height:
-                parts.extend(t.base.intervals)
-                bd.extend(t.base.boundary_points())
-        return Cell(axes=(norm_union(parts),), boundary=(tuple(bd),))
+    def base_union(self, height: Optional[int] = None) -> Cell:
+        """Union of the tower bases, or of the bases of the towers of one height."""
+        towers = [t for t in self.towers if height is None or t.height == height]
+        parts = [iv for t in towers for iv in t.base.intervals]
+        bd = tuple(p for t in towers for p in t.base.boundary_points())
+        return Cell(axes=(norm_union(parts),), boundary=(bd,))
 
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
@@ -141,8 +132,8 @@ class Castle:
         for t in self.towers:
             ks = np.arange(t.height, dtype=float) * alpha
             for lo, hi in t.base.intervals:
-                width = to_float(hi) - to_float(lo)
-                pos = np.mod(to_float(lo) + ks, 1.0)
+                width = float(hi) - float(lo)
+                pos = np.mod(float(lo) + ks, 1.0)
                 over = pos + width > 1.0
                 lows.append(pos[~over])
                 highs.append(pos[~over] + width)
@@ -172,25 +163,18 @@ class Castle:
         do_exact = full_exact if full_exact is not None else n_floors <= _CASTLE_EXACT_FLOOR_LIMIT
         report = {"floors": n_floors, "exact_tiling": None, "grid_covered": None,
                   "return_times_ok": None}
-        bases = sorted((iv for t in self.towers for iv in t.base.intervals),
-                       key=lambda iv: to_float(iv[0]))
-        for (_, h1), (l2, _) in zip(bases[:-1], bases[1:]):
-            if not h1 <= l2:
-                raise DisjointnessFailed("tower bases overlap")
+        if first_overlap(iv for t in self.towers for iv in t.base.intervals)[1] is not None:
+            raise DisjointnessFailed("tower bases overlap")
         if do_exact:
-            pieces = sorted(((p[0], p[1]) for p, _, _ in self.all_floors()),
-                            key=lambda iv: to_float(iv[0]))
-            for (lo1, hi1), (lo2, hi2) in zip(pieces[:-1], pieces[1:]):
-                if not hi1 <= lo2:
-                    raise DisjointnessFailed(
-                        f"floors overlap near {to_float(lo2)!r}")
+            pieces, bad = first_overlap(p for p, _, _ in self.all_floors())
+            if bad is not None:
+                raise DisjointnessFailed(f"floors overlap near {float(pieces[bad + 1][0])!r}")
             tiles = all(hi1 == lo2 for (lo1, hi1), (lo2, hi2) in zip(pieces[:-1], pieces[1:]))
             tiles = tiles and pieces[0][0] == 0 and pieces[-1][1] == 1
             if not tiles:
                 raise DisjointnessFailed("floors do not tile [0, 1) exactly")
             report["exact_tiling"] = True
-            flo = np.array([to_float(p[0]) for p in pieces])
-            fhi = np.array([to_float(p[1]) for p in pieces])
+            flo, fhi = float_breaks(pieces)
         else:
             flo, fhi = self.float_floors()
             if np.any(fhi[:-1] > flo[1:] + 1e-12):
@@ -201,7 +185,7 @@ class Castle:
 
         # grid coverage with one-spacing margin (also implied by the tiling)
         xs = rot.grid_floats()
-        idx = np.clip(np.searchsorted(flo, xs, side="right") - 1, 0, flo.size - 1)
+        idx, _ = locate(flo, fhi, xs)
         sp = 1.0 / rot.grid_size
         covered = (xs >= flo[idx] - sp) & (xs < fhi[idx] + sp)
         if not covered.all():
@@ -210,20 +194,18 @@ class Castle:
 
         # sampled first-return times from B to B equal the tower heights
         rng = np.random.default_rng(rng_seed)
-        B = self.base_union
-        blo, bhi = B.float_breaks()
+        blo, bhi = self.base_union().float_breaks()
         alpha = rot.alpha_float
         per = max(1, sample_points // max(len(self.towers), 1))
         checked = 0
         for t in self.towers:
             for lo, hi in t.base.intervals:
-                lof, hif = to_float(lo), to_float(hi)
+                lof, hif = float(lo), float(hi)
                 pad = (hif - lof) * 1e-3
                 pts = rng.uniform(lof + pad, hif - pad, size=per)
                 for k in range(1, t.height + 1):
                     pos = np.mod(pts + k * alpha, 1.0)
-                    idx = np.clip(np.searchsorted(blo, pos, side="right") - 1, 0, blo.size - 1)
-                    inb = (pos >= blo[idx]) & (pos < bhi[idx])
+                    inb = locate(blo, bhi, pos)[1]
                     if k < t.height:
                         if inb.any():
                             raise DisjointnessFailed(
@@ -243,7 +225,7 @@ class Castle:
             w.writerow(["base_lo", "base_hi", "height"])
             for t in self.towers:
                 for lo, hi in t.base.intervals:
-                    w.writerow([f"{to_float(lo):.17g}", f"{to_float(hi):.17g}", t.height])
+                    w.writerow([f"{float(lo):.17g}", f"{float(hi):.17g}", t.height])
 
 
 def build_castle(sys: BaseSystem, N: int) -> Castle:
@@ -260,7 +242,7 @@ def build_castle(sys: BaseSystem, N: int) -> Castle:
     gap = _min_gap_cached(rot.alpha, n1 + 1) if n1 >= 1 else 1.0
     # center the inducing cell at a generic rational point
     x0 = rot.point(Fraction(1, 2))
-    diam = min(4.0 / (n1 + 1), to_float(gap) * 0.96)
+    diam = min(4.0 / (n1 + 1), float(gap) * 0.96)
     U = None
     for _ in range(80):
         cand = small_boundary_cell(rot, x0, diam / 4.0)
@@ -323,10 +305,10 @@ def _packing_count_bound(alpha, intervals, n: int) -> float:
         return 0.0
     if n < 2:
         return float(len(intervals))
-    gap = to_float(_min_gap_cached(alpha, n))
+    gap = float(_min_gap_cached(alpha, n))
     total = 0.0
     for lo, hi in intervals:
-        h = to_float(hi) - to_float(lo)
+        h = float(hi) - float(lo)
         total += math.floor(h / gap) + 1.0
     return total
 
@@ -335,10 +317,8 @@ _GAP_CACHE: dict = {}
 
 
 def _min_gap_cached(alpha, n: int):
-    key = (to_float(alpha), n)
+    key = (type(alpha), alpha, n)  # a float angle never shares an exact angle's gap
     if key not in _GAP_CACHE:
-        from .exact import min_orbit_gap
-
         _GAP_CACHE[key] = min_orbit_gap(alpha, n)
     return _GAP_CACHE[key]
 
@@ -387,25 +367,25 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
         for p in pts:
             parts.extend(wrap_interval(p - rho_frac, p + rho_frac))
         intervals = norm_union(parts)
+        # the packing bound reads only float lengths: convert the endpoints once
+        fl = [(float(lo), float(hi)) for lo, hi in intervals]
         # grow n0 geometrically until the [n0, 8 n0] certificate clears eps;
         # once the per-interval +1 term is negligible and it still fails, only
         # a smaller rho can help (the measure term is n-independent)
         for k in range(2, 44):
             n0 = 2 ** k
-            best = _freq_bound_over_range(alpha, intervals, n0)
+            best = _freq_bound_over_range(alpha, fl, n0)
             if best < eps:
                 lo_n, hi_n = max(4, n0 // 2), n0  # refine to a near-minimal n0
                 while hi_n - lo_n > max(hi_n // 16, 1):
                     mid = (lo_n + hi_n) // 2
-                    if _freq_bound_over_range(alpha, intervals, mid) < eps:
+                    if _freq_bound_over_range(alpha, fl, mid) < eps:
                         hi_n = mid
                     else:
                         lo_n = mid
                 n0 = hi_n
-                best = _freq_bound_over_range(alpha, intervals, n0)
-                boundary = tuple(p for iv in intervals for p in iv)
-                return FreqBound(V=Cell(axes=(intervals,), boundary=(boundary,)),
-                                 n0=n0, eps=eps, sup_frequency=best,
+                best = _freq_bound_over_range(alpha, fl, n0)
+                return FreqBound(V=Cell.from_union(intervals), n0=n0, eps=eps, sup_frequency=best,
                                  rho=float(rho_frac))
             if len(intervals) / n0 < 0.02 * eps:
                 break

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
 from cocyclelab.errors import CocycleLabError, EmptyCell
-from cocyclelab.exact import GOLDEN_MEAN, QuadExt, to_float
+from cocyclelab.exact import GOLDEN_MEAN, QuadExt
 
 
 def golden(grid=1024):
@@ -70,6 +72,88 @@ class TestCells:
         assert got.tolist() == [False, True, False, True, False, False]
 
 
+# Normalised unions (sorted, disjoint, non-touching) from distinct sorted
+# points paired off.  Exact points are r + k*golden mod 1 in Q(sqrt 5); float
+# points are multiples of 2^-10, so float sums and midpoints are exact too.
+_EXACT_POINTS = st.tuples(st.integers(0, 63), st.integers(-6, 6)).map(
+    lambda rk: bd.mod1(Fraction(rk[0], 64) + rk[1] * GOLDEN_MEAN))
+_FLOAT_POINTS = st.integers(0, 1024).map(lambda k: k / 1024)
+
+
+def _unions(points, one):
+    def pair_off(pts):
+        pts = sorted(set(pts))
+        return tuple(zip(pts[0::2], pts[1::2]))
+    return st.lists(st.one_of(points, st.just(one)), max_size=10).map(pair_off)
+
+
+_EXACT_UNIONS = _unions(_EXACT_POINTS, QuadExt(1, 0, 5))
+_FLOAT_UNIONS = _unions(_FLOAT_POINTS, 1.0)
+
+
+def _assert_normalised(u):
+    for lo, hi in u:
+        assert 0 <= lo < hi <= 1
+    for (_, hi1), (lo2, _) in zip(u[:-1], u[1:]):
+        assert hi1 < lo2
+
+
+def _probes(*unions):
+    """Every endpoint in [0, 1) and the midpoint between neighbouring ones."""
+    pts = sorted({p for u in unions for iv in u for p in iv if p < 1} | {Fraction(0)})
+    return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:] + [Fraction(1)])]
+
+
+class TestUnionAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.tuples(_EXACT_UNIONS, _EXACT_UNIONS),
+                     st.tuples(_FLOAT_UNIONS, _FLOAT_UNIONS)))
+    def test_inter_and_sub_pointwise(self, us):
+        u1, u2 = us
+        inter, sub = bd.inter_union(u1, u2), bd.sub_union(u1, u2)
+        for out in (inter, sub):
+            _assert_normalised(out)
+            ends = [p for iv in u1 + u2 for p in iv]
+            assert all(any(p == e for e in ends) for iv in out for p in iv)
+        for x in _probes(u1, u2, inter, sub):
+            in1, in2 = bd.union_contains(u1, x), bd.union_contains(u2, x)
+            assert bd.union_contains(inter, x) == (in1 and in2)
+            assert bd.union_contains(sub, x) == (in1 and not in2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(_EXACT_UNIONS, _EXACT_POINTS),
+                     st.tuples(_FLOAT_UNIONS, _FLOAT_POINTS)))
+    def test_translate_pointwise(self, ud):
+        u, delta = ud
+        out = bd.translate_union(u, delta)
+        _assert_normalised(out)
+        for x in _probes(u, out):
+            assert bd.union_contains(out, x) == bd.union_contains(u, bd.mod1(x - delta))
+
+    def test_locate_matches_brute_force(self):
+        lo = np.array([0.1, 0.25, 0.5, 0.875])
+        hi = np.array([0.2, 0.5, 0.75, 1.0])  # [0.25, 0.5) and [0.5, 0.75) touch
+        xs = np.concatenate([lo, hi, [0.0, 0.05, 0.3, 0.8, 0.9, 0.999],
+                             np.nextafter([0.2, 0.5], 0)]).reshape(4, 4)
+        idx, inside = bd.locate(lo, hi, xs)
+        assert idx.shape == inside.shape == xs.shape
+        for x, k, hit in zip(xs.ravel(), idx.ravel(), inside.ravel()):
+            assert k == max([i for i in range(lo.size) if lo[i] <= x], default=0)
+            assert hit == any(a <= x < b for a, b in zip(lo, hi))
+
+    def test_locate_without_pieces(self):
+        idx, inside = bd.locate(np.array([]), np.array([]), np.zeros((3, 2)))
+        assert idx.shape == inside.shape == (3, 2)
+        assert not inside.any()
+
+    def test_first_overlap(self):
+        touching = [(0.5, 0.7), (0.1, 0.3), (0.3, 0.5)]
+        assert bd.first_overlap(touching) == ([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], None)
+        q = [(qe(0.6), qe(0.7)), (qe(0.1), qe(0.3)), (qe(0.3), GOLDEN_MEAN)]
+        pieces, bad = bd.first_overlap(q)
+        assert bad == 1 and pieces[bad] == q[2]  # [0.3, 0.618...) runs past 0.6
+
+
 class TestCoveringTime:
     def test_full_space(self):
         rot = golden()
@@ -100,6 +184,25 @@ class TestCoveringTime:
         big = bd.Cell.from_union([(qe(0.05), qe(0.3))])
         assert bd.covering_time(rot, big) <= bd.covering_time(rot, small)
 
+    @pytest.mark.parametrize("axes", [
+        (((0.2, 0.45),), ((0.6, 0.9),)),
+        (((0.0, 0.3), (0.75, 1.0)), ((0.125, 0.5),)),
+    ])
+    def test_torus_matches_grid_marching(self, axes):
+        tor = bd.TorusTranslation((0.6180339887498949, 0.41421356237309515), grid_size=16)
+        sp = 1.0 / 16
+        shrunk = [[(lo + sp, hi - sp) for lo, hi in u] for u in axes]
+
+        def hit_time(p):
+            for j in range(10**4):
+                pos = np.mod(p - j * np.array(tor.vector), 1.0)
+                if all(any(lo <= x < hi for lo, hi in u) for x, u in zip(pos, shrunk)):
+                    return j
+            raise AssertionError("no hit")
+
+        expect = max(hit_time(p) for p in tor.grid_floats())
+        assert bd.covering_time(tor, bd.Cell(axes=axes)) == expect
+
     def test_empty_cell(self):
         rot = golden()
         with pytest.raises(EmptyCell):
@@ -111,10 +214,10 @@ class TestSmallBoundaryCell:
         rot = golden()
         x0 = rot.point(Fraction(1, 2))
         cell = bd.small_boundary_cell(rot, x0, 0.1)
-        assert cell.contains(to_float(rot.scalar(x0)))
+        assert cell.contains(float(rot.scalar(x0)))
         lo, hi = cell.intervals[0]
-        assert to_float(hi) - to_float(lo) <= 4 * 0.1
-        assert to_float(lo) > 0.3 and to_float(hi) < 0.7
+        assert float(hi) - float(lo) <= 4 * 0.1
+        assert float(lo) > 0.3 and float(hi) < 0.7
 
     def test_boundary_avoids_orbit(self):
         rot = golden()
@@ -122,7 +225,7 @@ class TestSmallBoundaryCell:
         cell = bd.small_boundary_cell(rot, x0, 0.02)
         orbit = rot.orbit_floats(1.0 / 3.0, 10**5)
         for p in cell.boundary_points():
-            d = np.abs(np.mod(orbit - to_float(p), 1.0))
+            d = np.abs(np.mod(orbit - float(p), 1.0))
             d = np.minimum(d, 1.0 - d)
             assert float(d.min()) > 1e-7
 
@@ -131,7 +234,7 @@ class TestSmallBoundaryCell:
         x0 = st.point(Fraction(1, 3))
         cell = bd.small_boundary_cell(st, x0, 0.1)
         assert cell.boundary_points() == ()  # clopen cylinder
-        assert cell.contains(to_float(st.scalar(x0)))
+        assert cell.contains(float(st.scalar(x0)))
         # depth matches ceil(log2(1/eps))
         depth = math.ceil(math.log2(1.0 / 0.1))
         again = st.cylinder(x0, depth)
@@ -143,7 +246,7 @@ class TestSmallBoundaryCell:
         cell = bd.small_boundary_cell(tor, x0, 0.05)
         assert cell.contains(tor.coords(x0))
         for u in cell.axes:
-            width = sum(to_float(hi) - to_float(lo) for lo, hi in u)
+            width = sum(float(hi) - float(lo) for lo, hi in u)
             assert width <= 2 * 2 * 0.05 / math.sqrt(2) + 1e-12
 
 
@@ -159,7 +262,7 @@ class TestFirstReturn:
         out = bd.first_return(rot, U)
         assert sorted(n for _, n in out) == [1, 2]
         # pieces partition U exactly
-        total = sum(to_float(hi) - to_float(lo) for c, _ in out for lo, hi in c.intervals)
+        total = sum(float(hi) - float(lo) for c, _ in out for lo, hi in c.intervals)
         assert abs(total - float(GOLDEN_MEAN)) < 1e-15
 
     def test_at_most_three_return_times(self):
@@ -179,8 +282,8 @@ class TestFirstReturn:
             U = bd.Cell.from_union([(qe(l), qe(l + h))])
             a = bd.first_return(rot, U)
             b = bd._first_return_marching(rot, U)
-            assert [(n, to_float(c.intervals[0][0])) for c, n in a] == pytest.approx(
-                [(n, to_float(c.intervals[0][0])) for c, n in b])
+            assert [(n, float(c.intervals[0][0])) for c, n in a] == pytest.approx(
+                [(n, float(c.intervals[0][0])) for c, n in b])
 
     def test_silver_rotation(self):
         rot = bd.CircleRotation.silver(grid_size=512)
@@ -188,15 +291,15 @@ class TestFirstReturn:
                                  QuadExt(Fraction(1, 5), 0, 2))])
         out = bd.first_return(rot, U)
         march = bd._first_return_marching(rot, U)
-        assert [(n, to_float(c.intervals[0][0])) for c, n in out] == pytest.approx(
-            [(n, to_float(c.intervals[0][0])) for c, n in march])
+        assert [(n, float(c.intervals[0][0])) for c, n in out] == pytest.approx(
+            [(n, float(c.intervals[0][0])) for c, n in march])
 
     def test_towers_tile_exactly(self):
         # Kac: sum of return times weighted by piece length is the full circle
         rot = golden()
         U = bd.Cell.from_union([(qe(0.2), qe(0.35))])
         out = bd.first_return(rot, U)
-        kac = sum(n * (to_float(c.intervals[0][1]) - to_float(c.intervals[0][0]))
+        kac = sum(n * (float(c.intervals[0][1]) - float(c.intervals[0][0]))
                   for c, n in out)
         assert abs(kac - 1.0) < 1e-12
 
@@ -207,7 +310,7 @@ class TestFirstReturn:
         # spot-check each piece by direct orbit iteration from its midpoint
         for cell, n in out:
             lo, hi = cell.intervals[0]
-            mid = (to_float(lo) + to_float(hi)) / 2
+            mid = (float(lo) + float(hi)) / 2
             pos = mid
             for k in range(1, n + 1):
                 pos = (pos + rot.alpha_float) % 1.0

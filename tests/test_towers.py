@@ -7,7 +7,7 @@ import pytest
 from cocyclelab import basedyn as bd
 from cocyclelab import towers as tw
 from cocyclelab.errors import NotRepresentable, ShrinkExhausted
-from cocyclelab.exact import to_float
+from cocyclelab.exact import QuadExt, min_orbit_gap
 
 
 class TestFrobenius:
@@ -69,13 +69,13 @@ class TestCastle:
         # directly measured return times from B equal the tower heights
         rot = bd.CircleRotation.golden(grid_size=2048)
         castle = tw.build_castle(rot, 5)
-        B = castle.base_union
+        B = castle.base_union()
         alpha = rot.alpha_float
         blo, bhi = B.float_breaks()
         rng = np.random.default_rng(11)
         for t in castle.towers:
             lo, hi = t.base.intervals[0]
-            pts = rng.uniform(to_float(lo) + 1e-12, to_float(hi) - 1e-12, 40)
+            pts = rng.uniform(float(lo) + 1e-12, float(hi) - 1e-12, 40)
             for k in range(1, t.height + 1):
                 pos = np.mod(pts + k * alpha, 1.0)
                 idx = np.clip(np.searchsorted(blo, pos, side="right") - 1, 0, blo.size - 1)
@@ -85,7 +85,7 @@ class TestCastle:
     def test_kac_identity(self):
         rot = bd.CircleRotation.silver(grid_size=1024)
         castle = tw.build_castle(rot, 7)
-        total = sum(t.height * (to_float(hi) - to_float(lo))
+        total = sum(t.height * (float(hi) - float(lo))
                     for t in castle.towers for lo, hi in t.base.intervals)
         assert abs(total - 1.0) < 1e-12
 
@@ -160,6 +160,15 @@ class TestFreqBound:
         data = json.loads(path.read_text())
         assert data["n0"] == fb.n0
         assert data["sup_frequency"] == fb.sup_frequency
+
+    def test_gap_cache_keeps_float_and_exact_angles_apart(self, monkeypatch):
+        # a float golden angle must not hand its float gap to the exact one,
+        # whose castle test (hi - lo) < gap has to stay exact
+        monkeypatch.setattr(tw, "_GAP_CACHE", {})
+        tw.visit_freq_bound(bd.CircleRotation(float(bd.GOLDEN_MEAN)), [0.3], 0.1)
+        gap = tw._min_gap_cached(bd.CircleRotation.golden().alpha, 21)
+        assert isinstance(gap, QuadExt) and gap == min_orbit_gap(bd.GOLDEN_MEAN, 21)
+        assert isinstance(tw._min_gap_cached(float(bd.GOLDEN_MEAN), 21), float)
 
     def test_packing_bound_is_rigorous(self):
         # the per-interval packing count dominates true counts for every x
