@@ -86,17 +86,22 @@ def inter_union(u1, u2) -> tuple:
     return tuple(out)
 
 
-def sub_union(u1, u2) -> tuple:
-    """u1 minus u2 for normalised unions: u1 meets the gaps of u2 in [0, 1)."""
+def complement(u) -> tuple:
+    """The gaps of a normalised union in [0, 1), again a normalised union."""
     gaps = []
     start = 0
-    for lo, hi in u2:
+    for lo, hi in u:
         if lo > start:
             gaps.append((start, lo))
         start = hi
     if start < 1:
         gaps.append((start, 1))
-    return inter_union(u1, gaps)
+    return tuple(gaps)
+
+
+def sub_union(u1, u2) -> tuple:
+    """u1 minus u2 for normalised unions: u1 meets the gaps of u2 in [0, 1)."""
+    return inter_union(u1, complement(u2))
 
 
 def locate(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +260,6 @@ class BaseSystem:
     def float_coords(self, x: BasePoint) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coords(x))
 
-    def grid_spacing(self) -> float:
-        return 1.0 / self.grid_size
-
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         out = 0.0
         for x, y in zip(a, b):
@@ -342,9 +344,15 @@ class CircleRotation(BaseSystem):
             return QuadExt(r, 0, self.alpha.D)
         return float(r)
 
-    def orbit_floats(self, x0: float, n: int, start: int = 0) -> np.ndarray:
-        ks = np.arange(start, start + n, dtype=float)
-        return np.mod(float(x0) + ks * self.alpha_float, 1.0)
+    def orbit_floats(self, x0, n: int, start: int = 0) -> np.ndarray:
+        """The float orbit: x0 + k alpha mod 1 for k = start .. start + n - 1.
+
+        x0 is a float or an array of any shape; the positions run along a new
+        last axis.  Each is taken from the anchor with the rounded k * alpha,
+        never iterated, so no position depends on how an orbit is chunked.
+        """
+        ks = np.arange(start, start + n, dtype=float) * self.alpha_float
+        return np.mod(np.asarray(x0, dtype=float)[..., None] + ks, 1.0)
 
     def fill_horizon(self, eps: float) -> int:
         """Horizon by which every orbit is eps-dense (three-distance bound)."""
@@ -397,15 +405,14 @@ class SturmianShift(BaseSystem):
 
     def word(self, x: BasePoint, length: Optional[int] = None) -> str:
         n = self.window_depth if length is None else length
-        t = float(self.scalar(x))
-        beta = self._rot.alpha_float
-        bits = ((np.mod(t + np.arange(n) * beta, 1.0)) >= 1.0 - beta).astype(int)
+        pos = self._rot.orbit_floats(float(self.scalar(x)), n)
+        bits = (pos >= 1.0 - self._rot.alpha_float).astype(int)
         return "".join(str(b) for b in bits)
 
     def grid_floats(self) -> np.ndarray:
         return self._rot.grid_floats()
 
-    def orbit_floats(self, x0: float, n: int, start: int = 0) -> np.ndarray:
+    def orbit_floats(self, x0, n: int, start: int = 0) -> np.ndarray:
         return self._rot.orbit_floats(x0, n, start)
 
     def cylinder(self, x: BasePoint, depth: int) -> Cell:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._parallel import parallel_lanes
-from .basedyn import BasePoint, BaseSystem, CircleRotation, SturmianShift, rotation_of
+from .basedyn import BasePoint, BaseSystem, rotation_of
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
     Mat2,
@@ -30,6 +30,7 @@ from .sl2 import (
 )
 
 _OVERFLOW_LIMIT = 1e300
+_WITNESS_EPS = 1e-3  # uh_certify's norm-collapse threshold on (1/n) log ||A_n||
 
 
 # -- generators -------------------------------------------------------------------
@@ -40,10 +41,6 @@ class Generator:
 
     def entries(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def at(self, x: float) -> Mat2:
-        a, b, c, d = self.entries(np.array([x]))
-        return Mat2(float(a[0]), float(b[0]), float(c[0]), float(d[0]))
 
 
 class ConstantGenerator(Generator):
@@ -178,15 +175,19 @@ class Cocycle:
             raise CocycleLabError("matrix cocycles over multi-d bases use 1-d coordinates")
         return g
 
-    def orbit(self, x: BasePoint, n: int, start: int = 0) -> np.ndarray:
-        if isinstance(self.base, (CircleRotation, SturmianShift)):
-            shifted = self.base.step(x, start) if start else x
-            x0 = self.base.float_coords(shifted)[0]
-            return self.base.orbit_floats(x0, n)
-        raise CocycleLabError("orbits as float arrays need a rotation-presented base")
+    def orbit(self, x: BasePoint, n: int) -> np.ndarray:
+        """Float positions of x, f(x), ..., f^{n-1}(x) (rotation-presented bases)."""
+        rot = rotation_of(self.base)
+        return rot.orbit_floats(self.base.float_coords(x)[0], n)
 
-    def matrix_at(self, x: BasePoint) -> Mat2:
-        return self.generator.at(self.base.float_coords(x)[0])
+    def entries_along(self, x0, n: int, start: int = 0) -> tuple[np.ndarray, ...]:
+        """Generator entry arrays (a, b, c, d) along the float orbit of x0.
+
+        The positions are CircleRotation.orbit_floats(x0, n, start): the shape
+        of x0 plus a last axis of n steps.
+        """
+        pos = rotation_of(self.base).orbit_floats(x0, n, start)
+        return tuple(np.asarray(e, dtype=float) for e in self.generator.entries(pos))
 
 
 def iterate(co: Cocycle, x: BasePoint, n: int) -> Mat2:
@@ -227,7 +228,6 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
         raise CocycleLabError("need n >= 1")
-    alpha = rotation_of(co.base).alpha_float
     out = np.empty(anchors.size, dtype=float)
     lane_chunk = max(1, min(anchors.size, max(max_elems // max(n, 1), 256)))
     step_chunk = max(1, max_elems // lane_chunk)
@@ -237,9 +237,7 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
         exp2 = np.zeros(sl.size, dtype=np.int64)
         for s0 in range(0, n, step_chunk):
             s1 = min(s0 + step_chunk, n)
-            ks = np.arange(s0, s1, dtype=float) * alpha
-            pos = np.mod(sl[:, None] + ks[None, :], 1.0)
-            *chunk, e_chunk = tree_product(*co.generator.entries(pos))
+            *chunk, e_chunk = tree_product(*co.entries_along(sl, s1 - s0, s0))
             *carry, e_carry = _rescale(*_mul(*chunk, *carry))
             exp2 += e_chunk + e_carry
         out[lo:lo + lane_chunk] = log_norm(*carry, exp2)
@@ -401,12 +399,14 @@ def _direction_angles(a, b, c, d, theta):
     return np.mod(np.arctan2(wy, wx), math.pi)
 
 
-def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
-               witness_eps: float = 1e-3):
-    """Semi-decision: invariant-cone Certificate, norm-collapse Witness, or Inconclusive."""
+def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
+    """Semi-decision: invariant-cone Certificate, norm-collapse Witness, or Inconclusive.
+
+    A Witness is a grid point where (1/n_max) log ||A_n_max|| < _WITNESS_EPS.
+    """
     xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
     G = xs.size
-    alpha = rotation_of(co.base).alpha_float
+    rot = rotation_of(co.base)
     spacing = 1.0 / G
 
     # candidate unstable field at each grid point: push a generic direction
@@ -415,8 +415,8 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
     depth = 96
     vx = np.ones(G)
     vy = np.zeros(G)
-    for j in range(depth, 0, -1):
-        a, b, c, d = co.generator.entries(np.mod(xs - j * alpha, 1.0))
+    # step k of the transposed entries is the generator at f^{k - depth}(x)
+    for a, b, c, d in zip(*(e.T for e in co.entries_along(xs, depth, -depth))):
         vx, vy = a * vx + b * vy, c * vx + d * vy
         nrm = np.hypot(vx, vy)
         vx, vy = vx / nrm, vy / nrm
@@ -425,7 +425,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
     # roughness of the field and sensitivity of the direction action, x-wise
     field_diff = _angdist(theta, np.roll(theta, -1))
     lip_field = float(field_diff.max()) / spacing
-    pre = np.mod(xs - alpha, 1.0)
+    pre = rot.orbit_floats(xs, 1, -1)[:, 0]
     a, b, c, d = co.generator.entries(pre)
     prev_idx = np.mod(np.round(pre * G).astype(int), G)
     a2, b2, c2, d2 = co.generator.entries(np.mod(pre + 0.5 * spacing, 1.0))
@@ -435,7 +435,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
     margin = 4.0 * (lip_field + lip_act) * spacing
 
     ac, bc, cc, dc = co.generator.entries(xs)
-    nxt_pos = np.mod(xs + alpha, 1.0)
+    nxt_pos = rot.orbit_floats(xs, 1, 1)[:, 0]
     nxt_idx = np.mod(np.round(nxt_pos * G).astype(int), G)
     width = max(8.0 * float(field_diff.max()), 4.0 * margin, 1e-6)
     if width < math.pi / 4:
@@ -457,7 +457,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64,
 
     vals = log_norms_batch(co, xs, n_max) / n_max
     k = int(np.argmin(vals))
-    if vals[k] < witness_eps:
+    if vals[k] < _WITNESS_EPS:
         return Witness(point=co.base.point(float(xs[k])), n=n_max, value=float(vals[k]))
     return Inconclusive(reason="no invariant cone found and no norm collapse at horizon")
 

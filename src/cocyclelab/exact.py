@@ -112,12 +112,8 @@ class QuadExt:
         return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, float) and not other.is_integer():
-            # float probes (grid membership etc.) compare at float precision
-            d = float(self) - other
-            return (d > 0) - (d < 0)
         if isinstance(other, float):
-            other = int(other)
+            other = Fraction(other)  # exact: every finite float is a dyadic rational
         o = self._coerce(other)
         return (self - o).sign()
 

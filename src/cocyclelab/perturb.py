@@ -44,6 +44,7 @@ from .sl2 import (
 
 ANGLE_TOL = 1e-6
 _LANE_CHUNK = 256
+_WINDOW_CANDIDATES = 64  # steering-window centers scanned by choose_steering_window
 
 
 # -- data types ---------------------------------------------------------------------
@@ -68,10 +69,6 @@ class BalanceProfile:
     j0: int
     C: float
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.exp(self.log_deltas)
-
 
 @dataclass
 class EarlyExit:
@@ -93,12 +90,6 @@ class SegmentPlan:
     product_log_norm: float
     max_distance: float
     _cocycle: Cocycle
-
-    @property
-    def matrices(self) -> list[Mat2]:
-        """L_0 .. L_{N-1}; unsteered slots equal the unperturbed generator."""
-        ents = plan_entries(self._cocycle, self)
-        return [Mat2(*(float(e[j]) for e in ents)) for j in range(self.N)]
 
     def to_text(self) -> str:
         x0 = self._cocycle.base.float_coords(self.x)[0]
@@ -148,11 +139,8 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
     per lane).  Greedy capped rotations toward the pullback target; exact
     rank-one correction and coasting once within reach.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    L = anchors.size
-    alpha = rotation_of(co.base).alpha_float
-    pos = np.mod(anchors[:, None] + np.arange(m)[None, :] * alpha, 1.0)
-    ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
+    L = np.size(anchors)
+    ea, eb, ec, ed = co.entries_along(anchors, m)
     tx, ty = _pullback_targets(ea, eb, ec, ed, wx, wy)
 
     out = np.empty((L, m, 4))
@@ -235,21 +223,17 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
 # -- balance profile -------------------------------------------------------------------
 
 
-def _prefix_suffix_logs(co: Cocycle, anchors: np.ndarray, N: int):
-    """log ||A_j(x)|| and log ||A_{N-j}(f^j x)|| for j = 0..N, per anchor lane.
+def _prefix_suffix_logs(ea, eb, ec, ed):
+    """log ||A_j(x)|| and log ||A_{N-j}(f^j x)|| for j = 0..N, per lane of the
+    (L, N) entry arrays of A(f^j x).
 
     Two running sl2.scan_lanes scans.  The suffix S_j = A_{N-1} ... A_j grows
     by right multiplication, so it is scanned as its transpose A_j^T ...
-    A_{N-1}^T (same norm) over the reversed, transposed steps.  Also returns
-    the orbit positions (L, N) for reuse.
+    A_{N-1}^T (same norm) over the reversed, transposed steps.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    alpha = rotation_of(co.base).alpha_float
-    pos = np.mod(anchors[:, None] + np.arange(N)[None, :] * alpha, 1.0)
-    ea, eb, ec, ed = (np.asarray(e, dtype=float) for e in co.generator.entries(pos))
     _, pre = scan_lanes(ea, eb, ec, ed, running=True)
     _, suf = scan_lanes(ea[:, ::-1], ec[:, ::-1], eb[:, ::-1], ed[:, ::-1], running=True)
-    return pre, suf[:, ::-1], pos
+    return pre, suf[:, ::-1]
 
 
 def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfile:
@@ -259,7 +243,7 @@ def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfi
     if C <= co.sup_norm:
         raise NoBalancedIndex(f"C = {C} below sup norm {co.sup_norm}")
     x0 = co.base.float_coords(x)[0]
-    pre, suf, _ = _prefix_suffix_logs(co, np.array([x0]), N)
+    pre, suf = _prefix_suffix_logs(*co.entries_along(np.array([x0]), N))
     log_d = pre[0] - suf[0]
     logC = math.log(C)
     inside = np.abs(log_d) < logC
@@ -318,8 +302,7 @@ def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: in
     return bool((err <= ANGLE_TOL).all() and (dist < eps).all())
 
 
-def choose_steering_window(co: Cocycle, eps: float,
-                           max_candidates: int = 64) -> tuple[Cell, int]:
+def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     """Open window W and block length m certified by a direction-pair sweep.
 
     Candidate centers are ranked by finite-product norm collapse (steering is
@@ -339,9 +322,9 @@ def choose_steering_window(co: Cocycle, eps: float,
     xs = rot.grid_floats()
     probe = log_norms_batch(co, xs, 16)
     order = np.argsort(probe, kind="stable")
-    centers = [float(xs[i]) for i in order[: max_candidates // 2]]
+    centers = [float(xs[i]) for i in order[: _WINDOW_CANDIDATES // 2]]
     centers += [float(xs[int(i)]) for i in
-                np.linspace(0, xs.size - 1, max_candidates - len(centers)).astype(int)]
+                np.linspace(0, xs.size - 1, _WINDOW_CANDIDATES - len(centers)).astype(int)]
 
     # per-step reach never exceeds the rotation cap at the smallest image norm
     # plus the correction cone; skip block lengths that cannot make a half turn
@@ -375,9 +358,7 @@ def choose_steering_window(co: Cocycle, eps: float,
                 lo, hi = c - half, c + half
                 if lo < 0 or hi > 1:
                     continue
-                alpha_f = rot.alpha_float
-                pts = np.mod(float(lo) + np.arange(m) * alpha_f, 1.0)
-                ends = np.mod(float(hi) + np.arange(m) * alpha_f, 1.0)
+                pts, ends = rot.orbit_floats(np.array([float(lo), float(hi)]), m)
                 if m > 1:  # cheap float disjointness screen before exact work
                     order = np.argsort(pts)
                     if np.any(ends[order][:-1] > pts[order][1:] + 1e-15):
@@ -408,7 +389,7 @@ def choose_steering_window(co: Cocycle, eps: float,
                  f"(full size and {halvings - 1} halvings, floor grid spacing 1/{rot.grid_size})")
     else:
         sizes = f"no window size above grid spacing 1/{rot.grid_size}"
-    raise SearchFailed(f"no certified window after scanning {max_candidates} candidates, "
+    raise SearchFailed(f"no certified window after scanning {_WINDOW_CANDIDATES} candidates, "
                        f"m <= {m_cap}, {sizes}")
 
 
@@ -439,7 +420,11 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
     L = anchors.size
     C = perturbation_constant(co, eps)
     logC = math.log(C)
-    pre, suf, pos = _prefix_suffix_logs(co, anchors, N)
+    # one generator evaluation, shared by the scans, the masked products and
+    # the certification
+    pos = rotation_of(co.base).orbit_floats(anchors, N)
+    ents = tuple(np.asarray(e, dtype=float) for e in co.generator.entries(pos))
+    pre, suf = _prefix_suffix_logs(*ents)
     log_d = pre - suf
     inside = np.abs(log_d) < logC
     if not inside.any(axis=1).all():
@@ -447,22 +432,13 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         raise NoBalancedIndex(f"anchor {anchors[bad]}: no balanced index (C too small?)")
     j0 = np.argmax(inside, axis=1)
 
-    wlo, whi = W.float_breaks()
-    alpha = rotation_of(co.base).alpha_float
-
-    # nothing to prove where the unperturbed product already meets the bound
+    # j1: the first step in [j0, j0 + m1] that lands in W; nothing to prove
+    # where the unperturbed product already meets the bound
     trivially_small = pre[:, N] < 0.999 * eps * N
-
-    j1 = np.full(L, -1, dtype=int)
-    for lane in range(L):
-        if trivially_small[lane]:
-            continue
-        top = min(j0[lane] + m1, N - 1)
-        js = np.arange(j0[lane], top + 1)
-        p = np.mod(anchors[lane] + js * alpha, 1.0)
-        hit = locate(wlo, whi, p)[1]
-        if hit.any():
-            j1[lane] = js[int(np.argmax(hit))]
+    steps = np.arange(N)[None, :]
+    hit = locate(*W.float_breaks(), pos)[1] & ~trivially_small[:, None] \
+        & (steps >= j0[:, None]) & (steps <= (j0 + m1)[:, None])
+    j1 = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
 
     early = (j1 < 0) | (j1 + m > N)
     steered_lanes = np.flatnonzero(~early)
@@ -470,7 +446,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
     # scaled prefix X = A_{j1}(x) and suffix Z = A_{N-j1-m}(f^{j1+m} x) per steered lane
     blocks: dict[int, SteeringBlock] = {}
     if steered_lanes.size:
-        Xe, Ze = _masked_products(co, anchors, pos, N, j1, m, steered_lanes)
+        Xe, Ze = _masked_products(ents, N, j1, m, steered_lanes)
         ux, uy, sx, sy, _, degX = singular_axes_arrays(*Xe)
         # v = s_{X^{-1}} = direction of X u_X; degenerate X: any direction works
         vx_ = Xe[0] * ux + Xe[1] * uy
@@ -482,8 +458,9 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         _, _, szx, szy, _, degZ = singular_axes_arrays(*Ze)
         szx = np.where(degZ, 1.0, szx)
         szy = np.where(degZ, 0.0, szy)
-        banchors = np.mod(anchors[steered_lanes] + j1[steered_lanes] * alpha, 1.0)
-        ents, dist, err = _steer_batch(co, banchors, vx_, vy_, szx, szy, eps, m)
+        # each block is steered from its own anchor f^{j1}(x)
+        block_ents, _, err = _steer_batch(co, pos[steered_lanes, j1[steered_lanes]],
+                                          vx_, vy_, szx, szy, eps, m)
         bad = err > ANGLE_TOL
         if bad.any():
             k = int(np.argmax(bad))
@@ -491,7 +468,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
                 f"anchor {anchors[steered_lanes[k]]}: steering error {err[k]:.2e} at m={m}"
             )
         for i, lane in enumerate(steered_lanes):
-            mats = [Mat2(*(float(ents[i, j, k]) for k in range(4))) for j in range(m)]
+            mats = [Mat2(*(float(block_ents[i, j, k]) for k in range(4))) for j in range(m)]
             pt = points[lane]
             blocks[lane] = SteeringBlock(
                 anchor=co.base.step(pt, int(j1[lane])), length=m, matrices=mats,
@@ -500,7 +477,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
             )
 
     # certify all lanes with one batched scan over the actual L matrices
-    prod_logs, max_dists = _certify_chunk(co, anchors, pos, N, j1, m, early, blocks)
+    prod_logs, max_dists = _certify_chunk(ents, j1, m, early, blocks)
     for lane in range(L):
         if early[lane]:
             branch: Union[EarlyExit, Steered] = EarlyExit()
@@ -521,13 +498,13 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         )
 
 
-def _masked_products(co, anchors, pos, N, j1, m, lanes):
+def _masked_products(ents, N, j1, m, lanes):
     """Mantissa entries of X (prefix to j1) and Z (suffix from j1+m) per lane.
 
-    One sl2.scan_lanes scan each, with the steps outside the range set to the
-    identity.
+    One sl2.scan_lanes scan each over the chunk's entry arrays, with the steps
+    outside the range set to the identity.
     """
-    ents = [np.asarray(e, dtype=float) for e in co.generator.entries(pos[lanes])]
+    ents = [e[lanes] for e in ents]
     j1s = j1[lanes][:, None]
 
     def scan(lo, hi, active):
@@ -543,12 +520,13 @@ def _masked_products(co, anchors, pos, N, j1, m, lanes):
     return X, Z
 
 
-def _certify_chunk(co, anchors, pos, N, j1, m, early, blocks):
-    """Recompute max_j ||L_j - A(f^j x)|| and log ||L_{N-1}...L_0|| per lane."""
-    ents = [np.asarray(e, dtype=float) for e in co.generator.entries(pos)]
-    max_dist = np.zeros(anchors.size)
+def _certify_chunk(ents, j1, m, early, blocks):
+    """Recompute max_j ||L_j - A(f^j x)|| and log ||L_{N-1}...L_0|| per lane
+    from the chunk's generator entries, which are left unchanged."""
+    max_dist = np.zeros(early.size)
     lanes = np.flatnonzero(~early)
     if lanes.size:
+        ents = [e.copy() for e in ents]  # the steered slots are overwritten
         mats = np.array([[M.entries() for M in blocks[lane].matrices] for lane in lanes])
         rows, cols = lanes[:, None], j1[lanes][:, None] + np.arange(m)[None, :]
         diffs = (mats[:, :, k] - e[rows, cols] for k, e in enumerate(ents))

@@ -116,9 +116,6 @@ class TangentVec:
     t2: float
     t3: float
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.t1, self.t2], [self.t3, -self.t1]])
-
     def scale(self, f: float) -> "TangentVec":
         return TangentVec(self.t1 * f, self.t2 * f, self.t3 * f)
 

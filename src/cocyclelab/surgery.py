@@ -28,6 +28,7 @@ import numpy as np
 from .basedyn import (
     Cell,
     CircleRotation,
+    complement,
     covering_time,
     first_overlap,
     float_breaks,
@@ -35,7 +36,6 @@ from .basedyn import (
     locate,
     rotation_of,
     shrink_union,
-    sub_union,
     translate_union,
 )
 from .cocycle import (
@@ -72,6 +72,7 @@ from .sl2 import (
 from .towers import Castle, FreqBound, build_castle, visit_freq_bound
 
 EXPONENT_FLOOR = 1e-3
+_UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 
 
 # -- continuity modulus ---------------------------------------------------------------
@@ -138,8 +139,7 @@ def _exponent_estimate(co: Cocycle, horizon: int = 200_000) -> float:
     return float(vals.max())
 
 
-def build_config(co: Cocycle, eps: float, *, force: bool = False,
-                 uh_n_max: int = 64) -> SurgeryConfig:
+def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConfig:
     """Assemble all surgery constants and structures in proof order.
 
     Raises NotApplicable when the input is UH-certified (the dichotomy's other
@@ -152,7 +152,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False,
     if not isinstance(base, CircleRotation):
         raise CocycleLabError("surgery implemented over circle-rotation bases")
     if not force:
-        res = uh_certify(co, n_max=uh_n_max)
+        res = uh_certify(co, n_max=_UH_N_MAX)
         if isinstance(res, Certificate):
             raise NotApplicable(
                 f"cocycle is UH-certified (expansion {res.expansion:.6g}); "
@@ -188,8 +188,9 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False,
 
     reps: dict = {}
     rep_pieces: dict = {}
+    outside = complement(V_inner.intervals)  # built once for every piece
     for key, inter in pieces.items():
-        cut = sub_union(inter, V_inner.intervals)
+        cut = inter_union(inter, outside)
         if not cut:
             continue
         lo, hi = float_breaks(cut)
@@ -372,11 +373,7 @@ def _column_matrices(co: Cocycle, cfg: SurgeryConfig, plan: SegmentPlan, height:
            for j in range(plan.N)]
     if height == plan.N + 1:
         x0 = co.base.float_coords(plan.x)[0]
-        alpha = rotation_of(co.base).alpha_float
-        top = np.mod(x0 + plan.N * alpha, 1.0)
-        a, b, c, d = (float(np.asarray(e).reshape(-1)[0])
-                      for e in co.generator.entries(np.array([top])))
-        col.append((a, b, c, d))
+        col.append(tuple(float(e[0]) for e in co.entries_along(x0, 1, plan.N)))
     return col
 
 
@@ -442,17 +439,14 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
     Detection runs against the full castle base (V-parts included); the region
     label is looked up only for visits outside V, where the table pieces cover.
     """
-    co = pc.original
-    alpha = rotation_of(co.base).alpha_float
+    rot = rotation_of(pc.original.base)
     blo, bhi, bheights = _castle_base_arrays(cfg.castle)
     plo, phi = pc.base_lo, pc.base_hi
     vlo, vhi = cfg.freq.V.float_breaks()
     all_lane, all_step, all_flag, all_label, all_height = [], [], [], [], []
     chunk = max(256, (1 << 22) // max(xs.size, 1))
     for s0 in range(0, n, chunk):
-        s1 = min(s0 + chunk, n)
-        ks = np.arange(s0, s1, dtype=float) * alpha
-        pos = np.mod(xs[:, None] + ks[None, :], 1.0)
+        pos = rot.orbit_floats(xs, min(chunk, n - s0), s0)
         bidx, in_b = locate(blo, bhi, pos)
         lanes, offs = np.nonzero(in_b)
         if lanes.size == 0:

@@ -51,6 +51,43 @@ class TestStep:
         assert np.max(np.abs(moved - xs)) <= 1.0 / 512 + 1e-12
 
 
+class TestOrbitFloats:
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 2)])
+    @pytest.mark.parametrize("start", [-7, 0, 5])
+    def test_matches_scalar_formula_bitwise(self, shape, start):
+        rot = golden()
+        alpha = rot.alpha_float
+        x0 = np.random.default_rng(11).uniform(0, 1, shape)
+        got = rot.orbit_floats(x0 if shape else float(x0), 6, start)
+        assert got.shape == shape + (6,)
+        for idx in np.ndindex(*shape):
+            for k in range(6):
+                want = np.mod(float(x0[idx]) + float(start + k) * alpha, 1.0)
+                assert got[idx + (k,)].tobytes() == np.float64(want).tobytes()
+
+    def test_sturmian_delegates_to_rotation(self):
+        st = bd.SturmianShift(0.0, window_depth=8, grid_size=256, exact=GOLDEN_MEAN)
+        xs = np.array([[0.1, 0.7], [0.25, 0.999]])
+        assert np.array_equal(st.orbit_floats(xs, 5, -2), st.rotation.orbit_floats(xs, 5, -2))
+
+
+class TestExactFloatCompare:
+    def test_irrational_against_its_float(self):
+        f = float(GOLDEN_MEAN)
+        # (sqrt 5 - 1)/2 < q  <=>  5 < (2q + 1)^2 for q > 0, in exact rationals
+        below = 5 < (2 * Fraction(f) + 1) ** 2
+        assert GOLDEN_MEAN != f
+        assert (GOLDEN_MEAN < f, GOLDEN_MEAN > f) == (below, not below)
+        assert (GOLDEN_MEAN <= f, GOLDEN_MEAN >= f) == (below, not below)
+
+    def test_rationals_compare_exactly_and_hash_alike(self):
+        quarter = QuadExt(Fraction(1, 4), 0, 5)
+        assert quarter == 0.25 and hash(quarter) == hash(0.25)
+        third = QuadExt(Fraction(1, 3), 0, 5)
+        assert third != 1 / 3  # the float 1/3 is a dyadic rational below 1/3
+        assert third > 1 / 3
+
+
 class TestCells:
     def test_union_algebra(self):
         u1 = bd.norm_union([(0.1, 0.4), (0.5, 0.7)])

@@ -6,6 +6,7 @@ import pytest
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab.errors import Overflow
+from cocyclelab.exact import GOLDEN_MEAN
 from cocyclelab.sl2 import Mat2, operator_norm
 
 
@@ -241,6 +242,19 @@ class TestWitnessSearch:
         est = cy.lyapunov_estimate(co, co.base.point(0.1), 10**5)
         found = cy.subexponential_witness_search(co, 0.5 * est, [64, 256])
         assert found is not None
+
+
+class TestEntriesAlong:
+    @pytest.mark.parametrize("base", [golden(), bd.SturmianShift(
+        0.0, grid_size=1024, exact=GOLDEN_MEAN)], ids=["rotation", "sturmian"])
+    def test_generator_at_orbit_positions(self, base):
+        co = cy.Cocycle(base, cy.twisted_table(1.3, 512))
+        xs = np.array([[0.1, 0.5, 0.9], [0.25, 0.75, 0.0]])
+        got = co.entries_along(xs, 7, -3)
+        want = co.generator.entries(base.orbit_floats(xs, 7, -3))
+        for g, w in zip(got, want):
+            assert g.shape == (2, 3, 7)
+            assert np.array_equal(g, w)
 
 
 class TestTableGenerator:

@@ -237,6 +237,13 @@ class TestPlans:
                 outside = np.ones(N, dtype=bool)
                 outside[j1:j1 + mm] = False
                 assert np.array_equal(ents[0][outside], np.asarray(ga)[outside])
+        # j1 is the first step in [j0, j0 + m1] whose position lies in W
+        for p in [p for p in plans if isinstance(p.branch, pb.Steered)][:10]:
+            j0 = pb.balance_profile(co, p.x, N, pb.perturbation_constant(co, eps)).j0
+            pos = co.orbit(p.x, N)
+            in_w = [j for j in range(j0, min(j0 + m1, N - 1) + 1)
+                    if W.contains_floats(pos[j:j + 1])[0]]
+            assert p.branch.j1 == in_w[0]
 
     def test_injected_violation_fails_verification(self):
         co = weak_schrodinger()
