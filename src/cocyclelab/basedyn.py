@@ -1,10 +1,11 @@
 """Concrete minimal base systems: circle rotations, torus translations, Sturmian shifts.
 
-Interval endpoints are exact (Q(sqrt D)) whenever the rotation angle carries a
-quadratic-irrational tag, so disjointness and tiling certificates for towers
-reduce to exact comparisons.  Generic angles use the same code paths over plain
-floats.  Points are stored as (anchor, step index), which makes orbit
-composition exact in both modes: step(step(x, m), n) == step(x, m + n) always.
+Rotation angles are always exact: the golden and silver means live in Q(sqrt D)
+and any other angle is the rational it is given as.  Interval endpoints live in
+the angle's field, so disjointness and tiling certificates for towers reduce to
+exact comparisons.  Float points (anchors, grids, sampled orbits) stay floats.
+Points are stored as (anchor, step index), which makes orbit composition exact:
+step(step(x, m), n) == step(x, m + n) always.  Torus translations are float-only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import EmptyCell, HorizonExceeded, CocycleLabError
 from .exact import (
     GOLDEN_MEAN,
     SILVER_MEAN,
-    QuadExt,
+    as_exact,
     best_denominators,
     convergents,
     mod1,
@@ -36,8 +37,8 @@ ORBIT_AVOID_DIST = 1e-7
 # -- half-open interval unions ---------------------------------------------------
 # An interval union is a tuple of (lo, hi) pairs with lo < hi, sorted, pairwise
 # disjoint and non-touching (norm_union merges touching pieces), inside [0, 1).
-# Scalars are floats or QuadExt; both orders totally.  Other modules query
-# unions only through this section.
+# Scalars are floats, rationals or QuadExt; they order totally together.
+# Other modules query unions only through this section.
 
 
 def norm_union(parts) -> tuple:
@@ -156,11 +157,11 @@ def float_breaks(u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zero_like(x):
-    return QuadExt(0, 0, x.D) if isinstance(x, QuadExt) else 0.0
+    return x - x
 
 
 def _one_like(x):
-    return QuadExt(1, 0, x.D) if isinstance(x, QuadExt) else 1.0
+    return x - x + 1
 
 
 def wrap_interval(lo, hi) -> list:
@@ -273,45 +274,45 @@ class BaseSystem:
 
 
 class CircleRotation(BaseSystem):
-    """x -> x + alpha mod 1 with alpha irrational (caller's responsibility).
+    """x -> x + alpha mod 1 with alpha irrational.
 
-    When alpha carries an exact quadratic-irrational tag, all cell arithmetic
-    runs in Q(sqrt D) and tower certificates are exact.
+    alpha is exact: a QuadExt stays in Q(sqrt D) and a number becomes the
+    rational it is (a float is a dyadic rational), so all cell arithmetic is
+    exact and tower certificates are exact for every angle.  An angle that is
+    rational with denominator <= ORBIT_AVOID_HORIZON is rejected.
     """
 
     dim = 1
 
-    def __init__(self, alpha: float, grid_size: int = 4096, exact: Optional[QuadExt] = None):
-        if exact is not None:
-            self.alpha = exact
-            if not (0 < float(exact) < 1):
-                raise CocycleLabError("alpha must lie in (0, 1)")
-        else:
-            self.alpha = float(alpha) % 1.0
-            if self.alpha == 0.0:
-                raise CocycleLabError("alpha must be irrational in (0, 1)")
+    def __init__(self, alpha, grid_size: int = 4096):
+        self.alpha = mod1(as_exact(alpha))
+        if self.alpha == 0:
+            raise CocycleLabError("alpha must be irrational in (0, 1)")
         self.grid_size = int(grid_size)
-        self._warn_if_near_rational()
+        self._check_irrational()
 
     @classmethod
     def golden(cls, grid_size: int = 4096) -> "CircleRotation":
-        return cls(float(GOLDEN_MEAN), grid_size=grid_size, exact=GOLDEN_MEAN)
+        return cls(GOLDEN_MEAN, grid_size=grid_size)
 
     @classmethod
     def silver(cls, grid_size: int = 4096) -> "CircleRotation":
-        return cls(float(SILVER_MEAN), grid_size=grid_size, exact=SILVER_MEAN)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.alpha, QuadExt)
+        return cls(SILVER_MEAN, grid_size=grid_size)
 
     @property
     def alpha_float(self) -> float:
         return float(self.alpha)
 
-    def _warn_if_near_rational(self):
+    def lift(self, r):
+        """The rational r as a scalar of the angle's field (QuadExt or Fraction)."""
+        return _zero_like(self.alpha) + Fraction(r)
+
+    def _check_irrational(self):
         best = None
-        for _, err in best_denominators(self.alpha, ORBIT_AVOID_HORIZON):
+        for q, err in best_denominators(self.alpha, ORBIT_AVOID_HORIZON):
+            if err == 0:
+                raise CocycleLabError(f"alpha = {q * self.alpha}/{q} is rational; "
+                                      "a minimal rotation needs an irrational angle")
             best = float(err)
         if best is not None and best < 1e-12:
             warnings.warn(
@@ -322,27 +323,18 @@ class CircleRotation(BaseSystem):
 
     def coords(self, x: BasePoint) -> tuple:
         a0 = x.anchor[0]
-        if self.exact:
-            if isinstance(a0, QuadExt):
-                return (mod1(a0 + x.index * self.alpha),)
-            if isinstance(a0, (int, Fraction)):
-                return (mod1(QuadExt(a0, 0, self.alpha.D) + x.index * self.alpha),)
-        return (mod1(float(a0) + x.index * self.alpha_float),)
+        if isinstance(a0, float):  # float points keep their float orbit
+            return (mod1(a0 + x.index * self.alpha_float),)
+        return (mod1(a0 + x.index * self.alpha),)
 
     def scalar(self, x: BasePoint):
         return self.coords(x)[0]
 
-    def convergent_pairs(self, depth: int = 30) -> list[tuple[int, int]]:
+    def convergent_pairs(self, depth: int = 30) -> tuple[tuple[int, int], ...]:
         return convergents(self.alpha, depth)
 
     def grid_floats(self) -> np.ndarray:
         return np.arange(self.grid_size) / self.grid_size
-
-    def grid_scalar(self, i: int):
-        r = Fraction(int(i), self.grid_size)
-        if self.exact:
-            return QuadExt(r, 0, self.alpha.D)
-        return float(r)
 
     def orbit_floats(self, x0, n: int, start: int = 0) -> np.ndarray:
         """The float orbit: x0 + k alpha mod 1 for k = start .. start + n - 1.
@@ -383,9 +375,8 @@ class SturmianShift(BaseSystem):
 
     dim = 1
 
-    def __init__(self, beta: float, window_depth: int = 16, grid_size: int = 4096,
-                 exact: Optional[QuadExt] = None):
-        self._rot = CircleRotation(beta, grid_size=grid_size, exact=exact)
+    def __init__(self, beta, window_depth: int = 16, grid_size: int = 4096):
+        self._rot = CircleRotation(beta, grid_size=grid_size)
         self.window_depth = int(window_depth)
         self.grid_size = int(grid_size)
 
@@ -423,8 +414,7 @@ class SturmianShift(BaseSystem):
         for j in range(depth):
             breaks.append(mod1(-j * beta))
             breaks.append(mod1(1 - beta - j * beta))
-        lo = _zero_like(t) if isinstance(t, QuadExt) else 0.0
-        hi = _one_like(t) if isinstance(t, QuadExt) else 1.0
+        lo, hi = _zero_like(t), _one_like(t)
         for p in breaks:
             if p <= t and p > lo:
                 lo = p
@@ -534,8 +524,7 @@ def small_boundary_cell(sys: BaseSystem, x0: BasePoint, eps: float) -> Cell:
         c = sys.scalar(x0)
         cf = float(c)
         orbit = sys.orbit_floats(cf, ORBIT_AVOID_HORIZON)
-        r = _avoiding_radius(orbit, cf, min(2.0 * eps, 0.249), sys.exact,
-                             sys.alpha.D if sys.exact else 0)
+        r = sys.lift(_avoiding_radius(orbit, cf, min(2.0 * eps, 0.249)))
         return Cell.from_union(wrap_interval(c - r, c + r))
     if isinstance(sys, TorusTranslation):
         half = min(2.0 * eps / math.sqrt(sys.dim), 0.249)
@@ -545,14 +534,14 @@ def small_boundary_cell(sys: BaseSystem, x0: BasePoint, eps: float) -> Cell:
         bds = []
         for d in range(sys.dim):
             orbit = np.mod(x[d] + ks * sys.vector[d], 1.0)
-            r = _avoiding_radius(orbit, x[d], half, False, 0)
+            r = float(_avoiding_radius(orbit, x[d], half))
             axes.append(norm_union(wrap_interval(x[d] - r, x[d] + r)))
             bds.append(tuple(p for iv in axes[-1] for p in iv))
         return Cell(axes=tuple(axes), boundary=tuple(bds))
     raise CocycleLabError(f"unsupported system {type(sys).__name__}")
 
 
-def _avoiding_radius(orbit: np.ndarray, center: float, r_max: float, exact: bool, disc: int):
+def _avoiding_radius(orbit: np.ndarray, center: float, r_max: float) -> Fraction:
     """Largest ladder radius whose endpoints clear the orbit by > 1e-7."""
     for k in range(1, 64):
         r = Fraction(r_max).limit_denominator(1 << 20) * Fraction(256 - k, 256)
@@ -567,7 +556,7 @@ def _avoiding_radius(orbit: np.ndarray, center: float, r_max: float, exact: bool
                 ok = False
                 break
         if ok:
-            return QuadExt(r, 0, disc) if exact else rf
+            return r
     raise CocycleLabError("no orbit-avoiding radius found (eps too small for horizon)")
 
 
@@ -643,7 +632,7 @@ def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
         h = hi - lo
         alpha = sys.alpha
         n1 = _first_entry_below(alpha, h)
-        n2 = _first_entry_below(1 - alpha if isinstance(alpha, QuadExt) else 1.0 - alpha, h)
+        n2 = _first_entry_below(1 - alpha, h)
         a = mod1(n1 * alpha)
         b = mod1(n2 * alpha) - 1
         out = []

@@ -92,14 +92,18 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict:
 
 def _check_config(cfg: dict) -> None:
     """Reject values that no command can run with, before any work starts."""
+    b = cfg["base"]
     try:
         eps = float(cfg["eps"])
-        grid = cfg["base"]["grid"]
+        grid = b["grid"]
         grid_ok = int(grid) == grid and grid >= 1
+        angles = [float(b[k]) for k in ("alpha", "beta") if b.get(k) is not None]
     except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"eps and base.grid must be numbers: {e}")
+        raise ConfigError(f"eps, base.grid and base angles must be numbers: {e}")
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"eps must be finite and positive, got {cfg['eps']!r}")
+    if not all(map(math.isfinite, angles)):
+        raise ConfigError(f"base angles must be finite, got {angles}")
     if not grid_ok:
         raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
 
@@ -119,10 +123,9 @@ def build_base(cfg: dict) -> basedyn.BaseSystem:
         return basedyn.CircleRotation(float(alpha), grid_size=grid)
     if variant == "sturmian":
         beta = b.get("beta", b.get("alpha"))
-        exact = GOLDEN_MEAN if beta is None else None
-        return basedyn.SturmianShift(float(GOLDEN_MEAN) if beta is None else float(beta),
+        return basedyn.SturmianShift(GOLDEN_MEAN if beta is None else float(beta),
                                      window_depth=int(b.get("window_depth", 16)),
-                                     grid_size=grid, exact=exact)
+                                     grid_size=grid)
     if variant == "torus":
         vec = b.get("vector")
         if not vec:
@@ -362,7 +365,7 @@ def cmd_selftest(cfg: dict) -> int:
     check("castle N=3", lambda: towers.build_castle(rotg, 3))
     check("first return two times", lambda: _assert(
         sorted(n for _, n in basedyn.first_return(
-            rotg, basedyn.Cell.from_union([(rotg.grid_scalar(0), rotg.alpha)]))) == [1, 2]))
+            rotg, basedyn.Cell.from_union([(rotg.lift(0), rotg.alpha)]))) == [1, 2]))
     co = cocycle.Cocycle(rotg, cocycle.ConstantGenerator(Mat2(2, 0, 0, 0.5)))
     check("uh certificate constant diag", lambda: _assert(
         isinstance(cocycle.uh_certify(co), cocycle.Certificate)))

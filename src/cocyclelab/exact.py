@@ -1,14 +1,15 @@
 """Exact arithmetic in quadratic fields Q(sqrt(D)), plus continued-fraction helpers.
 
-Interval endpoints for rotation bases live in Q(sqrt(D)) when the angle is a
-stored quadratic irrational (golden/silver means).  All cell, tower and castle
-certifications then reduce to exact sign computations on a + b*sqrt(D) with
-rational a, b.  Generic angles fall back to plain floats through the same
-call sites (duck typing); the helpers at the bottom of this module accept both.
+Every rotation angle is exact: the golden and silver means live in Q(sqrt(D)),
+and any other angle is the rational it is given as (a float is the dyadic
+rational it already is).  Interval endpoints for rotation bases live in the
+angle's field, so all cell, tower and castle certifications reduce to exact
+sign computations, on a + b*sqrt(D) with rational a, b or on rationals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -172,14 +173,17 @@ GOLDEN_MEAN = QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)  # (sqrt 5 - 1)/2
 SILVER_MEAN = QuadExt(-1, 1, 2)  # sqrt 2 - 1
 
 
-# -- scalar helpers usable on both float and QuadExt ---------------------------
+# -- scalar helpers usable on float, rational and QuadExt --------------------------
+
+
+def as_exact(x):
+    """x as an exact scalar: QuadExt and rationals as given, other numbers as their double."""
+    return x if isinstance(x, (QuadExt, int, Fraction)) else Fraction(float(x))
 
 
 def mod1(x):
     """Reduce to [0, 1); exact for QuadExt and rationals, fmod-based for floats."""
-    if isinstance(x, QuadExt):
-        return x - math.floor(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (QuadExt, int, Fraction)):
         return x - math.floor(x)
     r = math.fmod(x, 1.0)
     return r + 1.0 if r < 0 else r
@@ -191,41 +195,32 @@ def mod1(x):
 def continued_fraction(alpha, depth: int) -> list[int]:
     """Partial quotients of alpha in (0,1): [a1, a2, ...], alpha = 1/(a1 + 1/(a2 + ...)).
 
-    Exact for QuadExt input (quotients are eventually periodic); float input
-    stops early once the remainder loses precision.
+    Exact: a float is expanded as the dyadic rational it is, so a rational
+    alpha stops after its last quotient and a QuadExt one is eventually
+    periodic.
     """
     quots: list[int] = []
-    x = alpha
+    x = as_exact(alpha)
     for _ in range(depth):
-        if isinstance(x, QuadExt):
-            if x.sign() == 0:
-                break
-            y = x.inverse()
-            a = math.floor(y)
-            quots.append(a)
-            x = y - a
-        else:
-            if x <= 0 or x < 1e-15:
-                break
-            y = 1.0 / x
-            if y > 1e14:  # remainder at float noise level
-                break
-            a = math.floor(y)
-            quots.append(a)
-            x = y - a
+        if x == 0:
+            break
+        y = 1 / x
+        a = math.floor(y)
+        quots.append(a)
+        x = y - a
     return quots
 
 
-def convergents(alpha, depth: int) -> list[tuple[int, int]]:
-    """Convergent pairs (p_k, q_k) of alpha in (0,1), k = 1..depth."""
-    quots = continued_fraction(alpha, depth)
+@functools.lru_cache(maxsize=256)
+def convergents(alpha, depth: int) -> tuple[tuple[int, int], ...]:
+    """Convergent pairs (p_k, q_k) of alpha in (0,1), k = 1..depth (memoised)."""
     out: list[tuple[int, int]] = []
     p0, q0 = 1, 0
     p1, q1 = 0, 1
-    for a in quots:
+    for a in continued_fraction(alpha, depth):
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         out.append((p1, q1))
-    return out
+    return tuple(out)
 
 
 def best_denominators(alpha, limit: int) -> list[tuple[int, object]]:
@@ -240,11 +235,8 @@ def best_denominators(alpha, limit: int) -> list[tuple[int, object]]:
         if q > limit:
             break
         err = q * alpha - p
-        if isinstance(err, QuadExt):
-            if err.sign() < 0:
-                err = -err
-        else:
-            err = abs(err)
+        if err < 0:
+            err = -err
         out.append((q, err))
     return out
 
@@ -252,15 +244,14 @@ def best_denominators(alpha, limit: int) -> list[tuple[int, object]]:
 def min_orbit_gap(alpha, n: int):
     """Exact minimal gap of the n points {0, alpha, ..., (n-1) alpha} mod 1.
 
-    Equals ||q_K alpha|| for the largest convergent denominator q_K <= n - 1.
-    Returns in the scalar type of alpha; n >= 2 required.
+    Equals ||q_K alpha|| for the largest convergent denominator q_K <= n - 1,
+    or alpha = ||alpha|| when n - 1 is below q_1 = a_1 (then alpha < 1/2 and
+    every q < a_1 has ||q alpha|| >= alpha).  Returns in the scalar type of
+    alpha; n >= 2 required.
     """
     if n < 2:
         raise ValueError("need at least two orbit points")
-    best = None
+    best = alpha
     for q, err in best_denominators(alpha, n - 1):
         best = err
-    if best is None:
-        # n - 1 below the first denominator (cannot happen: q_1 = 1)
-        raise ValueError("no convergent denominator below horizon")
     return best

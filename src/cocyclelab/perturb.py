@@ -32,7 +32,7 @@ from .errors import (
     SearchFailed,
     SteeringFailed,
 )
-from .exact import QuadExt, min_orbit_gap
+from .exact import min_orbit_gap
 from .sl2 import (
     Mat2,
     general_operator_norm,
@@ -374,10 +374,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
                     inside = inside[:: inside.size // 256 + 1]
                 if not _window_sweep_ok(co, inside, eps, m, 8):
                     continue
-                if rot.exact:
-                    W = Cell.from_union([(QuadExt(lo, 0, rot.alpha.D), QuadExt(hi, 0, rot.alpha.D))])
-                else:
-                    W = Cell.from_union([(float(lo), float(hi))])
+                W = Cell.from_union([(rot.lift(lo), rot.lift(hi))])
                 # exact disjointness after the cheap sweep: the checks are a
                 # conjunction, so their order does not change the result
                 if not _window_disjoint(co, W, m):

@@ -53,7 +53,7 @@ from .errors import (
     NotApplicable,
     ResolutionExceeded,
 )
-from .exact import QuadExt, mod1
+from .exact import mod1
 from .perturb import (
     SegmentPlan,
     choose_N,
@@ -215,15 +215,8 @@ def _cover_cells(base: CircleRotation, castle: Castle, delta: float) -> list[Cel
         if set(edges).isdisjoint(bpoints):
             break
         k += 1
-    cells = []
-    for i in range(k):
-        lo, hi = Fraction(i, k), Fraction(i + 1, k)
-        if base.exact:
-            D = base.alpha.D
-            cells.append(Cell.from_union([(QuadExt(lo, 0, D), QuadExt(hi, 0, D))]))
-        else:
-            cells.append(Cell.from_union([(float(lo), float(hi))]))
-    return cells
+    return [Cell.from_union([(base.lift(Fraction(i, k)), base.lift(Fraction(i + 1, k)))])
+            for i in range(k)]
 
 
 # -- assembled perturbation ----------------------------------------------------------

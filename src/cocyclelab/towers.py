@@ -41,7 +41,7 @@ from .errors import (
     NotRepresentable,
     ShrinkExhausted,
 )
-from .exact import best_denominators, min_orbit_gap
+from .exact import as_exact, best_denominators, min_orbit_gap
 
 _CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
 _RETURN_SAMPLE_SEED = 7  # seed of the sampled first-return check in Castle.verify
@@ -294,18 +294,38 @@ class FreqBound:
                        "sup_frequency": self.sup_frequency}, fh, indent=2, sort_keys=True)
 
 
-def _packing_count_bound(alpha, intervals, n: int) -> float:
-    """Upper bound on max_x #{j < n : x + j alpha in V} via the minimal orbit gap."""
-    if not intervals:
+def _packing_count_bound(alpha, pieces, n: int) -> float:
+    """Upper bound on max_x #{j < n : x + j alpha in V} via the minimal orbit gap.
+
+    pieces holds (float length, lo, hi) per interval [lo, hi) of V, with lo, hi
+    in [0, 1].  An interval of exact length L holds at most floor(L/g) + 1
+    orbit points, g the exact minimal gap.  Every endpoint and the gap convert
+    to float with relative error below 2^-41 (a rational rounds once; a
+    QuadExt cancels by at most a factor 1000 before it switches to its
+    conjugate), so the float quotient q of length by gap satisfies
+    |q - L/g| < 2^-38 (1/g + q).  Where that window holds an integer the
+    floor is decided exactly; elsewhere floor(q) is floor(L/g).
+    """
+    if not pieces:
         return 0.0
     if n < 2:
-        return float(len(intervals))
-    gap = float(_min_gap_cached(alpha, n))
+        return float(len(pieces))
+    exact_gap = _min_gap_cached(alpha, n)
+    gap = float(exact_gap)
     total = 0.0
-    for lo, hi in intervals:
-        h = float(hi) - float(lo)
-        total += math.floor(h / gap) + 1.0
+    for h, lo, hi in pieces:
+        q = h / gap
+        k = math.floor(q)
+        tol = 2.0**-38 * (1.0 / gap + q)
+        if math.floor(q - tol) != k or math.floor(q + tol) != k:
+            k = math.floor((as_exact(hi) - as_exact(lo)) / exact_gap)
+        total += k + 1.0
     return total
+
+
+def _pieces(intervals) -> list:
+    """(float length, lo, hi) per interval, the input of _packing_count_bound."""
+    return [(float(hi) - float(lo), lo, hi) for lo, hi in intervals]
 
 
 _GAP_CACHE: dict = {}
@@ -318,7 +338,7 @@ def _min_gap_cached(alpha, n: int):
     return _GAP_CACHE[key]
 
 
-def _freq_bound_over_range(alpha, intervals, n0: int) -> float:
+def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
     """max over n in [n0, 8 n0] of the packing bound divided by n.
 
     The minimal gap is piecewise constant between convergent denominators, so
@@ -329,7 +349,7 @@ def _freq_bound_over_range(alpha, intervals, n0: int) -> float:
     for q, _ in best_denominators(alpha, 8 * n0):
         if n0 < q <= 8 * n0:
             candidates.append(q)
-    return max(_packing_count_bound(alpha, intervals, n) / n for n in candidates)
+    return max(_packing_count_bound(alpha, pieces, n) / n for n in candidates)
 
 
 def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
@@ -362,8 +382,8 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
         for p in pts:
             parts.extend(wrap_interval(p - rho_frac, p + rho_frac))
         intervals = norm_union(parts)
-        # the packing bound reads only float lengths: convert the endpoints once
-        fl = [(float(lo), float(hi)) for lo, hi in intervals]
+        # the packing bound reads float lengths: convert the endpoints once
+        fl = _pieces(intervals)
         # grow n0 geometrically until the [n0, 8 n0] certificate clears eps;
         # once the per-interval +1 term is negligible and it still fails, only
         # a smaller rho can help (the measure term is n-independent)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
 from cocyclelab.errors import CocycleLabError, EmptyCell
-from cocyclelab.exact import GOLDEN_MEAN, QuadExt
+from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, best_denominators, convergents,
+                              min_orbit_gap)
 
 
 def golden(grid=1024):
@@ -66,7 +67,7 @@ class TestOrbitFloats:
                 assert got[idx + (k,)].tobytes() == np.float64(want).tobytes()
 
     def test_sturmian_delegates_to_rotation(self):
-        st = bd.SturmianShift(0.0, window_depth=8, grid_size=256, exact=GOLDEN_MEAN)
+        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
         xs = np.array([[0.1, 0.7], [0.25, 0.999]])
         assert np.array_equal(st.orbit_floats(xs, 5, -2), st.rotation.orbit_floats(xs, 5, -2))
 
@@ -86,6 +87,28 @@ class TestExactFloatCompare:
         third = QuadExt(Fraction(1, 3), 0, 5)
         assert third != 1 / 3  # the float 1/3 is a dyadic rational below 1/3
         assert third > 1 / 3
+
+
+# Doubles as angles: each is the dyadic rational it is.
+_DOUBLES = st.floats(min_value=2.0**-40, max_value=1.0, exclude_max=True)
+
+
+class TestContinuedFractions:
+    @settings(max_examples=100, deadline=None)
+    @given(_DOUBLES)
+    def test_last_convergent_is_the_double(self, x):
+        p, q = convergents(Fraction(x), 200)[-1]
+        assert Fraction(p, q) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=2.0**-8, max_value=1.0, exclude_max=True),
+           st.integers(1, 600))
+    def test_best_denominators_match_brute_force(self, x, n):
+        # below the first denominator q_1 = floor(1/x) the minimum is at q = 1
+        alpha = Fraction(x)
+        brute = min(abs(q * alpha - round(q * alpha)) for q in range(1, n + 1))
+        pairs = best_denominators(alpha, n)
+        assert (pairs[-1][1] if pairs else alpha) == brute == min_orbit_gap(alpha, n + 1)
 
 
 class TestCells:
@@ -267,7 +290,7 @@ class TestSmallBoundaryCell:
             assert float(d.min()) > 1e-7
 
     def test_sturmian_cylinder(self):
-        st = bd.SturmianShift(0.0, window_depth=12, grid_size=512, exact=GOLDEN_MEAN)
+        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=12, grid_size=512)
         x0 = st.point(Fraction(1, 3))
         cell = bd.small_boundary_cell(st, x0, 0.1)
         assert cell.boundary_points() == ()  # clopen cylinder
@@ -362,7 +385,7 @@ class TestFirstReturn:
 
 class TestSturmian:
     def test_word_matches_rotation_coding(self):
-        st = bd.SturmianShift(0.0, window_depth=8, grid_size=256, exact=GOLDEN_MEAN)
+        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
         x = st.point(0.2)
         w = st.word(x, 10)
         beta = st.rotation.alpha_float
@@ -371,7 +394,7 @@ class TestSturmian:
         assert w == expect
 
     def test_shift_moves_word(self):
-        st = bd.SturmianShift(0.0, window_depth=8, grid_size=256, exact=GOLDEN_MEAN)
+        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
         x = st.point(0.2)
         assert st.word(x, 9)[1:] == st.word(st.step(x, 1), 8)
 
@@ -380,6 +403,12 @@ class TestDiagnostics:
     def test_near_rational_warns(self):
         with pytest.warns(UserWarning):
             bd.CircleRotation(0.5 + 1e-14, grid_size=64)
+
+    @pytest.mark.parametrize("alpha,name", [(0.5, "1/2"), (0.25, "1/4"),
+                                            (Fraction(3, 7), "3/7"), (1.0, "irrational")])
+    def test_rational_angle_rejected(self, alpha, name):
+        with pytest.raises(CocycleLabError, match=name):
+            bd.CircleRotation(alpha, grid_size=64)
 
     def test_fill_horizon(self):
         rot = golden()

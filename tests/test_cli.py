@@ -62,12 +62,20 @@ class TestBasics:
     @pytest.mark.parametrize("args", [
         ["growth-test", "--eps=NaN", "--n=10", "--base.grid=64"],
         ["exponent", "--base.grid=0", "--n=10"],
-    ], ids=["eps-nan", "grid-zero"])
+        ["castle", "--base.variant=circle", "--base.alpha=nan"],
+        ["castle", "--base.variant=circle", "--base.alpha=abc"],
+    ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text"])
     def test_bad_value_exit_2(self, tmp_path, args):
         r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_rational_angle_exit_2(self, tmp_path):
+        r = run_cli(["freq-bound", "--out", "o", "--base.variant=circle",
+                     "--base.alpha=0.5"], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "1/2 is rational" in r.stderr and "Traceback" not in r.stderr
 
     def test_unknown_variant_exit_2(self, tmp_path):
         r = run_cli(["exponent", "--out", "o", "--base.variant=weird"], tmp_path)

@@ -246,7 +246,7 @@ class TestWitnessSearch:
 
 class TestEntriesAlong:
     @pytest.mark.parametrize("base", [golden(), bd.SturmianShift(
-        0.0, grid_size=1024, exact=GOLDEN_MEAN)], ids=["rotation", "sturmian"])
+        GOLDEN_MEAN, grid_size=1024)], ids=["rotation", "sturmian"])
     def test_generator_at_orbit_positions(self, base):
         co = cy.Cocycle(base, cy.twisted_table(1.3, 512))
         xs = np.array([[0.1, 0.5, 0.9], [0.25, 0.75, 0.0]])

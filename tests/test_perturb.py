@@ -171,6 +171,7 @@ class TestChooseWindow:
         W, m = pb.choose_steering_window(co, 0.2)
         phimax = 2 * math.asin(0.2 / 2)
         assert m <= math.ceil(math.pi / phimax)
+        assert all(isinstance(p, QuadExt) for iv in W.intervals for p in iv)
         # iterates disjoint, exactly
         assert pb._window_disjoint(co, W, m)
 

@@ -10,6 +10,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
 from cocyclelab.errors import DegenerateAxes, DeterminantError, LogDomain
+from cocyclelab.exact import QuadExt
 from cocyclelab.sl2 import (
     Mat2,
     TangentVec,
@@ -280,7 +281,7 @@ class TestProductKernel:
         pts = [co.base.point(float(u)) for u in rng.uniform(0, 1, size=12)]
         # the window choose_steering_window finds for this input at eps = 0.18
         lo, hi = Fraction(9598985, 26542848), Fraction(10930249, 26542848)
-        W = bd.Cell.from_union([(bd.QuadExt(lo, 0, 5), bd.QuadExt(hi, 0, 5))])
+        W = bd.Cell.from_union([(QuadExt(lo, 0, 5), QuadExt(hi, 0, 5))])
         steered = pb.plan_segments(co, pts, 0.18, 800, W, 33, 12)
         early = pb.plan_segments(co, pts, 0.3, 50, W, 25, 6)
         assert all(isinstance(p.branch, pb.Steered) for p in steered)

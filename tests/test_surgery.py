@@ -7,6 +7,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import NotApplicable, ResolutionExceeded
+from cocyclelab.exact import QuadExt
 from cocyclelab.sl2 import Mat2, general_operator_norm
 
 
@@ -82,6 +83,7 @@ class TestPipeline:
         for cell in cfg.cover:
             lo, hi = cell.intervals[0]
             assert float(hi) - float(lo) < cfg.delta
+            assert isinstance(lo, QuadExt) and isinstance(hi, QuadExt)
         assert cfg.freq.sup_frequency < cfg.eps / (cfg.N + 1)
         # V contains every boundary point with margin
         for p in cfg.boundary_points:

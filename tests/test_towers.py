@@ -49,11 +49,18 @@ class TestDecompose:
 
 class TestCastle:
     @pytest.mark.parametrize("mk,N", [("golden", 3), ("golden", 10), ("silver", 3),
-                                      ("silver", 10)])
+                                      ("silver", 10), ("float", 3), ("float", 5),
+                                      ("float", 10)])
     def test_contract(self, mk, N):
-        rot = getattr(bd.CircleRotation, mk)(grid_size=2048)
+        if mk == "float":  # a double angle is the dyadic rational it is
+            rot = bd.CircleRotation(0.7320508075688772)
+        else:
+            rot = getattr(bd.CircleRotation, mk)(grid_size=2048)
         castle = tw.build_castle(rot, N)
         assert sorted({t.height for t in castle.towers}) in ([N, N + 1], [N])
+        # base endpoints live in the angle's field: QuadExt for golden/silver
+        assert {type(p) for t in castle.towers for iv in t.base.intervals
+                for p in iv} == {type(rot.alpha)}
         report = castle.verify()
         assert report["exact_tiling"] is True
         assert report["grid_covered"] is True
@@ -99,8 +106,7 @@ class TestCastle:
         assert len(lines) >= 1 + len(castle.towers)
 
     def test_sturmian_castle_clopen(self):
-        st = bd.SturmianShift(0.0, window_depth=8, grid_size=1024,
-                              exact=bd.GOLDEN_MEAN)
+        st = bd.SturmianShift(bd.GOLDEN_MEAN, window_depth=8, grid_size=1024)
         castle = tw.build_castle(st, 3)
         castle.verify()
 
@@ -170,6 +176,21 @@ class TestFreqBound:
         assert isinstance(gap, QuadExt) and gap == min_orbit_gap(bd.GOLDEN_MEAN, 21)
         assert isinstance(tw._min_gap_cached(float(bd.GOLDEN_MEAN), 21), float)
 
+    def test_packing_bound_floor_is_exact(self):
+        # an interval a hair longer than k minimal gaps can hold k + 1 orbit
+        # points; its float length-to-gap quotient often rounds below k
+        tiny = Fraction(1, 10**30)
+        for n in (50, 500, 5000):
+            gap = min_orbit_gap(bd.GOLDEN_MEAN, n)
+            for i in range(0, 16, 3):
+                lo = QuadExt(Fraction(i, 16), 0, 5)
+                for k in range(1, 30):
+                    hi = lo + k * gap + tiny
+                    if hi > 1:
+                        break
+                    bound = tw._packing_count_bound(bd.GOLDEN_MEAN, tw._pieces([(lo, hi)]), n)
+                    assert bound == k + 1, (n, i, k)
+
     def test_packing_bound_is_rigorous(self):
         # the per-interval packing count dominates true counts for every x
         rot = bd.CircleRotation.golden(grid_size=1024)
@@ -177,7 +198,7 @@ class TestFreqBound:
         intervals = bd.norm_union([(Fraction(1, 5), Fraction(1, 5) + Fraction(1, 50))])
         rng = np.random.default_rng(7)
         for n in (50, 500, 5000):
-            bound = tw._packing_count_bound(alpha, intervals, n)
+            bound = tw._packing_count_bound(alpha, tw._pieces(intervals), n)
             for x0 in rng.uniform(0, 1, 5):
                 pos = rot.orbit_floats(float(x0), n)
                 cnt = int(((pos >= 0.2) & (pos < 0.22)).sum())
