@@ -1,11 +1,11 @@
-"""Concrete minimal base systems: circle rotations, torus translations, Sturmian shifts.
+"""Concrete minimal base systems: circle rotations and Sturmian shifts.
 
 Rotation angles are always exact: the golden and silver means live in Q(sqrt D)
 and any other angle is the rational it is given as.  Interval endpoints live in
 the angle's field, so disjointness and tiling certificates for towers reduce to
 exact comparisons.  Float points (anchors, grids, sampled orbits) stay floats.
 Points are stored as (anchor, step index), which makes orbit composition exact:
-step(step(x, m), n) == step(x, m + n) always.  Torus translations are float-only.
+step(step(x, m), n) == step(x, m + n) always.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -176,57 +176,36 @@ def wrap_interval(lo, hi) -> list:
 
 @dataclass(frozen=True)
 class Cell:
-    """Finite union of half-open intervals per dimension, plus boundary points.
+    """A normalised interval union of the circle, plus its boundary points.
 
-    For circle bases this is a 1-d union; torus cells are axis products.  The
-    boundary list is the finite endpoint set (zero probability for atomless
-    invariant measures); Sturmian cylinders carry an empty boundary.
+    The boundary is the finite endpoint set (zero probability for atomless
+    invariant measures); Sturmian cylinders are clopen and carry none.
     """
 
-    axes: tuple  # tuple over dimensions of interval unions
-    boundary: tuple = ()  # per-dimension tuples of boundary scalars
+    intervals: tuple  # normalised, as norm_union returns it
+    boundary: tuple = ()  # boundary scalars
 
     @classmethod
     def from_union(cls, u, clopen: bool = False) -> "Cell":
         u = norm_union(u)
-        bd = () if clopen else (tuple(p for iv in u for p in iv),)
-        return cls(axes=(u,), boundary=bd)
+        return cls(u, () if clopen else tuple(p for iv in u for p in iv))
 
     @classmethod
-    def full(cls, dim: int = 1) -> "Cell":
-        return cls(axes=tuple((((0.0, 1.0)),) for _ in range(dim)), boundary=())
-
-    @property
-    def intervals(self) -> tuple:
-        if len(self.axes) != 1:
-            raise CocycleLabError("1-d cell expected")
-        return self.axes[0]
+    def full(cls) -> "Cell":
+        return cls(((0.0, 1.0),))
 
     def is_empty(self) -> bool:
-        return all(len(u) == 0 for u in self.axes) or any(len(u) == 0 for u in self.axes)
+        return not self.intervals
 
-    def length(self) -> float:
-        out = 1.0
-        for u in self.axes:
-            out *= union_length(u)
-        return out
-
-    def contains(self, coords) -> bool:
-        if not isinstance(coords, (tuple, list)):
-            coords = (coords,)
-        return all(union_contains(u, x) for u, x in zip(self.axes, coords))
+    def contains(self, x) -> bool:
+        return union_contains(self.intervals, x)
 
     def float_breaks(self) -> tuple[np.ndarray, np.ndarray]:
-        """1-d lows/highs as float arrays for vectorized membership."""
+        """Lows and highs as float arrays for vectorized membership."""
         return float_breaks(self.intervals)
 
     def contains_floats(self, xs: np.ndarray) -> np.ndarray:
         return locate(*self.float_breaks(), xs)[1]
-
-    def boundary_points(self) -> tuple:
-        if not self.boundary:
-            return ()
-        return self.boundary[0]
 
 
 # -- points and systems -----------------------------------------------------------
@@ -247,7 +226,6 @@ class BaseSystem:
     """Common surface for the concrete minimal systems."""
 
     grid_size: int
-    dim: int
 
     def point(self, *coords) -> BasePoint:
         return BasePoint(anchor=tuple(mod1(c) for c in coords), index=0)
@@ -261,16 +239,8 @@ class BaseSystem:
     def float_coords(self, x: BasePoint) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coords(x))
 
-    def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        out = 0.0
-        for x, y in zip(a, b):
-            d = abs(float(x) - float(y))
-            d = min(d, 1.0 - d)
-            out += d * d
-        return math.sqrt(out)
-
     def diameter(self) -> float:
-        return 0.5 * math.sqrt(self.dim)
+        return 0.5  # of the circle under the arc distance
 
 
 class CircleRotation(BaseSystem):
@@ -281,8 +251,6 @@ class CircleRotation(BaseSystem):
     exact and tower certificates are exact for every angle.  An angle that is
     rational with denominator <= ORBIT_AVOID_HORIZON is rejected.
     """
-
-    dim = 1
 
     def __init__(self, alpha, grid_size: int = 4096):
         self.alpha = mod1(as_exact(alpha))
@@ -330,9 +298,6 @@ class CircleRotation(BaseSystem):
     def scalar(self, x: BasePoint):
         return self.coords(x)[0]
 
-    def convergent_pairs(self, depth: int = 30) -> tuple[tuple[int, int], ...]:
-        return convergents(self.alpha, depth)
-
     def grid_floats(self) -> np.ndarray:
         return np.arange(self.grid_size) / self.grid_size
 
@@ -346,23 +311,12 @@ class CircleRotation(BaseSystem):
         ks = np.arange(start, start + n, dtype=float) * self.alpha_float
         return np.mod(np.asarray(x0, dtype=float)[..., None] + ks, 1.0)
 
-    def fill_horizon(self, eps: float) -> int:
-        """Horizon by which every orbit is eps-dense (three-distance bound)."""
-        pairs = best_denominators(self.alpha, 10**9)
-        prev_q, prev_e = 1, 1.0
-        for q, err in pairs:
-            if float(err) + prev_e < eps:
-                return q + prev_q
-            prev_q, prev_e = q, float(err)
-        raise HorizonExceeded(f"no eps={eps} fill horizon below 1e9")
-
     # -- cells ------------------------------------------------------------------
 
     def translate_cell(self, cell: Cell, n: int) -> Cell:
         delta = mod1(n * self.alpha)
-        u = translate_union(cell.intervals, delta)
-        bd = tuple(mod1(p + delta) for p in cell.boundary_points())
-        return Cell(axes=(u,), boundary=(bd,) if cell.boundary else ())
+        return Cell(translate_union(cell.intervals, delta),
+                    tuple(mod1(p + delta) for p in cell.boundary))
 
 
 class SturmianShift(BaseSystem):
@@ -370,10 +324,8 @@ class SturmianShift(BaseSystem):
 
     Points carry the rotation parameter; the coding against [1 - beta, 1) gives
     the symbolic window.  Cylinders are parameter intervals and are clopen in
-    the shift topology, hence the empty boundary lists.
+    the shift topology, hence their empty boundaries.
     """
-
-    dim = 1
 
     def __init__(self, beta, window_depth: int = 16, grid_size: int = 4096):
         self._rot = CircleRotation(beta, grid_size=grid_size)
@@ -420,11 +372,10 @@ class SturmianShift(BaseSystem):
                 lo = p
             if p > t and p < hi:
                 hi = p
-        return Cell(axes=(norm_union([(lo, hi)]),), boundary=())
+        return Cell(norm_union([(lo, hi)]))
 
     def translate_cell(self, cell: Cell, n: int) -> Cell:
-        out = self._rot.translate_cell(cell, n)
-        return Cell(axes=out.axes, boundary=())
+        return Cell(self._rot.translate_cell(cell, n).intervals)
 
 
 def rotation_of(sys: BaseSystem) -> CircleRotation:
@@ -434,26 +385,6 @@ def rotation_of(sys: BaseSystem) -> CircleRotation:
     if isinstance(sys, SturmianShift):
         return sys.rotation
     raise CocycleLabError("a rotation-presented base is required")
-
-
-class TorusTranslation(BaseSystem):
-    """Translation of the d-torus, d <= 3 (floats only; no exact tag)."""
-
-    def __init__(self, vector: Sequence[float], grid_size: int = 64):
-        vec = tuple(float(v) % 1.0 for v in vector)
-        if not 1 <= len(vec) <= 3:
-            raise CocycleLabError("torus dimension must be 1..3")
-        self.vector = vec
-        self.dim = len(vec)
-        self.grid_size = int(grid_size)
-
-    def coords(self, x: BasePoint) -> tuple:
-        return tuple(mod1(a + x.index * v) for a, v in zip(x.anchor, self.vector))
-
-    def grid_floats(self) -> np.ndarray:
-        axes = [np.arange(self.grid_size) / self.grid_size] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 # -- covering time -----------------------------------------------------------------
@@ -468,28 +399,17 @@ def covering_time(sys: BaseSystem, W: Cell) -> int:
     """
     if W.is_empty():
         raise EmptyCell("covering_time needs a non-empty cell")
-    if all(union_length(u) >= 1.0 - 1e-15 for u in W.axes):
+    if union_length(W.intervals) >= 1.0 - 1e-15:
         return 0  # the whole space needs no iterates and no margin
-    sp = Fraction(1, sys.grid_size)  # exact margin, compatible with both scalar kinds
-    # a rotation or Sturmian base is the one-axis translation by (alpha,)
-    if isinstance(sys, TorusTranslation):
-        pts, vec, axes = sys.grid_floats(), np.array(sys.vector), W.axes
-    elif isinstance(sys, (CircleRotation, SturmianShift)):
-        pts, vec = sys.grid_floats()[:, None], np.array([rotation_of(sys).alpha_float])
-        axes = (W.intervals,)
-    else:
-        raise CocycleLabError(f"unsupported system {type(sys).__name__}")
-    shrunk = [shrink_union(u, sp) for u in axes]
-    if any(not u for u in shrunk):
+    rot = rotation_of(sys)
+    shrunk = shrink_union(W.intervals, Fraction(1, rot.grid_size))  # exact margin
+    if not shrunk:
         raise EmptyCell("cell below grid resolution after margin")
-    breaks = [float_breaks(u) for u in shrunk]
-    alive = np.arange(pts.shape[0])
+    lo, hi = float_breaks(shrunk)
+    pts, alpha = rot.grid_floats(), rot.alpha_float
+    alive = np.arange(pts.size)
     for j in range(COVERING_HORIZON + 1):
-        pos = np.mod(pts[alive] - j * vec, 1.0)
-        inside = np.ones(alive.size, dtype=bool)
-        for d, (lo, hi) in enumerate(breaks):
-            inside &= locate(lo, hi, pos[:, d])[1]
-        alive = alive[~inside]
+        alive = alive[~locate(lo, hi, np.mod(pts[alive] - j * alpha, 1.0))[1]]
         if alive.size == 0:
             return j
     raise HorizonExceeded("no cover within 1e6 iterates")
@@ -526,18 +446,6 @@ def small_boundary_cell(sys: BaseSystem, x0: BasePoint, eps: float) -> Cell:
         orbit = sys.orbit_floats(cf, ORBIT_AVOID_HORIZON)
         r = sys.lift(_avoiding_radius(orbit, cf, min(2.0 * eps, 0.249)))
         return Cell.from_union(wrap_interval(c - r, c + r))
-    if isinstance(sys, TorusTranslation):
-        half = min(2.0 * eps / math.sqrt(sys.dim), 0.249)
-        x = sys.coords(x0)
-        ks = np.arange(ORBIT_AVOID_HORIZON, dtype=float)
-        axes = []
-        bds = []
-        for d in range(sys.dim):
-            orbit = np.mod(x[d] + ks * sys.vector[d], 1.0)
-            r = float(_avoiding_radius(orbit, x[d], half))
-            axes.append(norm_union(wrap_interval(x[d] - r, x[d] + r)))
-            bds.append(tuple(p for iv in axes[-1] for p in iv))
-        return Cell(axes=tuple(axes), boundary=tuple(bds))
     raise CocycleLabError(f"unsupported system {type(sys).__name__}")
 
 
@@ -612,12 +520,11 @@ def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
 
     Single intervals use the Slater three-distance closed form (translation
     equivariance reduces [l, l+h) to [0, h)); interval unions and very wide
-    cells fall back to exact marching.  Only rotation-presented bases are
-    supported; torus castles are out of scope for this release.
+    cells fall back to exact marching.  A cell with an empty boundary is clopen
+    (a Sturmian cylinder), and so are its pieces.
     """
     if isinstance(sys, SturmianShift):
-        inner = first_return(sys.rotation, Cell(axes=U.axes, boundary=U.boundary))
-        return [(Cell(axes=c.axes, boundary=()), n) for c, n in inner]
+        return [(Cell(c.intervals), n) for c, n in first_return(sys.rotation, U)]
     if not isinstance(sys, CircleRotation):
         raise CocycleLabError("first_return implemented for rotation-presented bases only")
     if U.is_empty():

@@ -126,11 +126,6 @@ def build_base(cfg: dict) -> basedyn.BaseSystem:
         return basedyn.SturmianShift(GOLDEN_MEAN if beta is None else float(beta),
                                      window_depth=int(b.get("window_depth", 16)),
                                      grid_size=grid)
-    if variant == "torus":
-        vec = b.get("vector")
-        if not vec:
-            raise ConfigError("base.vector required for variant 'torus'")
-        return basedyn.TorusTranslation([float(v) for v in vec], grid_size=grid)
     raise ConfigError(f"unknown base variant {variant!r}")
 
 

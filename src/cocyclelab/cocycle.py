@@ -163,17 +163,11 @@ class Cocycle:
     @property
     def sup_norm(self) -> float:
         if self._sup_norm is None:
-            xs = self._grid_coords()
+            xs = self.base.grid_floats()
             a, b, c, d = self.generator.entries(xs)
             # unimodular, so sigma1 >= 1: the floor only removes rounding
             self._sup_norm = max(float(np.max(general_operator_norm(a, b, c, d))), 1.0)
         return self._sup_norm
-
-    def _grid_coords(self) -> np.ndarray:
-        g = self.base.grid_floats()
-        if g.ndim != 1:
-            raise CocycleLabError("matrix cocycles over multi-d bases use 1-d coordinates")
-        return g
 
     def orbit(self, x: BasePoint, n: int) -> np.ndarray:
         """Float positions of x, f(x), ..., f^{n-1}(x) (rotation-presented bases)."""
@@ -284,7 +278,7 @@ def growth_sweep(co: Cocycle, n: int, grid: Optional[np.ndarray] = None,
                  threads: int = 1) -> GrowthReport:
     """(1/n) log ||A_n|| over the grid; lanes split over `threads` without
     changing any bit of the result."""
-    xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
+    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     logs = parallel_lanes(lambda sl: log_norms_batch(co, sl, n), xs, threads)
     # unimodular products have norm >= 1 exactly; clip tree rounding at 0
     vals = np.maximum(logs, 0.0) / n
@@ -352,7 +346,7 @@ def subexponential_witness_search(co: Cocycle, eps: float,
     """First (x, n) with ||A_n(x)|| >= e^{eps n} at the sampled resolution, else None."""
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
+    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     for n in horizons:
         vals = log_norms_batch(co, xs, int(n)) / int(n)
         k = int(np.argmax(vals))
@@ -404,7 +398,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
 
     A Witness is a grid point where (1/n_max) log ||A_n_max|| < _WITNESS_EPS.
     """
-    xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
+    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     G = xs.size
     rot = rotation_of(co.base)
     spacing = 1.0 / G

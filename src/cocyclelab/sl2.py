@@ -159,11 +159,6 @@ def general_operator_norm(a, b, c, d):
     return np.sqrt(np.maximum(_sigma1_squared(a, b, c, d)[0], 0.0))
 
 
-def matrix_distance(A: Mat2, B: Mat2) -> float:
-    """Operator-norm distance ||A - B||."""
-    return float(general_operator_norm(A.a - B.a, A.b - B.b, A.c - B.c, A.d - B.d))
-
-
 def _axis_sign(v: tuple[float, float]) -> tuple[float, float]:
     # nonnegative first coordinate, first positive nonzero coordinate if zero
     x, y = v
@@ -320,7 +315,7 @@ def log_sl2_arrays(a, b, c, d):
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     t = (a + d) / 2.0
-    if np.any(t <= _TRACE_FLOOR / 2.0 + 0.5):  # t <= -1 + 5e-7
+    if np.any(t <= _TRACE_FLOOR / 2.0):  # t <= -1 + 5e-7
         bad = float(np.min(t))
         raise LogDomain(f"trace/2 = {bad} <= -1 + 5e-7 in array log")
     e = t - 1.0

@@ -88,7 +88,7 @@ def continuity_modulus(co: Cocycle, eps: float, N: int) -> float:
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    xs = co._grid_coords()
+    xs = co.base.grid_floats()
     spacing = 1.0 / xs.size
     ents = (np.asarray(e, dtype=float) for e in co.generator.entries(xs))
     step_norm = general_operator_norm(*(np.diff(np.concatenate([e, e[:1]])) for e in ents))
@@ -184,7 +184,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
     spacing = 1.0 / base.grid_size
     inner_shift = Fraction(min(rho / 2.0, 2.0 * spacing)).limit_denominator(1 << 48)
     blend_width = float(inner_shift) / 2.0
-    V_inner = Cell(axes=(shrink_union(freq.V.intervals, inner_shift),), boundary=((),))
+    V_inner = Cell(shrink_union(freq.V.intervals, inner_shift))
 
     reps: dict = {}
     rep_pieces: dict = {}
@@ -207,7 +207,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
 
 def _cover_cells(base: CircleRotation, castle: Castle, delta: float) -> list[Cell]:
     """Half-open tiling of K by k cells of diameter < delta, avoiding B-endpoints."""
-    bpoints = [p for t in castle.towers for p in t.base.boundary_points()]
+    bpoints = [p for t in castle.towers for p in t.base.boundary]
     k = max(2, math.ceil(1.0 / (0.95 * delta)) + 1)
     for _ in range(64):
         edges = [Fraction(i, k) for i in range(k)]
@@ -331,7 +331,7 @@ class PerturbedCocycle:
     def certify_distance(self) -> float:
         """Measured sup ||A~ - A|| over the grid plus region-edge probes."""
         cfg = self.cfg
-        xs = [self.original._grid_coords()]
+        xs = [self.original.base.grid_floats()]
         w = self.blend_width
         for off in (0.25 * w, 0.5 * w, 0.999 * w, 1.5 * w):
             xs.append(np.mod(self.region_lo + off, 1.0))
@@ -349,7 +349,7 @@ class PerturbedCocycle:
         return self.sup_distance
 
     def export_table(self, path, grid: Optional[np.ndarray] = None) -> None:
-        xs = self.original._grid_coords() if grid is None else np.asarray(grid)
+        xs = self.original.base.grid_floats() if grid is None else np.asarray(grid)
         a, b, c, d = self.entries(xs)
         bump = self.bump(xs)
         with open(path, "w", newline="") as fh:
@@ -489,7 +489,7 @@ def verify_growth(pc: PerturbedCocycle, cfg: SurgeryConfig, n: int,
     co = pc.original
     if n <= max(cfg.n0, (cfg.N + 1) / cfg.eps):
         raise CocycleLabError(f"horizon n = {n} must exceed max(n0, (N+1)/eps)")
-    xs = co._grid_coords() if grid is None else np.asarray(grid, dtype=float)
+    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     direct = log_norms_batch(pc.cocycle, xs, n) / n
     diffs = np.abs(np.diff(direct))
     margin = 4.0 * float(diffs.max()) if diffs.size else 0.0

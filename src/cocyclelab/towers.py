@@ -45,6 +45,7 @@ from .exact import as_exact, best_denominators, min_orbit_gap
 
 _CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
 _RETURN_SAMPLE_SEED = 7  # seed of the sampled first-return check in Castle.verify
+_RETURN_SAMPLES = 10_000  # points of that check, shared among the towers
 
 
 def frobenius_threshold(N: int) -> int:
@@ -110,8 +111,7 @@ class Castle:
         """Union of the tower bases, or of the bases of the towers of one height."""
         towers = [t for t in self.towers if height is None or t.height == height]
         parts = [iv for t in towers for iv in t.base.intervals]
-        bd = tuple(p for t in towers for p in t.base.boundary_points())
-        return Cell(axes=(norm_union(parts),), boundary=(bd,))
+        return Cell(norm_union(parts), tuple(p for t in towers for p in t.base.boundary))
 
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
@@ -146,7 +146,7 @@ class Castle:
         order = np.argsort(lo, kind="stable")
         return lo[order], hi[order]
 
-    def verify(self, sample_points: int = 10_000) -> dict:
+    def verify(self) -> dict:
         """Recompute the castle invariants; raises on any failure.
 
         Exact mode sorts every floor endpoint and asserts a perfect half-open
@@ -193,7 +193,7 @@ class Castle:
         # sampled first-return times from B to B equal the tower heights
         rng = np.random.default_rng(_RETURN_SAMPLE_SEED)
         blo, bhi = self.base_union().float_breaks()
-        per = max(1, sample_points // max(len(self.towers), 1))
+        per = max(1, _RETURN_SAMPLES // max(len(self.towers), 1))
         checked = 0
         for t in self.towers:
             for lo, hi in t.base.intervals:
@@ -369,8 +369,7 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
     rot = rotation_of(sys)
     pts = list(L)
     if not pts:
-        return FreqBound(V=Cell(axes=((),), boundary=((),)), n0=1, eps=eps,
-                         sup_frequency=0.0, rho=0.0)
+        return FreqBound(V=Cell(()), n0=1, eps=eps, sup_frequency=0.0, rho=0.0)
     alpha = rot.alpha
     spacing = 1.0 / rot.grid_size
     floor = spacing / 2 if rho_floor is None else max(rho_floor, 1e-12)
@@ -408,10 +407,3 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
             raise ShrinkExhausted(
                 f"frequency {best:.3e} >= eps {eps:.3e} at the rho floor {floor:.2e}")
         rho_frac = rho_frac / 2
-
-
-def measured_visit_frequency(sys: BaseSystem, V: Cell, x0: float, n: int) -> float:
-    """Oracle: direct Birkhoff visit count of one orbit (for tests and reports)."""
-    rot = rotation_of(sys)
-    pos = rot.orbit_floats(x0, n)
-    return float(V.contains_floats(pos).sum()) / n

@@ -78,7 +78,7 @@ def test_criterion_2_castle_contract():
         for N in (3, 10, 25):
             rot = getattr(bd.CircleRotation, mk)(grid_size=10_000)
             castle = tw.build_castle(rot, N)
-            rep = castle.verify(sample_points=10_000)
+            rep = castle.verify()
             assert rep["exact_tiling"] is True, (mk, N)
             assert rep["grid_covered"] is True, (mk, N)
             assert rep["return_times_ok"] is True, (mk, N)
@@ -144,9 +144,12 @@ def test_criterion_4_end_to_end_surgery():
 def test_criterion_4s_supplementary_end_to_end():
     """The same pipeline on an admissible input: degree-one table generator.
 
-    Not a spec criterion; demonstrates the full surgery with every certificate
-    real (nonzero blending, castle at N ~ 160, analytic frequency bound) on an
-    input that satisfies the standing hypotheses.
+    Not a spec criterion; runs the full surgery (castle at N = 158, analytic
+    frequency bound, blended cocycle) on an input that satisfies the standing
+    hypotheses, and checks that its certificate holds.  The certificate is
+    vacuous: sup||A|| = 1.2 gives log||A_N|| <= 0.1823 N < 0.999 eps N, so all
+    162 segment plans exit early and none is steered, and the certified bound
+    (3c+2) eps = 1.36 lies far above the gate's exponent estimate 0.0165.
     """
     t0 = time.time()
     co = cy.Cocycle(bd.CircleRotation.golden(grid_size=1024),

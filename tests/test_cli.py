@@ -64,7 +64,8 @@ class TestBasics:
         ["exponent", "--base.grid=0", "--n=10"],
         ["castle", "--base.variant=circle", "--base.alpha=nan"],
         ["castle", "--base.variant=circle", "--base.alpha=abc"],
-    ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text"])
+        ["exponent", "--base.variant=torus", "--base.vector=[0.38]"],
+    ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text", "variant-torus"])
     def test_bad_value_exit_2(self, tmp_path, args):
         r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr

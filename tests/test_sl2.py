@@ -17,8 +17,9 @@ from cocyclelab.sl2 import (
     compose,
     exp_map,
     log_map,
+    general_operator_norm,
     log_norm,
-    matrix_distance,
+    log_sl2_arrays,
     operator_norm,
     rotation,
     scan_lanes,
@@ -43,6 +44,11 @@ def random_sl2(rng, count, t_max=3.0):
     c = s1 * e * c2 + c1 * f * s2
     d = -s1 * e * s2 + c1 * f * c2
     return a, b, c, d
+
+
+def matrix_distance(A: Mat2, B: Mat2) -> float:
+    """Operator-norm distance ||A - B||."""
+    return float(general_operator_norm(A.a - B.a, A.b - B.b, A.c - B.c, A.d - B.d))
 
 
 def brute_norm_and_axis(m: Mat2, samples: int = 10_000):
@@ -213,6 +219,26 @@ class TestTangentChart:
     def test_log_domain(self):
         with pytest.raises(LogDomain):
             log_map(Mat2(-2.5, 0, 0, -0.4))
+
+    def test_array_log_domain_matches_scalar(self):
+        # the array log has log_map's domain, trace > -2 + 1e-6
+        def array_log(m):
+            return tuple(float(e[0]) for e in log_sl2_arrays(*([v] for v in m.entries())))
+
+        want = log_map(rotation(2.5))  # trace -1.60
+        got = array_log(rotation(2.5))
+        assert max(abs(g - w) for g, w in zip(got, (want.t1, want.t2, want.t3))) < 1e-12
+        for tr in (-2.0 + 2e-6, -2.0 + 0.5e-6):
+            t = tr / 2.0
+            m = Mat2(t, t * t - 1.0, 1.0, t)  # det 1, trace tr
+            for log in (log_map, array_log):
+                if tr > -2.0 + 1e-6:
+                    log(m)
+                else:
+                    with pytest.raises(LogDomain):
+                        log(m)
+        # every interpolation step of this table is a rotation by 2.5 rad
+        cy.TableGenerator(np.array([rotation(2.5 * k).entries() for k in range(64)]))
 
     def test_rotation_log(self):
         v = log_map(rotation(0.7))
