@@ -1,4 +1,8 @@
-"""Concrete minimal base systems: circle rotations and Sturmian shifts.
+"""The base system: a circle rotation, of which the Sturmian shift is a subclass.
+
+Every base is presented by its rotation: the Sturmian shift of slope beta is
+the rotation by beta plus the symbolic coding of its orbits, so cells, castles,
+first returns and orbits are the rotation's.
 
 Rotation angles are always exact: the golden and silver means live in Q(sqrt D)
 and any other angle is the rational it is given as.  Interval endpoints live in
@@ -186,9 +190,9 @@ class Cell:
     boundary: tuple = ()  # boundary scalars
 
     @classmethod
-    def from_union(cls, u, clopen: bool = False) -> "Cell":
+    def from_union(cls, u) -> "Cell":
         u = norm_union(u)
-        return cls(u, () if clopen else tuple(p for iv in u for p in iv))
+        return cls(u, tuple(p for iv in u for p in iv))
 
     @classmethod
     def full(cls) -> "Cell":
@@ -222,28 +226,7 @@ class BasePoint:
         return BasePoint(self.anchor, self.index + n)
 
 
-class BaseSystem:
-    """Common surface for the concrete minimal systems."""
-
-    grid_size: int
-
-    def point(self, *coords) -> BasePoint:
-        return BasePoint(anchor=tuple(mod1(c) for c in coords), index=0)
-
-    def step(self, x: BasePoint, n: int = 1) -> BasePoint:
-        return x.shifted(n)
-
-    def coords(self, x: BasePoint) -> tuple:
-        raise NotImplementedError
-
-    def float_coords(self, x: BasePoint) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coords(x))
-
-    def diameter(self) -> float:
-        return 0.5  # of the circle under the arc distance
-
-
-class CircleRotation(BaseSystem):
+class CircleRotation:
     """x -> x + alpha mod 1 with alpha irrational.
 
     alpha is exact: a QuadExt stays in Q(sqrt D) and a number becomes the
@@ -289,14 +272,25 @@ class CircleRotation(BaseSystem):
                 stacklevel=3,
             )
 
-    def coords(self, x: BasePoint) -> tuple:
-        a0 = x.anchor[0]
-        if isinstance(a0, float):  # float points keep their float orbit
-            return (mod1(a0 + x.index * self.alpha_float),)
-        return (mod1(a0 + x.index * self.alpha),)
+    # -- points -----------------------------------------------------------------
+
+    def point(self, x) -> BasePoint:
+        return BasePoint(anchor=(mod1(x),), index=0)
+
+    def step(self, x: BasePoint, n: int = 1) -> BasePoint:
+        return x.shifted(n)
 
     def scalar(self, x: BasePoint):
-        return self.coords(x)[0]
+        a0 = x.anchor[0]
+        if isinstance(a0, float):  # float points keep their float orbit
+            return mod1(a0 + x.index * self.alpha_float)
+        return mod1(a0 + x.index * self.alpha)
+
+    def float_coords(self, x: BasePoint) -> tuple[float]:
+        return (float(self.scalar(x)),)
+
+    def diameter(self) -> float:
+        return 0.5  # of the circle under the arc distance
 
     def grid_floats(self) -> np.ndarray:
         return np.arange(self.grid_size) / self.grid_size
@@ -319,49 +313,30 @@ class CircleRotation(BaseSystem):
                     tuple(mod1(p + delta) for p in cell.boundary))
 
 
-class SturmianShift(BaseSystem):
+class SturmianShift(CircleRotation):
     """Sturmian subshift of slope beta, presented through its rotation parameter.
 
-    Points carry the rotation parameter; the coding against [1 - beta, 1) gives
-    the symbolic window.  Cylinders are parameter intervals and are clopen in
-    the shift topology, hence their empty boundaries.
+    Points carry the rotation parameter and the angle alpha is beta; the coding
+    against [1 - beta, 1) gives the symbolic window.  Every other operation,
+    castles and first returns included, is the rotation's.  Cylinders are
+    parameter intervals and are clopen in the shift topology, hence their
+    empty boundaries.
     """
 
     def __init__(self, beta, window_depth: int = 16, grid_size: int = 4096):
-        self._rot = CircleRotation(beta, grid_size=grid_size)
+        super().__init__(beta, grid_size=grid_size)
         self.window_depth = int(window_depth)
-        self.grid_size = int(grid_size)
-
-    @property
-    def beta(self):
-        return self._rot.alpha
-
-    @property
-    def rotation(self) -> CircleRotation:
-        return self._rot
-
-    def coords(self, x: BasePoint) -> tuple:
-        return self._rot.coords(x)
-
-    def scalar(self, x: BasePoint):
-        return self._rot.scalar(x)
 
     def word(self, x: BasePoint, length: Optional[int] = None) -> str:
         n = self.window_depth if length is None else length
-        pos = self._rot.orbit_floats(float(self.scalar(x)), n)
-        bits = (pos >= 1.0 - self._rot.alpha_float).astype(int)
+        pos = self.orbit_floats(float(self.scalar(x)), n)
+        bits = (pos >= 1.0 - self.alpha_float).astype(int)
         return "".join(str(b) for b in bits)
-
-    def grid_floats(self) -> np.ndarray:
-        return self._rot.grid_floats()
-
-    def orbit_floats(self, x0, n: int, start: int = 0) -> np.ndarray:
-        return self._rot.orbit_floats(x0, n, start)
 
     def cylinder(self, x: BasePoint, depth: int) -> Cell:
         """Parameter interval of points sharing x's depth-`depth` coding."""
         t = self.scalar(x)
-        beta = self.beta
+        beta = self.alpha
         breaks = []
         for j in range(depth):
             breaks.append(mod1(-j * beta))
@@ -374,23 +349,11 @@ class SturmianShift(BaseSystem):
                 hi = p
         return Cell(norm_union([(lo, hi)]))
 
-    def translate_cell(self, cell: Cell, n: int) -> Cell:
-        return Cell(self._rot.translate_cell(cell, n).intervals)
-
-
-def rotation_of(sys: BaseSystem) -> CircleRotation:
-    """The circle rotation that presents a rotation or Sturmian base."""
-    if isinstance(sys, CircleRotation):
-        return sys
-    if isinstance(sys, SturmianShift):
-        return sys.rotation
-    raise CocycleLabError("a rotation-presented base is required")
-
 
 # -- covering time -----------------------------------------------------------------
 
 
-def covering_time(sys: BaseSystem, W: Cell) -> int:
+def covering_time(rot: CircleRotation, W: Cell) -> int:
     """Smallest m1 (at grid resolution) with union_{j<=m1} f^j(W) = K.
 
     Certified over every grid point after shrinking W by one grid spacing: the
@@ -401,7 +364,6 @@ def covering_time(sys: BaseSystem, W: Cell) -> int:
         raise EmptyCell("covering_time needs a non-empty cell")
     if union_length(W.intervals) >= 1.0 - 1e-15:
         return 0  # the whole space needs no iterates and no margin
-    rot = rotation_of(sys)
     shrunk = shrink_union(W.intervals, Fraction(1, rot.grid_size))  # exact margin
     if not shrunk:
         raise EmptyCell("cell below grid resolution after margin")
@@ -428,25 +390,19 @@ def exact_covering_time(rot: CircleRotation, W: Cell, horizon: int = 10**5) -> i
 # -- small-boundary cells -----------------------------------------------------------
 
 
-def small_boundary_cell(sys: BaseSystem, x0: BasePoint, eps: float) -> Cell:
+def small_boundary_cell(rot: CircleRotation, x0: BasePoint, eps: float) -> Cell:
     """Open cell around x0 of diameter <= 4*eps with orbit-avoiding boundary.
 
     Endpoints stay at distance > 1e-7 from the first 1e5 forward orbit points
     of x0, which keeps later surgery cuts away from degenerate coincidences.
-    Sturmian cells are clopen cylinders of depth ceil(log2(1/eps)).
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    if isinstance(sys, SturmianShift):
-        depth = max(1, math.ceil(math.log2(1.0 / min(eps, 0.5))))
-        return sys.cylinder(x0, depth)
-    if isinstance(sys, CircleRotation):
-        c = sys.scalar(x0)
-        cf = float(c)
-        orbit = sys.orbit_floats(cf, ORBIT_AVOID_HORIZON)
-        r = sys.lift(_avoiding_radius(orbit, cf, min(2.0 * eps, 0.249)))
-        return Cell.from_union(wrap_interval(c - r, c + r))
-    raise CocycleLabError(f"unsupported system {type(sys).__name__}")
+    c = rot.scalar(x0)
+    cf = float(c)
+    orbit = rot.orbit_floats(cf, ORBIT_AVOID_HORIZON)
+    r = rot.lift(_avoiding_radius(orbit, cf, min(2.0 * eps, 0.249)))
+    return Cell.from_union(wrap_interval(c - r, c + r))
 
 
 def _avoiding_radius(orbit: np.ndarray, center: float, r_max: float) -> Fraction:
@@ -515,29 +471,23 @@ def _first_entry_below(alpha, h) -> int:
     raise HorizonExceeded("record walk exhausted 64 convergent levels")
 
 
-def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
+def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
     """Partition of U into sub-cells of constant first-return time.
 
     Single intervals use the Slater three-distance closed form (translation
     equivariance reduces [l, l+h) to [0, h)); interval unions and very wide
-    cells fall back to exact marching.  A cell with an empty boundary is clopen
-    (a Sturmian cylinder), and so are its pieces.
+    cells fall back to exact marching.
     """
-    if isinstance(sys, SturmianShift):
-        return [(Cell(c.intervals), n) for c, n in first_return(sys.rotation, U)]
-    if not isinstance(sys, CircleRotation):
-        raise CocycleLabError("first_return implemented for rotation-presented bases only")
     if U.is_empty():
         raise EmptyCell("first_return needs a non-empty cell")
     u = U.intervals
     total = union_length(u)
     if total >= 1.0 - 1e-15:
         return [(Cell.full(), 1)]
-    clopen = not U.boundary
     if len(u) == 1 and total <= 0.45:
         lo, hi = u[0]
         h = hi - lo
-        alpha = sys.alpha
+        alpha = rot.alpha
         n1 = _first_entry_below(alpha, h)
         n2 = _first_entry_below(1 - alpha, h)
         a = mod1(n1 * alpha)
@@ -546,7 +496,7 @@ def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
 
         def _piece(y0, y1, t):
             if y1 > y0:
-                out.append((Cell.from_union([(lo + y0, lo + y1)], clopen=clopen), t))
+                out.append((Cell.from_union([(lo + y0, lo + y1)]), t))
 
         zero = _zero_like(h)
         if a - b > h:
@@ -567,13 +517,12 @@ def first_return(sys: BaseSystem, U: Cell) -> list[tuple[Cell, int]]:
         if abs(float(got) - float(h)) > 1e-12:
             raise CocycleLabError("three-distance pieces do not tile the interval")
         return sorted(out, key=lambda p: (p[1], float(p[0].intervals[0][0])))
-    return _first_return_marching(sys, U)
+    return _first_return_marching(rot, U)
 
 
 def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
     """Exact marching: advance sub-arcs of U, peeling off returning parts."""
     u = U.intervals
-    clopen = not U.boundary
     active = [(lo, hi, lo, hi) for lo, hi in u]  # (cur_lo, cur_hi, pre_lo, pre_hi)
     out = []
     alpha = rot.alpha
@@ -602,7 +551,7 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
                 for q0, q1 in zip(cuts[:-1], cuts[1:]):
                     pre0 = base + (q0 - slo)
                     if union_contains(u, q0):
-                        out.append((Cell.from_union([(pre0, pre0 + (q1 - q0))], clopen=clopen), n))
+                        out.append((Cell.from_union([(pre0, pre0 + (q1 - q0))]), n))
                     else:
                         nxt.append((q0, q1, pre0, pre0 + (q1 - q0)))
         active = nxt
@@ -611,5 +560,5 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
     merged: dict[int, list] = {}
     for cell, n in out:
         merged.setdefault(n, []).extend(cell.intervals)
-    result = [(Cell.from_union(parts, clopen=clopen), n) for n, parts in merged.items()]
+    result = [(Cell.from_union(parts), n) for n, parts in merged.items()]
     return sorted(result, key=lambda p: (p[1], float(p[0].intervals[0][0])))

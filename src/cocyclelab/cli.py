@@ -1,7 +1,8 @@
 """Experiment runner CLI.
 
 One JSON config drives every subcommand; any leaf key is overridable on the
-command line as --key=value (dotted paths for nesting).  Artifacts are CSV for
+command line as --key=value (dotted paths for nesting), and a key that
+DEFAULT_CONFIG does not have is a configuration error.  Artifacts are CSV for
 curves and JSON for certificates, written with full-precision decimals and
 sorted keys so reruns are bitwise identical.  Exit codes: 0 success, 1 a
 certified check failed, 2 configuration or runtime error.
@@ -29,46 +30,47 @@ from .sl2 import Mat2, general_operator_norm
 ENV_OUT = "COCYCLELAB_OUT"
 
 DEFAULT_CONFIG: dict = {
-    "base": {"variant": "golden", "alpha": None, "grid": 4096, "window_depth": 16},
+    "base": {"variant": "golden", "alpha": None, "grid": 4096},
     "generator": {"family": "schrodinger", "energy": 0.0, "coupling": 3.0,
                   "offset": 0.0, "winding": 0.0, "alpha": None,
                   "entries": [2.0, 0.0, 0.0, 0.5], "table_size": 1024,
                   "table_path": None},
     "eps": 0.1,
     "n": 1000,
-    "horizons": [100, 400, 1600],
     "anchor": 0.1234567,
-    "seed": 0,
     "threads": 1,
     "steer": {"v_angle": 0.0, "w_angle": 1.2, "m_max": 64},
     "castle_n": 10,
     "freq_points": [0.0],
     "freq_eps": 0.1,
     "surgery": {"verify_grid": 96, "horizon": None, "force": False},
+    "hopf_alpha": None,
     "out": None,
 }
 
 
-def _merge(dst: dict, src: dict) -> dict:
+def _merge(dst: dict, src: dict, prefix: str = "") -> None:
+    """Overwrite dst's leaves with src's; every key of src must be one of dst's."""
     for k, v in src.items():
-        if isinstance(v, dict) and isinstance(dst.get(k), dict):
-            _merge(dst[k], v)
+        if k not in dst:
+            raise ConfigError(f"unknown config key {prefix + k!r}")
+        if isinstance(v, dict) != isinstance(dst[k], dict):
+            what = "must" if isinstance(dst[k], dict) else "cannot"
+            raise ConfigError(f"config key {prefix + k!r} {what} be an object")
+        if isinstance(v, dict):
+            _merge(dst[k], v, f"{prefix}{k}.")
         else:
             dst[k] = v
-    return dst
 
 
 def _set_path(cfg: dict, dotted: str, raw: str) -> None:
-    node = cfg
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            node[p] = {}
-        node = node[p]
     try:
-        node[parts[-1]] = json.loads(raw)
+        val = json.loads(raw)
     except json.JSONDecodeError:
-        node[parts[-1]] = raw
+        val = raw
+    for part in reversed(dotted.split(".")):
+        val = {part: val}
+    _merge(cfg, val)
 
 
 def load_config(path: Optional[str], overrides: list[str]) -> dict:
@@ -97,7 +99,7 @@ def _check_config(cfg: dict) -> None:
         eps = float(cfg["eps"])
         grid = b["grid"]
         grid_ok = int(grid) == grid and grid >= 1
-        angles = [float(b[k]) for k in ("alpha", "beta") if b.get(k) is not None]
+        angles = [] if b["alpha"] is None else [float(b["alpha"])]
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"eps, base.grid and base angles must be numbers: {e}")
     if not (math.isfinite(eps) and eps > 0):
@@ -108,49 +110,41 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
 
 
-def build_base(cfg: dict) -> basedyn.BaseSystem:
+def build_base(cfg: dict) -> basedyn.CircleRotation:
     b = cfg["base"]
-    variant = b.get("variant", "golden")
-    grid = int(b.get("grid", 4096))
+    variant, grid = b["variant"], int(b["grid"])
     if variant == "golden":
         return basedyn.CircleRotation.golden(grid_size=grid)
     if variant == "silver":
         return basedyn.CircleRotation.silver(grid_size=grid)
     if variant == "circle":
-        alpha = b.get("alpha")
-        if alpha is None:
+        if b["alpha"] is None:
             raise ConfigError("base.alpha required for variant 'circle'")
-        return basedyn.CircleRotation(float(alpha), grid_size=grid)
+        return basedyn.CircleRotation(float(b["alpha"]), grid_size=grid)
     if variant == "sturmian":
-        beta = b.get("beta", b.get("alpha"))
-        return basedyn.SturmianShift(GOLDEN_MEAN if beta is None else float(beta),
-                                     window_depth=int(b.get("window_depth", 16)),
-                                     grid_size=grid)
+        beta = GOLDEN_MEAN if b["alpha"] is None else float(b["alpha"])
+        return basedyn.SturmianShift(beta, grid_size=grid)
     raise ConfigError(f"unknown base variant {variant!r}")
 
 
 def build_generator(cfg: dict) -> cocycle.Generator:
     g = cfg["generator"]
-    fam = g.get("family", "schrodinger")
+    fam = g["family"]
     if fam == "schrodinger":
-        return cocycle.SchrodingerGenerator(float(g.get("energy", 0.0)),
-                                            float(g.get("coupling", 3.0)))
+        return cocycle.SchrodingerGenerator(float(g["energy"]), float(g["coupling"]))
     if fam == "rotation":
-        return cocycle.RotationGenerator(float(g.get("offset", 0.0)),
-                                         float(g.get("winding", 0.0)))
+        return cocycle.RotationGenerator(float(g["offset"]), float(g["winding"]))
     if fam == "constant":
-        e = [float(v) for v in g.get("entries", [2.0, 0.0, 0.0, 0.5])]
-        return cocycle.ConstantGenerator(Mat2.normalized(*e))
+        return cocycle.ConstantGenerator(Mat2.normalized(*(float(v) for v in g["entries"])))
     if fam == "example":
-        alpha = g.get("alpha")
+        alpha = g["alpha"]
         if alpha is None:
             alpha = 2.0 * math.pi * float(GOLDEN_MEAN)
         return cocycle.HopfRestrictionGenerator(alpha=float(alpha))
     if fam == "twisted-table":
-        return cocycle.twisted_table(float(g.get("coupling", 1.2)),
-                                     int(g.get("table_size", 1024)))
+        return cocycle.twisted_table(float(g["coupling"]), int(g["table_size"]))
     if fam == "table":
-        path = g.get("table_path")
+        path = g["table_path"]
         if not path or not Path(path).exists():
             raise ConfigError(f"generator.table_path missing or not found: {path}")
         vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4))
@@ -163,7 +157,7 @@ def build_cocycle(cfg: dict) -> cocycle.Cocycle:
 
 
 def out_dir(cfg: dict) -> Path:
-    out = cfg.get("out") or os.environ.get(ENV_OUT) or "cocyclelab-out"
+    out = cfg["out"] or os.environ.get(ENV_OUT) or "cocyclelab-out"
     p = Path(out)
     p.mkdir(parents=True, exist_ok=True)
     return p
@@ -288,20 +282,18 @@ def cmd_freq_bound(cfg: dict) -> int:
 def cmd_surgery(cfg: dict) -> int:
     co = build_cocycle(cfg)
     s = cfg["surgery"]
-    eps = float(cfg["eps"])
     out = out_dir(cfg)
     threads = int(cfg["threads"])
+    gsize = int(s["verify_grid"])
+    grid = np.arange(gsize) / gsize
     try:
-        scfg = surgery.build_config(co, eps, force=bool(s.get("force", False)))
+        scfg, pc, cert = surgery.run_surgery(
+            co, float(cfg["eps"]), verify_grid=grid,
+            horizon=int(s["horizon"]) if s["horizon"] else None, force=bool(s["force"]))
     except NotApplicable as e:
         _write_json(out / "surgery.json", {"applicable": False, "reason": str(e)})
         print(f"surgery not applicable: {e}")
         return 1
-    pc = surgery.assemble_perturbation(co, scfg)
-    n = s.get("horizon") or int(max(scfg.n0, (scfg.N + 1) / eps)) + 1
-    gsize = int(s.get("verify_grid", 96))
-    grid = np.arange(gsize) / gsize
-    cert = surgery.verify_growth(pc, scfg, int(n), grid=grid)
 
     before = parallel_lanes(lambda sl: cocycle.log_norms_batch(co, sl, 2048), grid, threads) / 2048
     after = parallel_lanes(lambda sl: cocycle.log_norms_batch(pc.cocycle, sl, 2048), grid, threads) / 2048
@@ -319,7 +311,7 @@ def cmd_surgery(cfg: dict) -> int:
 
 
 def cmd_demo_hopf(cfg: dict) -> int:
-    alpha = cfg.get("hopf_alpha")
+    alpha = cfg["hopf_alpha"]
     if alpha is None:
         alpha = 2.0 * math.pi * float(GOLDEN_MEAN)
     cert = scenarios.certify_restricted_uh(float(alpha), grid_size=int(cfg["base"]["grid"]))

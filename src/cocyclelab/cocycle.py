@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._parallel import parallel_lanes
-from .basedyn import BasePoint, BaseSystem, rotation_of
+from .basedyn import BasePoint, CircleRotation
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
     Mat2,
@@ -155,7 +155,7 @@ def twisted_table(coupling: float, size: int = 4096) -> TableGenerator:
 class Cocycle:
     """Pair (f, A): a base system and an SL(2,R)-valued generator over it."""
 
-    def __init__(self, base: BaseSystem, generator: Generator):
+    def __init__(self, base: CircleRotation, generator: Generator):
         self.base = base
         self.generator = generator
         self._sup_norm: Optional[float] = None
@@ -170,9 +170,8 @@ class Cocycle:
         return self._sup_norm
 
     def orbit(self, x: BasePoint, n: int) -> np.ndarray:
-        """Float positions of x, f(x), ..., f^{n-1}(x) (rotation-presented bases)."""
-        rot = rotation_of(self.base)
-        return rot.orbit_floats(self.base.float_coords(x)[0], n)
+        """Float positions of x, f(x), ..., f^{n-1}(x)."""
+        return self.base.orbit_floats(self.base.float_coords(x)[0], n)
 
     def entries_along(self, x0, n: int, start: int = 0) -> tuple[np.ndarray, ...]:
         """Generator entry arrays (a, b, c, d) along the float orbit of x0.
@@ -180,7 +179,7 @@ class Cocycle:
         The positions are CircleRotation.orbit_floats(x0, n, start): the shape
         of x0 plus a last axis of n steps.
         """
-        pos = rotation_of(self.base).orbit_floats(x0, n, start)
+        pos = self.base.orbit_floats(x0, n, start)
         return tuple(np.asarray(e, dtype=float) for e in self.generator.entries(pos))
 
 
@@ -400,7 +399,6 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
     """
     xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     G = xs.size
-    rot = rotation_of(co.base)
     spacing = 1.0 / G
 
     # candidate unstable field at each grid point: push a generic direction
@@ -419,7 +417,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
     # roughness of the field and sensitivity of the direction action, x-wise
     field_diff = _angdist(theta, np.roll(theta, -1))
     lip_field = float(field_diff.max()) / spacing
-    pre = rot.orbit_floats(xs, 1, -1)[:, 0]
+    pre = co.base.orbit_floats(xs, 1, -1)[:, 0]
     a, b, c, d = co.generator.entries(pre)
     prev_idx = np.mod(np.round(pre * G).astype(int), G)
     a2, b2, c2, d2 = co.generator.entries(np.mod(pre + 0.5 * spacing, 1.0))
@@ -429,7 +427,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
     margin = 4.0 * (lip_field + lip_act) * spacing
 
     ac, bc, cc, dc = co.generator.entries(xs)
-    nxt_pos = rot.orbit_floats(xs, 1, 1)[:, 0]
+    nxt_pos = co.base.orbit_floats(xs, 1, 1)[:, 0]
     nxt_idx = np.mod(np.round(nxt_pos * G).astype(int), G)
     width = max(8.0 * float(field_diff.max()), 4.0 * margin, 1e-6)
     if width < math.pi / 4:

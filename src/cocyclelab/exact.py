@@ -241,6 +241,7 @@ def best_denominators(alpha, limit: int) -> list[tuple[int, object]]:
     return out
 
 
+@functools.lru_cache(maxsize=256, typed=True)  # a float angle never shares an exact one's gap
 def min_orbit_gap(alpha, n: int):
     """Exact minimal gap of the n points {0, alpha, ..., (n-1) alpha} mod 1.
 

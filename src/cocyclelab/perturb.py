@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basedyn import BasePoint, Cell, first_overlap, locate, rotation_of
+from .basedyn import BasePoint, Cell, first_overlap, locate
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
     BudgetExhausted,
@@ -277,10 +277,9 @@ def choose_N(co: Cocycle, eps: float, c: float, m1: int) -> int:
 
 
 def _window_disjoint(co: Cocycle, W: Cell, m: int) -> bool:
-    rot = rotation_of(co.base)
     pieces = []
     for j in range(m):
-        pieces.extend(rot.translate_cell(W, j).intervals)
+        pieces.extend(co.base.translate_cell(W, j).intervals)
     return first_overlap(pieces)[1] is None
 
 
@@ -316,7 +315,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    rot = rotation_of(co.base)
+    rot = co.base
     alpha = rot.alpha
     m_cap = 10 * math.ceil(1.0 / eps)
     xs = rot.grid_floats()
@@ -419,7 +418,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
     logC = math.log(C)
     # one generator evaluation, shared by the scans, the masked products and
     # the certification
-    pos = rotation_of(co.base).orbit_floats(anchors, N)
+    pos = co.base.orbit_floats(anchors, N)
     ents = tuple(np.asarray(e, dtype=float) for e in co.generator.entries(pos))
     pre, suf = _prefix_suffix_logs(*ents)
     log_d = pre - suf

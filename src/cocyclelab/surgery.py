@@ -34,7 +34,6 @@ from .basedyn import (
     float_breaks,
     inter_union,
     locate,
-    rotation_of,
     shrink_union,
     translate_union,
 )
@@ -78,13 +77,13 @@ _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 # -- continuity modulus ---------------------------------------------------------------
 
 
-def continuity_modulus(co: Cocycle, eps: float, N: int) -> float:
+def continuity_modulus(co: Cocycle, eps: float) -> float:
     """Largest grid-certified delta with d(x,y) < delta forcing the generator
-    values along N orbit steps to stay eps-close.
+    values along any number of orbit steps to stay eps-close.
 
-    The implemented bases are isometries, so the condition reduces to the
-    generator's own modulus; the Lipschitz estimate is sampled adjacent grid
-    differences times the safety factor 4.
+    The base is an isometry, so the condition reduces to the generator's own
+    modulus, whatever the number of steps; the Lipschitz estimate is sampled
+    adjacent grid differences times the safety factor 4.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
@@ -119,7 +118,7 @@ class SurgeryConfig:
     cover: list[Cell]  # disjointified U_i
     freq: FreqBound
     V_inner: Cell
-    reps: dict  # (height, cover index) -> BasePoint
+    reps: dict  # (height, cover index) -> base point at the middle of its widest rep piece
     rep_pieces: dict  # (height, cover index) -> interval union of B_l ^ U_i \ V_inner
     boundary_points: list
     blend_width: float
@@ -149,8 +148,6 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
     base = co.base
-    if not isinstance(base, CircleRotation):
-        raise CocycleLabError("surgery implemented over circle-rotation bases")
     if not force:
         res = uh_certify(co, n_max=_UH_N_MAX)
         if isinstance(res, Certificate):
@@ -167,7 +164,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
     m1 = max(covering_time(base, W), m)  # the early-exit chain needs m <= m1
     N = choose_N(co, eps, c, m1)
     castle = build_castle(base, N)
-    delta = continuity_modulus(co, eps, N)
+    delta = continuity_modulus(co, eps)
 
     cover = _cover_cells(base, castle, delta)
     by_height = {h: castle.base_union(h) for h in (N, N + 1)}
@@ -432,14 +429,13 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
     Detection runs against the full castle base (V-parts included); the region
     label is looked up only for visits outside V, where the table pieces cover.
     """
-    rot = rotation_of(pc.original.base)
     blo, bhi, bheights = _castle_base_arrays(cfg.castle)
     plo, phi = pc.base_lo, pc.base_hi
     vlo, vhi = cfg.freq.V.float_breaks()
     all_lane, all_step, all_flag, all_label, all_height = [], [], [], [], []
     chunk = max(256, (1 << 22) // max(xs.size, 1))
     for s0 in range(0, n, chunk):
-        pos = rot.orbit_floats(xs, min(chunk, n - s0), s0)
+        pos = pc.original.base.orbit_floats(xs, min(chunk, n - s0), s0)
         bidx, in_b = locate(blo, bhi, pos)
         lanes, offs = np.nonzero(in_b)
         if lanes.size == 0:

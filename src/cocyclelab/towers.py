@@ -24,14 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basedyn import (
-    BaseSystem,
     Cell,
+    CircleRotation,
     first_overlap,
     first_return,
     float_breaks,
     locate,
     norm_union,
-    rotation_of,
     small_boundary_cell,
     wrap_interval,
 )
@@ -103,7 +102,7 @@ class Castle:
 
     N: int
     towers: list[Tower]
-    system: BaseSystem
+    system: CircleRotation
     # what verify() returned when build_castle checked the castle
     report: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
@@ -118,21 +117,19 @@ class Castle:
 
     def all_floors(self):
         """Yield (interval piece, tower index, level) for every floor."""
-        rot = rotation_of(self.system)
         for ti, t in enumerate(self.towers):
             for j in range(t.height):
-                cell = rot.translate_cell(t.base, j)
+                cell = self.system.translate_cell(t.base, j)
                 for piece in cell.intervals:
                     yield piece, ti, j
 
     def float_floors(self) -> tuple[np.ndarray, np.ndarray]:
         """All floor intervals as float arrays, built by vectorized translation."""
-        rot = rotation_of(self.system)
         lows, highs = [], []
         for t in self.towers:
             for lo, hi in t.base.intervals:
                 width = float(hi) - float(lo)
-                pos = rot.orbit_floats(float(lo), t.height)
+                pos = self.system.orbit_floats(float(lo), t.height)
                 over = pos + width > 1.0
                 lows.append(pos[~over])
                 highs.append(pos[~over] + width)
@@ -156,7 +153,6 @@ class Castle:
         was certified by the exact gap comparison); base-cell disjointness
         stays exact at every size.
         """
-        rot = rotation_of(self.system)
         n_floors = self.floor_count()
         do_exact = n_floors <= _CASTLE_EXACT_FLOOR_LIMIT
         report = {"floors": n_floors, "exact_tiling": None, "grid_covered": None,
@@ -182,9 +178,9 @@ class Castle:
             report["exact_tiling"] = False
 
         # grid coverage with one-spacing margin (also implied by the tiling)
-        xs = rot.grid_floats()
+        xs = self.system.grid_floats()
         idx, _ = locate(flo, fhi, xs)
-        sp = 1.0 / rot.grid_size
+        sp = 1.0 / self.system.grid_size
         covered = (xs >= flo[idx] - sp) & (xs < fhi[idx] + sp)
         if not covered.all():
             raise DisjointnessFailed("grid point not covered by any floor")
@@ -201,7 +197,7 @@ class Castle:
                 pad = (hif - lof) * 1e-3
                 pts = rng.uniform(lof + pad, hif - pad, size=per)
                 # in base at steps 1 .. height, one column per step
-                inb = locate(blo, bhi, rot.orbit_floats(pts, t.height, 1))[1]
+                inb = locate(blo, bhi, self.system.orbit_floats(pts, t.height, 1))[1]
                 early = inb[:, :-1].any(axis=0)
                 if early.any():
                     raise DisjointnessFailed(f"orbit re-entered base at step "
@@ -223,7 +219,7 @@ class Castle:
                     w.writerow([f"{float(lo):.17g}", f"{float(hi):.17g}", t.height])
 
 
-def build_castle(sys: BaseSystem, N: int) -> Castle:
+def build_castle(rot: CircleRotation, N: int) -> Castle:
     """Castle with heights in {N, N+1} covering the space (rotation bases).
 
     The inducing cell U must keep U, f(U), ..., f^{n1}(U) disjoint; since the
@@ -232,9 +228,8 @@ def build_castle(sys: BaseSystem, N: int) -> Castle:
     geometrically from diameter 4/(n1+1) until the exact gap comparison holds;
     its first-return towers are then cut into N+1-blocks below N-blocks.
     """
-    rot = rotation_of(sys)
     n1 = frobenius_threshold(N)
-    gap = _min_gap_cached(rot.alpha, n1 + 1) if n1 >= 1 else 1.0
+    gap = min_orbit_gap(rot.alpha, n1 + 1) if n1 >= 1 else 1.0
     # center the inducing cell at a generic rational point
     x0 = rot.point(Fraction(1, 2))
     diam = min(4.0 / (n1 + 1), float(gap) * 0.96)
@@ -266,7 +261,7 @@ def build_castle(sys: BaseSystem, N: int) -> Castle:
             offset += N
         if offset != n:
             raise NotRepresentable(f"block heights {l}x{N} + {lp}x{N + 1} != {n}")
-    castle = Castle(N=N, towers=towers, system=sys)
+    castle = Castle(N=N, towers=towers, system=rot)
     castle.report = castle.verify()
     return castle
 
@@ -310,7 +305,7 @@ def _packing_count_bound(alpha, pieces, n: int) -> float:
         return 0.0
     if n < 2:
         return float(len(pieces))
-    exact_gap = _min_gap_cached(alpha, n)
+    exact_gap = min_orbit_gap(alpha, n)
     gap = float(exact_gap)
     total = 0.0
     for h, lo, hi in pieces:
@@ -328,16 +323,6 @@ def _pieces(intervals) -> list:
     return [(float(hi) - float(lo), lo, hi) for lo, hi in intervals]
 
 
-_GAP_CACHE: dict = {}
-
-
-def _min_gap_cached(alpha, n: int):
-    key = (type(alpha), alpha, n)  # a float angle never shares an exact angle's gap
-    if key not in _GAP_CACHE:
-        _GAP_CACHE[key] = min_orbit_gap(alpha, n)
-    return _GAP_CACHE[key]
-
-
 def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
     """max over n in [n0, 8 n0] of the packing bound divided by n.
 
@@ -352,7 +337,7 @@ def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
     return max(_packing_count_bound(alpha, pieces, n) / n for n in candidates)
 
 
-def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
+def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
                      rho_start: Optional[float] = None,
                      rho_floor: Optional[float] = None) -> FreqBound:
     """Certified (V, n0) with visit frequency below eps for every orbit.
@@ -366,7 +351,6 @@ def visit_freq_bound(sys: BaseSystem, L: Sequence, eps: float,
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    rot = rotation_of(sys)
     pts = list(L)
     if not pts:
         return FreqBound(V=Cell(()), n0=1, eps=eps, sup_frequency=0.0, rho=0.0)

@@ -69,7 +69,9 @@ class TestOrbitFloats:
     def test_sturmian_delegates_to_rotation(self):
         st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
         xs = np.array([[0.1, 0.7], [0.25, 0.999]])
-        assert np.array_equal(st.orbit_floats(xs, 5, -2), st.rotation.orbit_floats(xs, 5, -2))
+        assert isinstance(st, bd.CircleRotation)
+        rot = bd.CircleRotation.golden(grid_size=256)
+        assert np.array_equal(st.orbit_floats(xs, 5, -2), rot.orbit_floats(xs, 5, -2))
 
 
 class TestExactFloatCompare:
@@ -273,13 +275,13 @@ class TestSmallBoundaryCell:
     def test_sturmian_cylinder(self):
         st = bd.SturmianShift(GOLDEN_MEAN, window_depth=12, grid_size=512)
         x0 = st.point(Fraction(1, 3))
-        cell = bd.small_boundary_cell(st, x0, 0.1)
-        assert cell.boundary == ()  # clopen cylinder
-        assert cell.contains(float(st.scalar(x0)))
-        # depth matches ceil(log2(1/eps))
-        depth = math.ceil(math.log2(1.0 / 0.1))
-        again = st.cylinder(x0, depth)
-        assert again.intervals == cell.intervals
+        cyl = st.cylinder(x0, 4)
+        assert cyl.boundary == ()  # clopen cylinder
+        assert cyl.contains(float(st.scalar(x0)))
+        # small-boundary cells over the shift are the rotation's
+        rot = bd.CircleRotation.golden(grid_size=512)
+        want = bd.small_boundary_cell(rot, rot.point(Fraction(1, 3)), 0.1)
+        assert bd.small_boundary_cell(st, x0, 0.1) == want
 
 
 class TestFirstReturn:
@@ -355,7 +357,7 @@ class TestSturmian:
         st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
         x = st.point(0.2)
         w = st.word(x, 10)
-        beta = st.rotation.alpha_float
+        beta = st.alpha_float
         expect = "".join(
             "1" if (0.2 + j * beta) % 1.0 >= 1 - beta else "0" for j in range(10))
         assert w == expect

@@ -65,11 +65,27 @@ class TestBasics:
         ["castle", "--base.variant=circle", "--base.alpha=nan"],
         ["castle", "--base.variant=circle", "--base.alpha=abc"],
         ["exponent", "--base.variant=torus", "--base.vector=[0.38]"],
-    ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text", "variant-torus"])
+        ["exponent", "--n=10", "--base.grd=64"],
+        ["exponent", "--n.x=5"],
+        ["exponent", "--n=10", "--seed=5"],
+    ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text", "variant-torus", "unknown-key",
+            "leaf-object", "stale-key"])
     def test_bad_value_exit_2(self, tmp_path, args):
         r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"base": {"grd": 64}, "n": 10}, "'base.grd'"),
+        ({"freq_points": {"x": 0}, "n": 10}, "'freq_points'"),
+    ], ids=["unknown-key", "leaf-object"])
+    def test_bad_config_file_key_exit_2(self, tmp_path, cfg, key):
+        cfgf = tmp_path / "typo.json"
+        cfgf.write_text(json.dumps(cfg))
+        r = run_cli(["exponent", "--config", str(cfgf), "--out", "o"], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert key in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
     def test_rational_angle_exit_2(self, tmp_path):
@@ -77,6 +93,15 @@ class TestBasics:
                      "--base.alpha=0.5"], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert "1/2 is rational" in r.stderr and "Traceback" not in r.stderr
+
+    def test_sturmian_slope_is_base_alpha(self, tmp_path):
+        for variant in ("sturmian", "circle"):
+            r = run_cli(["castle", "--out", variant, "--castle_n=5", "--base.grid=512",
+                         f"--base.variant={variant}", "--base.alpha=0.3819660112501051"],
+                        tmp_path)
+            assert r.returncode == 0, r.stdout + r.stderr
+        assert ((tmp_path / "sturmian" / "castle.csv").read_bytes()
+                == (tmp_path / "circle" / "castle.csv").read_bytes())
 
     def test_unknown_variant_exit_2(self, tmp_path):
         r = run_cli(["exponent", "--out", "o", "--base.variant=weird"], tmp_path)

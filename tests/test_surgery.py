@@ -29,11 +29,11 @@ def pipeline():
 class TestContinuityModulus:
     def test_constant_generator_diameter(self):
         co = cy.Cocycle(golden(), cy.ConstantGenerator(Mat2(2, 0, 0, 0.5)))
-        assert sg.continuity_modulus(co, 0.1, 50) == co.base.diameter()
+        assert sg.continuity_modulus(co, 0.1) == co.base.diameter()
 
     def test_lipschitz_scale(self):
         co = cy.Cocycle(golden(2048), cy.SchrodingerGenerator(0.0, 1.5))
-        delta = sg.continuity_modulus(co, 0.3, 100)
+        delta = sg.continuity_modulus(co, 0.3)
         # rotations are isometries: delta ~ eps / (4 Lip), Lip ~ 2 pi * 2 lam
         lip = 2 * math.pi * 2 * 1.5
         assert 0.1 * 0.3 / lip < delta < 10 * 0.3 / lip
@@ -46,7 +46,7 @@ class TestContinuityModulus:
 
     def test_halving_keeps_certificate(self):
         co = cy.Cocycle(golden(2048), cy.SchrodingerGenerator(0.0, 1.5))
-        delta = sg.continuity_modulus(co, 0.3, 100)
+        delta = sg.continuity_modulus(co, 0.3)
         for frac in (0.5, 0.25):
             d2 = delta * frac
             xs = np.linspace(0, 1, 400, endpoint=False)
@@ -58,7 +58,7 @@ class TestContinuityModulus:
     def test_resolution_exceeded(self):
         co = cy.Cocycle(golden(64), cy.SchrodingerGenerator(0.0, 3.0))
         with pytest.raises(ResolutionExceeded):
-            sg.continuity_modulus(co, 0.001, 10)
+            sg.continuity_modulus(co, 0.001)
 
 
 class TestGates:

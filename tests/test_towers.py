@@ -115,6 +115,11 @@ class TestCastle:
         castle = tw.build_castle(st, 3)
         castle.verify()
 
+    def test_sturmian_castle_is_the_rotation_castle(self):
+        st = tw.build_castle(bd.SturmianShift(bd.GOLDEN_MEAN, grid_size=1024), 5)
+        rot = tw.build_castle(bd.CircleRotation.golden(grid_size=1024), 5)
+        assert st.towers == rot.towers  # intervals and boundaries, exactly
+
 
 class TestFreqBound:
     def test_empty_set(self):
@@ -172,14 +177,17 @@ class TestFreqBound:
         assert data["n0"] == fb.n0
         assert data["sup_frequency"] == fb.sup_frequency
 
-    def test_gap_cache_keeps_float_and_exact_angles_apart(self, monkeypatch):
+    def test_gap_cache_keeps_float_and_exact_angles_apart(self):
         # a float golden angle must not hand its float gap to the exact one,
-        # whose castle test (hi - lo) < gap has to stay exact
-        monkeypatch.setattr(tw, "_GAP_CACHE", {})
-        tw.visit_freq_bound(bd.CircleRotation(float(bd.GOLDEN_MEAN)), [0.3], 0.1)
-        gap = tw._min_gap_cached(bd.CircleRotation.golden().alpha, 21)
-        assert isinstance(gap, QuadExt) and gap == min_orbit_gap(bd.GOLDEN_MEAN, 21)
-        assert isinstance(tw._min_gap_cached(float(bd.GOLDEN_MEAN), 21), float)
+        # whose castle test (hi - lo) < gap has to stay exact, nor take the gap
+        # of the exact rational it equals
+        min_orbit_gap.cache_clear()
+        float_rot = bd.CircleRotation(float(bd.GOLDEN_MEAN))
+        tw.visit_freq_bound(float_rot, [0.3], 0.1)
+        min_orbit_gap(float_rot.alpha, 21)
+        gap = min_orbit_gap(bd.CircleRotation.golden().alpha, 21)
+        assert isinstance(gap, QuadExt) and gap == min_orbit_gap.__wrapped__(bd.GOLDEN_MEAN, 21)
+        assert isinstance(min_orbit_gap(float(bd.GOLDEN_MEAN), 21), float)
 
     def test_packing_bound_floor_is_exact(self):
         # an interval a hair longer than k minimal gaps can hold k + 1 orbit
