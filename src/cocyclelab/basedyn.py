@@ -1,8 +1,8 @@
-"""The base system: a circle rotation, of which the Sturmian shift is a subclass.
+"""The base system: a circle rotation.
 
-Every base is presented by its rotation: the Sturmian shift of slope beta is
-the rotation by beta plus the symbolic coding of its orbits, so cells, castles,
-first returns and orbits are the rotation's.
+Every base is a rotation: the Sturmian shift of slope beta is presented by the
+rotation by beta, whose orbits it codes, so its cells, castles, first returns
+and orbits are the rotation's.
 
 Rotation angles are always exact: the golden and silver means live in Q(sqrt D)
 and any other angle is the rational it is given as.  Interval endpoints live in
@@ -183,7 +183,7 @@ class Cell:
     """A normalised interval union of the circle, plus its boundary points.
 
     The boundary is the finite endpoint set (zero probability for atomless
-    invariant measures); Sturmian cylinders are clopen and carry none.
+    invariant measures).
     """
 
     intervals: tuple  # normalised, as norm_union returns it
@@ -311,43 +311,6 @@ class CircleRotation:
         delta = mod1(n * self.alpha)
         return Cell(translate_union(cell.intervals, delta),
                     tuple(mod1(p + delta) for p in cell.boundary))
-
-
-class SturmianShift(CircleRotation):
-    """Sturmian subshift of slope beta, presented through its rotation parameter.
-
-    Points carry the rotation parameter and the angle alpha is beta; the coding
-    against [1 - beta, 1) gives the symbolic window.  Every other operation,
-    castles and first returns included, is the rotation's.  Cylinders are
-    parameter intervals and are clopen in the shift topology, hence their
-    empty boundaries.
-    """
-
-    def __init__(self, beta, window_depth: int = 16, grid_size: int = 4096):
-        super().__init__(beta, grid_size=grid_size)
-        self.window_depth = int(window_depth)
-
-    def word(self, x: BasePoint, length: Optional[int] = None) -> str:
-        n = self.window_depth if length is None else length
-        pos = self.orbit_floats(float(self.scalar(x)), n)
-        bits = (pos >= 1.0 - self.alpha_float).astype(int)
-        return "".join(str(b) for b in bits)
-
-    def cylinder(self, x: BasePoint, depth: int) -> Cell:
-        """Parameter interval of points sharing x's depth-`depth` coding."""
-        t = self.scalar(x)
-        beta = self.alpha
-        breaks = []
-        for j in range(depth):
-            breaks.append(mod1(-j * beta))
-            breaks.append(mod1(1 - beta - j * beta))
-        lo, hi = _zero_like(t), _one_like(t)
-        for p in breaks:
-            if p <= t and p > lo:
-                lo = p
-            if p > t and p < hi:
-                hi = p
-        return Cell(norm_union([(lo, hi)]))
 
 
 # -- covering time -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Experiment runner CLI.
 
 One JSON config drives every subcommand; any leaf key is overridable on the
-command line as --key=value (dotted paths for nesting), and a key that
-DEFAULT_CONFIG does not have is a configuration error.  Artifacts are CSV for
-curves and JSON for certificates, written with full-precision decimals and
-sorted keys so reruns are bitwise identical.  Exit codes: 0 success, 1 a
+command line as --key=value (dotted paths for nesting).  A key that
+DEFAULT_CONFIG does not have, or a value of another type than the key's
+default, is a configuration error.  Artifacts are CSV for curves and JSON for
+certificates, written with full-precision decimals and sorted keys so reruns
+are bitwise identical.  Exit codes: 0 success, 1 a
 certified check failed, 2 configuration or runtime error.
 """
 
@@ -80,34 +81,70 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            _merge(cfg, json.loads(p.read_text()))
+            loaded = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config parse error in {path}: line {e.lineno} col {e.colno}: {e.msg}")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        _merge(cfg, loaded)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, _, val = item.partition("=")
         _set_path(cfg, key.strip().lstrip("-"), val)
+    _check_types(cfg, DEFAULT_CONFIG)
     _check_config(cfg)
     return cfg
 
 
+# The value type of each key whose default is None; every other key takes its
+# default's type.  A None default also admits null.
+_NULLABLE = {"base.alpha": float, "generator.alpha": float, "generator.table_path": str,
+             "surgery.horizon": int, "hopf_alpha": float, "out": str}
+
+
+def _number(v, integral: bool = False) -> bool:
+    """v is a finite JSON number (not a boolean), and a whole one if asked."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        f = float(v)
+    except OverflowError:
+        return False
+    return math.isfinite(f) and (f.is_integer() or not integral)
+
+
+_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _number(v, integral=True)),
+    float: ("a finite number", _number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+}
+
+
+def _check_types(cfg: dict, default: dict, prefix: str = "") -> None:
+    """Every leaf of cfg has its default's type (or _NULLABLE's); names the key if not."""
+    for k, d in default.items():
+        key, v = prefix + k, cfg[k]
+        if isinstance(d, dict):
+            _check_types(v, d, key + ".")
+        elif not (d is None and v is None):
+            what, ok = _KINDS[_NULLABLE[key] if d is None else type(d)]
+            if not ok(v):
+                raise ConfigError(f"config key {key!r} must be {what}, got {v!r}")
+
+
 def _check_config(cfg: dict) -> None:
     """Reject values that no command can run with, before any work starts."""
-    b = cfg["base"]
-    try:
-        eps = float(cfg["eps"])
-        grid = b["grid"]
-        grid_ok = int(grid) == grid and grid >= 1
-        angles = [] if b["alpha"] is None else [float(b["alpha"])]
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"eps, base.grid and base angles must be numbers: {e}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"eps must be finite and positive, got {cfg['eps']!r}")
-    if not all(map(math.isfinite, angles)):
-        raise ConfigError(f"base angles must be finite, got {angles}")
-    if not grid_ok:
+    eps, grid = cfg["eps"], cfg["base"]["grid"]
+    if not eps > 0:
+        raise ConfigError(f"eps must be positive, got {eps!r}")
+    if not grid >= 1:
         raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
+    if len(cfg["generator"]["entries"]) != 4:
+        raise ConfigError(f"generator.entries must be 4 numbers a, b, c, d, "
+                          f"got {cfg['generator']['entries']!r}")
 
 
 def build_base(cfg: dict) -> basedyn.CircleRotation:
@@ -121,9 +158,9 @@ def build_base(cfg: dict) -> basedyn.CircleRotation:
         if b["alpha"] is None:
             raise ConfigError("base.alpha required for variant 'circle'")
         return basedyn.CircleRotation(float(b["alpha"]), grid_size=grid)
-    if variant == "sturmian":
+    if variant == "sturmian":  # the shift is presented by the rotation by its slope
         beta = GOLDEN_MEAN if b["alpha"] is None else float(b["alpha"])
-        return basedyn.SturmianShift(beta, grid_size=grid)
+        return basedyn.CircleRotation(beta, grid_size=grid)
     raise ConfigError(f"unknown base variant {variant!r}")
 
 

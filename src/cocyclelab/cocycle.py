@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,16 +121,6 @@ class TableGenerator(Generator):
         t = pos - idx
         t1, t2, t3 = (xi[idx] * t for xi in self._xi)
         return _mul(*(self.values[idx, k] for k in range(4)), *exp_traceless_arrays(t1, t2, t3))
-
-
-class CallableGenerator(Generator):
-    """Wraps a vectorized entries(xs) callable (used by perturbed cocycles)."""
-
-    def __init__(self, fn: Callable[[np.ndarray], tuple]):
-        self.fn = fn
-
-    def entries(self, xs):
-        return self.fn(np.asarray(xs, dtype=float))
 
 
 def twisted_table(coupling: float, size: int = 4096) -> TableGenerator:

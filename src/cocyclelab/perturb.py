@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basedyn import BasePoint, Cell, first_overlap, locate
+from .basedyn import BasePoint, Cell, locate
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
     BudgetExhausted,
@@ -223,17 +223,21 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
 # -- balance profile -------------------------------------------------------------------
 
 
-def _prefix_suffix_logs(ea, eb, ec, ed):
-    """log ||A_j(x)|| and log ||A_{N-j}(f^j x)|| for j = 0..N, per lane of the
-    (L, N) entry arrays of A(f^j x).
+def _balance(ents, C: float):
+    """Per lane of the (L, N) entry arrays of A(f^j x): log ||A_j(x)|| and
+    log Delta_j = log ||A_j(x)|| - log ||A_{N-j}(f^j x)|| for j = 0..N, and the
+    least balanced index j0, |log Delta_j0| < log C (-1 where there is none).
 
     Two running sl2.scan_lanes scans.  The suffix S_j = A_{N-1} ... A_j grows
     by right multiplication, so it is scanned as its transpose A_j^T ...
     A_{N-1}^T (same norm) over the reversed, transposed steps.
     """
+    ea, eb, ec, ed = ents
     _, pre = scan_lanes(ea, eb, ec, ed, running=True)
     _, suf = scan_lanes(ea[:, ::-1], ec[:, ::-1], eb[:, ::-1], ed[:, ::-1], running=True)
-    return pre, suf[:, ::-1]
+    log_d = pre - suf[:, ::-1]
+    inside = np.abs(log_d) < math.log(C)
+    return pre, log_d, np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
 
 
 def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfile:
@@ -243,14 +247,10 @@ def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfi
     if C <= co.sup_norm:
         raise NoBalancedIndex(f"C = {C} below sup norm {co.sup_norm}")
     x0 = co.base.float_coords(x)[0]
-    pre, suf = _prefix_suffix_logs(*co.entries_along(np.array([x0]), N))
-    log_d = pre[0] - suf[0]
-    logC = math.log(C)
-    inside = np.abs(log_d) < logC
-    if not inside.any():
+    _, log_d, j0 = _balance(co.entries_along(np.array([x0]), N), C)
+    if j0[0] < 0:
         raise NoBalancedIndex("no index with C^-1 < Delta_j < C; C below precondition?")
-    j0 = int(np.argmax(inside))
-    return BalanceProfile(x=x, N=N, log_deltas=log_d, j0=j0, C=C)
+    return BalanceProfile(x=x, N=N, log_deltas=log_d[0], j0=int(j0[0]), C=C)
 
 
 # -- N selection -------------------------------------------------------------------------
@@ -276,20 +276,16 @@ def choose_N(co: Cocycle, eps: float, c: float, m1: int) -> int:
 # -- steering window -------------------------------------------------------------------
 
 
-def _window_disjoint(co: Cocycle, W: Cell, m: int) -> bool:
-    pieces = []
-    for j in range(m):
-        pieces.extend(co.base.translate_cell(W, j).intervals)
-    return first_overlap(pieces)[1] is None
-
-
 def _direction_grid(k: int) -> tuple[np.ndarray, np.ndarray]:
     ang = (np.arange(k) + 0.5) * math.pi / k
     return np.cos(ang), np.sin(ang)
 
 
-def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: int) -> bool:
-    """All k*k direction pairs from all anchors steer within tolerance at length m."""
+def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: int) -> np.ndarray:
+    """Per anchor: all k*k direction pairs steer within tolerance at length m.
+
+    One _steer_batch call over every (pair, anchor) lane.
+    """
     cx, sx = _direction_grid(k)
     A = anchors.size
     vx = np.repeat(np.tile(cx, k), A)
@@ -298,20 +294,26 @@ def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: in
     wy = np.repeat(np.repeat(sx, k), A)
     anc = np.tile(anchors, k * k)
     _, dist, err = _steer_batch(co, anc, vx, vy, wx, wy, eps, m)
-    return bool((err <= ANGLE_TOL).all() and (dist < eps).all())
+    return ((err <= ANGLE_TOL) & (dist < eps)).reshape(k * k, A).all(axis=0)
 
 
 def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     """Open window W and block length m certified by a direction-pair sweep.
 
     Candidate centers are ranked by finite-product norm collapse (steering is
-    cheapest where the cocycle is least hyperbolic); window sizes come from the
-    exact minimal orbit gap so that W, f(W), ..., f^{m-1}(W) stay disjoint.
-    The construction needs only some open neighbourhood of a steerable point,
-    so when no full-size window certifies, the whole (m, center) scan is
-    repeated with the window half-width halved, down to the grid spacing.  The
-    first pass is the full-size scan, so any input it certifies gets the same
-    (W, m) as a search without halvings.
+    cheapest where the cocycle is least hyperbolic).  Two translates of an
+    interval by i alpha and j alpha are disjoint exactly when ||(i - j) alpha||
+    is at least its width, so W, f(W), ..., f^{m-1}(W) are pairwise disjoint
+    exactly when the width of W is at most min ||q alpha|| over 0 < q < m, the
+    exact minimal gap of m orbit points (exact.min_orbit_gap): one exact
+    comparison certifies it.  A full-size window is 0.9 times the gap of m + 1
+    points wide, at most 0.1.  The construction needs only some open
+    neighbourhood of a steerable point, so when no full-size window
+    certifies, the whole (m, center) scan is repeated with the window
+    half-width halved, down to the grid spacing.  The first pass is the
+    full-size scan, so any input it certifies gets the same (W, m) as a
+    search without halvings.  The 8x8 sweep at the centers does not depend
+    on the window size: it runs once per m, over all centers in one batch.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
@@ -324,6 +326,8 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     centers = [float(xs[i]) for i in order[: _WINDOW_CANDIDATES // 2]]
     centers += [float(xs[int(i)]) for i in
                 np.linspace(0, xs.size - 1, _WINDOW_CANDIDATES - len(centers)).astype(int)]
+    centers = list(dict.fromkeys(Fraction(c).limit_denominator(1 << 24) for c in centers))
+    center_floats = np.array([float(c) for c in centers])
 
     # per-step reach never exceeds the rotation cap at the smallest image norm
     # plus the correction cone; skip block lengths that cannot make a half turn
@@ -338,7 +342,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     for m in ladder:
         gap = float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
         full_half[m] = Fraction(min(gap * 0.45, 0.05)).limit_denominator(1 << 24)
-    center_ok: dict = {}  # the center sweep does not depend on the window size
+    center_ok: dict = {}  # m -> per-center 8x8 sweep, shared by every window size
     narrowest = Fraction(1)
     for halvings in itertools.count():
         halves = {m: h / (1 << halvings) for m, h in full_half.items()
@@ -347,39 +351,22 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
             break
         narrowest = min(narrowest, *halves.values())
         for m, half in halves.items():
-            seen = set()
-            for cen in centers:
-                c = Fraction(cen).limit_denominator(1 << 24)
-                key = (c, m)
-                if key in seen:
-                    continue
-                seen.add(key)
+            if m not in center_ok:
+                center_ok[m] = _window_sweep_ok(co, center_floats, eps, m, 8)
+            for c, ok in zip(centers, center_ok[m]):
                 lo, hi = c - half, c + half
-                if lo < 0 or hi > 1:
+                if not ok or lo < 0 or hi > 1:
                     continue
-                pts, ends = rot.orbit_floats(np.array([float(lo), float(hi)]), m)
-                if m > 1:  # cheap float disjointness screen before exact work
-                    order = np.argsort(pts)
-                    if np.any(ends[order][:-1] > pts[order][1:] + 1e-15):
-                        continue
-                if key not in center_ok:
-                    center_ok[key] = _window_sweep_ok(co, np.array([float(c)]), eps, m, 8)
-                if not center_ok[key]:
+                if not (m == 1 or hi - lo <= min_orbit_gap(alpha, m)):
                     continue
                 inside = xs[(xs >= float(lo)) & (xs < float(hi))]
                 if inside.size == 0:
                     inside = np.array([float(c)])
                 if inside.size > 256:
                     inside = inside[:: inside.size // 256 + 1]
-                if not _window_sweep_ok(co, inside, eps, m, 8):
-                    continue
-                W = Cell.from_union([(rot.lift(lo), rot.lift(hi))])
-                # exact disjointness after the cheap sweep: the checks are a
-                # conjunction, so their order does not change the result
-                if not _window_disjoint(co, W, m):
-                    continue
-                if _window_sweep_ok(co, inside, eps, m, 32):
-                    return W, m
+                if (_window_sweep_ok(co, inside, eps, m, 8).all()
+                        and _window_sweep_ok(co, inside, eps, m, 32).all()):
+                    return Cell.from_union([(rot.lift(lo), rot.lift(hi))]), m
     if halvings:
         sizes = (f"half-widths {float(max(full_half.values())):.3g} down to {float(narrowest):.3g} "
                  f"(full size and {halvings - 1} halvings, floor grid spacing 1/{rot.grid_size})")
@@ -414,19 +401,14 @@ def plan_segments(co: Cocycle, xs: Sequence[BasePoint], eps: float, N: int, W: C
 
 def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
     L = anchors.size
-    C = perturbation_constant(co, eps)
-    logC = math.log(C)
     # one generator evaluation, shared by the scans, the masked products and
     # the certification
     pos = co.base.orbit_floats(anchors, N)
     ents = tuple(np.asarray(e, dtype=float) for e in co.generator.entries(pos))
-    pre, suf = _prefix_suffix_logs(*ents)
-    log_d = pre - suf
-    inside = np.abs(log_d) < logC
-    if not inside.any(axis=1).all():
-        bad = int(np.argmin(inside.any(axis=1)))
+    pre, _, j0 = _balance(ents, perturbation_constant(co, eps))
+    if (j0 < 0).any():
+        bad = int(np.argmax(j0 < 0))
         raise NoBalancedIndex(f"anchor {anchors[bad]}: no balanced index (C too small?)")
-    j0 = np.argmax(inside, axis=1)
 
     # j1: the first step in [j0, j0 + m1] that lands in W; nothing to prove
     # where the unperturbed product already meets the bound

@@ -40,7 +40,7 @@ from .basedyn import (
 from .cocycle import (
     Certificate,
     Cocycle,
-    CallableGenerator,
+    Generator,
     log_norms_batch,
     uh_certify,
 )
@@ -219,13 +219,14 @@ def _cover_cells(base: CircleRotation, castle: Castle, delta: float) -> list[Cel
 # -- assembled perturbation ----------------------------------------------------------
 
 
-class PerturbedCocycle:
+class PerturbedCocycle(Generator):
     """The blended cocycle: piecewise segment table over castle columns.
 
     Evaluation at a point: locate the region piece; in the interior (bump = 1)
     the value IS the table matrix bitwise; in the blend-width collar at the
     piece edges the tangent chart interpolates back to the unperturbed
-    generator, and everywhere else the generator itself applies.
+    generator, and everywhere else the generator itself applies.  It is the
+    generator of `self.cocycle`, the perturbed cocycle over the same base.
     """
 
     def __init__(self, co: Cocycle, cfg: SurgeryConfig, plans: dict):
@@ -234,7 +235,7 @@ class PerturbedCocycle:
         self.plans = plans
         self.blend_width = cfg.blend_width
         self._build_regions()
-        self.cocycle = Cocycle(co.base, CallableGenerator(self.entries))
+        self.cocycle = Cocycle(co.base, self)
         self.sup_distance = float("nan")  # set by certify_distance
 
     def _build_regions(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
+from cocyclelab import cli
 from cocyclelab.errors import CocycleLabError, EmptyCell
 from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, best_denominators, convergents,
                               min_orbit_gap)
@@ -18,6 +19,31 @@ def golden(grid=1024):
 
 def qe(x) -> QuadExt:
     return QuadExt(Fraction(x).limit_denominator(10**9), 0, 5)
+
+
+def sturmian(grid):
+    """The golden Sturmian shift as the CLI builds it: the rotation by its slope."""
+    return cli.build_base({"base": {"variant": "sturmian", "alpha": None, "grid": grid}})
+
+
+def word(rot, x, length):
+    """Coding oracle: x's Sturmian word, its orbit coded against [1 - beta, 1)."""
+    pos = rot.orbit_floats(float(rot.scalar(x)), length)
+    return "".join(str(b) for b in (pos >= 1.0 - rot.alpha_float).astype(int))
+
+
+def cylinder(rot, x, depth):
+    """Coding oracle: the parameter interval of the points sharing x's depth-`depth`
+    word, a clopen set of the shift (hence no boundary)."""
+    t, beta = rot.scalar(x), rot.alpha
+    breaks = [p for j in range(depth) for p in (bd.mod1(-j * beta), bd.mod1(1 - beta - j * beta))]
+    lo, hi = t - t, t - t + 1
+    for p in breaks:
+        if lo < p <= t:
+            lo = p
+        if t < p < hi:
+            hi = p
+    return bd.Cell(bd.norm_union([(lo, hi)]))
 
 
 class TestStep:
@@ -67,7 +93,7 @@ class TestOrbitFloats:
                 assert got[idx + (k,)].tobytes() == np.float64(want).tobytes()
 
     def test_sturmian_delegates_to_rotation(self):
-        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
+        st = sturmian(256)
         xs = np.array([[0.1, 0.7], [0.25, 0.999]])
         assert isinstance(st, bd.CircleRotation)
         rot = bd.CircleRotation.golden(grid_size=256)
@@ -273,9 +299,9 @@ class TestSmallBoundaryCell:
             assert float(d.min()) > 1e-7
 
     def test_sturmian_cylinder(self):
-        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=12, grid_size=512)
+        st = sturmian(512)
         x0 = st.point(Fraction(1, 3))
-        cyl = st.cylinder(x0, 4)
+        cyl = cylinder(st, x0, 4)
         assert cyl.boundary == ()  # clopen cylinder
         assert cyl.contains(float(st.scalar(x0)))
         # small-boundary cells over the shift are the rotation's
@@ -354,18 +380,18 @@ class TestFirstReturn:
 
 class TestSturmian:
     def test_word_matches_rotation_coding(self):
-        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
+        st = sturmian(256)
         x = st.point(0.2)
-        w = st.word(x, 10)
+        w = word(st, x, 10)
         beta = st.alpha_float
         expect = "".join(
             "1" if (0.2 + j * beta) % 1.0 >= 1 - beta else "0" for j in range(10))
         assert w == expect
 
     def test_shift_moves_word(self):
-        st = bd.SturmianShift(GOLDEN_MEAN, window_depth=8, grid_size=256)
+        st = sturmian(256)
         x = st.point(0.2)
-        assert st.word(x, 9)[1:] == st.word(st.step(x, 1), 8)
+        assert word(st, x, 9)[1:] == word(st, st.step(x, 1), 8)
 
 
 class TestDiagnostics:

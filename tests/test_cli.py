@@ -68,8 +68,15 @@ class TestBasics:
         ["exponent", "--n=10", "--base.grd=64"],
         ["exponent", "--n.x=5"],
         ["exponent", "--n=10", "--seed=5"],
+        ["exponent", "--n=abc"],
+        ["castle", "--castle_n=x"],
+        ["exponent", "--generator.family=constant", "--generator.entries=abc"],
+        ["exponent", "--generator.family=constant", "--generator.entries=[1,2]"],
+        ["surgery", "--surgery.horizon=abc"],
+        ["demo-hopf", "--hopf_alpha=x"],
     ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text", "variant-torus", "unknown-key",
-            "leaf-object", "stale-key"])
+            "leaf-object", "stale-key", "n-text", "castle-n-text", "entries-text",
+            "entries-length", "horizon-text", "hopf-alpha-text"])
     def test_bad_value_exit_2(self, tmp_path, args):
         r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
@@ -79,7 +86,9 @@ class TestBasics:
     @pytest.mark.parametrize("cfg,key", [
         ({"base": {"grd": 64}, "n": 10}, "'base.grd'"),
         ({"freq_points": {"x": 0}, "n": 10}, "'freq_points'"),
-    ], ids=["unknown-key", "leaf-object"])
+        ([1, 2], "must hold a JSON object"),
+        ({"n": "abc"}, "'n'"),
+    ], ids=["unknown-key", "leaf-object", "not-an-object", "value-text"])
     def test_bad_config_file_key_exit_2(self, tmp_path, cfg, key):
         cfgf = tmp_path / "typo.json"
         cfgf.write_text(json.dumps(cfg))

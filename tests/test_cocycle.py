@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cocyclelab import basedyn as bd
+from cocyclelab import cli
 from cocyclelab import cocycle as cy
 from cocyclelab.errors import Overflow
-from cocyclelab.exact import GOLDEN_MEAN
 from cocyclelab.sl2 import Mat2, operator_norm
 
 
@@ -245,8 +245,9 @@ class TestWitnessSearch:
 
 
 class TestEntriesAlong:
-    @pytest.mark.parametrize("base", [golden(), bd.SturmianShift(
-        GOLDEN_MEAN, grid_size=1024)], ids=["rotation", "sturmian"])
+    @pytest.mark.parametrize("base", [golden(), cli.build_base(
+        {"base": {"variant": "sturmian", "alpha": None, "grid": 1024}})],
+        ids=["rotation", "sturmian"])
     def test_generator_at_orbit_positions(self, base):
         co = cy.Cocycle(base, cy.twisted_table(1.3, 512))
         xs = np.array([[0.1, 0.5, 0.9], [0.25, 0.75, 0.0]])

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
 from cocyclelab.errors import BudgetExhausted, NoBalancedIndex
-from cocyclelab.exact import QuadExt
+from cocyclelab.exact import QuadExt, min_orbit_gap
 from cocyclelab.sl2 import Mat2, general_operator_norm
 
 
@@ -22,6 +24,12 @@ def identity_cocycle():
 
 def weak_schrodinger(grid=2048, lam=1.2):
     return cy.Cocycle(golden(grid), cy.SchrodingerGenerator(0.0, lam))
+
+
+def translates_disjoint(rot, W, m):
+    """Oracle: W, f(W), ..., f^{m-1}(W) pairwise disjoint, by translating and sorting."""
+    pieces = [iv for j in range(m) for iv in rot.translate_cell(W, j).intervals]
+    return bd.first_overlap(pieces)[1] is None
 
 
 def block_distances(co, x, blk):
@@ -173,18 +181,18 @@ class TestChooseWindow:
         assert m <= math.ceil(math.pi / phimax)
         assert all(isinstance(p, QuadExt) for iv in W.intervals for p in iv)
         # iterates disjoint, exactly
-        assert pb._window_disjoint(co, W, m)
+        assert translates_disjoint(co.base, W, m)
 
     def test_weak_schrodinger_window(self):
         co = weak_schrodinger()
         W, m = pb.choose_steering_window(co, 0.3)
-        assert pb._window_disjoint(co, W, m)
+        assert translates_disjoint(co.base, W, m)
         assert m <= 10 * math.ceil(1 / 0.3)
         # full sweep at the returned window really passes
         xs = co.base.grid_floats()
         lo, hi = W.float_breaks()
         inside = xs[(xs >= lo[0]) & (xs < hi[0])]
-        assert pb._window_sweep_ok(co, inside[:64], 0.3, m, 32)
+        assert pb._window_sweep_ok(co, inside[:64], 0.3, m, 32).all()
 
     def test_strong_schrodinger_window_below_full_size(self):
         # at coupling 3 and eps 0.1 no full-size window steers throughout
@@ -192,13 +200,46 @@ class TestChooseWindow:
         # neighbourhood of a steerable center does
         co = weak_schrodinger(lam=3.0)
         W, m = pb.choose_steering_window(co, 0.1)
-        assert pb._window_disjoint(co, W, m)
+        assert translates_disjoint(co.base, W, m)
         assert m <= 10 * math.ceil(1 / 0.1)
         xs = co.base.grid_floats()
         lo, hi = W.float_breaks()
         inside = xs[(xs > lo[0]) & (xs < hi[0])]
         assert inside.size > 0
-        assert pb._window_sweep_ok(co, inside, 0.1, m, 32)
+        assert pb._window_sweep_ok(co, inside, 0.1, m, 32).all()
+
+    def test_batched_sweep_equals_single_sweeps(self):
+        # the centre sweep runs all centres in one batch; each anchor's verdict
+        # is the one its own single-anchor sweep gives
+        co = weak_schrodinger(lam=3.0)
+        anchors = np.linspace(0.0, 1.0, 24, endpoint=False) + 0.013
+        for m in (8, 16):
+            batch = pb._window_sweep_ok(co, anchors, 0.1, m, 8)
+            single = [bool(pb._window_sweep_ok(co, anchors[i:i + 1], 0.1, m, 8)[0])
+                      for i in range(anchors.size)]
+            assert batch.shape == anchors.shape and batch.tolist() == single
+            assert 0 < sum(single) < anchors.size  # both verdicts occur
+
+
+_ANGLES = st.sampled_from([bd.CircleRotation.golden(grid_size=64),
+                           bd.CircleRotation.silver(grid_size=64),
+                           bd.CircleRotation(0.7320508075688772, grid_size=64)])
+
+
+class TestWindowDisjointness:
+    @settings(max_examples=150, deadline=None)
+    @given(_ANGLES, st.integers(2, 64), st.fractions(0, 1, max_denominator=10**6),
+           st.sampled_from([Fraction(0), Fraction(1, 10**12), Fraction(-1, 10**12),
+                            Fraction(1, 3), Fraction(-1, 3)]))
+    def test_gap_comparison_matches_translates(self, rot, m, t, rel):
+        """The m translates of one interval are disjoint exactly when its width
+        is at most the least gap of m orbit points, the comparison that
+        choose_steering_window makes."""
+        gap = min_orbit_gap(rot.alpha, m)
+        width = gap * (1 + rel)  # rel = 0: exactly the gap
+        lo = rot.lift(t) * (1 - width)
+        W = bd.Cell.from_union([(lo, lo + width)])
+        assert (width <= gap) == translates_disjoint(rot, W, m)
 
 
 class TestPlans:

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from cocyclelab import basedyn as bd
+from cocyclelab import cli
 from cocyclelab import towers as tw
 from cocyclelab.errors import NotRepresentable, ShrinkExhausted
 from cocyclelab.exact import QuadExt, min_orbit_gap
+
+
+def sturmian(grid):
+    """The golden Sturmian shift as the CLI builds it: the rotation by its slope."""
+    return cli.build_base({"base": {"variant": "sturmian", "alpha": None, "grid": grid}})
 
 
 def measured_visit_frequency(rot, V, x0: float, n: int) -> float:
@@ -111,12 +117,11 @@ class TestCastle:
         assert len(lines) >= 1 + len(castle.towers)
 
     def test_sturmian_castle_clopen(self):
-        st = bd.SturmianShift(bd.GOLDEN_MEAN, window_depth=8, grid_size=1024)
-        castle = tw.build_castle(st, 3)
+        castle = tw.build_castle(sturmian(1024), 3)
         castle.verify()
 
     def test_sturmian_castle_is_the_rotation_castle(self):
-        st = tw.build_castle(bd.SturmianShift(bd.GOLDEN_MEAN, grid_size=1024), 5)
+        st = tw.build_castle(sturmian(1024), 5)
         rot = tw.build_castle(bd.CircleRotation.golden(grid_size=1024), 5)
         assert st.towers == rot.towers  # intervals and boundaries, exactly
 
