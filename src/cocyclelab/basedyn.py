@@ -122,6 +122,32 @@ def locate(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     return idx, (xs >= lo[idx]) & (xs < hi[idx])
 
 
+def bucket_locator(lo: np.ndarray, hi: np.ndarray):
+    """`locate` over fixed, non-empty pieces in [0, 1), through a power-of-two
+    bucket table.
+
+    Returns a function of xs that gives exactly what locate(lo, hi, xs) gives
+    for points in [0, 1] (np.mod yields 1.0 on tiny negative inputs).  The
+    bucket of x is floor(x 2^k), exact in binary floating point; the table
+    holds the last piece starting at or before each bucket's left edge, and
+    a point then moves past the pieces that start inside its bucket up to it,
+    at most the fullest bucket's count of one-compare steps.
+    """
+    size = 1 << max(1, 2 * lo.size - 1).bit_length()  # at least 2 buckets per piece
+    last = np.searchsorted(lo, np.arange(size + 1) / size, side="right") - 1
+    depth = int(np.diff(last).max())
+    lo_next = np.append(lo, np.inf)
+
+    def find(xs):
+        xs = np.asarray(xs, dtype=float)
+        j = last[np.clip(xs * size, 0, size).astype(np.intp)]
+        for _ in range(depth):
+            j = j + (lo_next[j + 1] <= xs)
+        idx = np.maximum(j, 0)
+        return idx, (xs >= lo[idx]) & (xs < hi[idx])
+    return find
+
+
 def first_overlap(pieces) -> tuple[list, Optional[int]]:
     """Sort (lo, hi) pieces by lower end and find the first overlapping pair.
 

@@ -2,7 +2,11 @@
 
 Long products run through the pairwise tree of `sl2.tree_product`: a fixed
 reduction order, independent of any thread count, and one vectorized pass per
-level.  Grid sweeps chunk lanes to bound memory.
+level.  Grid sweeps chunk lanes and steps, and build each step chunk's tree
+from aligned power-of-two blocks of at most max(min(max_elems, 2^19),
+lane_chunk) entry elements (one step of a lane chunk when the lanes alone
+exceed the cap): memory is bounded by one block at any horizon, and the bits
+are those of the whole chunk's tree.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .sl2 import (
 
 _OVERFLOW_LIMIT = 1e300
 _WITNESS_EPS = 1e-3  # uh_certify's norm-collapse threshold on (1/n) log ||A_n||
+_BLOCK_ELEMS = 1 << 19  # entry elements per block of log_norms_batch's tree
 
 
 # -- generators -------------------------------------------------------------------
@@ -200,13 +205,40 @@ def iterate(co: Cocycle, x: BasePoint, n: int) -> Mat2:
     return Mat2(float(pa), float(pb), float(pc), float(pd))
 
 
+def _blocked_tree(fetch, n: int, block: int):
+    """tree_product of the (L, n) entries that fetch(start, count) returns,
+    fetched and reduced one aligned block of `block` steps (a power of two)
+    at a time, with the same bits as one tree_product over all n steps.
+
+    A complete aligned block is a node of the whole tree, reduced by the same
+    pairings.  A partial last block sees, at every level below its root, the
+    parity of the whole level, so it is padded alike; above its root the
+    whole tree only pads it with the identity, which is exact up to the sign
+    of a zero, and rescales it by 2^0.  A last block of one step stays
+    unrescaled, and power-of-two rescales commute with products (barring
+    subnormals), so the next product has the same mantissa and exponent sum.
+    The block nodes then combine by one more tree_product: the whole tree's
+    upper levels.
+    """
+    nodes = [tree_product(*fetch(s, min(block, n - s))) for s in range(0, n, block)]
+    a, b, c, d, e = (np.stack(v, axis=1) for v in zip(*nodes))
+    *top, e_top = tree_product(a, b, c, d)
+    return (*top, e_top + e.sum(axis=1))
+
+
 def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
                     max_elems: int = 1 << 23) -> np.ndarray:
     """log ||A_n(x)|| for an array of float anchors.
 
     Lane-chunked, and step-chunked with a carried running product for long
-    horizons, so memory stays bounded at any n.  Each step chunk is a tree
-    product; the carry is rescaled by powers of two like the tree.
+    horizons: each step chunk is one tree product, and the carry is rescaled
+    by powers of two like the tree.  `max_elems` fixes these lane and step
+    chunks, the carry grouping, and the bits depend on nothing else.  Each
+    chunk's tree is built from aligned power-of-two blocks (`_blocked_tree`)
+    of at most max(min(max_elems, 2^19), lane_chunk) elements: a block is one
+    step long when a lane chunk alone exceeds the cap, as with many lanes and
+    a short horizon.  So memory is bounded by one block at any n, and the
+    blocks move no bit.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
@@ -214,13 +246,15 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     out = np.empty(anchors.size, dtype=float)
     lane_chunk = max(1, min(anchors.size, max(max_elems // max(n, 1), 256)))
     step_chunk = max(1, max_elems // lane_chunk)
+    block = 1 << max(0, (min(max_elems, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
     for lo in range(0, anchors.size, lane_chunk):
         sl = anchors[lo:lo + lane_chunk]
         carry = (np.ones(sl.size), np.zeros(sl.size), np.zeros(sl.size), np.ones(sl.size))
         exp2 = np.zeros(sl.size, dtype=np.int64)
         for s0 in range(0, n, step_chunk):
             s1 = min(s0 + step_chunk, n)
-            *chunk, e_chunk = tree_product(*co.entries_along(sl, s1 - s0, s0))
+            *chunk, e_chunk = _blocked_tree(
+                lambda s, k: co.entries_along(sl, k, s0 + s), s1 - s0, block)
             *carry, e_carry = _rescale(*_mul(*chunk, *carry))
             exp2 += e_chunk + e_carry
         out[lo:lo + lane_chunk] = log_norm(*carry, exp2)

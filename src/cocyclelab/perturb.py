@@ -314,6 +314,8 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     full-size scan, so any input it certifies gets the same (W, m) as a
     search without halvings.  The 8x8 sweep at the centers does not depend
     on the window size: it runs once per m, over all centers in one batch.
+    A sweep's verdict is per point, so every point is swept at most once per
+    (m, direction grid), however many windows share it.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
@@ -342,7 +344,16 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     for m in ladder:
         gap = float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
         full_half[m] = Fraction(min(gap * 0.45, 0.05)).limit_denominator(1 << 24)
-    center_ok: dict = {}  # m -> per-center 8x8 sweep, shared by every window size
+    verdicts: dict = {}  # (m, k) -> {point: sweep verdict}; a verdict is per lane
+
+    def sweep_ok(points: np.ndarray, m: int, k: int) -> np.ndarray:
+        """_window_sweep_ok, sweeping only the points not yet swept at (m, k)."""
+        seen = verdicts.setdefault((m, k), {})
+        new = [p for p in dict.fromkeys(points.tolist()) if p not in seen]
+        if new:
+            seen.update(zip(new, _window_sweep_ok(co, np.array(new), eps, m, k).tolist()))
+        return np.array([seen[p] for p in points.tolist()])
+
     narrowest = Fraction(1)
     for halvings in itertools.count():
         halves = {m: h / (1 << halvings) for m, h in full_half.items()
@@ -351,9 +362,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
             break
         narrowest = min(narrowest, *halves.values())
         for m, half in halves.items():
-            if m not in center_ok:
-                center_ok[m] = _window_sweep_ok(co, center_floats, eps, m, 8)
-            for c, ok in zip(centers, center_ok[m]):
+            for c, ok in zip(centers, sweep_ok(center_floats, m, 8)):
                 lo, hi = c - half, c + half
                 if not ok or lo < 0 or hi > 1:
                     continue
@@ -364,8 +373,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
                     inside = np.array([float(c)])
                 if inside.size > 256:
                     inside = inside[:: inside.size // 256 + 1]
-                if (_window_sweep_ok(co, inside, eps, m, 8).all()
-                        and _window_sweep_ok(co, inside, eps, m, 32).all()):
+                if sweep_ok(inside, m, 8).all() and sweep_ok(inside, m, 32).all():
                     return Cell.from_union([(rot.lift(lo), rot.lift(hi))]), m
     if halvings:
         sizes = (f"half-widths {float(max(full_half.values())):.3g} down to {float(narrowest):.3g} "

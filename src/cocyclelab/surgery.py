@@ -28,6 +28,7 @@ import numpy as np
 from .basedyn import (
     Cell,
     CircleRotation,
+    bucket_locator,
     complement,
     covering_time,
     first_overlap,
@@ -225,8 +226,13 @@ class PerturbedCocycle(Generator):
     Evaluation at a point: locate the region piece; in the interior (bump = 1)
     the value IS the table matrix bitwise; in the blend-width collar at the
     piece edges the tangent chart interpolates back to the unperturbed
-    generator, and everywhere else the generator itself applies.  It is the
-    generator of `self.cocycle`, the perturbed cocycle over the same base.
+    generator, and everywhere else the generator itself applies.  So the
+    generator is evaluated only at collar points and points outside every
+    region, and interiors are one gather from the table.  Regions are found
+    through a bucket table over the sorted region starts
+    (`basedyn.bucket_locator`), with exactly the answers of `basedyn.locate`.
+    It is the generator of `self.cocycle`, the perturbed cocycle over the
+    same base.
     """
 
     def __init__(self, co: Cocycle, cfg: SurgeryConfig, plans: dict):
@@ -266,6 +272,7 @@ class PerturbedCocycle(Generator):
         self.region_lo = np.array(lo_list)[order]
         self.region_hi = np.array(hi_list)[order]
         self.region_mat = np.array(mats)[order]
+        self._locate = bucket_locator(self.region_lo, self.region_hi)
         self.label_keys = label_keys
         self.block_logs = block_logs
         # exact disjointness of all regions ("these sets are disjoint")
@@ -290,7 +297,7 @@ class PerturbedCocycle(Generator):
 
         There is at least one region: build_config keeps only non-empty pieces.
         """
-        idx, inside = locate(self.region_lo, self.region_hi, xs)
+        idx, inside = self._locate(xs)
         t = np.minimum(xs - self.region_lo[idx], self.region_hi[idx] - xs) / self.blend_width
         t = np.clip(t, 0.0, 1.0)
         return idx, inside, t, np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
@@ -301,28 +308,25 @@ class PerturbedCocycle(Generator):
     def entries(self, xs: np.ndarray):
         xs = np.asarray(xs, dtype=float)
         flat = xs.reshape(-1)
-        ga, gb, gc, gd = (np.asarray(e, dtype=float)
-                          for e in self.original.generator.entries(flat))
         idx, inside, t, beta = self._locate_bump(flat)
-        ta, tb, tc, td = (self.region_mat[idx, k] for k in range(4))
-
-        out_a, out_b, out_c, out_d = ga.copy(), gb.copy(), gc.copy(), gd.copy()
-        full = inside & (t >= 1.0)
-        out_a[full], out_b[full] = ta[full], tb[full]
-        out_c[full], out_d[full] = tc[full], td[full]
-        mid = inside & (t < 1.0) & (beta > 0.0)
+        out = [self.region_mat[idx, k] for k in range(4)]
+        # the table holds in region interiors; the generator is evaluated only
+        # where the output needs it: in the collars and outside every region
+        rest = np.flatnonzero(~(inside & (t >= 1.0)))
+        g = [np.asarray(e, dtype=float) for e in self.original.generator.entries(flat[rest])]
+        for o, v in zip(out, g):
+            o[rest] = v
+        mid = inside[rest] & (beta[rest] > 0.0)
         if mid.any():
             # xi = log(A^-1 M), blended by beta, applied back through A
-            g = [v[mid] for v in (ga, gb, gc, gd)]
+            blend = rest[mid]
+            g = [v[mid] for v in g]
             t1, t2, t3 = log_sl2_arrays(*_mul(g[3], -g[1], -g[2], g[0],
-                                              ta[mid], tb[mid], tc[mid], td[mid]))
-            bme = beta[mid]
-            blended = _mul(*g, *exp_traceless_arrays(t1 * bme, t2 * bme, t3 * bme))
-            for out, v in zip((out_a, out_b, out_c, out_d), blended):
-                out[mid] = v
-        shape = xs.shape
-        return (out_a.reshape(shape), out_b.reshape(shape),
-                out_c.reshape(shape), out_d.reshape(shape))
+                                              *(self.region_mat[idx[blend], k] for k in range(4))))
+            bme = beta[blend]
+            for o, v in zip(out, _mul(*g, *exp_traceless_arrays(t1 * bme, t2 * bme, t3 * bme))):
+                o[blend] = v
+        return tuple(o.reshape(xs.shape) for o in out)
 
     # -- certificates ------------------------------------------------------------
 

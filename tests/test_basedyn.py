@@ -234,6 +234,33 @@ class TestUnionAlgebra:
         assert idx.shape == inside.shape == (3, 2)
         assert not inside.any()
 
+    @pytest.mark.parametrize("kind", ["orbit", "crowded", "clustered"])
+    def test_bucket_locator_equals_locate(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "orbit":  # region-like pieces: short intervals at orbit points
+            lo = np.sort(np.mod(np.arange(300) * 0.6180339887498949, 1.0))
+            hi = lo + 0.5 * np.min(np.diff(lo))
+        elif kind == "crowded":  # one bucket holds several piece starts
+            lo = np.sort(np.concatenate([rng.uniform(0, 1, 40),
+                                         0.5 + np.arange(6) / 1024, [0.0]]))
+            hi = np.append(lo[1:], 1.0)
+            hi[::3] = lo[::3] + 1e-4  # gaps after some pieces
+        else:  # more starts in one bucket than bisection steps
+            lo = np.concatenate([[0.0], 0.25 + np.arange(64) * 1e-9, [0.5]])
+            hi = np.append(lo[1:], 0.75)
+        size = 1 << max(1, 2 * lo.size - 1).bit_length()
+        edges = np.arange(size + 1) / size
+        xs = np.concatenate([lo, hi, edges, np.nextafter(edges, 0), np.nextafter(lo, 0),
+                             [0.0, 1.0, np.nextafter(1.0, 0)], rng.uniform(0, 1, 2000)])
+        xs = xs[(xs >= 0) & (xs <= 1)]
+        xs = xs[: xs.size // 4 * 4].reshape(4, -1)  # drops random points only
+        if kind == "crowded":
+            assert np.bincount((lo * size).astype(int)).max() >= 3
+        idx, inside = bd.bucket_locator(lo, hi)(xs)
+        want_idx, want_inside = bd.locate(lo, hi, xs)
+        assert idx.shape == xs.shape
+        assert np.array_equal(idx, want_idx) and np.array_equal(inside, want_inside)
+
     def test_first_overlap(self):
         touching = [(0.5, 0.7), (0.1, 0.3), (0.3, 0.5)]
         assert bd.first_overlap(touching) == ([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ class TestLogNorms:
             tree = float(cy.log_norms_batch(co, np.array([co.base.float_coords(x)[0]]), n)[0])
             assert abs(direct - scaled) <= 1e-8 * max(1.0, abs(direct))
             assert abs(direct - tree) <= 1e-8 * max(1.0, abs(direct))
+
+    def test_peak_memory_flat_in_n(self):
+        """The chunk tree is built block by block, so the traced peak of a
+        96-lane sweep stays put while n grows fourfold."""
+        co = cy.Cocycle(golden(), cy.twisted_table(1.2))
+        xs = np.arange(96) / 96
+        peaks = []
+        for n in (1 << 15, 1 << 17):
+            tracemalloc.start()
+            try:
+                cy.log_norms_batch(co, xs, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_bounds_properties(self):
         # 0 <= log||A_n|| <= n log sup over random samples

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
@@ -26,6 +26,7 @@ from cocyclelab.sl2 import (
     scan_product,
     singular_axes,
     singular_axes_arrays,
+    tree_product,
 )
 
 # fixed examples, no example database: the suite stays reproducible
@@ -299,6 +300,21 @@ class TestProductKernel:
             for j in range(n + 1):  # every running value is a scan of its prefix
                 assert logs[i, j] == log_norm(*scan_product(*(v[i, :j] for v in ents)))
 
+    @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4),
+           log_block=st.integers(0, 4), n=st.integers(1, 49))
+    @example(seed=1, lanes=3, log_block=3, n=8)  # exactly one block
+    @example(seed=2, lanes=3, log_block=3, n=9)  # one step past a block
+    @example(seed=3, lanes=2, log_block=2, n=9)  # a partial last block of length 1
+    @example(seed=4, lanes=2, log_block=2, n=11)  # a partial last block of length 3
+    def test_blocked_tree_equals_tree_product(self, seed, lanes, log_block, n):
+        block = 1 << log_block
+        n = 1 + (n - 1) % (3 * block + 1)  # 1 to 3 blocks + 1 steps
+        ents = [v.reshape(lanes, n) for v in random_sl2(np.random.default_rng(seed), lanes * n)]
+        got = cy._blocked_tree(lambda s, k: tuple(v[:, s:s + k] for v in ents), n, block)
+        for g, w in zip(got, tree_product(*ents)):
+            assert np.array_equal(g, w)
+
     def test_plan_log_norm_equals_verification(self):
         """plan_segments' batched scan and verify_segment's scalar scan agree bitwise."""
         co = cy.Cocycle(bd.CircleRotation.golden(grid_size=2048),
@@ -318,9 +334,11 @@ class TestProductKernel:
     def test_log_norms_batch_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         co = cy.Cocycle(bd.CircleRotation.golden(grid_size=64), cy.SchrodingerGenerator(0.3, 2.0))
-        n = 3000
+        n = 3755
         anchors = np.array([0.05, 0.41, 0.77])
-        # a small element budget forces several step chunks and the carried product
+        # a small element budget forces several step chunks and the carried
+        # product, each chunk in blocks: 1365 steps a chunk, 1024 a block, so
+        # the chunks are 1024 + 341, 1024 + 341 and 1024 + 1 steps
         got = cy.log_norms_batch(co, anchors, n, max_elems=1 << 12)
         with mpmath.workdps(50):
             for x0, val in zip(anchors, got):

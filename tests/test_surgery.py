@@ -8,11 +8,37 @@ from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import NotApplicable, ResolutionExceeded
 from cocyclelab.exact import QuadExt
-from cocyclelab.sl2 import Mat2, general_operator_norm
+from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm,
+                             log_sl2_arrays)
 
 
 def golden(grid=1024):
     return bd.CircleRotation.golden(grid_size=grid)
+
+
+def reference_entries(pc, xs):
+    """The blended map as first written: the generator at every point, the
+    table copied over the interiors, the blend in the collars."""
+    flat = np.asarray(xs, dtype=float).reshape(-1)
+    ga, gb, gc, gd = (np.asarray(e, dtype=float) for e in pc.original.generator.entries(flat))
+    idx, inside = bd.locate(pc.region_lo, pc.region_hi, flat)
+    t = np.clip(np.minimum(flat - pc.region_lo[idx], pc.region_hi[idx] - flat)
+                / pc.blend_width, 0.0, 1.0)
+    beta = np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
+    ta, tb, tc, td = (pc.region_mat[idx, k] for k in range(4))
+    out = [ga.copy(), gb.copy(), gc.copy(), gd.copy()]
+    full = inside & (t >= 1.0)
+    for o, v in zip(out, (ta, tb, tc, td)):
+        o[full] = v[full]
+    mid = inside & (t < 1.0) & (beta > 0.0)
+    if mid.any():
+        g = [v[mid] for v in (ga, gb, gc, gd)]
+        t1, t2, t3 = log_sl2_arrays(*_mul(g[3], -g[1], -g[2], g[0],
+                                          ta[mid], tb[mid], tc[mid], td[mid]))
+        bme = beta[mid]
+        for o, v in zip(out, _mul(*g, *exp_traceless_arrays(t1 * bme, t2 * bme, t3 * bme))):
+            o[mid] = v
+    return tuple(o.reshape(np.shape(xs)) for o in out)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +127,25 @@ class TestPipeline:
         mid = (pc.region_lo[k] + pc.region_hi[k]) / 2.0
         a, b, c, d = pc.entries(np.array([mid]))
         assert (float(a[0]), float(b[0]), float(c[0]), float(d[0])) == tuple(pc.region_mat[k])
+
+    def test_entries_equal_reference_body(self, pipeline):
+        """Table gathers in the interiors and the generator only where needed
+        give the bits of the evaluate-everywhere body."""
+        co, cfg, pc, cert = pipeline
+        w = pc.blend_width
+        orbit = co.base.orbit_floats(np.arange(16) / 16 + 0.01, 4096)
+        collar = np.concatenate([np.mod(edge + off, 1.0) for edge, sign in
+                                 ((pc.region_lo, 1), (pc.region_hi, -1))
+                                 for off in sign * np.array([0.0, 0.25 * w, 0.999 * w, 1.5 * w])])
+        gaps = pc.region_hi[:-1] + 0.5 * (pc.region_lo[1:] - pc.region_hi[:-1])
+        edges = np.array([0.0, 1.0, np.nextafter(1.0, 0.0)])
+        bump = pc.bump(collar)
+        assert ((bump > 0) & (bump < 1)).any() and (bump == 1).any()
+        assert not bd.locate(pc.region_lo, pc.region_hi, gaps)[1].all()  # outside every region
+        for xs in (orbit, collar, gaps, edges):
+            got, want = pc.entries(xs), reference_entries(pc, xs)
+            for g, v in zip(got, want):
+                assert g.shape == v.shape and g.tobytes() == v.tobytes()
 
     def test_outside_regions_unperturbed(self, pipeline):
         co, cfg, pc, cert = pipeline
