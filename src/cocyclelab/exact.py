@@ -4,7 +4,14 @@ Every rotation angle is exact: the golden and silver means live in Q(sqrt(D)),
 and any other angle is the rational it is given as (a float is the dyadic
 rational it already is).  Interval endpoints for rotation bases live in the
 angle's field, so all cell, tower and castle certifications reduce to exact
-sign computations, on a + b*sqrt(D) with rational a, b or on rationals.
+sign computations, on elements of Q(sqrt(D)) or on rationals.
+
+An element is stored as three integers: (p + q*sqrt(D))/d with d > 0 and
+gcd(p, q, d) = 1.  A ring operation is integer arithmetic plus one gcd, and a
+comparison is the sign of A + B*sqrt(D) for cross-multiplied integers A, B:
+when A and B have opposite signs, the larger of A^2 and B^2 D wins.  No
+rational object is built on either path.  floor comes from one integer
+square root; QuadExt documents both it and the rounding of float().
 """
 
 from __future__ import annotations
@@ -12,111 +19,174 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Union
 
-Rational = Union[int, Fraction]
+
+def _make(p: int, q: int, d: int, D: int) -> "QuadExt":
+    """(p + q sqrt D)/d in lowest terms; d != 0 (a negative d flips all signs)."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = object.__new__(QuadExt)
+    x.p, x.q, x.d, x.D = p, q, d, D
+    return x
+
+
+def _sign(A: int, B: int, D: int) -> int:
+    """Sign of A + B*sqrt(D) for integers A, B and a non-square D."""
+    if B == 0:
+        return (A > 0) - (A < 0)
+    sb = 1 if B > 0 else -1
+    if A == 0 or (A > 0) == (B > 0):
+        return sb
+    # opposite signs; A^2 == B^2 D is impossible for non-square D
+    return -sb if A * A > B * B * D else sb
+
+
+def _same_D(x: "QuadExt", y: "QuadExt") -> int:
+    if x.D != y.D:
+        raise ValueError(f"mixed discriminants {x.D} and {y.D}")
+    return x.D
 
 
 class QuadExt:
-    """a + b*sqrt(D) with rational a, b and a fixed non-square D >= 2."""
+    """a + b*sqrt(D) with rational a, b and a fixed non-square D >= 2.
 
-    __slots__ = ("a", "b", "D")
+    Stored as integers (p + q*sqrt(D))/d, d > 0, gcd(p, q, d) = 1, so equal
+    values have equal coordinates; a and b are the Fractions p/d and q/d.
+    Arithmetic mixes with int and Fraction; comparisons also take floats,
+    each the dyadic rational it is.
+
+    floor is exact from s = isqrt(q^2 D): q^2 D is not a square, so q sqrt(D)
+    lies strictly between s and s + 1 for q > 0 (between -s - 1 and -s for
+    q < 0).  As floor(x/d) = floor(floor(x)/d) for an integer d > 0,
+    floor((p + q sqrt D)/d) is (p + s)//d, or (p - s - 1)//d.
+
+    float() is fa + fb with fa = p/d and fb = (q/d)*sqrt(D); near
+    cancellation it divides the rounded norm (p^2 - q^2 D)/d^2 by the float
+    conjugate fa - fb instead.  Each int/int true division is correctly
+    rounded, so it equals float(Fraction(p, d)), and float() has the bits of
+    the same formula on rational coordinates.  The result is not correctly
+    rounded (hundreds of ulps off on some castle endpoints), but castle.csv,
+    the region starts and the certificates are written from these bits, so a
+    correctly rounded float() moves artifact bytes: a change of its own.
+    """
+
+    __slots__ = ("p", "q", "d", "D")
 
     def __init__(self, a, b, D: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)
+        # lcm of reduced denominators: gcd(p, q, d) = 1 already
+        self.p, self.q, self.d = a.numerator * (d // da), b.numerator * (d // db), d
         self.D = int(D)
 
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.D != self.D:
-                raise ValueError(f"mixed discriminants {self.D} and {other.D}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.D)
-        return NotImplemented  # type: ignore[return-value]
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.D)
+        if isinstance(other, QuadExt):
+            e, d = other.d, self.d
+            return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e,
+                         _same_D(self, other))
+        if isinstance(other, (int, Fraction)):
+            n, m = other.numerator, other.denominator
+            return _make(self.p * m + n * self.d, self.q * m, self.d * m, self.D)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.D)
+        if isinstance(other, QuadExt):
+            e, d = other.d, self.d
+            return _make(self.p * e - other.p * d, self.q * e - other.q * d, d * e,
+                         _same_D(self, other))
+        if isinstance(other, (int, Fraction)):
+            n, m = other.numerator, other.denominator
+            return _make(self.p * m - n * self.d, self.q * m, self.d * m, self.D)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.D)
+        if isinstance(other, (int, Fraction)):
+            n, m = other.numerator, other.denominator
+            return _make(n * self.d - self.p * m, -self.q * m, self.d * m, self.D)
+        return NotImplemented
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
+        return _make(-self.p, -self.q, self.d, self.D)
 
     def __mul__(self, other):
         if isinstance(other, QuadExt):
-            if other.D != self.D:
-                raise ValueError("mixed discriminants")
-            return QuadExt(
-                self.a * other.a + self.b * other.b * self.D,
-                self.a * other.b + self.b * other.a,
-                self.D,
-            )
+            D = _same_D(self, other)
+            p, q, r, s = self.p, self.q, other.p, other.q
+            return _make(p * r + q * s * D, p * s + q * r, self.d * other.d, D)
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.D)
+            n = other.numerator
+            return _make(self.p * n, self.q * n, self.d * other.denominator, self.D)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadExt":
-        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D); denominator != 0
-        # since D is not a perfect square.
-        den = self.a * self.a - self.b * self.b * self.D
-        if den == 0:
+    def _norm(self) -> int:
+        # d^2 times the field norm a^2 - b^2 D; zero only at zero, D being non-square
+        n = self.p * self.p - self.q * self.q * self.D
+        if n == 0:
             raise ZeroDivisionError("zero element of Q(sqrt D)")
-        return QuadExt(self.a / den, -self.b / den, self.D)
+        return n
+
+    def inverse(self) -> "QuadExt":
+        # d/(p + q sqrt D) = d (p - q sqrt D)/(p^2 - q^2 D)
+        d = self.d
+        return _make(d * self.p, -d * self.q, self._norm(), self.D)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a / other, self.b / other, self.D)
         if isinstance(other, QuadExt):
-            return self * other.inverse()
+            D = _same_D(self, other)
+            p, q, r, s = self.p, self.q, other.p, other.q
+            e = other.d
+            return _make((p * r - q * s * D) * e, (q * r - p * s) * e,
+                         self.d * other._norm(), D)
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division of QuadExt by zero")
+            n, m = other.numerator, other.denominator
+            return _make(self.p * m, self.q * m, self.d * n, self.D)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        if isinstance(other, (int, Fraction)):
+            n, m = other.numerator, other.denominator
+            k = n * self.d
+            return _make(k * self.p, -k * self.q, m * self._norm(), self.D)
+        return NotImplemented
 
     # -- order ----------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 D
-        lhs, rhs = a * a, b * b * self.D
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+        return _sign(self.p, self.q, self.D)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, float):
-            other = Fraction(other)  # exact: every finite float is a dyadic rational
-        o = self._coerce(other)
-        return (self - o).sign()
+        if isinstance(other, QuadExt):
+            e, d = other.d, self.d
+            return _sign(self.p * e - other.p * d, self.q * e - other.q * d,
+                         _same_D(self, other))
+        if isinstance(other, (int, Fraction)):
+            n, m = other.numerator, other.denominator
+        elif isinstance(other, float):
+            # exact: every finite float is a dyadic rational
+            n, m = other.as_integer_ratio()
+        else:
+            raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
+        return _sign(self.p * m - n * self.d, self.q * m, self.D)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -136,34 +206,32 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self.q == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.D))
 
     # -- real-number interface --------------------------------------------------
 
     def __float__(self) -> float:
-        fa = float(self.a)
-        fb = float(self.b) * math.sqrt(self.D)
+        p, q, d = self.p, self.q, self.d
+        fa = p / d
+        fb = q / d * math.sqrt(self.D)
         naive = fa + fb
         # near-cancellation (e.g. q*alpha - p at deep convergents): go through
         # the conjugate, whose float value has no cancellation
         if abs(naive) > 1e-3 * (abs(fa) + abs(fb)) or naive == 0.0 and fa == 0.0:
             return naive
-        num = self.a * self.a - self.b * self.b * self.D
         den = fa - fb
         if den == 0.0:
             return naive
-        return float(num) / den
+        return (p * p - q * q * self.D) / (d * d) / den
 
     def __floor__(self) -> int:
-        n = math.floor(float(self))
-        # float estimate can be off by one near integers; fix exactly
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        p, q = self.p, self.q
+        if q == 0:
+            return p // self.d
+        s = math.isqrt(q * q * self.D)
+        return (p + s if q > 0 else p - s - 1) // self.d
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, sqrt{self.D})"

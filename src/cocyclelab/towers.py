@@ -40,7 +40,7 @@ from .errors import (
     NotRepresentable,
     ShrinkExhausted,
 )
-from .exact import as_exact, best_denominators, min_orbit_gap
+from .exact import as_exact, best_denominators, min_orbit_gap, mod1
 
 _CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
 _RETURN_SAMPLE_SEED = 7  # seed of the sampled first-return check in Castle.verify
@@ -342,16 +342,16 @@ def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
                      rho_floor: Optional[float] = None) -> FreqBound:
     """Certified (V, n0) with visit frequency below eps for every orbit.
 
-    L is a finite collection of boundary points (exact scalars or floats).  V
-    is the union of radius-rho intervals around them; rho halves and n0 grows
-    until the three-distance packing certificate clears eps.  The certificate
-    is analytic and valid at any positive rho; the default failure floor is
-    the grid spacing (callers that only need the all-x analytic statement may
-    lower it toward float resolution).
+    L is a finite collection of boundary points (exact scalars or floats),
+    each read mod 1.  V is the union of radius-rho intervals around them; rho
+    halves and n0 grows until the three-distance packing certificate clears
+    eps.  The certificate is analytic and valid at any positive rho; the
+    default failure floor is the grid spacing (callers that only need the
+    all-x analytic statement may lower it toward float resolution).
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    pts = list(L)
+    pts = [mod1(p) for p in L]
     if not pts:
         return FreqBound(V=Cell(()), n0=1, eps=eps, sup_frequency=0.0, rho=0.0)
     alpha = rot.alpha

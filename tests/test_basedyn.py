@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,260 @@ class TestExactFloatCompare:
         third = QuadExt(Fraction(1, 3), 0, 5)
         assert third != 1 / 3  # the float 1/3 is a dyadic rational below 1/3
         assert third > 1 / 3
+
+
+
+class FractionPairQuadExt:
+    """The Fraction-pair QuadExt as first written: the oracle for the integer one."""
+
+    __slots__ = ("a", "b", "D")
+
+    def __init__(self, a, b, D: int):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.D = int(D)
+
+    def _coerce(self, other) -> "FractionPairQuadExt":
+        if isinstance(other, FractionPairQuadExt):
+            if other.D != self.D:
+                raise ValueError(f"mixed discriminants {self.D} and {other.D}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPairQuadExt(other, 0, self.D)
+        return NotImplemented  # type: ignore[return-value]
+
+    # -- ring operations ------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQuadExt(self.a + o.a, self.b + o.b, self.D)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQuadExt(self.a - o.a, self.b - o.b, self.D)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FractionPairQuadExt(o.a - self.a, o.b - self.b, self.D)
+
+    def __neg__(self):
+        return FractionPairQuadExt(-self.a, -self.b, self.D)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPairQuadExt):
+            if other.D != self.D:
+                raise ValueError("mixed discriminants")
+            return FractionPairQuadExt(
+                self.a * other.a + self.b * other.b * self.D,
+                self.a * other.b + self.b * other.a,
+                self.D,
+            )
+        if isinstance(other, (int, Fraction)):
+            return FractionPairQuadExt(self.a * other, self.b * other, self.D)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionPairQuadExt":
+        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D); denominator != 0
+        # since D is not a perfect square.
+        den = self.a * self.a - self.b * self.b * self.D
+        if den == 0:
+            raise ZeroDivisionError("zero element of Q(sqrt D)")
+        return FractionPairQuadExt(self.a / den, -self.b / den, self.D)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPairQuadExt(self.a / other, self.b / other, self.D)
+        if isinstance(other, FractionPairQuadExt):
+            return self * other.inverse()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    # -- order ----------------------------------------------------------------
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # opposite signs: compare a^2 against b^2 D
+        lhs, rhs = a * a, b * b * self.D
+        if a > 0:  # b < 0
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+
+    def _cmp(self, other) -> int:
+        if isinstance(other, float):
+            other = Fraction(other)  # exact: every finite float is a dyadic rational
+        o = self._coerce(other)
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, float, Fraction, FractionPairQuadExt)):
+            return self._cmp(other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.D))
+
+    # -- real-number interface --------------------------------------------------
+
+    def __float__(self) -> float:
+        fa = float(self.a)
+        fb = float(self.b) * math.sqrt(self.D)
+        naive = fa + fb
+        # near-cancellation (e.g. q*alpha - p at deep convergents): go through
+        # the conjugate, whose float value has no cancellation
+        if abs(naive) > 1e-3 * (abs(fa) + abs(fb)) or naive == 0.0 and fa == 0.0:
+            return naive
+        num = self.a * self.a - self.b * self.b * self.D
+        den = fa - fb
+        if den == 0.0:
+            return naive
+        return float(num) / den
+
+    def __floor__(self) -> int:
+        n = math.floor(float(self))
+        # float estimate can be off by one near integers; fix exactly
+        while self._cmp(n) < 0:
+            n -= 1
+        while self._cmp(n + 1) >= 0:
+            n += 1
+        return n
+
+    def __repr__(self):
+        return f"QuadExt({self.a}, {self.b}, sqrt{self.D})"
+
+
+# -- the integer QuadExt against its Fraction-pair reference -------------------------
+
+_NUMERATORS = st.integers(-2**70, 2**70)
+_RATIONALS = st.builds(Fraction, _NUMERATORS, st.integers(1, 2**40))
+_COORDS = st.one_of(st.just(Fraction(0)), _NUMERATORS.map(Fraction), _RATIONALS)
+_SCALARS = st.one_of(_NUMERATORS, st.integers(-3, 3), _RATIONALS)
+# sqrt(D) - floor(sqrt(D)) for D = 2, 3, 5, as (a, b) of a + b sqrt(D)
+_ANGLES = {2: (-1, 1), 3: (-1, 1), 5: (Fraction(-1, 2), Fraction(1, 2))}
+
+
+def _pair(a, b, D):
+    return QuadExt(a, b, D), FractionPairQuadExt(a, b, D)
+
+
+def _near_tie(D, k):
+    """q_k theta - p_k for the k-th convergent of theta = sqrt(D) mod 1, in both classes."""
+    x, rx = _pair(*_ANGLES[D], D)
+    p, q = convergents(x, 60)[k - 1]
+    return q * x - p, q * rx - p
+
+
+def _agrees(got, want):
+    """got is the integer QuadExt of the same value and coordinates as want."""
+    assert isinstance(got, QuadExt) and got.D == want.D
+    assert type(got.a) is Fraction and type(got.b) is Fraction
+    assert (got.a, got.b) == (want.a, want.b)
+
+
+def _same_real_interface(x, r):
+    assert float(x).hex() == float(r).hex()
+    # the reference floor walks from a float estimate one step per compare,
+    # so far from 0 its own order decides: floor(r) is the k with k <= r < k + 1
+    k = math.floor(x)
+    assert r - k >= 0 and r - (k + 1) < 0
+    if abs(float(r)) < 2**40:
+        assert k == math.floor(r)
+    assert hash(x) == hash(r) and repr(x) == repr(r)
+    _agrees(x, r)
+
+
+def _same_order(x, r, others):
+    """x and r compare alike, both ways round, with each scalar of others."""
+    for g in others:
+        rg = g.a + g.b * FractionPairQuadExt(0, 1, g.D) if isinstance(g, QuadExt) else g
+        assert x._cmp(g) == r._cmp(rg)
+        assert (g < x, g == x, g > x) == (rg < r, rg == r, rg > r)
+
+
+class TestQuadExtOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), _COORDS, _COORDS, _COORDS, _COORDS, _SCALARS,
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 60))
+    def test_matches_fraction_pairs(self, D, a1, b1, a2, b2, n, f, k):
+        (x, rx), (y, ry) = _pair(a1, b1, D), _pair(a2, b2, D)
+        _same_real_interface(x, rx)
+        _agrees(-x, -rx)
+        for op in (operator.add, operator.sub, operator.mul):
+            _agrees(op(x, y), op(rx, ry))
+            _agrees(op(x, n), op(rx, n))
+            _agrees(op(n, x), op(n, rx))
+        if ry != 0:
+            _agrees(x / y, rx / ry)
+        if n != 0:
+            _agrees(x / n, rx / n)
+        if rx != 0:
+            _agrees(x.inverse(), rx.inverse())
+            _agrees(n / x, n / rx)
+        # exact ties: x with itself, its float with itself, b = 0 with its rational
+        _same_order(x, rx, (y, n, f, float(x), x + 0, rx.a, QuadExt(rx.a, 0, D)))
+        _same_real_interface(x * y, rx * ry)
+        e, re = _near_tie(D, k)
+        _same_real_interface(e, re)
+        _same_real_interface(-e, -re)
+        _same_order(e, re, (float(e), math.nextafter(float(e), 1.0), Fraction(float(e)), 0))
+
+    @pytest.mark.parametrize("D", sorted(_ANGLES))
+    def test_deep_convergent_near_ties(self, D):
+        for k in range(1, 61):
+            e, re = _near_tie(D, k)
+            _same_real_interface(e, re)
+            _same_real_interface(-e, -re)
+            f = float(e)
+            _same_order(e, re, (f, math.nextafter(f, -1.0), math.nextafter(f, 1.0),
+                                Fraction(f), 0, -e, e + 0))
+            # exact ties across int, Fraction, float and a rational QuadExt
+            t = QuadExt(Fraction(f), 0, D)
+            for g in (f, Fraction(f), t, e - e + Fraction(f)):
+                assert t._cmp(g) == 0 and hash(t) == hash(g)
+
+    def test_mixed_discriminants_and_zero_raise(self):
+        x, y, zero = QuadExt(1, 1, 2), QuadExt(1, 1, 5), QuadExt(0, 0, 5)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.lt, operator.eq):
+            with pytest.raises(ValueError):
+                op(x, y)
+        for bad in (lambda: zero.inverse(), lambda: y / zero, lambda: 1 / zero,
+                    lambda: Fraction(1, 3) / zero, lambda: y / 0, lambda: y / Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                bad()
 
 
 # Doubles as angles: each is the dyadic rational it is.

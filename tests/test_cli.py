@@ -135,6 +135,14 @@ class TestBasics:
         assert r.returncode == 0
         data = json.loads((tmp_path / "o" / "freq.json").read_text())
         assert data["sup_frequency"] < 0.2
+        # boundary points are read mod 1: 1.5 and -0.5 certify exactly as 0.5
+        for name, pts in (("half", "[0.5]"), ("above", "[1.5]"), ("below", "[-0.5]")):
+            r = run_cli(["freq-bound", "--out", name, "--base.grid=512",
+                         f"--freq_points={pts}", "--freq_eps=0.1"], tmp_path)
+            assert r.returncode == 0, r.stdout + r.stderr
+        want = (tmp_path / "half" / "freq.json").read_bytes()
+        for name in ("above", "below"):
+            assert (tmp_path / name / "freq.json").read_bytes() == want, name
 
     def test_steer(self, tmp_path):
         r = run_cli(["steer", "--out", "o", "--generator.family=constant",
