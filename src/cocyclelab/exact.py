@@ -250,11 +250,17 @@ def as_exact(x):
 
 
 def mod1(x):
-    """Reduce to [0, 1); exact for QuadExt and rationals, fmod-based for floats."""
+    """Reduce to [0, 1); exact for QuadExt and rationals, fmod-based for floats.
+
+    For a float, fmod is exact and adding 1.0 to a negative remainder rounds
+    once.  A remainder in [-2^-54, 0) rounds up to 1.0, which is 0.0 on the
+    circle, and a zero result is +0.0.
+    """
     if isinstance(x, (QuadExt, int, Fraction)):
         return x - math.floor(x)
     r = math.fmod(x, 1.0)
-    return r + 1.0 if r < 0 else r
+    r = r + 1.0 if r < 0 else r
+    return 0.0 if r == 1.0 else r + 0.0  # -0.0 + 0.0 is +0.0
 
 
 # -- continued fractions --------------------------------------------------------

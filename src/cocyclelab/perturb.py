@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -59,15 +60,6 @@ class SteeringBlock:
     achieved_error: float
     v: tuple[float, float]
     w: tuple[float, float]
-
-
-@dataclass
-class BalanceProfile:
-    x: BasePoint
-    N: int
-    log_deltas: np.ndarray  # log Delta_j, j = 0..N
-    j0: int
-    C: float
 
 
 @dataclass
@@ -117,44 +109,53 @@ def plan_entries(co: Cocycle, plan: SegmentPlan) -> tuple[np.ndarray, ...]:
 # -- steering core -------------------------------------------------------------------
 
 
-def _pullback_targets(ea, eb, ec, ed, wx, wy):
-    """Targets T_j, j = 0..m: T_m = w, T_j = unit(A_j^{-1} T_{j+1}). Arrays (L, m+1)."""
-    L, m = ea.shape
-    tx = np.empty((L, m + 1))
-    ty = np.empty((L, m + 1))
-    tx[:, m], ty[:, m] = wx, wy
-    for j in range(m - 1, -1, -1):
-        # A^{-1} = [[d, -b], [-c, a]] for unimodular A
-        nx = ed[:, j] * tx[:, j + 1] - eb[:, j] * ty[:, j + 1]
-        ny = -ec[:, j] * tx[:, j + 1] + ea[:, j] * ty[:, j + 1]
-        nrm = np.hypot(nx, ny)
-        tx[:, j], ty[:, j] = nx / nrm, ny / nrm
-    return tx, ty
+def _steer_batch(ents, vx, vy, wx, wy, eps: float):
+    """Steer v to w in exactly m steps over the generator entry arrays
+    ents = (a, b, c, d), each (A, m): step j of anchor i is ents[.][i, j].
 
+    v and w broadcast against the anchor axis, and the lanes are their
+    broadcast shape: (A,) for one (v, w) per anchor, (k, k, A) for the
+    window sweep's w of shape (k, 1, 1) and v of shape (1, k, 1).  The work
+    is split by what it depends on.  Per (anchor, step): the operator norm
+    and the rotation cap.  Per (w, anchor, step): the pullback targets
+    T_m = w, T_j = unit(A_j^{-1} T_{j+1}), the unnormalized A_j^{-1} T_{j+1}
+    that the correction's denominator <d, A^{-1} t> pairs with d, and the
+    target angle.  Per lane: greedy capped rotations toward the target, then
+    the exact rank-one correction and coasting once it is within reach.
+    Every value is the same elementwise expression as over tiled lanes, so
+    each lane has the bits it has when its anchor and w are repeated.
 
-def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m: int):
-    """Steer each lane's v to w in exactly m steps.
-
-    Returns (block entry arrays (L, m, 4), max distance per lane, angular error
-    per lane).  Greedy capped rotations toward the pullback target; exact
-    rank-one correction and coasting once within reach.
+    A generator: it yields each step's block entries (a, b, c, d) as lane
+    arrays, then (max distance, angular error) per lane.  A caller that only
+    needs the verdict keeps the last item, and no block is held in memory.
     """
-    L = np.size(anchors)
-    ea, eb, ec, ed = co.entries_along(anchors, m)
-    tx, ty = _pullback_targets(ea, eb, ec, ed, wx, wy)
-
-    out = np.empty((L, m, 4))
-    dx, dy = np.array(vx, dtype=float), np.array(vy, dtype=float)
-    done = np.zeros(L, dtype=bool)
-    max_dist = np.zeros(L)
+    ea, eb, ec, ed = ents
+    m = ea.shape[1]
+    shape = np.broadcast_shapes(np.shape(vx), np.shape(wx), ea.shape[:1])
+    # targets: tx[j], ty[j] = T_j; ix[j], iy[j] = A_j^{-1} T_{j+1}
+    # (A^{-1} = [[d, -b], [-c, a]] for unimodular A)
+    tx, ty, ix, iy = [None] * (m + 1), [None] * (m + 1), [None] * m, [None] * m
+    tx[m], ty[m] = np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
+    for j in range(m - 1, -1, -1):
+        ix[j] = ed[:, j] * tx[j + 1] - eb[:, j] * ty[j + 1]
+        iy[j] = -ec[:, j] * tx[j + 1] + ea[:, j] * ty[j + 1]
+        nrm = np.hypot(ix[j], iy[j])
+        tx[j], ty[j] = ix[j] / nrm, iy[j] / nrm
     cap_scale = eps * (1.0 - 1e-9)
+    anorms = np.maximum(general_operator_norm(ea, eb, ec, ed), 1.0)  # unimodular A
+    caps = 2.0 * np.arcsin(np.minimum(cap_scale / (2.0 * anorms), 1.0))
+
+    dx, dy = np.asarray(vx, dtype=float), np.asarray(vy, dtype=float)
+    done = np.zeros(shape, dtype=bool)
+    max_dist = np.zeros(shape)
     for j in range(m):
         a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
+        anorm, cap = anorms[:, j], caps[:, j]
         mdx = a * dx + b * dy
         mdy = c * dx + d * dy
         # exact rank-one correction onto the pullback target
-        t1, t2 = tx[:, j + 1], ty[:, j + 1]
-        den = dx * (d * t1 - b * t2) + dy * (-c * t1 + a * t2)  # <d, A^{-1} t>
+        t1, t2 = tx[j + 1], ty[j + 1]
+        den = dx * ix[j] + dy * iy[j]  # <d, A^{-1} t>
         safe = np.abs(den) > 1e-12
         beta = np.where(safe, 1.0 / np.where(safe, den, 1.0), 0.0)
         ux_ = beta * t1 - mdx
@@ -162,11 +163,8 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
         unrm = np.hypot(ux_, uy_)
         correct = (~done) & safe & (unrm < cap_scale)
         # greedy rotation fallback
-        anorm = np.maximum(general_operator_norm(a, b, c, d), 1.0)  # unimodular A
-        cap = 2.0 * np.arcsin(np.minimum(cap_scale / (2.0 * anorm), 1.0))
         psi = np.arctan2(mdy, mdx)
-        tau = np.arctan2(t2, t1)
-        delta = np.mod(tau - psi, math.pi)
+        delta = np.mod(np.arctan2(t2, t1) - psi, math.pi)
         delta = np.where(delta > math.pi / 2, delta - math.pi, delta)
         phi = np.clip(delta, -cap, cap)
         phi = np.where(done | correct, 0.0, phi)
@@ -176,7 +174,7 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
         nb = np.where(correct, b + ux_ * dy, cphi * b - sphi * d)
         nc = np.where(correct, c + uy_ * dx, sphi * a + cphi * c)
         nd = np.where(correct, d + uy_ * dy, sphi * b + cphi * d)
-        out[:, j, 0], out[:, j, 1], out[:, j, 2], out[:, j, 3] = na, nb, nc, nd
+        yield na, nb, nc, nd
 
         step_dist = np.where(correct, unrm, 2.0 * np.sin(np.abs(phi) / 2.0) * anorm)
         step_dist = np.where(done, 0.0, step_dist)
@@ -188,7 +186,7 @@ def _steer_batch(co: Cocycle, anchors: np.ndarray, vx, vy, wx, wy, eps: float, m
         dx, dy = ndx / nrm, ndy / nrm
         done = done | correct
     err = np.arctan2(np.abs(dx * wy - dy * wx), np.abs(dx * wx + dy * wy))
-    return out, max_dist, err
+    yield max_dist, err
 
 
 def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[float],
@@ -206,15 +204,15 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
     if cross <= 1e-15 and vx * wx + vy * wy != 0:
         return SteeringBlock(anchor=x, length=0, matrices=[], budget=eps,
                              achieved_error=0.0, v=(vx, vy), w=(wx, wy))
-    x0 = co.base.float_coords(x)[0]
-    anchors = np.array([x0])
+    # one generator evaluation: orbit positions are taken from the anchor,
+    # so the first m columns are the entries along the orbit's first m steps
+    ents = co.entries_along(np.array([co.base.float_coords(x)[0]]), m_max)
     last_err = math.inf
     for m in range(1, m_max + 1):
-        ents, dist, err = _steer_batch(co, anchors, np.array([vx]), np.array([vy]),
-                                       np.array([wx]), np.array([wy]), eps, m)
+        *steps, (_, err) = _steer_batch(tuple(e[:, :m] for e in ents), vx, vy, wx, wy, eps)
         last_err = float(err[0])
         if last_err <= ANGLE_TOL:
-            mats = [Mat2(*(float(ents[0, j, k]) for k in range(4))) for j in range(m)]
+            mats = [Mat2(*(float(e[0]) for e in step)) for step in steps]
             return SteeringBlock(anchor=x, length=m, matrices=mats, budget=eps,
                                  achieved_error=last_err, v=(vx, vy), w=(wx, wy))
     raise BudgetExhausted(f"angular error {last_err:.2e} after m_max={m_max} steps")
@@ -238,19 +236,6 @@ def _balance(ents, C: float):
     log_d = pre - suf[:, ::-1]
     inside = np.abs(log_d) < math.log(C)
     return pre, log_d, np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
-
-
-def balance_profile(co: Cocycle, x: BasePoint, N: int, C: float) -> BalanceProfile:
-    """Delta_j = ||A_j(x)|| / ||A_{N-j}(f^j x)|| with the smallest balanced index."""
-    if N < 1:
-        raise CocycleLabError("N >= 1 required")
-    if C <= co.sup_norm:
-        raise NoBalancedIndex(f"C = {C} below sup norm {co.sup_norm}")
-    x0 = co.base.float_coords(x)[0]
-    _, log_d, j0 = _balance(co.entries_along(np.array([x0]), N), C)
-    if j0[0] < 0:
-        raise NoBalancedIndex("no index with C^-1 < Delta_j < C; C below precondition?")
-    return BalanceProfile(x=x, N=N, log_deltas=log_d[0], j0=int(j0[0]), C=C)
 
 
 # -- N selection -------------------------------------------------------------------------
@@ -284,17 +269,16 @@ def _direction_grid(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: int) -> np.ndarray:
     """Per anchor: all k*k direction pairs steer within tolerance at length m.
 
-    One _steer_batch call over every (pair, anchor) lane.
+    One _steer_batch call over the generator entries of each anchor, with w
+    of shape (k, 1, 1) and v of shape (1, k, 1): the lanes are (w, v, anchor),
+    the order in which reshape(k*k, A) reads the pairs.  Only the verdict is
+    kept, so no block entries are stored.
     """
     cx, sx = _direction_grid(k)
-    A = anchors.size
-    vx = np.repeat(np.tile(cx, k), A)
-    vy = np.repeat(np.tile(sx, k), A)
-    wx = np.repeat(np.repeat(cx, k), A)
-    wy = np.repeat(np.repeat(sx, k), A)
-    anc = np.tile(anchors, k * k)
-    _, dist, err = _steer_batch(co, anc, vx, vy, wx, wy, eps, m)
-    return ((err <= ANGLE_TOL) & (dist < eps)).reshape(k * k, A).all(axis=0)
+    steering = _steer_batch(co.entries_along(anchors, m), cx[None, :, None], sx[None, :, None],
+                            cx[:, None, None], sx[:, None, None], eps)
+    dist, err = deque(steering, maxlen=1)[0]
+    return ((err <= ANGLE_TOL) & (dist < eps)).reshape(k * k, anchors.size).all(axis=0)
 
 
 def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
@@ -315,7 +299,11 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     search without halvings.  The 8x8 sweep at the centers does not depend
     on the window size: it runs once per m, over all centers in one batch.
     A sweep's verdict is per point, so every point is swept at most once per
-    (m, direction grid), however many windows share it.
+    (m, direction grid), however many windows share it.  A sweep of A points
+    over a k x k grid is one _steer_batch call: the generator, the operator
+    norms and the rotation caps are evaluated once per point, the pullback
+    targets once per (w, point), and only the steering recurrence once per
+    (w, v, point) lane, each with the bits it has over k*k tiled copies.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
@@ -445,8 +433,9 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         szx = np.where(degZ, 1.0, szx)
         szy = np.where(degZ, 0.0, szy)
         # each block is steered from its own anchor f^{j1}(x)
-        block_ents, _, err = _steer_batch(co, pos[steered_lanes, j1[steered_lanes]],
-                                          vx_, vy_, szx, szy, eps, m)
+        *steps, (_, err) = _steer_batch(co.entries_along(pos[steered_lanes, j1[steered_lanes]], m),
+                                        vx_, vy_, szx, szy, eps)
+        block_ents = np.array(steps).transpose(2, 0, 1).tolist()  # (lane, step, entry)
         bad = err > ANGLE_TOL
         if bad.any():
             k = int(np.argmax(bad))
@@ -454,7 +443,7 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
                 f"anchor {anchors[steered_lanes[k]]}: steering error {err[k]:.2e} at m={m}"
             )
         for i, lane in enumerate(steered_lanes):
-            mats = [Mat2(*(float(block_ents[i, j, k]) for k in range(4))) for j in range(m)]
+            mats = [Mat2(*step) for step in block_ents[i]]
             pt = points[lane]
             blocks[lane] = SteeringBlock(
                 anchor=co.base.step(pt, int(j1[lane])), length=m, matrices=mats,

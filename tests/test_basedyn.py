@@ -11,7 +11,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab.errors import CocycleLabError, EmptyCell
 from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, best_denominators, convergents,
-                              min_orbit_gap)
+                              min_orbit_gap, mod1)
 
 
 def golden(grid=1024):
@@ -370,6 +370,32 @@ class TestQuadExtOracle:
                     lambda: Fraction(1, 3) / zero, lambda: y / 0, lambda: y / Fraction(0)):
             with pytest.raises(ZeroDivisionError):
                 bad()
+
+
+class TestMod1:
+    @pytest.mark.parametrize("x, want", [
+        (-1e-20, 0.0), (-5e-17, 0.0), (-0.0, 0.0), (-1.0, 0.0), (-3.0, 0.0), (2.0, 0.0),
+        (0.25, 0.25), (-0.25, 0.75), (1.5, 0.5), (-2.0**-53, 1.0 - 2.0**-53),
+    ])
+    def test_float_cases(self, x, want):
+        r = mod1(x)
+        assert type(r) is float and r == want and math.copysign(1.0, r) == 1.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(min_value=-2.0**52, max_value=2.0**52)
+           | st.floats(min_value=-2.0**-40, max_value=2.0**-40))
+    def test_float_in_unit_interval(self, x):
+        """A float lands in [0, 1), never -0.0, and differs from x by an
+        integer up to the one rounding of adding 1.0 (at most 2^-53)."""
+        r = mod1(x)
+        assert 0.0 <= r < 1.0 and math.copysign(1.0, r) == 1.0
+        diff = Fraction(r) - Fraction(x)
+        assert abs(diff - round(diff)) <= Fraction(1, 2**53)
+
+    def test_exact_scalars_keep_their_type(self):
+        assert mod1(Fraction(-1, 3)) == Fraction(2, 3)
+        assert mod1(-7) == 0 and type(mod1(-7)) is int
+        assert mod1(QuadExt(-1, 1, 5)) == QuadExt(-2, 1, 5)
 
 
 # Doubles as angles: each is the dyadic rational it is.

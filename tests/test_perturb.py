@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
-from cocyclelab.errors import BudgetExhausted, NoBalancedIndex
+from cocyclelab.errors import BudgetExhausted, CocycleLabError, NoBalancedIndex
 from cocyclelab.exact import QuadExt, min_orbit_gap
 from cocyclelab.sl2 import Mat2, general_operator_norm
 
@@ -39,6 +40,29 @@ def block_distances(co, x, blk):
     ga, gb, gc, gd = co.generator.entries(pos)
     return max(general_operator_norm(M.a - ga[j], M.b - gb[j], M.c - gc[j], M.d - gd[j])
                for j, M in enumerate(blk.matrices))
+
+
+@dataclass
+class BalanceProfile:
+    x: bd.BasePoint
+    N: int
+    log_deltas: np.ndarray  # log Delta_j, j = 0..N
+    j0: int
+    C: float
+
+
+def balance_profile(co, x, N, C):
+    """Delta_j = ||A_j(x)|| / ||A_{N-j}(f^j x)|| with the smallest balanced
+    index, from the planner's own pb._balance."""
+    if N < 1:
+        raise CocycleLabError("N >= 1 required")
+    if C <= co.sup_norm:
+        raise NoBalancedIndex(f"C = {C} below sup norm {co.sup_norm}")
+    x0 = co.base.float_coords(x)[0]
+    _, log_d, j0 = pb._balance(co.entries_along(np.array([x0]), N), C)
+    if j0[0] < 0:
+        raise NoBalancedIndex("no index with C^-1 < Delta_j < C; C below precondition?")
+    return BalanceProfile(x=x, N=N, log_deltas=log_d[0], j0=int(j0[0]), C=C)
 
 
 def block_image(blk, v):
@@ -115,10 +139,153 @@ class TestSteerDirection:
         assert cheaper >= 0.9 * total
 
 
+def reference_steer_batch(co, anchors, vx, vy, wx, wy, eps, m):
+    """The kernel over tiled lanes, one anchor, v and w per lane, as it was
+    before the per-anchor work was hoisted: the bitwise reference."""
+    L = np.size(anchors)
+    ea, eb, ec, ed = co.entries_along(anchors, m)
+    tx = np.empty((L, m + 1))
+    ty = np.empty((L, m + 1))
+    tx[:, m], ty[:, m] = wx, wy
+    for j in range(m - 1, -1, -1):
+        nx = ed[:, j] * tx[:, j + 1] - eb[:, j] * ty[:, j + 1]
+        ny = -ec[:, j] * tx[:, j + 1] + ea[:, j] * ty[:, j + 1]
+        nrm = np.hypot(nx, ny)
+        tx[:, j], ty[:, j] = nx / nrm, ny / nrm
+
+    out = np.empty((L, m, 4))
+    dx, dy = np.array(vx, dtype=float), np.array(vy, dtype=float)
+    done = np.zeros(L, dtype=bool)
+    max_dist = np.zeros(L)
+    cap_scale = eps * (1.0 - 1e-9)
+    for j in range(m):
+        a, b, c, d = ea[:, j], eb[:, j], ec[:, j], ed[:, j]
+        mdx = a * dx + b * dy
+        mdy = c * dx + d * dy
+        t1, t2 = tx[:, j + 1], ty[:, j + 1]
+        den = dx * (d * t1 - b * t2) + dy * (-c * t1 + a * t2)
+        safe = np.abs(den) > 1e-12
+        beta = np.where(safe, 1.0 / np.where(safe, den, 1.0), 0.0)
+        ux_ = beta * t1 - mdx
+        uy_ = beta * t2 - mdy
+        unrm = np.hypot(ux_, uy_)
+        correct = (~done) & safe & (unrm < cap_scale)
+        anorm = np.maximum(general_operator_norm(a, b, c, d), 1.0)
+        cap = 2.0 * np.arcsin(np.minimum(cap_scale / (2.0 * anorm), 1.0))
+        psi = np.arctan2(mdy, mdx)
+        tau = np.arctan2(t2, t1)
+        delta = np.mod(tau - psi, math.pi)
+        delta = np.where(delta > math.pi / 2, delta - math.pi, delta)
+        phi = np.clip(delta, -cap, cap)
+        phi = np.where(done | correct, 0.0, phi)
+        cphi, sphi = np.cos(phi), np.sin(phi)
+        na = np.where(correct, a + ux_ * dx, cphi * a - sphi * c)
+        nb = np.where(correct, b + ux_ * dy, cphi * b - sphi * d)
+        nc = np.where(correct, c + uy_ * dx, sphi * a + cphi * c)
+        nd = np.where(correct, d + uy_ * dy, sphi * b + cphi * d)
+        out[:, j, 0], out[:, j, 1], out[:, j, 2], out[:, j, 3] = na, nb, nc, nd
+        step_dist = np.where(correct, unrm, 2.0 * np.sin(np.abs(phi) / 2.0) * anorm)
+        step_dist = np.where(done, 0.0, step_dist)
+        max_dist = np.maximum(max_dist, step_dist)
+        ndx = na * dx + nb * dy
+        ndy = nc * dx + nd * dy
+        nrm = np.hypot(ndx, ndy)
+        dx, dy = ndx / nrm, ndy / nrm
+        done = done | correct
+    err = np.arctan2(np.abs(dx * wy - dy * wx), np.abs(dx * wx + dy * wy))
+    return out, max_dist, err
+
+
+class CountingGenerator(cy.Generator):
+    """Wraps a generator and counts the positions it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.positions = 0
+
+    def entries(self, xs):
+        self.positions += np.size(xs)
+        return self.inner.entries(xs)
+
+
+_STEER_GENERATORS = {
+    "schrodinger": cy.SchrodingerGenerator(0.0, 2.0),
+    "twisted-table": cy.twisted_table(2.0, 512),
+    "hopf": cy.HopfRestrictionGenerator(0.7),
+    "rotation": cy.RotationGenerator(0.05, 1.0),
+}
+
+
+def _block_array(blocks):
+    """The kernel's per-step (a, b, c, d) lane arrays as (lanes, m, 4)."""
+    m = len(blocks)
+    return np.array(blocks).reshape(m, 4, -1).transpose(2, 0, 1)
+
+
+class TestSteerKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_STEER_GENERATORS)), st.integers(1, 16),
+           st.sampled_from([4, 8]), st.floats(0.05, 1.0),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=5))
+    def test_sweep_layout_matches_tiled_reference(self, name, m, k, eps, anchors):
+        """The window sweep's (w, v, anchor) lanes have the tiled lanes' bits."""
+        co = cy.Cocycle(golden(), _STEER_GENERATORS[name])
+        anchors = np.array(anchors)
+        A = anchors.size
+        cx, sx = pb._direction_grid(k)
+        *blocks, (dist, err) = pb._steer_batch(co.entries_along(anchors, m),
+                                               cx[None, :, None], sx[None, :, None],
+                                               cx[:, None, None], sx[:, None, None], eps)
+        assert dist.shape == err.shape == (k, k, A) and len(blocks) == m
+        want = reference_steer_batch(
+            co, np.tile(anchors, k * k), np.repeat(np.tile(cx, k), A),
+            np.repeat(np.tile(sx, k), A), np.repeat(np.repeat(cx, k), A),
+            np.repeat(np.repeat(sx, k), A), eps, m)
+        got = (_block_array(blocks), dist.reshape(-1), err.reshape(-1))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_STEER_GENERATORS)), st.integers(1, 16),
+           st.floats(0.05, 1.0), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_lane_layout_matches_reference(self, name, m, eps, L, seed):
+        """One (anchor, v, w) per lane, as plans steer: the reference's bits."""
+        co = cy.Cocycle(golden(), _STEER_GENERATORS[name])
+        rng = np.random.default_rng(seed)
+        anchors = rng.uniform(0, 1, L)
+        va, wa = rng.uniform(0, math.pi, (2, L))
+        vx, vy, wx, wy = np.cos(va), np.sin(va), np.cos(wa), np.sin(wa)
+        *blocks, (dist, err) = pb._steer_batch(co.entries_along(anchors, m), vx, vy, wx, wy, eps)
+        want = reference_steer_batch(co, anchors, vx, vy, wx, wy, eps, m)
+        for g, w in zip((_block_array(blocks), dist, err), want):
+            assert np.array_equal(g, w)
+
+    def test_sweep_evaluates_generator_once_per_anchor(self):
+        gen = CountingGenerator(cy.SchrodingerGenerator(0.0, 1.2))
+        co = cy.Cocycle(golden(), gen)
+        anchors, m, k = np.linspace(0.05, 0.95, 10), 12, 8
+        pb._window_sweep_ok(co, anchors, 0.3, m, k)
+        assert gen.positions == anchors.size * m  # not k * k * anchors.size * m
+
+    def test_steer_direction_matches_per_length_evaluation(self):
+        # the generator runs once at m_max; each trial length m reads its
+        # first m columns, which are the entries a length-m evaluation gives
+        co = cy.Cocycle(golden(), cy.twisted_table(2.0, 512))
+        x, v, w, eps = co.base.point(0.3141), (1.0, 0.2), (-0.3, 1.0), 0.2
+        blk = pb.steer_direction(co, x, v, w, eps, 64)
+        nv, nw = math.hypot(*v), math.hypot(*w)
+        x0 = np.array([co.base.float_coords(x)[0]])
+        ref, _, err = reference_steer_batch(
+            co, x0, np.array([v[0] / nv]), np.array([v[1] / nv]),
+            np.array([w[0] / nw]), np.array([w[1] / nw]), eps, blk.length)
+        assert blk.achieved_error == float(err[0])
+        assert [M.entries() for M in blk.matrices] == [tuple(r) for r in ref[0].tolist()]
+
+
 class TestBalanceProfile:
     def test_constant_diag_closed_form(self):
         co = cy.Cocycle(golden(), cy.ConstantGenerator(Mat2(2, 0, 0, 0.5)))
-        prof = pb.balance_profile(co, co.base.point(0.2), 10,
+        prof = balance_profile(co, co.base.point(0.2), 10,
                                   pb.perturbation_constant(co, 0.1))
         want = np.log(4.0) * (np.arange(11) - 5)
         assert np.max(np.abs(prof.log_deltas - want)) < 1e-9
@@ -126,7 +293,7 @@ class TestBalanceProfile:
 
     def test_rotation_trivial(self):
         co = cy.Cocycle(golden(), cy.RotationGenerator(0.07, 0.0))
-        prof = pb.balance_profile(co, co.base.point(0.4), 12,
+        prof = balance_profile(co, co.base.point(0.4), 12,
                                   pb.perturbation_constant(co, 0.1))
         assert np.max(np.abs(prof.log_deltas)) < 1e-7
         assert prof.j0 == 0
@@ -137,7 +304,7 @@ class TestBalanceProfile:
         C = pb.perturbation_constant(co, 0.2)
         logC = math.log(C)
         for _ in range(100):
-            prof = pb.balance_profile(co, co.base.point(float(rng.uniform())), 40, C)
+            prof = balance_profile(co, co.base.point(float(rng.uniform())), 40, C)
             # Delta_N * Delta_0 = 1
             assert abs(prof.log_deltas[0] + prof.log_deltas[-1]) < 1e-8 * max(
                 1.0, abs(prof.log_deltas[-1]))
@@ -151,7 +318,7 @@ class TestBalanceProfile:
     def test_bad_constant_raises(self):
         co = cy.Cocycle(golden(), cy.ConstantGenerator(Mat2(2, 0, 0, 0.5)))
         with pytest.raises(NoBalancedIndex):
-            pb.balance_profile(co, co.base.point(0.1), 10, 1.5)
+            balance_profile(co, co.base.point(0.1), 10, 1.5)
 
 
 class TestChooseN:
@@ -281,7 +448,7 @@ class TestPlans:
                 assert np.array_equal(ents[0][outside], np.asarray(ga)[outside])
         # j1 is the first step in [j0, j0 + m1] whose position lies in W
         for p in [p for p in plans if isinstance(p.branch, pb.Steered)][:10]:
-            j0 = pb.balance_profile(co, p.x, N, pb.perturbation_constant(co, eps)).j0
+            j0 = balance_profile(co, p.x, N, pb.perturbation_constant(co, eps)).j0
             pos = co.orbit(p.x, N)
             in_w = [j for j in range(j0, min(j0 + m1, N - 1) + 1)
                     if W.contains_floats(pos[j:j + 1])[0]]
