@@ -122,29 +122,27 @@ def locate(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
     return idx, (xs >= lo[idx]) & (xs < hi[idx])
 
 
-def bucket_locator(lo: np.ndarray, hi: np.ndarray):
-    """`locate` over fixed, non-empty pieces in [0, 1), through a power-of-two
-    bucket table.
-
-    Returns a function of xs that gives exactly what locate(lo, hi, xs) gives
-    for points in [0, 1] (np.mod yields 1.0 on tiny negative inputs).  The
-    bucket of x is floor(x 2^k), exact in binary floating point; the table
-    holds the last piece starting at or before each bucket's left edge, and
-    a point then moves past the pieces that start inside its bucket up to it,
-    at most the fullest bucket's count of one-compare steps.
+def bucket_locator(lo: np.ndarray):
+    """The index half of `locate` over fixed, non-empty sorted piece starts
+    in [0, 1): a function of xs giving exactly locate(lo, hi, xs)[0] for points
+    in [0, 1] (np.mod yields 1.0 on tiny negative inputs).  The caller gathers
+    the bounds of the piece once for its own inside test.  The bucket of x is
+    floor(x 2^k), exact in binary floating point; a table holds the count of
+    starts at or before each bucket's left edge, and a point then counts the
+    starts inside its bucket up to it, at most the fullest bucket's count of
+    one-compare steps.
     """
     size = 1 << max(1, 2 * lo.size - 1).bit_length()  # at least 2 buckets per piece
-    last = np.searchsorted(lo, np.arange(size + 1) / size, side="right") - 1
-    depth = int(np.diff(last).max())
+    count = np.searchsorted(lo, np.arange(size + 1) / size, side="right")
+    depth = int(np.diff(count).max())
     lo_next = np.append(lo, np.inf)
 
     def find(xs):
         xs = np.asarray(xs, dtype=float)
-        j = last[np.clip(xs * size, 0, size).astype(np.intp)]
+        k = count.take(np.clip(xs * size, 0, size).astype(np.intp))
         for _ in range(depth):
-            j = j + (lo_next[j + 1] <= xs)
-        idx = np.maximum(j, 0)
-        return idx, (xs >= lo[idx]) & (xs < hi[idx])
+            k += lo_next.take(k) <= xs
+        return np.maximum(k - 1, 0)
     return find
 
 
@@ -252,6 +250,19 @@ class BasePoint:
         return BasePoint(self.anchor, self.index + n)
 
 
+def wrap_floats(y) -> np.ndarray:
+    """np.mod(y, 1.0) bit for bit for finite floats, as y - floor(y).
+
+    np.mod is fmod, plus 1.0 after a negative remainder, and +0.0 for a zero
+    one.  For y >= 0 fmod's remainder is y - floor(y) exactly, and so is this
+    subtraction.  For y < 0 both round the real y - floor(y) once, from two
+    exact terms.  A zero is +0.0 in both (x - x is +0.0); a tiny negative y
+    gives 1.0 in both.
+    """
+    y = np.asarray(y, dtype=float)
+    return y - np.floor(y)
+
+
 class CircleRotation:
     """x -> x + alpha mod 1 with alpha irrational.
 
@@ -327,9 +338,11 @@ class CircleRotation:
         x0 is a float or an array of any shape; the positions run along a new
         last axis.  Each is taken from the anchor with the rounded k * alpha,
         never iterated, so no position depends on how an orbit is chunked.
+        The wrap is `wrap_floats`, y - floor(y): np.mod's bits without its
+        per-element division and sign fix-up.
         """
         ks = np.arange(start, start + n, dtype=float) * self.alpha_float
-        return np.mod(np.asarray(x0, dtype=float)[..., None] + ks, 1.0)
+        return wrap_floats(np.asarray(x0, dtype=float)[..., None] + ks)
 
     # -- cells ------------------------------------------------------------------
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ._parallel import parallel_lanes
-from .basedyn import BasePoint, CircleRotation
+from .basedyn import BasePoint, CircleRotation, wrap_floats
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
     Mat2,
@@ -29,7 +29,6 @@ from .sl2 import (
     general_operator_norm,
     log_norm,
     log_sl2_arrays,
-    scan_product,
     tree_product,
 )
 
@@ -115,17 +114,17 @@ class TableGenerator(Generator):
             raise CocycleLabError("table must have shape (G, 4)")
         self.values = vals
         self.size = vals.shape[0]
-        a, b, c, d = vals.T
+        self._cols = tuple(np.ascontiguousarray(v) for v in vals.T)  # gathered by take
+        a, b, c, d = self._cols
         # step = A_i^{-1} A_{i+1}; its log drives the interpolation
         self._xi = log_sl2_arrays(*_mul(d, -b, -c, a, *np.roll(vals, -1, axis=0).T))
 
     def entries(self, xs):
-        xs = np.mod(np.asarray(xs, dtype=float), 1.0)
-        pos = xs * self.size
+        pos = wrap_floats(xs) * self.size
         idx = np.minimum(pos.astype(int), self.size - 1)
         t = pos - idx
-        t1, t2, t3 = (xi[idx] * t for xi in self._xi)
-        return _mul(*(self.values[idx, k] for k in range(4)), *exp_traceless_arrays(t1, t2, t3))
+        t1, t2, t3 = (xi.take(idx) * t for xi in self._xi)
+        return _mul(*(col.take(idx) for col in self._cols), *exp_traceless_arrays(t1, t2, t3))
 
 
 def twisted_table(coupling: float, size: int = 4096) -> TableGenerator:
@@ -261,13 +260,6 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     return out
 
 
-def log_norm_of_product(co: Cocycle, x: BasePoint, n: int) -> float:
-    """Overflow-safe log ||A_n(x)|| by the sequential sl2.scan_product."""
-    if n < 1:
-        raise CocycleLabError("need n >= 1")
-    return float(log_norm(*scan_product(*co.generator.entries(co.orbit(x, n)))))
-
-
 def lyapunov_estimate(co: Cocycle, x: BasePoint, n: int) -> float:
     """(1/n) log ||A_n(x)||; converges to the exponent on uniquely ergodic bases."""
     x0 = co.base.float_coords(x)[0]
@@ -328,55 +320,6 @@ def uniform_growth_test(co: Cocycle, eps: float, n: int, grid: Optional[np.ndarr
         raise CocycleLabError("need eps > 0 and n >= 1")
     rep = growth_sweep(co, n, grid, threads)
     return rep.max < eps - rep.margin, rep
-
-
-# -- empirical measures ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """(1/n) sum of Dirac masses along the orbit of x."""
-
-    x: BasePoint
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise CocycleLabError("empirical measure needs n >= 1")
-
-
-def nu_average(co: Cocycle, mu: EmpiricalMeasure, s: int) -> float:
-    """Integral of log ||A_s|| against the block-truncated empirical measure.
-
-    With m = floor(n/s): (1/(s m)) * sum_{j < s m} log ||A_s(f^j x)||.  By
-    subadditivity it dominates (1/(s m)) * sum_{i < s} log ||A_{s m}(f^i x)||.
-    """
-    if not 1 <= s <= mu.n:
-        raise CocycleLabError("need 1 <= s <= mu.n")
-    m = mu.n // s
-    anchors = co.orbit(mu.x, s * m)
-    vals = log_norms_batch(co, anchors, s)
-    return float(vals.sum()) / (s * m)
-
-
-def empirical_exponent(co: Cocycle, mu: EmpiricalMeasure, s: int) -> float:
-    """Per-step growth rate seen by the empirical measure at block size s."""
-    return nu_average(co, mu, s) / s
-
-
-def subexponential_witness_search(co: Cocycle, eps: float,
-                                  horizons: Sequence[int],
-                                  grid: Optional[np.ndarray] = None):
-    """First (x, n) with ||A_n(x)|| >= e^{eps n} at the sampled resolution, else None."""
-    if eps <= 0:
-        raise CocycleLabError("eps must be positive")
-    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
-    for n in horizons:
-        vals = log_norms_batch(co, xs, int(n)) / int(n)
-        k = int(np.argmax(vals))
-        if vals[k] >= eps:
-            return co.base.point(float(xs[k])), int(n)
-    return None
 
 
 # -- uniform hyperbolicity certification ---------------------------------------------

@@ -288,46 +288,51 @@ def singular_axes_arrays(a, b, c, d):
 
 
 def exp_traceless_arrays(t1, t2, t3):
-    """exp_map on arrays of tangent coordinates; returns entry arrays a, b, c, d."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    t3 = np.asarray(t3, dtype=float)
-    q = t1 * t1 + t2 * t3
+    """exp_map on arrays of tangent coordinates; returns entry arrays a, b, c, d.
+
+    Each element takes one branch of q = t1^2 + t2 t3: the series where
+    |q| < 1e-8, cosh and sinh where q > 0, cos and sin where q < 0, and each
+    transcendental is evaluated only on its own branch's elements.
+    """
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
+    q = np.asarray(t1 * t1 + t2 * t3)
+    alpha, beta = np.empty_like(q), np.empty_like(q)
     small = np.abs(q) < 1e-8
-    qs = np.where(small, 0.0, q)
-    rp = np.sqrt(np.where(qs > 0, qs, 1.0))
-    rn = np.sqrt(np.where(qs < 0, -qs, 1.0))
-    alpha = np.where(
-        small,
-        1.0 + q / 2.0 + q * q / 24.0,
-        np.where(qs > 0, np.cosh(rp), np.cos(rn)),
-    )
-    beta = np.where(
-        small,
-        1.0 + q / 6.0 + q * q / 120.0,
-        np.where(qs > 0, np.sinh(rp) / rp, np.sin(rn) / rn),
-    )
+    hyp = ~small & (q > 0)
+    ell = ~(small | hyp)
+    qs = q[small]
+    alpha[small], beta[small] = 1.0 + qs / 2.0 + qs * qs / 24.0, 1.0 + qs / 6.0 + qs * qs / 120.0
+    r = np.sqrt(q[hyp])
+    alpha[hyp], beta[hyp] = np.cosh(r), np.sinh(r) / r
+    r = np.sqrt(-q[ell])
+    alpha[ell], beta[ell] = np.cos(r), np.sin(r) / r
     return alpha + beta * t1, beta * t2, beta * t3, alpha - beta * t1
 
 
 def log_sl2_arrays(a, b, c, d):
-    """log_map on arrays of SL(2,R) entries; caller guarantees trace > -2 + 1e-6."""
+    """log_map on arrays of SL(2,R) entries; caller guarantees trace > -2 + 1e-6.
+
+    Each element takes one branch of t = trace/2: the series where
+    |t - 1| < 1e-6, arcsinh where t > 1, arccos otherwise, and each
+    transcendental is evaluated only on its own branch's elements.
+    """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    t = (a + d) / 2.0
+    t = np.asarray((a + d) / 2.0)
     if np.any(t <= _TRACE_FLOOR / 2.0):  # t <= -1 + 5e-7
         bad = float(np.min(t))
         raise LogDomain(f"trace/2 = {bad} <= -1 + 5e-7 in array log")
     e = t - 1.0
+    kappa = np.empty_like(t)
     small = np.abs(e) < 1e-6
-    ts = np.where(small, 2.0, t)  # safe placeholder outside branch
-    up = np.sqrt(np.maximum(ts * ts - 1.0, 1e-300))
-    un = np.sqrt(np.maximum(1.0 - ts * ts, 1e-300))
-    kappa = np.where(
-        small,
-        1.0 - e / 3.0 + 2.0 * e * e / 15.0,
-        np.where(ts > 1.0, np.arcsinh(up) / up, np.arccos(np.clip(ts, -1.0, 1.0)) / un),
-    )
+    hyp = ~small & (t > 1.0)
+    ell = ~(small | hyp)
+    es, th, te = e[small], t[hyp], t[ell]
+    kappa[small] = 1.0 - es / 3.0 + 2.0 * es * es / 15.0
+    u = np.sqrt(np.maximum(th * th - 1.0, 1e-300))
+    kappa[hyp] = np.arcsinh(u) / u
+    u = np.sqrt(np.maximum(1.0 - te * te, 1e-300))
+    kappa[ell] = np.arccos(np.clip(te, -1.0, 1.0)) / u
     return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
 
 

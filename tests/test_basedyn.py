@@ -398,6 +398,51 @@ class TestMod1:
         assert mod1(QuadExt(-1, 1, 5)) == QuadExt(-2, 1, 5)
 
 
+def _np_mod_bits(y):
+    y = np.asarray(y, dtype=float)
+    got, want = bd.wrap_floats(y), np.mod(y, 1.0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# |y| from 2^-1074 to 2^60, of either sign
+_MAGNITUDES = st.builds(lambda m, e, sign: sign * m * 2.0**e,
+                        st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 60),
+                        st.sampled_from([1.0, -1.0]))
+# integers up to 2^60 and their neighbours one ulp away
+_INTEGERS = st.builds(lambda k, step: float(np.nextafter(float(k), step * math.inf))
+                      if step else float(k), st.integers(-2**60, 2**60), st.sampled_from([-1, 0, 1]))
+
+
+class TestWrapFloats:
+    """wrap_floats, y - floor(y), is np.mod(y, 1.0) bit for bit."""
+
+    def test_cases(self):
+        ints = np.array([0.0, 1.0, 2.0, 3.0, 2.0**52, 2.0**53, 2.0**60, 12345.0])
+        ints = np.concatenate([ints, -ints])
+        _np_mod_bits(np.concatenate([
+            [-0.0, 5e-324, -5e-324, 2.0**-1022, -2.0**-1022, -1e-20, -5e-17,
+             -2.0**-53, -2.0**-54, 0.5, -0.5, 0.75, -0.25],
+            ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf)]))
+        assert bd.wrap_floats(-1e-20) == 1.0  # as np.mod: 1.0, not 0.0 (mod1 gives 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_MAGNITUDES | _INTEGERS | st.sampled_from([0.0, -0.0]), min_size=1,
+                    max_size=32))
+    def test_equals_np_mod(self, ys):
+        _np_mod_bits(ys)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+           st.integers(-3, 3) | st.integers(-2**40, 2**40), st.integers(1, 40))
+    def test_orbit_floats_equal_np_mod(self, x0, start, n):
+        """Orbit positions, negative start included (uh_certify steps back
+        with start=-1), carry np.mod's bits."""
+        rot = golden()
+        ks = np.arange(start, start + n, dtype=float) * rot.alpha_float
+        want = np.mod(np.asarray(x0)[..., None] + ks, 1.0)
+        assert rot.orbit_floats(np.asarray(x0), n, start).tobytes() == want.tobytes()
+
+
 # Doubles as angles: each is the dyadic rational it is.
 _DOUBLES = st.floats(min_value=2.0**-40, max_value=1.0, exclude_max=True)
 
@@ -537,10 +582,11 @@ class TestUnionAlgebra:
         xs = xs[: xs.size // 4 * 4].reshape(4, -1)  # drops random points only
         if kind == "crowded":
             assert np.bincount((lo * size).astype(int)).max() >= 3
-        idx, inside = bd.bucket_locator(lo, hi)(xs)
+        idx = bd.bucket_locator(lo)(xs)
         want_idx, want_inside = bd.locate(lo, hi, xs)
         assert idx.shape == xs.shape
-        assert np.array_equal(idx, want_idx) and np.array_equal(inside, want_inside)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal((xs >= lo[idx]) & (xs < hi[idx]), want_inside)
 
     def test_first_overlap(self):
         touching = [(0.5, 0.7), (0.1, 0.3), (0.3, 0.5)]

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -7,8 +9,64 @@ import pytest
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
-from cocyclelab.errors import Overflow
-from cocyclelab.sl2 import Mat2, operator_norm
+from cocyclelab.basedyn import BasePoint
+from cocyclelab.errors import CocycleLabError, Overflow
+from cocyclelab.sl2 import Mat2, log_norm, operator_norm, scan_product
+
+
+# -- test-local helpers: sequential log-norms, empirical measures, witnesses -----
+
+
+def log_norm_of_product(co: cy.Cocycle, x: BasePoint, n: int) -> float:
+    """Overflow-safe log ||A_n(x)|| by the sequential sl2.scan_product."""
+    if n < 1:
+        raise CocycleLabError("need n >= 1")
+    return float(log_norm(*scan_product(*co.generator.entries(co.orbit(x, n)))))
+
+
+@dataclass(frozen=True)
+class EmpiricalMeasure:
+    """(1/n) sum of Dirac masses along the orbit of x."""
+
+    x: BasePoint
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise CocycleLabError("empirical measure needs n >= 1")
+
+
+def nu_average(co: cy.Cocycle, mu: EmpiricalMeasure, s: int) -> float:
+    """Integral of log ||A_s|| against the block-truncated empirical measure.
+
+    With m = floor(n/s): (1/(s m)) * sum_{j < s m} log ||A_s(f^j x)||.  By
+    subadditivity it dominates (1/(s m)) * sum_{i < s} log ||A_{s m}(f^i x)||.
+    """
+    if not 1 <= s <= mu.n:
+        raise CocycleLabError("need 1 <= s <= mu.n")
+    m = mu.n // s
+    anchors = co.orbit(mu.x, s * m)
+    vals = cy.log_norms_batch(co, anchors, s)
+    return float(vals.sum()) / (s * m)
+
+
+def empirical_exponent(co: cy.Cocycle, mu: EmpiricalMeasure, s: int) -> float:
+    """Per-step growth rate seen by the empirical measure at block size s."""
+    return nu_average(co, mu, s) / s
+
+
+def subexponential_witness_search(co: cy.Cocycle, eps: float, horizons: Sequence[int],
+                                  grid: Optional[np.ndarray] = None):
+    """First (x, n) with ||A_n(x)|| >= e^{eps n} at the sampled resolution, else None."""
+    if eps <= 0:
+        raise CocycleLabError("eps must be positive")
+    xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
+    for n in horizons:
+        vals = cy.log_norms_batch(co, xs, int(n)) / int(n)
+        k = int(np.argmax(vals))
+        if vals[k] >= eps:
+            return co.base.point(float(xs[k])), int(n)
+    return None
 
 
 def golden(grid=1024):
@@ -63,12 +121,12 @@ class TestIterate:
 class TestLogNorms:
     def test_constant_diagonal_exact(self):
         co = const_diag()
-        got = cy.log_norm_of_product(co, co.base.point(0.25), 1000)
+        got = log_norm_of_product(co, co.base.point(0.25), 1000)
         assert abs(got - 1000 * math.log(2)) < 1e-9 * 1000
 
     def test_rotation_valued_zero(self):
         co = rotation_valued(winding=0.7)
-        got = cy.log_norm_of_product(co, co.base.point(0.77), 500)
+        got = log_norm_of_product(co, co.base.point(0.77), 500)
         assert abs(got) < 1e-10
 
     def test_matches_direct_product(self):
@@ -78,7 +136,7 @@ class TestLogNorms:
             x = co.base.point(float(rng.uniform()))
             n = int(rng.integers(1, 200))
             direct = math.log(operator_norm(cy.iterate(co, x, n)))
-            scaled = cy.log_norm_of_product(co, x, n)
+            scaled = log_norm_of_product(co, x, n)
             tree = float(cy.log_norms_batch(co, np.array([co.base.float_coords(x)[0]]), n)[0])
             assert abs(direct - scaled) <= 1e-8 * max(1.0, abs(direct))
             assert abs(direct - tree) <= 1e-8 * max(1.0, abs(direct))
@@ -106,7 +164,7 @@ class TestLogNorms:
         for _ in range(25):
             x = co.base.point(float(rng.uniform()))
             n = int(rng.integers(1, 300))
-            v = cy.log_norm_of_product(co, x, n)
+            v = log_norm_of_product(co, x, n)
             assert -1e-12 <= v <= n * s + 1e-9
 
     def test_subadditivity(self):
@@ -116,9 +174,9 @@ class TestLogNorms:
             x0 = float(rng.uniform())
             m, n = int(rng.integers(1, 120)), int(rng.integers(1, 120))
             x = co.base.point(x0)
-            whole = cy.log_norm_of_product(co, x, m + n)
-            first = cy.log_norm_of_product(co, x, m)
-            second = cy.log_norm_of_product(co, co.base.step(x, m), n)
+            whole = log_norm_of_product(co, x, m + n)
+            first = log_norm_of_product(co, x, m)
+            second = log_norm_of_product(co, co.base.step(x, m), n)
             assert whole <= first + second + 1e-8
 
 
@@ -201,7 +259,7 @@ class TestUhCertify:
                 alpha=2 * math.pi * golden().alpha_float))):
             res = cy.uh_certify(co)
             assert isinstance(res, cy.Certificate)
-            found = cy.subexponential_witness_search(co, res.eps, [res.n, 4 * res.n, 64])
+            found = subexponential_witness_search(co, res.eps, [res.n, 4 * res.n, 64])
             assert found is not None
 
     def test_weak_coupling_inconclusive(self):
@@ -212,9 +270,9 @@ class TestUhCertify:
 class TestEmpirical:
     def test_constant_diag_any_s(self):
         co = const_diag()
-        mu = cy.EmpiricalMeasure(co.base.point(0.3), 64)
+        mu = EmpiricalMeasure(co.base.point(0.3), 64)
         for s in (1, 4, 8, 64):
-            assert abs(cy.empirical_exponent(co, mu, s) - math.log(2)) < 1e-12
+            assert abs(empirical_exponent(co, mu, s) - math.log(2)) < 1e-12
 
     def test_proof_inequality_chain(self):
         # nu-average of log||A_s|| dominates the block-product average
@@ -224,10 +282,10 @@ class TestEmpirical:
             x = co.base.point(float(rng.uniform()))
             n = int(rng.integers(8, 200))
             s = int(rng.integers(1, max(2, n // 2)))
-            mu = cy.EmpiricalMeasure(x, n)
+            mu = EmpiricalMeasure(x, n)
             m = n // s
-            lhs = cy.nu_average(co, mu, s)
-            rhs = sum(cy.log_norm_of_product(co, co.base.step(x, i), s * m)
+            lhs = nu_average(co, mu, s)
+            rhs = sum(log_norm_of_product(co, co.base.step(x, i), s * m)
                       for i in range(s)) / (s * m)
             assert lhs >= rhs - 1e-8
 
@@ -235,9 +293,9 @@ class TestEmpirical:
         # s = n leaves one block of every orbit translate
         co = schrodinger(1.5)
         x = co.base.point(0.21)
-        mu = cy.EmpiricalMeasure(x, 32)
-        got = cy.empirical_exponent(co, mu, 32)
-        want = sum(cy.log_norm_of_product(co, co.base.step(x, j), 32)
+        mu = EmpiricalMeasure(x, 32)
+        got = empirical_exponent(co, mu, 32)
+        want = sum(log_norm_of_product(co, co.base.step(x, j), 32)
                    for j in range(32)) / (32 * 32)
         assert abs(got - want) < 1e-10
 
@@ -246,17 +304,17 @@ class TestWitnessSearch:
     def test_constant_diag_found_everywhere(self):
         co = const_diag()
         for n in (10, 50, 200):
-            found = cy.subexponential_witness_search(co, 0.1, [n])
+            found = subexponential_witness_search(co, 0.1, [n])
             assert found is not None and found[1] == n
 
     def test_rotation_none(self):
         co = rotation_valued()
-        assert cy.subexponential_witness_search(co, 0.1, [10, 100]) is None
+        assert subexponential_witness_search(co, 0.1, [10, 100]) is None
 
     def test_schrodinger_found_at_half_exponent(self):
         co = schrodinger(5.0, grid=512)
         est = cy.lyapunov_estimate(co, co.base.point(0.1), 10**5)
-        found = cy.subexponential_witness_search(co, 0.5 * est, [64, 256])
+        found = subexponential_witness_search(co, 0.5 * est, [64, 256])
         assert found is not None
 
 

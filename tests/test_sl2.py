@@ -16,6 +16,7 @@ from cocyclelab.sl2 import (
     TangentVec,
     compose,
     exp_map,
+    exp_traceless_arrays,
     log_map,
     general_operator_norm,
     log_norm,
@@ -204,6 +205,108 @@ class TestSingularAxes:
             ax = singular_axes(Mat2(a[i], b[i], c[i], d[i]))
             assert abs(ux[i] - ax.u[0]) < 1e-9 and abs(uy[i] - ax.u[1]) < 1e-9
             assert abs(nrm[i] - ax.norm) / ax.norm < 1e-9
+
+
+def reference_exp_traceless_arrays(t1, t2, t3):
+    """exp_traceless_arrays as first written: every transcendental on every element."""
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    t3 = np.asarray(t3, dtype=float)
+    q = t1 * t1 + t2 * t3
+    small = np.abs(q) < 1e-8
+    qs = np.where(small, 0.0, q)
+    rp = np.sqrt(np.where(qs > 0, qs, 1.0))
+    rn = np.sqrt(np.where(qs < 0, -qs, 1.0))
+    alpha = np.where(
+        small,
+        1.0 + q / 2.0 + q * q / 24.0,
+        np.where(qs > 0, np.cosh(rp), np.cos(rn)),
+    )
+    beta = np.where(
+        small,
+        1.0 + q / 6.0 + q * q / 120.0,
+        np.where(qs > 0, np.sinh(rp) / rp, np.sin(rn) / rn),
+    )
+    return alpha + beta * t1, beta * t2, beta * t3, alpha - beta * t1
+
+
+def reference_log_sl2_arrays(a, b, c, d):
+    """log_sl2_arrays as first written: arcsinh and arccos on every element."""
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    t = (a + d) / 2.0
+    if np.any(t <= (-2.0 + 1e-6) / 2.0):
+        raise LogDomain("trace/2 <= -1 + 5e-7 in array log")
+    e = t - 1.0
+    small = np.abs(e) < 1e-6
+    ts = np.where(small, 2.0, t)
+    up = np.sqrt(np.maximum(ts * ts - 1.0, 1e-300))
+    un = np.sqrt(np.maximum(1.0 - ts * ts, 1e-300))
+    kappa = np.where(
+        small,
+        1.0 - e / 3.0 + 2.0 * e * e / 15.0,
+        np.where(ts > 1.0, np.arcsinh(up) / up, np.arccos(np.clip(ts, -1.0, 1.0)) / un),
+    )
+    return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
+
+
+def _near(x):
+    """x and its neighbours a few ulps away on either side."""
+    return (st.integers(-4, 4).map(lambda k: x + k * float(np.spacing(x)))
+            | st.just(float(np.nextafter(x, 0.0))))
+
+
+# q = t1^2 + t2 t3 at 0, around the series threshold +-1e-8, and away from it
+_Q = (st.sampled_from([0.0, 1e-8, -1e-8]) | _near(1e-8) | _near(-1e-8)
+      | st.floats(-1e-7, 1e-7) | st.floats(-30.0, 30.0))
+# trace/2 around 1 (the series threshold 1e-6 on either side), around -1 above
+# the domain floor -1 + 5e-7, and across the domain
+_T = (_near(1.0) | _near(1.0 + 1e-6) | _near(1.0 - 1e-6) | _near(-1.0 + 6e-7)
+      | st.floats(1.0 - 1e-5, 1.0 + 1e-5) | st.floats(-0.99999, 8.0))
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestBranchKernels:
+    """The array tangent-chart kernels evaluate each transcendental only on
+    its own branch's elements, with the bits of evaluating all of them."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_Q, st.floats(-3.0, 3.0) | st.just(0.0),
+                              st.sampled_from([1.0, -1.0, 0.5, 4.0]) | st.floats(0.1, 8.0)),
+                    min_size=1, max_size=48))
+    def test_exp_equals_reference(self, rows):
+        # t2 t3 = q - t1^2; with t1 = 0 and a power-of-two t2, q is hit exactly
+        q, t1, t2 = (np.array(v) for v in zip(*rows))
+        t3 = (q - t1 * t1) / t2
+        _same_bits(exp_traceless_arrays(t1, t2, t3), reference_exp_traceless_arrays(t1, t2, t3))
+
+    def test_exp_shapes(self):
+        for args in ((0.1, 0.2, -0.3), (0.0, 0.0, 0.0), (0.0, 1.0, 1e-8), (0.0, 1.0, -1e-8),
+                     ([[0.1, 0.2]], [[0.2], [0.1]], -0.3), (np.zeros((2, 3)), 1.0, 2.0)):
+            _same_bits(exp_traceless_arrays(*args), reference_exp_traceless_arrays(*args))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_T, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                              st.floats(-3.0, 3.0)), min_size=1, max_size=48))
+    def test_log_equals_reference(self, rows):
+        t, s, b, c = (np.array(v) for v in zip(*rows))
+        a, d = t + s, t - s
+        keep = (a + d) / 2.0 > (-2.0 + 1e-6) / 2.0  # inside the domain
+        args = (a[keep], b[keep], c[keep], d[keep])
+        _same_bits(log_sl2_arrays(*args), reference_log_sl2_arrays(*args))
+
+    def test_log_shapes_and_domain(self):
+        for args in ((1.0, 0.1, 0.0, 1.0), (2.0, 1.0, 1.0, 1.0), (0.3, 0.2, -0.1, -0.2),
+                     ([[1.0, 2.0]], 0.5, 0.5, [[1.0], [0.99]])):
+            _same_bits(log_sl2_arrays(*args), reference_log_sl2_arrays(*args))
+        with pytest.raises(LogDomain):
+            log_sl2_arrays([1.0, -1.0], 0.0, 0.0, [1.0, -1.0])
 
 
 class TestTangentChart:

@@ -41,6 +41,55 @@ def reference_entries(pc, xs):
     return tuple(o.reshape(np.shape(xs)) for o in out)
 
 
+def reference_bump(pc, xs):
+    flat = np.asarray(xs, dtype=float).reshape(-1)
+    idx, inside = bd.locate(pc.region_lo, pc.region_hi, flat)
+    t = np.clip(np.minimum(flat - pc.region_lo[idx], pc.region_hi[idx] - flat)
+                / pc.blend_width, 0.0, 1.0)
+    return np.where(inside, t * t * (3.0 - 2.0 * t), 0.0).reshape(np.shape(xs))
+
+
+def reference_collect_visits(pc, cfg, xs, n):
+    """_collect_visits as first written: every orbit position bisected
+    against the castle base."""
+    blo, bhi, bheights = sg._castle_base_arrays(cfg.castle)
+    plo, phi = pc.base_lo, pc.base_hi
+    vlo, vhi = cfg.freq.V.float_breaks()
+    all_lane, all_step, all_flag, all_label, all_height = [], [], [], [], []
+    chunk = max(256, (1 << 22) // max(xs.size, 1))
+    for s0 in range(0, n, chunk):
+        pos = np.mod(np.asarray(xs, dtype=float)[..., None]
+                     + np.arange(s0, s0 + min(chunk, n - s0), dtype=float)
+                     * pc.original.base.alpha_float, 1.0)
+        bidx, in_b = bd.locate(blo, bhi, pos)
+        lanes, offs = np.nonzero(in_b)
+        if lanes.size == 0:
+            continue
+        hit_pos = pos[lanes, offs]
+        hit_height = bheights[bidx[lanes, offs]]
+        hit_v = bd.locate(vlo, vhi, hit_pos)[1]
+        pidx, in_piece = bd.locate(plo, phi, hit_pos)
+        lab = np.where(in_piece, pc.base_label[pidx], -1)
+        assert not np.any(~hit_v & (lab < 0))
+        all_lane.append(lanes)
+        all_step.append(s0 + offs)
+        all_flag.append(hit_v)
+        all_label.append(lab)
+        all_height.append(hit_height)
+    if not all_lane:
+        return [[]] * xs.size, [[]] * xs.size, [[]] * xs.size, [[]] * xs.size
+    lanes = np.concatenate(all_lane)
+    steps = np.concatenate(all_step)
+    flags = np.concatenate(all_flag)
+    labs = np.concatenate(all_label)
+    hgts = np.concatenate(all_height)
+    order = np.lexsort((steps, lanes))
+    lanes, steps, flags, labs, hgts = (v[order] for v in (lanes, steps, flags, labs, hgts))
+    bounds = np.searchsorted(lanes, np.arange(xs.size + 1))
+    return tuple([v[bounds[i]:bounds[i + 1]] for i in range(xs.size)]
+                 for v in (steps, flags, labs, hgts))
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     """One full surgery run shared by the checks below (the expensive part)."""
@@ -142,10 +191,39 @@ class TestPipeline:
         bump = pc.bump(collar)
         assert ((bump > 0) & (bump < 1)).any() and (bump == 1).any()
         assert not bd.locate(pc.region_lo, pc.region_hi, gaps)[1].all()  # outside every region
-        for xs in (orbit, collar, gaps, edges):
+        # more than one slice and not a multiple of it, as lanes and flat
+        lanes = co.base.orbit_floats(np.array([0.03, 0.41, 0.77]), sg._SLICE + 6)
+        long = co.base.orbit_floats(0.37, 3 * sg._SLICE + 17)
+        for xs in (orbit, collar, gaps, edges, lanes, long):
             got, want = pc.entries(xs), reference_entries(pc, xs)
             for g, v in zip(got, want):
                 assert g.shape == v.shape and g.tobytes() == v.tobytes()
+            assert pc.bump(xs).tobytes() == reference_bump(pc, xs).tobytes()
+
+    def test_collect_visits_equal_reference_body(self, pipeline):
+        """The occupancy table rejects positions, never a visit: the same
+        visits, V-flags, labels and heights as bisecting every position."""
+        co, cfg, pc, cert = pipeline
+        blo, bhi, _ = sg._castle_base_arrays(cfg.castle)
+        size = 1 << sg._OCCUPANCY_BITS
+        edges = np.unique(np.concatenate([np.floor(blo * size), np.floor(bhi * size),
+                                          np.floor(bhi * size) + 1])) / size
+        xs = np.concatenate([
+            np.arange(96) / 96,
+            blo, np.nextafter(blo, 0.0),  # at a piece's lo and one ulp below it
+            bhi, np.nextafter(bhi, 0.0),  # at its hi and one ulp below it
+            edges, np.nextafter(edges, 0.0),  # bucket edges around every piece
+            pc.base_lo, np.nextafter(pc.base_lo, 0.0),
+        ])
+        xs = xs[(xs >= 0.0) & (xs < 1.0)]
+        n = 4 * (cfg.N + 1) + 3
+        got = sg._collect_visits(pc, cfg, xs, n)
+        want = reference_collect_visits(pc, cfg, xs, n)
+        assert sum(len(v) for v in got[0]) > 0
+        for g_field, w_field in zip(got, want):
+            assert len(g_field) == len(w_field) == xs.size
+            for g, w in zip(g_field, w_field):
+                assert np.array_equal(g, w)
 
     def test_outside_regions_unperturbed(self, pipeline):
         co, cfg, pc, cert = pipeline
