@@ -1,18 +1,73 @@
-"""Deterministic data-parallel sweeps.
+"""Deterministic data-parallel sweeps, at two levels.
 
-Work splits into a fixed number of chunks independent of the thread count and
-results combine in chunk order, so outputs are bitwise identical for any
---threads value; workers only ever run disjoint numpy slices.
+`parallel_lanes` is the outer level, behind --threads: work splits into a
+fixed number of slices independent of the thread count, and results combine
+in slice order.  `ordered_map` is the inner level, inside one long sweep (the
+lane groups of `cocycle.log_norms_batch`, the position chunks of
+`surgery._collect_visits`): it maps over items in order on as many threads
+as the process has CPUs (its affinity mask, not --threads).  Each caller
+splits its work so that no byte depends on how many items run at once.
+
+The levels do not nest: a worker of either level runs `ordered_map`
+serially in its own thread, so a grid sweep under --threads k runs at most k
+threads.  Each call's pool lives in a `with` block: no thread outlives the
+call.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 FIXED_CHUNKS = 64
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+_worker = threading.local()  # .active is true in a worker of either level
+
+
+def cpu_workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_workers() -> int:
+    """Threads `ordered_map` runs on here: one inside a worker, else the CPUs."""
+    return 1 if getattr(_worker, "active", False) else cpu_workers()
+
+
+def _as_worker(fn: Callable[[T], R]) -> Callable[[T], R]:
+    """fn, with the calling thread marked a worker while it runs."""
+    def run(item: T) -> R:
+        prev = getattr(_worker, "active", False)
+        _worker.active = True
+        try:
+            return fn(item)
+        finally:
+            _worker.active = prev
+    return run
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """[fn(x) for x in items], run on the process's CPUs.
+
+    Serial inside a worker.  An exception surfaces from the earliest item
+    that raised, as in the serial loop.
+    """
+    items = list(items)
+    workers = min(map_workers(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_as_worker(fn), items))
 
 
 def parallel_lanes(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
@@ -22,9 +77,10 @@ def parallel_lanes(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     n_chunks = min(FIXED_CHUNKS, max(1, xs.shape[0]))
     bounds = np.linspace(0, xs.shape[0], n_chunks + 1).astype(int)
     slices = [xs[bounds[i]:bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
+    run = _as_worker(fn)
     if threads <= 1:
-        parts = [fn(s) for s in slices]
+        parts = [run(s) for s in slices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, slices))
+            parts = list(pool.map(run, slices))
     return np.concatenate(parts)

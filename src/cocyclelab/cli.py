@@ -142,6 +142,8 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError(f"eps must be positive, got {eps!r}")
     if not grid >= 1:
         raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
+    if not cfg["threads"] >= 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     if len(cfg["generator"]["entries"]) != 4:
         raise ConfigError(f"generator.entries must be 4 numbers a, b, c, d, "
                           f"got {cfg['generator']['entries']!r}")
@@ -426,7 +428,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--threads", type=int, default=None,
-                        help="grid-sweep parallelism (results are thread-count independent)")
+                        help="threads for grid sweeps, >= 1 (results are thread-count independent)")
     parser.add_argument("--out", default=None, help=f"output dir (or ${ENV_OUT})")
     args, extra = parser.parse_known_args(argv)
     overrides = []
@@ -437,10 +439,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"config error: unrecognized argument {item!r} "
                   "(overrides look like --key=value)", file=sys.stderr)
             return 2
+    if args.threads is not None:  # checked like the config key, and wins over it
+        overrides.append(f"threads={args.threads}")
     try:
         cfg = load_config(args.config, overrides)
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         if args.out is not None:
             cfg["out"] = args.out
         return COMMANDS[args.command](cfg)

@@ -6,7 +6,8 @@ level.  Grid sweeps chunk lanes and steps, and build each step chunk's tree
 from aligned power-of-two blocks of at most max(min(max_elems, 2^19),
 lane_chunk) entry elements (one step of a lane chunk when the lanes alone
 exceed the cap): memory is bounded by one block at any horizon, and the bits
-are those of the whole chunk's tree.
+are those of the whole chunk's tree.  A chunk of more blocks than CPUs
+splits its lanes over the CPUs, which moves no bit either.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import parallel_lanes
+from ._parallel import map_workers, ordered_map, parallel_lanes
 from .basedyn import BasePoint, CircleRotation, wrap_floats
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
@@ -225,6 +226,21 @@ def _blocked_tree(fetch, n: int, block: int):
     return (*top, e_top + e.sum(axis=1))
 
 
+def _lane_log_norms(co: Cocycle, lanes: np.ndarray, n: int, step_chunk: int,
+                    block: int) -> np.ndarray:
+    """log ||A_n|| of each lane: step chunks of `_blocked_tree` products,
+    carried and rescaled by powers of two."""
+    carry = (np.ones(lanes.size), np.zeros(lanes.size), np.zeros(lanes.size), np.ones(lanes.size))
+    exp2 = np.zeros(lanes.size, dtype=np.int64)
+    for s0 in range(0, n, step_chunk):
+        s1 = min(s0 + step_chunk, n)
+        *chunk, e_chunk = _blocked_tree(
+            lambda s, k: co.entries_along(lanes, k, s0 + s), s1 - s0, block)
+        *carry, e_carry = _rescale(*_mul(*chunk, *carry))
+        exp2 += e_chunk + e_carry
+    return log_norm(*carry, exp2)
+
+
 def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
                     max_elems: int = 1 << 23) -> np.ndarray:
     """log ||A_n(x)|| for an array of float anchors.
@@ -238,6 +254,16 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     step long when a lane chunk alone exceeds the cap, as with many lanes and
     a short horizon.  So memory is bounded by one block at any n, and the
     blocks move no bit.
+
+    Where a step chunk's tree has more blocks than there are CPUs and the
+    lane chunk at least two lanes, the chunk's lanes split into contiguous
+    groups, one per CPU (`_parallel.ordered_map`), each running the same step
+    loop.  Every operation in that loop is lane-wise (the entries, `_mul`,
+    `_rescale`, `tree_product`'s per-lane exponent sum, `log_norm`), so the
+    bits do not depend on the grouping, and the groups together hold one
+    block.  Shorter trees stay serial: the surgery's exponent estimate (two
+    blocks of 3 lanes) gains 0.03 s from a split, and its helper thread's
+    heap, left fragmented, raised a later stage's peak RSS by up to 40 MiB.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
@@ -246,17 +272,13 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     lane_chunk = max(1, min(anchors.size, max(max_elems // max(n, 1), 256)))
     step_chunk = max(1, max_elems // lane_chunk)
     block = 1 << max(0, (min(max_elems, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
+    workers = map_workers()
+    groups = workers if min(step_chunk, n) > workers * block else 1
     for lo in range(0, anchors.size, lane_chunk):
         sl = anchors[lo:lo + lane_chunk]
-        carry = (np.ones(sl.size), np.zeros(sl.size), np.zeros(sl.size), np.ones(sl.size))
-        exp2 = np.zeros(sl.size, dtype=np.int64)
-        for s0 in range(0, n, step_chunk):
-            s1 = min(s0 + step_chunk, n)
-            *chunk, e_chunk = _blocked_tree(
-                lambda s, k: co.entries_along(sl, k, s0 + s), s1 - s0, block)
-            *carry, e_carry = _rescale(*_mul(*chunk, *carry))
-            exp2 += e_chunk + e_carry
-        out[lo:lo + lane_chunk] = log_norm(*carry, exp2)
+        parts = np.array_split(sl, min(groups, sl.size))
+        out[lo:lo + sl.size] = np.concatenate(ordered_map(
+            lambda g: _lane_log_norms(co, g, n, step_chunk, block), parts))
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAxes, DeterminantError, LogDomain
+from .errors import DeterminantError, LogDomain
 
 _RENORM_DRIFT = 1e-12
 _HARD_DRIFT = 1e-9
@@ -100,15 +100,6 @@ class Mat2:
 
 
 @dataclass(frozen=True)
-class SingularAxes:
-    """Expanding/contracting unit axes and the operator norm of a matrix."""
-
-    u: tuple[float, float]
-    s: tuple[float, float]
-    norm: float
-
-
-@dataclass(frozen=True)
 class TangentVec:
     """Traceless 2x2 matrix t1 t2 / t3 -t1 (trace is zero by representation)."""
 
@@ -157,41 +148,6 @@ def general_operator_norm(a, b, c, d):
     entries scales the result exactly.
     """
     return np.sqrt(np.maximum(_sigma1_squared(a, b, c, d)[0], 0.0))
-
-
-def _axis_sign(v: tuple[float, float]) -> tuple[float, float]:
-    # nonnegative first coordinate, first positive nonzero coordinate if zero
-    x, y = v
-    if x < 0.0 or (x == 0.0 and y < 0.0):
-        return (-x, -y)
-    return (x, y)
-
-
-def singular_axes(A: Mat2) -> SingularAxes:
-    """Expanding and contracting unit singular vectors with the operator norm.
-
-    Requires operator_norm(A) > 1 + 1e-8; below that A is within tolerance of
-    a rotation and the axes are numerically meaningless.
-    """
-    nrm = operator_norm(A)
-    if nrm <= 1.0 + _ROTATION_TOL:
-        raise DegenerateAxes(f"norm {nrm} within rotation tolerance")
-    # A^T A = [[p, r], [r, q]]; u is its top eigenvector
-    p = A.a * A.a + A.c * A.c
-    q = A.b * A.b + A.d * A.d
-    r = A.a * A.b + A.c * A.d
-    lam = nrm * nrm
-    v1 = (r, lam - p)
-    v2 = (lam - q, r)
-    n1 = v1[0] * v1[0] + v1[1] * v1[1]
-    n2 = v2[0] * v2[0] + v2[1] * v2[1]
-    vx, vy = v1 if n1 >= n2 else v2
-    nv = math.hypot(vx, vy)
-    if nv == 0.0:  # p == q and r == 0: scalar A^T A, cannot happen past the gate
-        raise DegenerateAxes("isotropic A^T A")
-    u = _axis_sign((vx / nv, vy / nv))
-    s = _axis_sign((-u[1], u[0]))
-    return SingularAxes(u=u, s=s, norm=nrm)
 
 
 def rotation(theta: float) -> Mat2:

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .basedyn import (
     Cell,
     CircleRotation,
@@ -464,6 +465,12 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
     floor(hi 2^16), and the table marks every such bucket of every piece; a
     position in an unmarked bucket lies in no piece.  Positions come in
     chunks of 2^18 (2 MiB), which keeps each chunk's arrays cache-sized.
+
+    The chunks are independent, so they run on the process's CPUs
+    (`_parallel.ordered_map`) and their results join in chunk order; the
+    sort by (lane, step) that follows sees the same arrays.  If several
+    chunks fail, the earliest one's DecompositionFailed surfaces, as in a
+    serial scan.
     """
     blo, bhi, bheights = _castle_base_arrays(cfg.castle)
     size = 1 << _OCCUPANCY_BITS
@@ -473,16 +480,16 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
     occupied = np.cumsum(marks[:-1]) > 0
     plo, phi = pc.base_lo, pc.base_hi
     vlo, vhi = cfg.freq.V.float_breaks()
-    all_lane, all_step, all_flag, all_label, all_height = [], [], [], [], []
     chunk = max(256, (1 << 18) // max(xs.size, 1))
-    for s0 in range(0, n, chunk):
+
+    def scan(s0: int):
         pos = pc.original.base.orbit_floats(xs, min(chunk, n - s0), s0)
         lanes, offs = np.nonzero(occupied[(pos * size).astype(np.intp)])
         cand = pos[lanes, offs]
         bidx, in_b = locate(blo, bhi, cand)
         lanes, offs, hit_pos = lanes[in_b], offs[in_b], cand[in_b]
         if lanes.size == 0:
-            continue
+            return None
         hit_height = bheights[bidx[in_b]]
         hit_v = locate(vlo, vhi, hit_pos)[1]
         pidx, in_piece = locate(plo, phi, hit_pos)
@@ -491,18 +498,12 @@ def _collect_visits(pc: PerturbedCocycle, cfg: SurgeryConfig, xs: np.ndarray, n:
             k = int(np.argmax(~hit_v & (lab < 0)))
             raise DecompositionFailed(
                 f"visit at {hit_pos[k]} outside V but not in any table piece")
-        all_lane.append(lanes)
-        all_step.append(s0 + offs)
-        all_flag.append(hit_v)
-        all_label.append(lab)
-        all_height.append(hit_height)
-    if not all_lane:
+        return lanes, s0 + offs, hit_v, lab, hit_height
+
+    found = [r for r in ordered_map(scan, range(0, n, chunk)) if r is not None]
+    if not found:
         return [[]] * xs.size, [[]] * xs.size, [[]] * xs.size, [[]] * xs.size
-    lanes = np.concatenate(all_lane)
-    steps = np.concatenate(all_step)
-    flags = np.concatenate(all_flag)
-    labs = np.concatenate(all_label)
-    hgts = np.concatenate(all_height)
+    lanes, steps, flags, labs, hgts = (np.concatenate(v) for v in zip(*found))
     order = np.lexsort((steps, lanes))
     lanes, steps, flags, labs, hgts = (v[order] for v in (lanes, steps, flags, labs, hgts))
     bounds = np.searchsorted(lanes, np.arange(xs.size + 1))

@@ -88,7 +88,8 @@ class TestBasics:
         ({"freq_points": {"x": 0}, "n": 10}, "'freq_points'"),
         ([1, 2], "must hold a JSON object"),
         ({"n": "abc"}, "'n'"),
-    ], ids=["unknown-key", "leaf-object", "not-an-object", "value-text"])
+        ({"threads": 0, "n": 10}, "threads"),
+    ], ids=["unknown-key", "leaf-object", "not-an-object", "value-text", "threads-zero"])
     def test_bad_config_file_key_exit_2(self, tmp_path, cfg, key):
         cfgf = tmp_path / "typo.json"
         cfgf.write_text(json.dumps(cfg))
@@ -96,6 +97,21 @@ class TestBasics:
         assert r.returncode == 2, r.stdout + r.stderr
         assert key in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads=-3"]],
+                             ids=["zero", "negative"])
+    def test_bad_threads_flag_exit_2(self, tmp_path, flag):
+        r = run_cli(["exponent", "--out", "o", "--n=10", "--base.grid=64", *flag], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("config error: threads") and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_flag_wins_over_config_key(self, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"threads": 0, "n": 10, "base": {"grid": 64}}))
+        r = run_cli(["exponent", "--config", str(cfgf), "--out", "o", "--threads", "2"],
+                    tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
 
     def test_rational_angle_exit_2(self, tmp_path):
         r = run_cli(["freq-bound", "--out", "o", "--base.variant=circle",

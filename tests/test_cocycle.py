@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -6,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
@@ -178,6 +181,112 @@ class TestLogNorms:
             first = log_norm_of_product(co, x, m)
             second = log_norm_of_product(co, co.base.step(x, m), n)
             assert whole <= first + second + 1e-8
+
+
+class TestLaneGroups:
+    """Long sweeps split their lanes over the CPUs with the same bits."""
+
+    @pytest.fixture
+    def groups(self, monkeypatch):
+        """Lane counts of the groups of every ordered_map call in cocycle."""
+        seen = []
+        real = cy.ordered_map
+
+        def recording(fn, items):
+            items = list(items)
+            seen.append([g.size for g in items])
+            return real(fn, items)
+
+        monkeypatch.setattr(cy, "ordered_map", recording)
+        return seen
+
+    @pytest.mark.parametrize("lanes", [1, 3, 97])
+    @pytest.mark.parametrize("family", ["schrodinger", "table"])
+    def test_bits_independent_of_workers(self, monkeypatch, groups, family, lanes):
+        co = (schrodinger(1.3) if family == "schrodinger"
+              else cy.Cocycle(golden(), cy.twisted_table(1.2, 256)))
+        xs = np.random.default_rng(lanes).uniform(0.0, 1.0, lanes)
+        # 2^13 elements fix the step chunks: 2730 steps for 3 lanes, 84 for
+        # 97; n spans several, each split into many blocks of at most 2^9
+        # elements (128 steps, 4 steps), more than any worker count here
+        n = {1: 5000, 3: 6000, 97: 300}[lanes]
+        max_elems = 1 << 13
+        whole = cy.log_norms_batch(co, xs, n, max_elems)  # blocks of up to 2^13
+        monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 9)
+        got = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
+            groups.clear()
+            got[workers] = cy.log_norms_batch(co, xs, n, max_elems)
+            assert groups == [[g.size for g in np.array_split(xs, min(workers, lanes))]]
+        assert np.all(np.isfinite(whole)) and np.all(whole > 0.0)
+        for workers in (1, 2, 3):
+            assert np.array_equal(got[workers], whole)
+
+    @pytest.mark.parametrize("lanes,n", [(2048, 16), (3, 200_000), (96, 3 * 4096)],
+                             ids=["probe", "estimate", "three-blocks"])
+    def test_short_trees_stay_serial(self, monkeypatch, groups, lanes, n):
+        """A chunk of no more blocks than CPUs is one group: the 16-step
+        probe, the 3-lane exponent estimate (two blocks), 96 lanes over
+        three blocks of 4096 steps with three CPUs."""
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 3)
+        cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
+        assert groups == [[lanes]]
+
+
+class TestOrderedMap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool _parallel starts; two CPUs."""
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 2)
+        started = []
+        real = _parallel.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", counting)
+        return started
+
+    def test_results_in_item_order(self, pools):
+        def slow_first(i):
+            time.sleep(0.02 * (5 - i))
+            return i * i
+        assert _parallel.ordered_map(slow_first, range(6)) == [i * i for i in range(6)]
+        assert pools == [2]
+
+    def test_earliest_error_surfaces(self, pools):
+        def fail(i):
+            if i in (1, 3):
+                time.sleep(0.1 if i == 1 else 0.0)  # the later item fails first
+                raise ValueError(f"item {i}")
+            return i
+        with pytest.raises(ValueError, match="item 1"):
+            _parallel.ordered_map(fail, range(5))
+
+    def test_serial_inside_parallel_lanes(self, monkeypatch, pools):
+        co = cy.Cocycle(golden(), cy.twisted_table(1.2, 256))
+        xs = np.arange(128) / 128  # 64 slices of two lanes
+        # 2 lanes in 3072 elements: step chunks of 1536 in blocks of 128
+        n, max_elems = 300, 3 * 1024
+        monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 8)
+
+        def work(sl):
+            me = threading.get_ident()
+            idents = _parallel.ordered_map(lambda _: threading.get_ident(), range(4))
+            assert idents == [me] * 4
+            return cy.log_norms_batch(co, sl, n, max_elems)
+
+        want = np.concatenate([cy.log_norms_batch(co, xs[i:i + 2], n, max_elems)
+                               for i in range(0, 128, 2)])
+        assert pools == [2] * 64  # outside a worker each slice splits
+        for threads in (1, 2):
+            pools.clear()
+            got = _parallel.parallel_lanes(work, xs, threads)
+            # parallel_lanes' own pool only: no pool inside its workers
+            assert pools == ([] if threads == 1 else [2])
+            assert np.array_equal(got, want)
 
 
 class TestLyapunov:

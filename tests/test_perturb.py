@@ -119,7 +119,8 @@ class TestSteerDirection:
         for _ in range(100):
             x = co.base.point(float(rng.uniform()))
             probe = cy.iterate(co, x, 10)
-            from cocyclelab.sl2 import operator_norm, singular_axes
+            from cocyclelab.sl2 import operator_norm
+            from sl2_axes import singular_axes
 
             if operator_norm(probe) < 1.5:
                 continue

@@ -6,7 +6,8 @@ import pytest
 from cocyclelab import scenarios as sc
 from cocyclelab.errors import LiftFailed
 from cocyclelab.exact import GOLDEN_MEAN
-from cocyclelab.sl2 import operator_norm, singular_axes
+from cocyclelab.sl2 import operator_norm
+from sl2_axes import singular_axes
 
 
 GOLDEN_ANGLE = 2 * math.pi * float(GOLDEN_MEAN)

@@ -25,10 +25,10 @@ from cocyclelab.sl2 import (
     rotation,
     scan_lanes,
     scan_product,
-    singular_axes,
     singular_axes_arrays,
     tree_product,
 )
+from sl2_axes import singular_axes
 
 # fixed examples, no example database: the suite stays reproducible
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
-from cocyclelab.errors import NotApplicable, ResolutionExceeded
+from cocyclelab.errors import DecompositionFailed, NotApplicable, ResolutionExceeded
 from cocyclelab.exact import QuadExt
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm,
                              log_sl2_arrays)
@@ -224,6 +225,56 @@ class TestPipeline:
             assert len(g_field) == len(w_field) == xs.size
             for g, w in zip(g_field, w_field):
                 assert np.array_equal(g, w)
+
+    def test_collect_visits_bits_independent_of_workers(self, pipeline, monkeypatch):
+        co, cfg, pc, cert = pipeline
+        xs = np.arange(96) / 96
+        chunk = (1 << 18) // 96
+        n = 10 * chunk + 17  # ten full position chunks and a partial one
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
+            got[workers] = sg._collect_visits(pc, cfg, xs, n)
+        assert sum(len(v) for v in got[1][0]) > 0
+        assert max(int(v[-1]) for v in got[1][0] if len(v)) >= 10 * chunk
+        for f1, f2 in zip(got[1], got[2]):
+            assert len(f1) == len(f2) == xs.size
+            for a, b in zip(f1, f2):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_collect_visits_earliest_failure_surfaces(self, pipeline, monkeypatch):
+        """Two table labels unset, each first met in a different late chunk:
+        the earlier chunk's DecompositionFailed surfaces at any worker count."""
+        co, cfg, pc, cert = pipeline
+        # 96 lanes keep the chunks short; one anchor spreads the labels' first
+        # visits over the chunks (a 96-lane grid meets most labels in the first)
+        xs = np.zeros(96)
+        chunk = (1 << 18) // 96
+        n = 10 * chunk + 17
+        visits, flags, labels, _ = sg._collect_visits(pc, cfg, xs, n)
+        first_chunk = {}  # label -> earliest chunk holding one of its visits outside V
+        for vs, fs, ls in zip(visits, flags, labels):
+            for step, lab in zip(vs[~fs], ls[~fs]):
+                first_chunk[lab] = min(first_chunk.get(lab, n), int(step) // chunk)
+        late = sorted((c, lab) for lab, c in first_chunk.items() if c >= 2)
+        (c_early, lab_early), (c_late, lab_late) = late[0], late[-1]
+        assert c_early < c_late
+        # the failing visit: the first (lane, step) of the early chunk with a planted label
+        lane, step = min((i, int(s_)) for i, (vs, fs, ls) in enumerate(zip(visits, flags, labels))
+                         for s_, f, lab in zip(vs, fs, ls)
+                         if not f and s_ // chunk == c_early and lab in (lab_early, lab_late))
+        s0 = c_early * chunk
+        want = pc.original.base.orbit_floats(xs, chunk, s0)[lane, step - s0]
+        planted = np.where(np.isin(pc.base_label, [lab_early, lab_late]), -1, pc.base_label)
+        monkeypatch.setattr(pc, "base_label", planted)
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
+            with pytest.raises(DecompositionFailed) as err:
+                sg._collect_visits(pc, cfg, xs, n)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert float(messages[0].split()[2]) == want
 
     def test_outside_regions_unperturbed(self, pipeline):
         co, cfg, pc, cert = pipeline
