@@ -1,8 +1,9 @@
 """Deterministic data-parallel sweeps, at two levels.
 
 `parallel_lanes` is the outer level, behind --threads: work splits into a
-fixed number of slices independent of the thread count, and results combine
-in slice order.  `ordered_map` is the inner level, inside one long sweep (the
+fixed number of slices independent of the thread count, and the slices go
+through `ordered_map` on --threads threads, their results combined in slice
+order.  `ordered_map` alone is the inner level, inside one long sweep (the
 lane groups of `cocycle.log_norms_batch`, the position chunks of
 `surgery._collect_visits`): it maps over items in order on as many threads
 as the process has CPUs (its affinity mask, not --threads).  Each caller
@@ -10,8 +11,8 @@ splits its work so that no byte depends on how many items run at once.
 
 The levels do not nest: a worker of either level runs `ordered_map`
 serially in its own thread, so a grid sweep under --threads k runs at most k
-threads.  Each call's pool lives in a `with` block: no thread outlives the
-call.
+threads.  `ordered_map` is the one place a pool is made, and its pool lives
+in a `with` block: no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 import numpy as np
 
@@ -56,18 +57,21 @@ def _as_worker(fn: Callable[[T], R]) -> Callable[[T], R]:
     return run
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """[fn(x) for x in items], run on the process's CPUs.
+def ordered_map(fn: Callable[[T], R], items: Iterable[T],
+                workers: Optional[int] = None) -> list[R]:
+    """[fn(x) for x in items], run on `workers` threads (default `map_workers()`:
+    the process's CPUs, serial inside a worker).
 
-    Serial inside a worker.  An exception surfaces from the earliest item
-    that raised, as in the serial loop.
+    Each item runs marked a worker.  An exception surfaces from the earliest
+    item that raised, as in the serial loop.
     """
     items = list(items)
-    workers = min(map_workers(), len(items))
+    run = _as_worker(fn)
+    workers = min(map_workers() if workers is None else workers, len(items))
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [run(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_as_worker(fn), items))
+        return list(pool.map(run, items))
 
 
 def parallel_lanes(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
@@ -77,10 +81,4 @@ def parallel_lanes(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     n_chunks = min(FIXED_CHUNKS, max(1, xs.shape[0]))
     bounds = np.linspace(0, xs.shape[0], n_chunks + 1).astype(int)
     slices = [xs[bounds[i]:bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-    run = _as_worker(fn)
-    if threads <= 1:
-        parts = [run(s) for s in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, slices))
-    return np.concatenate(parts)
+    return np.concatenate(ordered_map(fn, slices, workers=threads))

@@ -175,6 +175,13 @@ def translate_union(u, delta) -> tuple:
     return norm_union(out)
 
 
+def column_floors(u, alpha, height: int):
+    """(piece, level) of every floor translate_union(u, mod1(j alpha)), j < height."""
+    for j in range(height):
+        for piece in translate_union(u, mod1(j * alpha)):
+            yield piece, j
+
+
 def shrink_union(u, margin) -> tuple:
     return norm_union([(lo + margin, hi - margin) for lo, hi in u])
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Optional
 
@@ -147,6 +148,14 @@ def _check_config(cfg: dict) -> None:
     if len(cfg["generator"]["entries"]) != 4:
         raise ConfigError(f"generator.entries must be 4 numbers a, b, c, d, "
                           f"got {cfg['generator']['entries']!r}")
+    if not cfg["generator"]["table_size"] >= 1:
+        raise ConfigError(f"generator.table_size must be an integer >= 1, "
+                          f"got {cfg['generator']['table_size']!r}")
+    verify_grid, horizon = cfg["surgery"]["verify_grid"], cfg["surgery"]["horizon"]
+    if not verify_grid >= 1:
+        raise ConfigError(f"surgery.verify_grid must be an integer >= 1, got {verify_grid!r}")
+    if horizon is not None and not horizon >= 1:
+        raise ConfigError(f"surgery.horizon must be null or an integer >= 1, got {horizon!r}")
 
 
 def build_base(cfg: dict) -> basedyn.CircleRotation:
@@ -186,7 +195,11 @@ def build_generator(cfg: dict) -> cocycle.Generator:
         path = g["table_path"]
         if not path or not Path(path).exists():
             raise ConfigError(f"generator.table_path missing or not found: {path}")
-        vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4))
+        with warnings.catch_warnings():  # an empty table is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4), ndmin=2)
+        if vals.size == 0:
+            raise ConfigError(f"generator.table_path {path!r} holds no table rows")
         return cocycle.TableGenerator(vals)
     raise ConfigError(f"unknown generator family {fam!r}")
 
@@ -327,7 +340,7 @@ def cmd_surgery(cfg: dict) -> int:
     try:
         scfg, pc, cert = surgery.run_surgery(
             co, float(cfg["eps"]), verify_grid=grid,
-            horizon=int(s["horizon"]) if s["horizon"] else None, force=bool(s["force"]))
+            horizon=None if s["horizon"] is None else int(s["horizon"]), force=bool(s["force"]))
     except NotApplicable as e:
         _write_json(out / "surgery.json", {"applicable": False, "reason": str(e)})
         print(f"surgery not applicable: {e}")

@@ -3,7 +3,7 @@
 Long products run through the pairwise tree of `sl2.tree_product`: a fixed
 reduction order, independent of any thread count, and one vectorized pass per
 level.  Grid sweeps chunk lanes and steps, and build each step chunk's tree
-from aligned power-of-two blocks of at most max(min(max_elems, 2^19),
+from aligned power-of-two blocks of at most max(min(_MAX_ELEMS, 2^19),
 lane_chunk) entry elements (one step of a lane chunk when the lanes alone
 exceed the cap): memory is bounded by one block at any horizon, and the bits
 are those of the whole chunk's tree.  A chunk of more blocks than CPUs
@@ -35,6 +35,7 @@ from .sl2 import (
 
 _OVERFLOW_LIMIT = 1e300
 _WITNESS_EPS = 1e-3  # uh_certify's norm-collapse threshold on (1/n) log ||A_n||
+_MAX_ELEMS = 1 << 23  # entry elements per lane and step chunk of log_norms_batch
 _BLOCK_ELEMS = 1 << 19  # entry elements per block of log_norms_batch's tree
 
 
@@ -111,8 +112,8 @@ class TableGenerator(Generator):
 
     def __init__(self, values: np.ndarray):
         vals = np.asarray(values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != 4:
-            raise CocycleLabError("table must have shape (G, 4)")
+        if vals.ndim != 2 or vals.shape[1] != 4 or vals.shape[0] < 1:
+            raise CocycleLabError(f"table must have shape (G, 4) with G >= 1, got {vals.shape}")
         self.values = vals
         self.size = vals.shape[0]
         self._cols = tuple(np.ascontiguousarray(v) for v in vals.T)  # gathered by take
@@ -241,16 +242,15 @@ def _lane_log_norms(co: Cocycle, lanes: np.ndarray, n: int, step_chunk: int,
     return log_norm(*carry, exp2)
 
 
-def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
-                    max_elems: int = 1 << 23) -> np.ndarray:
+def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     """log ||A_n(x)|| for an array of float anchors.
 
     Lane-chunked, and step-chunked with a carried running product for long
     horizons: each step chunk is one tree product, and the carry is rescaled
-    by powers of two like the tree.  `max_elems` fixes these lane and step
+    by powers of two like the tree.  `_MAX_ELEMS` fixes these lane and step
     chunks, the carry grouping, and the bits depend on nothing else.  Each
     chunk's tree is built from aligned power-of-two blocks (`_blocked_tree`)
-    of at most max(min(max_elems, 2^19), lane_chunk) elements: a block is one
+    of at most max(min(_MAX_ELEMS, 2^19), lane_chunk) elements: a block is one
     step long when a lane chunk alone exceeds the cap, as with many lanes and
     a short horizon.  So memory is bounded by one block at any n, and the
     blocks move no bit.
@@ -269,9 +269,9 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int,
     if n < 1:
         raise CocycleLabError("need n >= 1")
     out = np.empty(anchors.size, dtype=float)
-    lane_chunk = max(1, min(anchors.size, max(max_elems // max(n, 1), 256)))
-    step_chunk = max(1, max_elems // lane_chunk)
-    block = 1 << max(0, (min(max_elems, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
+    lane_chunk = max(1, min(anchors.size, max(_MAX_ELEMS // max(n, 1), 256)))
+    step_chunk = max(1, _MAX_ELEMS // lane_chunk)
+    block = 1 << max(0, (min(_MAX_ELEMS, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
     workers = map_workers()
     groups = workers if min(step_chunk, n) > workers * block else 1
     for lo in range(0, anchors.size, lane_chunk):

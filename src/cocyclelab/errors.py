@@ -9,10 +9,6 @@ class DeterminantError(CocycleLabError):
     """Matrix determinant drifted beyond the hard 1e-9 tolerance."""
 
 
-class DegenerateAxes(CocycleLabError):
-    """Singular axes requested for a matrix within tolerance of a rotation."""
-
-
 class LogDomain(CocycleLabError):
     """No principal real logarithm: trace <= -2 + 1e-6."""
 

@@ -30,6 +30,7 @@ from .basedyn import (
     Cell,
     CircleRotation,
     bucket_locator,
+    column_floors,
     complement,
     covering_time,
     first_overlap,
@@ -37,7 +38,6 @@ from .basedyn import (
     inter_union,
     locate,
     shrink_union,
-    translate_union,
 )
 from .cocycle import (
     Certificate,
@@ -54,7 +54,6 @@ from .errors import (
     NotApplicable,
     ResolutionExceeded,
 )
-from .exact import mod1
 from .perturb import (
     SegmentPlan,
     choose_N,
@@ -76,6 +75,7 @@ EXPONENT_FLOOR = 1e-3
 _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 _SLICE = 1 << 15  # points per slice of PerturbedCocycle.entries (see there)
 _OCCUPANCY_BITS = 16  # 2^16 buckets in _collect_visits's occupancy table
+_ESTIMATE_HORIZON = 200_000  # steps of the exponent-estimate gate
 
 
 # -- continuity modulus ---------------------------------------------------------------
@@ -136,9 +136,9 @@ class SurgeryConfig:
         return (3.0 * self.c + 2.0) * self.eps
 
 
-def _exponent_estimate(co: Cocycle, horizon: int = 200_000) -> float:
+def _exponent_estimate(co: Cocycle) -> float:
     anchors = np.array([0.1234567, 0.5678901, 0.9012345])
-    vals = log_norms_batch(co, anchors, horizon) / horizon
+    vals = log_norms_batch(co, anchors, _ESTIMATE_HORIZON) / _ESTIMATE_HORIZON
     return float(vals.max())
 
 
@@ -247,51 +247,32 @@ class PerturbedCocycle(Generator):
         self.sup_distance = float("nan")  # set by certify_distance
 
     def _build_regions(self):
+        """Regions are the floors of the label columns: rows (region_lo, region_hi,
+        region_label, region_level) over one (4, height) matrix column per label."""
         co, cfg = self.original, self.cfg
-        rot = co.base
-        lo_list: list[float] = []
-        hi_list: list[float] = []
-        mats: list[tuple[float, float, float, float]] = []
         label_keys: list[tuple] = sorted(cfg.rep_pieces.keys())
-        key_index = {k: i for i, k in enumerate(label_keys)}
-        exact_pieces = []
-        block_logs = np.zeros(len(label_keys))
-        for key in label_keys:
-            h, i = key
-            plan = self.plans[key]
-            col = _column_matrices(co, cfg, plan, h)
-            block_logs[key_index[key]] = log_norm(*scan_product(*zip(*col)))
-            base_union = cfg.rep_pieces[key]
-            for j in range(h):
-                delta_j = mod1(j * rot.alpha)
-                shifted = translate_union(base_union, delta_j)
-                for lo, hi in shifted:
-                    exact_pieces.append((lo, hi))
-                    lo_list.append(float(lo))
-                    hi_list.append(float(hi))
-                    mats.append(col[j])
-        order = np.argsort(np.array(lo_list), kind="stable")
-        self.region_lo = np.array(lo_list)[order]
-        self.region_hi = np.array(hi_list)[order]
-        self.region_mat = np.array(mats)[order]
-        self._table = tuple(np.ascontiguousarray(self.region_mat[:, k]) for k in range(4))
+        cols = [_column_matrices(co, self.plans[key], key[0]) for key in label_keys]
+        floors = [(piece, label, level) for label, key in enumerate(label_keys)
+                  for piece, level in column_floors(cfg.rep_pieces[key], co.base.alpha, key[0])]
+        pieces, labels, levels = zip(*floors)
+        # exact disjointness of all regions ("these sets are disjoint")
+        if first_overlap(pieces)[1] is not None:
+            raise CertificationFailed("perturbation regions overlap")
+        lo, hi = float_breaks(pieces)
+        order = np.argsort(lo, kind="stable")
+        self.region_lo, self.region_hi = lo[order], hi[order]
+        self.region_label = np.array(labels)[order]
+        self.region_level = np.array(levels)[order]
+        heights = [col.shape[1] for col in cols]
+        row = (np.cumsum(heights) - heights)[self.region_label] + self.region_level
+        self._table = tuple(entry.take(row) for entry in np.concatenate(cols, axis=1))
         self._locate = bucket_locator(self.region_lo)
         self.label_keys = label_keys
-        self.block_logs = block_logs
-        # exact disjointness of all regions ("these sets are disjoint")
-        if first_overlap(exact_pieces)[1] is not None:
-            raise CertificationFailed("perturbation regions overlap")
-        # base pieces (column 0) for structural block lookup
-        base_lo, base_hi, base_lab = [], [], []
-        for key in label_keys:
-            for lo, hi in cfg.rep_pieces[key]:
-                base_lo.append(float(lo))
-                base_hi.append(float(hi))
-                base_lab.append(key_index[key])
-        order = np.argsort(np.array(base_lo), kind="stable")
-        self.base_lo = np.array(base_lo)[order]
-        self.base_hi = np.array(base_hi)[order]
-        self.base_label = np.array(base_lab)[order]
+        self.block_logs = np.array([log_norm(*scan_product(*col)) for col in cols])
+        # base pieces (level 0) for structural block lookup
+        base = self.region_level == 0
+        self.base_lo, self.base_hi = self.region_lo[base], self.region_hi[base]
+        self.base_label = self.region_label[base]
 
     # -- evaluation -------------------------------------------------------------
 
@@ -386,14 +367,12 @@ class PerturbedCocycle(Generator):
                 w.writerow([f"{v:.17g}" for v in row])
 
 
-def _column_matrices(co: Cocycle, cfg: SurgeryConfig, plan: SegmentPlan, height: int):
-    """Entries of L_{l,i,j}, j < height; the extra top slot copies the generator."""
-    ents = plan_entries(co, plan)
-    col = [(float(ents[0][j]), float(ents[1][j]), float(ents[2][j]), float(ents[3][j]))
-           for j in range(plan.N)]
+def _column_matrices(co: Cocycle, plan: SegmentPlan, height: int) -> np.ndarray:
+    """Entries of L_{l,i,j}, j < height, as a (4, height) array; a top slot copies the generator."""
+    col = np.array(plan_entries(co, plan))
     if height == plan.N + 1:
         x0 = co.base.float_coords(plan.x)[0]
-        col.append(tuple(float(e[0]) for e in co.entries_along(x0, 1, plan.N)))
+        col = np.hstack([col, np.array(co.entries_along(x0, 1, plan.N))])
     return col
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .basedyn import (
     Cell,
     CircleRotation,
+    column_floors,
     first_overlap,
     first_return,
     float_breaks,
@@ -115,14 +116,6 @@ class Castle:
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
 
-    def all_floors(self):
-        """Yield (interval piece, tower index, level) for every floor."""
-        for ti, t in enumerate(self.towers):
-            for j in range(t.height):
-                cell = self.system.translate_cell(t.base, j)
-                for piece in cell.intervals:
-                    yield piece, ti, j
-
     def float_floors(self) -> tuple[np.ndarray, np.ndarray]:
         """All floor intervals as float arrays, built by vectorized translation."""
         lows, highs = [], []
@@ -160,7 +153,9 @@ class Castle:
         if first_overlap(iv for t in self.towers for iv in t.base.intervals)[1] is not None:
             raise DisjointnessFailed("tower bases overlap")
         if do_exact:
-            pieces, bad = first_overlap(p for p, _, _ in self.all_floors())
+            pieces, bad = first_overlap(
+                p for t in self.towers
+                for p, _ in column_floors(t.base.intervals, self.system.alpha, t.height))
             if bad is not None:
                 raise DisjointnessFailed(f"floors overlap near {float(pieces[bad + 1][0])!r}")
             tiles = all(hi1 == lo2 for (lo1, hi1), (lo2, hi2) in zip(pieces[:-1], pieces[1:]))
@@ -338,7 +333,6 @@ def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
 
 
 def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
-                     rho_start: Optional[float] = None,
                      rho_floor: Optional[float] = None) -> FreqBound:
     """Certified (V, n0) with visit frequency below eps for every orbit.
 
@@ -357,8 +351,7 @@ def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
     alpha = rot.alpha
     spacing = 1.0 / rot.grid_size
     floor = spacing / 2 if rho_floor is None else max(rho_floor, 1e-12)
-    rho = rho_start if rho_start is not None else max(spacing * 4, 1e-6)
-    rho_frac = Fraction(rho).limit_denominator(1 << 40)
+    rho_frac = Fraction(max(spacing * 4, 1e-6)).limit_denominator(1 << 40)
     best = math.inf
     while True:
         parts = []

@@ -4,8 +4,12 @@
 import math
 from dataclasses import dataclass
 
-from cocyclelab.errors import DegenerateAxes
+from cocyclelab.errors import CocycleLabError
 from cocyclelab.sl2 import _ROTATION_TOL, Mat2, operator_norm
+
+
+class DegenerateAxes(CocycleLabError):
+    """Singular axes requested for a matrix within tolerance of a rotation."""
 
 
 @dataclass(frozen=True)

@@ -544,6 +544,26 @@ class TestUnionAlgebra:
         for x in _probes(u, out):
             assert bd.union_contains(out, x) == bd.union_contains(u, bd.mod1(x - delta))
 
+    @settings(max_examples=60, deadline=None)
+    @given(_EXACT_UNIONS, st.integers(1, 12))
+    def test_column_floors_are_translated_cells(self, u, height):
+        rot = golden()
+        want = [(p, j) for j in range(height) for p in rot.translate_cell(bd.Cell(u), j).intervals]
+        assert list(bd.column_floors(u, rot.alpha, height)) == want
+
+    @pytest.mark.parametrize("alpha", [None, math.sqrt(2) - 1], ids=["golden", "float-angle"])
+    def test_column_floors_split_at_one(self, alpha):
+        rot = golden() if alpha is None else bd.CircleRotation(alpha, grid_size=64)
+        # the top piece reaches 1 and the next floor wraps it past 1
+        u = ((rot.lift(Fraction(1, 10)), rot.lift(Fraction(3, 10))),
+             (rot.lift(Fraction(7, 10)), rot.lift(1)))
+        floors = list(bd.column_floors(u, rot.alpha, 9))
+        want = [(p, j) for j in range(9) for p in rot.translate_cell(bd.Cell(u), j).intervals]
+        assert floors == want
+        assert [p for p, j in floors if j == 0] == list(u)
+        split = [j for j in range(9) if sum(lvl == j for _, lvl in floors) > len(u)]
+        assert split and all(type(p[0]) is type(u[0][0]) for p, _ in floors)
+
     def test_locate_matches_brute_force(self):
         lo = np.array([0.1, 0.25, 0.5, 0.875])
         hi = np.array([0.2, 0.5, 0.75, 1.0])  # [0.25, 0.5) and [0.5, 0.75) touch

@@ -73,15 +73,42 @@ class TestBasics:
         ["exponent", "--generator.family=constant", "--generator.entries=abc"],
         ["exponent", "--generator.family=constant", "--generator.entries=[1,2]"],
         ["surgery", "--surgery.horizon=abc"],
+        ["surgery", "--surgery.horizon=0"],
+        ["surgery", "--generator.family=twisted-table", "--generator.coupling=1.2", "--eps=0.5",
+         "--base.grid=1024", "--surgery.verify_grid=0"],
+        ["surgery", "--surgery.verify_grid=-4"],
+        ["exponent", "--generator.family=twisted-table", "--generator.table_size=0"],
+        ["exponent", "--generator.family=twisted-table", "--generator.table_size=-2"],
         ["demo-hopf", "--hopf_alpha=x"],
     ], ids=["eps-nan", "grid-zero", "alpha-nan", "alpha-text", "variant-torus", "unknown-key",
             "leaf-object", "stale-key", "n-text", "castle-n-text", "entries-text",
-            "entries-length", "horizon-text", "hopf-alpha-text"])
+            "entries-length", "horizon-text", "horizon-zero", "verify-grid-zero",
+            "verify-grid-negative", "table-size-zero", "table-size-negative",
+            "hopf-alpha-text"])
     def test_bad_value_exit_2(self, tmp_path, args):
         r = run_cli([args[0], "--out", "o", *args[1:]], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", ["", "x,a,b,c,d\n"], ids=["empty-file", "header-only"])
+    def test_empty_table_exit_2(self, tmp_path, content):
+        table = tmp_path / "table.csv"
+        table.write_text(content)
+        r = run_cli(["exponent", "--out", "o", "--generator.family=table",
+                     f"--generator.table_path={table}"], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("config error: generator.table_path")
+        assert "Traceback" not in r.stderr and not (tmp_path / "o").exists()
+
+    def test_one_row_table(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("x,a,b,c,d\n0,2,0,0,0.5\n")
+        r = run_cli(["exponent", "--out", "o", "--generator.family=table", "--n=10",
+                     "--base.grid=64", f"--generator.table_path={table}"], tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+        data = json.loads((tmp_path / "o" / "exponent.json").read_text())
+        assert abs(data["mean"] - 0.6931471805599453) < 1e-12
 
     @pytest.mark.parametrize("cfg,key", [
         ({"base": {"grd": 64}, "n": 10}, "'base.grd'"),

@@ -210,14 +210,14 @@ class TestLaneGroups:
         # 97; n spans several, each split into many blocks of at most 2^9
         # elements (128 steps, 4 steps), more than any worker count here
         n = {1: 5000, 3: 6000, 97: 300}[lanes]
-        max_elems = 1 << 13
-        whole = cy.log_norms_batch(co, xs, n, max_elems)  # blocks of up to 2^13
+        monkeypatch.setattr(cy, "_MAX_ELEMS", 1 << 13)
+        whole = cy.log_norms_batch(co, xs, n)  # blocks of up to 2^13
         monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 9)
         got = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
             groups.clear()
-            got[workers] = cy.log_norms_batch(co, xs, n, max_elems)
+            got[workers] = cy.log_norms_batch(co, xs, n)
             assert groups == [[g.size for g in np.array_split(xs, min(workers, lanes))]]
         assert np.all(np.isfinite(whole)) and np.all(whole > 0.0)
         for workers in (1, 2, 3):
@@ -269,16 +269,17 @@ class TestOrderedMap:
         co = cy.Cocycle(golden(), cy.twisted_table(1.2, 256))
         xs = np.arange(128) / 128  # 64 slices of two lanes
         # 2 lanes in 3072 elements: step chunks of 1536 in blocks of 128
-        n, max_elems = 300, 3 * 1024
+        n = 300
+        monkeypatch.setattr(cy, "_MAX_ELEMS", 3 * 1024)
         monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 8)
 
         def work(sl):
             me = threading.get_ident()
             idents = _parallel.ordered_map(lambda _: threading.get_ident(), range(4))
             assert idents == [me] * 4
-            return cy.log_norms_batch(co, sl, n, max_elems)
+            return cy.log_norms_batch(co, sl, n)
 
-        want = np.concatenate([cy.log_norms_batch(co, xs[i:i + 2], n, max_elems)
+        want = np.concatenate([cy.log_norms_batch(co, xs[i:i + 2], n)
                                for i in range(0, 128, 2)])
         assert pools == [2] * 64  # outside a worker each slice splits
         for threads in (1, 2):
@@ -461,3 +462,11 @@ class TestTableGenerator:
         est = cy.lyapunov_estimate(co, co.base.point(0.123), 10**5)
         assert est > 1e-3  # at least log((lam + 1/lam)/2) in the limit
         assert not isinstance(cy.uh_certify(co), cy.Certificate)
+
+    @pytest.mark.parametrize("make", [lambda: cy.TableGenerator(np.ones((0, 4))),
+                                      lambda: cy.twisted_table(1.2, 0),
+                                      lambda: cy.TableGenerator(np.ones((3, 3)))],
+                             ids=["empty", "twisted-empty", "three-columns"])
+    def test_rejects_empty_or_misshapen_table(self, make):
+        with pytest.raises(CocycleLabError, match="shape"):
+            make()

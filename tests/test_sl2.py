@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
-from cocyclelab.errors import DegenerateAxes, DeterminantError, LogDomain
+from cocyclelab.errors import DeterminantError, LogDomain
 from cocyclelab.exact import QuadExt
 from cocyclelab.sl2 import (
     Mat2,
@@ -28,7 +28,7 @@ from cocyclelab.sl2 import (
     singular_axes_arrays,
     tree_product,
 )
-from sl2_axes import singular_axes
+from sl2_axes import DegenerateAxes, singular_axes
 
 # fixed examples, no example database: the suite stays reproducible
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -434,7 +434,7 @@ class TestProductKernel:
         for plan in steered + early:
             assert plan.product_log_norm == pb.verify_segment(co, plan).product_log_norm
 
-    def test_log_norms_batch_against_mpmath(self):
+    def test_log_norms_batch_against_mpmath(self, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
         co = cy.Cocycle(bd.CircleRotation.golden(grid_size=64), cy.SchrodingerGenerator(0.3, 2.0))
         n = 3755
@@ -442,7 +442,8 @@ class TestProductKernel:
         # a small element budget forces several step chunks and the carried
         # product, each chunk in blocks: 1365 steps a chunk, 1024 a block, so
         # the chunks are 1024 + 341, 1024 + 341 and 1024 + 1 steps
-        got = cy.log_norms_batch(co, anchors, n, max_elems=1 << 12)
+        monkeypatch.setattr(cy, "_MAX_ELEMS", 1 << 12)
+        got = cy.log_norms_batch(co, anchors, n)
         with mpmath.workdps(50):
             for x0, val in zip(anchors, got):
                 a, b, c, d = (np.asarray(v, dtype=float).tolist()

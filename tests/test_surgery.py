@@ -8,9 +8,10 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import DecompositionFailed, NotApplicable, ResolutionExceeded
-from cocyclelab.exact import QuadExt
-from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm,
-                             log_sl2_arrays)
+from cocyclelab.exact import QuadExt, mod1
+from cocyclelab.perturb import plan_entries
+from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
+                             log_sl2_arrays, scan_product)
 
 
 def golden(grid=1024):
@@ -26,7 +27,7 @@ def reference_entries(pc, xs):
     t = np.clip(np.minimum(flat - pc.region_lo[idx], pc.region_hi[idx] - flat)
                 / pc.blend_width, 0.0, 1.0)
     beta = np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
-    ta, tb, tc, td = (pc.region_mat[idx, k] for k in range(4))
+    ta, tb, tc, td = (col[idx] for col in pc._table)
     out = [ga.copy(), gb.copy(), gc.copy(), gd.copy()]
     full = inside & (t >= 1.0)
     for o, v in zip(out, (ta, tb, tc, td)):
@@ -48,6 +49,44 @@ def reference_bump(pc, xs):
     t = np.clip(np.minimum(flat - pc.region_lo[idx], pc.region_hi[idx] - flat)
                 / pc.blend_width, 0.0, 1.0)
     return np.where(inside, t * t * (3.0 - 2.0 * t), 0.0).reshape(np.shape(xs))
+
+
+def reference_regions(pc):
+    """The region table as first built: per label, its column as float tuples
+    and one translate_union per floor into one list of rows carrying their
+    matrices, then a second loop over the rep pieces for the base table."""
+    co, cfg = pc.original, pc.cfg
+    label_keys = sorted(cfg.rep_pieces.keys())
+    key_index = {k: i for i, k in enumerate(label_keys)}
+    lo_list, hi_list, mats = [], [], []
+    block_logs = np.zeros(len(label_keys))
+    for key in label_keys:
+        h, _ = key
+        plan = pc.plans[key]
+        ents = plan_entries(co, plan)
+        col = [(float(ents[0][j]), float(ents[1][j]), float(ents[2][j]), float(ents[3][j]))
+               for j in range(plan.N)]
+        if h == plan.N + 1:
+            x0 = co.base.float_coords(plan.x)[0]
+            col.append(tuple(float(e[0]) for e in co.entries_along(x0, 1, plan.N)))
+        block_logs[key_index[key]] = log_norm(*scan_product(*zip(*col)))
+        for j in range(h):
+            for lo, hi in bd.translate_union(cfg.rep_pieces[key], mod1(j * co.base.alpha)):
+                lo_list.append(float(lo))
+                hi_list.append(float(hi))
+                mats.append(col[j])
+    order = np.argsort(np.array(lo_list), kind="stable")
+    base_lo, base_hi, base_lab = [], [], []
+    for key in label_keys:
+        for lo, hi in cfg.rep_pieces[key]:
+            base_lo.append(float(lo))
+            base_hi.append(float(hi))
+            base_lab.append(key_index[key])
+    border = np.argsort(np.array(base_lo), kind="stable")
+    return {"region_lo": np.array(lo_list)[order], "region_hi": np.array(hi_list)[order],
+            "region_mat": np.array(mats)[order], "base_lo": np.array(base_lo)[border],
+            "base_hi": np.array(base_hi)[border], "base_label": np.array(base_lab)[border],
+            "block_logs": block_logs}
 
 
 def reference_collect_visits(pc, cfg, xs, n):
@@ -176,7 +215,23 @@ class TestPipeline:
         k = np.argmax(pc.region_hi - pc.region_lo)
         mid = (pc.region_lo[k] + pc.region_hi[k]) / 2.0
         a, b, c, d = pc.entries(np.array([mid]))
-        assert (float(a[0]), float(b[0]), float(c[0]), float(d[0])) == tuple(pc.region_mat[k])
+        assert (float(a[0]), float(b[0]), float(c[0]), float(d[0])) == tuple(
+            float(col[k]) for col in pc._table)
+
+    def test_regions_equal_reference_body(self, pipeline):
+        """Rows over one matrix column per label give the region table first
+        built, bit for bit: the bounds, each row's matrix, the level-0 base
+        view and the block log-norms."""
+        co, cfg, pc, cert = pipeline
+        want = reference_regions(pc)
+        got = {"region_lo": pc.region_lo, "region_hi": pc.region_hi,
+               "region_mat": np.stack(pc._table, axis=1), "base_lo": pc.base_lo,
+               "base_hi": pc.base_hi, "base_label": pc.base_label, "block_logs": pc.block_logs}
+        assert pc.base_lo.size < pc.region_lo.size and len(pc.plans) > 1
+        for name, w in want.items():
+            g = got[name]
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
 
     def test_entries_equal_reference_body(self, pipeline):
         """Table gathers in the interiors and the generator only where needed

@@ -154,9 +154,9 @@ class TestFreqBound:
         assert abs(long_freq - 2 * fb.rho) < 0.3 * (2 * fb.rho) + 1e-4
 
     def test_doubling_points_at_fixed_rho(self):
-        rot = bd.CircleRotation.golden(grid_size=1024)
-        f1 = tw.visit_freq_bound(rot, [0.0], 0.1, rho_start=0.001)
-        f2 = tw.visit_freq_bound(rot, [0.0, 0.5], 0.1, rho_start=0.001)
+        rot = bd.CircleRotation.golden(grid_size=4000)  # first rho 4 / 4000 = 0.001
+        f1 = tw.visit_freq_bound(rot, [0.0], 0.1)
+        f2 = tw.visit_freq_bound(rot, [0.0, 0.5], 0.1)
         assert f1.rho == f2.rho
         assert f2.sup_frequency <= 2 * f1.sup_frequency + 1e-12
 
