@@ -195,9 +195,12 @@ def build_generator(cfg: dict) -> cocycle.Generator:
         path = g["table_path"]
         if not path or not Path(path).exists():
             raise ConfigError(f"generator.table_path missing or not found: {path}")
-        with warnings.catch_warnings():  # an empty table is reported below
-            warnings.simplefilter("ignore", UserWarning)
-            vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4), ndmin=2)
+        try:
+            with warnings.catch_warnings():  # an empty table is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4), ndmin=2)
+        except ValueError as e:  # a missing column or a non-numeric cell
+            raise ConfigError(f"generator.table_path {path!r}: {e}") from None
         if vals.size == 0:
             raise ConfigError(f"generator.table_path {path!r} holds no table rows")
         return cocycle.TableGenerator(vals)

@@ -24,6 +24,7 @@ from .basedyn import BasePoint, CircleRotation, wrap_floats
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
     Mat2,
+    _HARD_DRIFT,
     _mul,
     _rescale,
     exp_traceless_arrays,
@@ -114,6 +115,12 @@ class TableGenerator(Generator):
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != 4 or vals.shape[0] < 1:
             raise CocycleLabError(f"table must have shape (G, 4) with G >= 1, got {vals.shape}")
+        # Mat2's hard gate, row by row (a NaN det fails it too)
+        det = vals[:, 0] * vals[:, 3] - vals[:, 1] * vals[:, 2]
+        bad = ~(np.abs(det - 1.0) <= np.maximum(_HARD_DRIFT, 1e-14 * (vals * vals).sum(axis=1)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CocycleLabError(f"table row {i} has det {float(det[i])!r}, not 1")
         self.values = vals
         self.size = vals.shape[0]
         self._cols = tuple(np.ascontiguousarray(v) for v in vals.T)  # gathered by take

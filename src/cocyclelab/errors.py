@@ -65,10 +65,6 @@ class BlendBoundViolated(CocycleLabError):
     """Perturbed cocycle exceeded the certified sup-distance bound."""
 
 
-class DecompositionFailed(CocycleLabError):
-    """Orbit visits to the castle base were not spaced in {N, N+1}."""
-
-
 class CertificationFailed(CocycleLabError):
     """A contract recomputation failed (segment bounds, UH certificate, ...)."""
 

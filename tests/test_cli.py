@@ -91,14 +91,16 @@ class TestBasics:
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("content", ["", "x,a,b,c,d\n"], ids=["empty-file", "header-only"])
+    @pytest.mark.parametrize("content", ["", "x,a,b,c,d\n", "x,a,b,c\n0,1,0,0\n",
+                                         "x,a,b,c,d\n0,1,zero,0,1\n"],
+                             ids=["empty-file", "header-only", "four-columns", "non-numeric"])
     def test_empty_table_exit_2(self, tmp_path, content):
         table = tmp_path / "table.csv"
         table.write_text(content)
         r = run_cli(["exponent", "--out", "o", "--generator.family=table",
                      f"--generator.table_path={table}"], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
-        assert r.stderr.startswith("config error: generator.table_path")
+        assert r.stderr.startswith(f"config error: generator.table_path {str(table)!r}")
         assert "Traceback" not in r.stderr and not (tmp_path / "o").exists()
 
     def test_one_row_table(self, tmp_path):

@@ -1,8 +1,11 @@
-"""Every name a cocyclelab module imports is used in that module.
+"""Every name a cocyclelab module imports is used in that module, and every
+module-level private name it defines is read there.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
-which covers attribute bases (`np.array`) and unquoted annotations.
+which covers attribute bases (`np.array`) and unquoted annotations.  A
+private name is a module-level function, class or assigned constant whose
+name starts with one underscore; it is read when a Name node loads it.
 """
 
 import ast
@@ -28,6 +31,24 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(defined.items(), key=lambda d: d[1])
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\nimport os\nimport os.path as osp\n"
               "import numpy as np\nfrom typing import Optional, Sequence\n"
@@ -35,6 +56,20 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os (line 2)", "osp (line 3)", "Sequence (line 5)"]
 
 
+def test_checker_finds_unread_private_names():
+    source = ("_BITS = 16\n_USED: int = 4\n__all__ = []\nPUBLIC = 1\n_a, _b = 1, 2\n"
+              "def _helper():\n    return _USED + _a\n"
+              "class _Box:\n    _field = 1\n"
+              "def f():\n    _local = 2\n    return _local\n")
+    assert unread_private_names(source) == [
+        "_BITS (line 1)", "_b (line 5)", "_helper (line 6)", "_Box (line 8)"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
-from cocyclelab.errors import DecompositionFailed, NotApplicable, ResolutionExceeded
+from cocyclelab.errors import NotApplicable, ResolutionExceeded
 from cocyclelab.exact import QuadExt, mod1
 from cocyclelab.perturb import plan_entries
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
@@ -89,14 +88,28 @@ def reference_regions(pc):
             "block_logs": block_logs}
 
 
+def castle_base_arrays(castle):
+    """Float castle-base pieces sorted by start, with their tower heights."""
+    lo, hi, hgt = [], [], []
+    for t in castle.towers:
+        for l, h in t.base.intervals:
+            lo.append(float(l))
+            hi.append(float(h))
+            hgt.append(t.height)
+    order = np.argsort(np.array(lo), kind="stable")
+    return np.array(lo)[order], np.array(hi)[order], np.array(hgt)[order]
+
+
 def reference_collect_visits(pc, cfg, xs, n):
-    """_collect_visits as first written: every orbit position bisected
-    against the castle base."""
-    blo, bhi, bheights = sg._castle_base_arrays(cfg.castle)
-    plo, phi = pc.base_lo, pc.base_hi
+    """Per lane: sorted castle-base visit steps with V-flags, labels (the
+    level-0 region rows, looked up outside V) and tower heights; every orbit
+    position bisected against the castle base."""
+    blo, bhi, bheights = castle_base_arrays(cfg.castle)
+    base = pc.region_level == 0
+    plo, phi, plab = pc.region_lo[base], pc.region_hi[base], pc.region_label[base]
     vlo, vhi = cfg.freq.V.float_breaks()
     all_lane, all_step, all_flag, all_label, all_height = [], [], [], [], []
-    chunk = max(256, (1 << 22) // max(xs.size, 1))
+    chunk = max(256, (1 << 20) // max(xs.size, 1))
     for s0 in range(0, n, chunk):
         pos = np.mod(np.asarray(xs, dtype=float)[..., None]
                      + np.arange(s0, s0 + min(chunk, n - s0), dtype=float)
@@ -109,8 +122,8 @@ def reference_collect_visits(pc, cfg, xs, n):
         hit_height = bheights[bidx[lanes, offs]]
         hit_v = bd.locate(vlo, vhi, hit_pos)[1]
         pidx, in_piece = bd.locate(plo, phi, hit_pos)
-        lab = np.where(in_piece, pc.base_label[pidx], -1)
-        assert not np.any(~hit_v & (lab < 0))
+        lab = np.where(in_piece, plab[pidx], -1)
+        assert not np.any(~hit_v & (lab < 0)), "visit outside V but in no table piece"
         all_lane.append(lanes)
         all_step.append(s0 + offs)
         all_flag.append(hit_v)
@@ -128,6 +141,46 @@ def reference_collect_visits(pc, cfg, xs, n):
     bounds = np.searchsorted(lanes, np.arange(xs.size + 1))
     return tuple([v[bounds[i]:bounds[i + 1]] for i in range(xs.size)]
                  for v in (steps, flags, labs, hgts))
+
+
+def reference_structural(pc, cfg, xs, n):
+    """The block-decomposition replay, per lane: (1/n) times head and tail at
+    the sup rate, each block based in V at the sup rate, each other block at
+    its label's column log-norm.  Asserts the castle's structure on the way:
+    head and tail of at most N+1 steps, gaps in {N, N+1} equal to the tower
+    heights and, outside V, to the label heights.  Returns the structural
+    values and the V-based block counts."""
+    co, N = pc.original, cfg.N
+    s = math.log(max(co.sup_norm + pc.sup_distance, 1.0 + 1e-12))
+    structural = np.zeros(xs.size)
+    vcounts = np.zeros(xs.size, dtype=int)
+    for lane, (vs, fl, labs, hts) in enumerate(zip(*reference_collect_visits(pc, cfg, xs, n))):
+        assert len(vs) > 0, f"orbit of {xs[lane]} never hit the castle base"
+        p, q = int(vs[0]), n - int(vs[-1])
+        assert p <= N + 1 and q <= N + 1, (p, q)
+        gaps = np.diff(vs)
+        assert np.all((gaps == N) | (gaps == N + 1)), f"gap not in {{N, N+1}} at x={xs[lane]}"
+        assert np.array_equal(hts[:-1], gaps), "tower height does not match visit gap"
+        fl, labs = fl[:-1], labs[:-1]
+        assert np.array_equal(pc.label_heights[labs[~fl]], gaps[~fl])
+        contrib = np.where(fl, gaps * s, pc.block_logs[np.maximum(labs, 0)])
+        structural[lane] = ((p + q) * s + float(contrib.sum())) / n
+        vcounts[lane] = int(fl.sum())
+    return structural, vcounts
+
+
+def check_uniform_bound(co, cfg, pc, cert, xs):
+    """Per lane at the certificate's horizon: the V-based block frequency is
+    at most the certified sf, and direct <= structural <= U."""
+    n = cert.n
+    direct = cy.log_norms_batch(pc.cocycle, xs, n) / n
+    assert float(direct.max()) == cert.max_direct
+    structural, vcounts = reference_structural(pc, cfg, xs, n)
+    assert np.all(vcounts / n <= cfg.freq.sup_frequency)
+    assert np.all(direct <= structural + 1e-9)
+    assert np.all(structural <= cert.uniform_bound + 1e-12)
+    assert cert.uniform_bound == cert.head_tail + cert.table_rate + cert.v_blocks
+    assert cert.passed and cert.dominance_ok
 
 
 @pytest.fixture(scope="module")
@@ -220,14 +273,16 @@ class TestPipeline:
 
     def test_regions_equal_reference_body(self, pipeline):
         """Rows over one matrix column per label give the region table first
-        built, bit for bit: the bounds, each row's matrix, the level-0 base
-        view and the block log-norms."""
+        built, bit for bit: the bounds, each row's matrix, the level-0 rows
+        and the block log-norms."""
         co, cfg, pc, cert = pipeline
         want = reference_regions(pc)
+        base = pc.region_level == 0
         got = {"region_lo": pc.region_lo, "region_hi": pc.region_hi,
-               "region_mat": np.stack(pc._table, axis=1), "base_lo": pc.base_lo,
-               "base_hi": pc.base_hi, "base_label": pc.base_label, "block_logs": pc.block_logs}
-        assert pc.base_lo.size < pc.region_lo.size and len(pc.plans) > 1
+               "region_mat": np.stack(pc._table, axis=1), "base_lo": pc.region_lo[base],
+               "base_hi": pc.region_hi[base], "base_label": pc.region_label[base],
+               "block_logs": pc.block_logs}
+        assert base.sum() < pc.region_lo.size and len(pc.plans) > 1
         for name, w in want.items():
             g = got[name]
             assert g.dtype == w.dtype and g.shape == w.shape, name
@@ -256,81 +311,6 @@ class TestPipeline:
                 assert g.shape == v.shape and g.tobytes() == v.tobytes()
             assert pc.bump(xs).tobytes() == reference_bump(pc, xs).tobytes()
 
-    def test_collect_visits_equal_reference_body(self, pipeline):
-        """The occupancy table rejects positions, never a visit: the same
-        visits, V-flags, labels and heights as bisecting every position."""
-        co, cfg, pc, cert = pipeline
-        blo, bhi, _ = sg._castle_base_arrays(cfg.castle)
-        size = 1 << sg._OCCUPANCY_BITS
-        edges = np.unique(np.concatenate([np.floor(blo * size), np.floor(bhi * size),
-                                          np.floor(bhi * size) + 1])) / size
-        xs = np.concatenate([
-            np.arange(96) / 96,
-            blo, np.nextafter(blo, 0.0),  # at a piece's lo and one ulp below it
-            bhi, np.nextafter(bhi, 0.0),  # at its hi and one ulp below it
-            edges, np.nextafter(edges, 0.0),  # bucket edges around every piece
-            pc.base_lo, np.nextafter(pc.base_lo, 0.0),
-        ])
-        xs = xs[(xs >= 0.0) & (xs < 1.0)]
-        n = 4 * (cfg.N + 1) + 3
-        got = sg._collect_visits(pc, cfg, xs, n)
-        want = reference_collect_visits(pc, cfg, xs, n)
-        assert sum(len(v) for v in got[0]) > 0
-        for g_field, w_field in zip(got, want):
-            assert len(g_field) == len(w_field) == xs.size
-            for g, w in zip(g_field, w_field):
-                assert np.array_equal(g, w)
-
-    def test_collect_visits_bits_independent_of_workers(self, pipeline, monkeypatch):
-        co, cfg, pc, cert = pipeline
-        xs = np.arange(96) / 96
-        chunk = (1 << 18) // 96
-        n = 10 * chunk + 17  # ten full position chunks and a partial one
-        got = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
-            got[workers] = sg._collect_visits(pc, cfg, xs, n)
-        assert sum(len(v) for v in got[1][0]) > 0
-        assert max(int(v[-1]) for v in got[1][0] if len(v)) >= 10 * chunk
-        for f1, f2 in zip(got[1], got[2]):
-            assert len(f1) == len(f2) == xs.size
-            for a, b in zip(f1, f2):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-
-    def test_collect_visits_earliest_failure_surfaces(self, pipeline, monkeypatch):
-        """Two table labels unset, each first met in a different late chunk:
-        the earlier chunk's DecompositionFailed surfaces at any worker count."""
-        co, cfg, pc, cert = pipeline
-        # 96 lanes keep the chunks short; one anchor spreads the labels' first
-        # visits over the chunks (a 96-lane grid meets most labels in the first)
-        xs = np.zeros(96)
-        chunk = (1 << 18) // 96
-        n = 10 * chunk + 17
-        visits, flags, labels, _ = sg._collect_visits(pc, cfg, xs, n)
-        first_chunk = {}  # label -> earliest chunk holding one of its visits outside V
-        for vs, fs, ls in zip(visits, flags, labels):
-            for step, lab in zip(vs[~fs], ls[~fs]):
-                first_chunk[lab] = min(first_chunk.get(lab, n), int(step) // chunk)
-        late = sorted((c, lab) for lab, c in first_chunk.items() if c >= 2)
-        (c_early, lab_early), (c_late, lab_late) = late[0], late[-1]
-        assert c_early < c_late
-        # the failing visit: the first (lane, step) of the early chunk with a planted label
-        lane, step = min((i, int(s_)) for i, (vs, fs, ls) in enumerate(zip(visits, flags, labels))
-                         for s_, f, lab in zip(vs, fs, ls)
-                         if not f and s_ // chunk == c_early and lab in (lab_early, lab_late))
-        s0 = c_early * chunk
-        want = pc.original.base.orbit_floats(xs, chunk, s0)[lane, step - s0]
-        planted = np.where(np.isin(pc.base_label, [lab_early, lab_late]), -1, pc.base_label)
-        monkeypatch.setattr(pc, "base_label", planted)
-        messages = []
-        for workers in (1, 2):
-            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
-            with pytest.raises(DecompositionFailed) as err:
-                sg._collect_visits(pc, cfg, xs, n)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert float(messages[0].split()[2]) == want
-
     def test_outside_regions_unperturbed(self, pipeline):
         co, cfg, pc, cert = pipeline
         vals = cfg.freq.V.intervals
@@ -353,15 +333,24 @@ class TestPipeline:
         co, cfg, pc, cert = pipeline
         assert cert.passed
         assert cert.max_direct + cert.margin < cert.bound
-        assert cert.structural_max < cert.bound
+        assert cert.uniform_bound < cert.bound
         assert cert.dominance_ok
-        assert cert.visit_freq_max < cert.visit_freq_cap
-        assert all(int(k) <= cfg.N + 1 for k in cert.decomposition["p"])
-        assert all(int(k) <= cfg.N + 1 for k in cert.decomposition["q"])
+        assert cert.visit_freq_sup == cfg.freq.sup_frequency < cert.visit_freq_cap
+        # the measured figures: head/tail, table rate, V-based blocks
+        assert cert.head_tail < 1e-3 and 0.0 < cert.table_rate < cert.v_blocks < 0.2
 
     def test_structural_dominates_direct(self, pipeline):
+        """The replay at the 96 grid lanes of the eps = 0.4 input sits
+        between the direct sweep and U."""
         co, cfg, pc, cert = pipeline
-        assert cert.structural_max >= cert.max_direct - 1e-9
+        check_uniform_bound(co, cfg, pc, cert, np.arange(96) / 96)
+
+    def test_structural_dominates_direct_bench_input(self):
+        """The same at eps = 0.5, the benchmark's surgery input."""
+        co = cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024))
+        cfg, pc, cert = sg.run_surgery(co, 0.5, verify_grid=np.arange(96) / 96)
+        assert cfg.N == 87
+        check_uniform_bound(co, cfg, pc, cert, np.arange(96) / 96)
 
     def test_exports(self, pipeline, tmp_path):
         co, cfg, pc, cert = pipeline
