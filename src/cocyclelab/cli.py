@@ -198,12 +198,24 @@ def build_generator(cfg: dict) -> cocycle.Generator:
         try:
             with warnings.catch_warnings():  # an empty table is reported below
                 warnings.simplefilter("ignore", UserWarning)
-                vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4), ndmin=2)
-        except ValueError as e:  # a missing column or a non-numeric cell
+                vals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as e:  # a ragged row or a non-numeric cell
             raise ConfigError(f"generator.table_path {path!r}: {e}") from None
         if vals.size == 0:
             raise ConfigError(f"generator.table_path {path!r} holds no table rows")
-        return cocycle.TableGenerator(vals)
+        if vals.shape[1] != 5:
+            raise ConfigError(f"generator.table_path {path!r}: row 0 has {vals.shape[1]} "
+                              "columns, not the 5 of x,a,b,c,d")
+        rows = vals.shape[0]
+        off = ~(np.abs(vals[:, 0] - np.arange(rows) / rows) <= 1e-9)  # a NaN x is off too
+        if off.any():
+            i = int(np.argmax(off))
+            raise ConfigError(f"generator.table_path {path!r}: row {i} has x = "
+                              f"{float(vals[i, 0])!r}, not {i}/{rows}")
+        try:
+            return cocycle.TableGenerator(vals[:, 1:])
+        except CocycleLabError as e:  # a row off the determinant gate
+            raise ConfigError(f"generator.table_path {path!r}: {e}") from None
     raise ConfigError(f"unknown generator family {fam!r}")
 
 

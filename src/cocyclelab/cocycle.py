@@ -1,13 +1,15 @@
 """Cocycle products, exponent estimation, growth tests and UH certification.
 
 Long products run through the pairwise tree of `sl2.tree_product`: a fixed
-reduction order, independent of any thread count, and one vectorized pass per
-level.  Grid sweeps chunk lanes and steps, and build each step chunk's tree
-from aligned power-of-two blocks of at most max(min(_MAX_ELEMS, 2^19),
-lane_chunk) entry elements (one step of a lane chunk when the lanes alone
-exceed the cap): memory is bounded by one block at any horizon, and the bits
-are those of the whole chunk's tree.  A chunk of more blocks than CPUs
-splits its lanes over the CPUs, which moves no bit either.
+reduction order, independent of any thread count, one vectorized product per
+level, and a power-of-two rescale only at the levels whose nodes span a
+multiple of 16 steps and at the root.  Grid sweeps chunk lanes and steps, and
+build each step chunk's tree from aligned power-of-two blocks of at most
+max(min(_MAX_ELEMS, 2^19), lane_chunk) entry elements (one step of a lane
+chunk when the lanes alone exceed the cap): memory is bounded by one block at
+any horizon, and the bits are those of the whole chunk's tree.  A chunk of
+more blocks than CPUs splits its lanes over the CPUs, which moves no bit
+either.
 """
 
 from __future__ import annotations
@@ -222,11 +224,15 @@ def _blocked_tree(fetch, n: int, block: int):
     pairings.  A partial last block sees, at every level below its root, the
     parity of the whole level, so it is padded alike; above its root the
     whole tree only pads it with the identity, which is exact up to the sign
-    of a zero, and rescales it by 2^0.  A last block of one step stays
-    unrescaled, and power-of-two rescales commute with products (barring
-    subnormals), so the next product has the same mantissa and exponent sum.
-    The block nodes then combine by one more tree_product: the whole tree's
-    upper levels.
+    of a zero.  The block nodes then combine by one more tree_product: the
+    whole tree's upper levels.  The two schedules rescale at different
+    levels: each block tree at its root (a last block of one step not at
+    all), the upper tree at levels counted from the blocks, the whole tree
+    at levels 4, 8, ... and its root.  Power-of-two rescales commute with
+    products while no entry overflows or goes subnormal, so every product
+    keeps its mantissa and exponent sum under either schedule.  A block or
+    upper tree that overflows restarts with every level rescaled, as the
+    whole tree does.
     """
     nodes = [tree_product(*fetch(s, min(block, n - s))) for s in range(0, n, block)]
     a, b, c, d, e = (np.stack(v, axis=1) for v in zip(*nodes))

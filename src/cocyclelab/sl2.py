@@ -295,8 +295,12 @@ def log_sl2_arrays(a, b, c, d):
 # -- long products: one kernel, exact power-of-two rescaling --------------------
 
 LN2 = math.log(2.0)
-# steps between rescales; the bits do not depend on it while 16 consecutive
-# steps grow by less than 2^500, which keeps sigma1 of a partial product finite
+# steps between rescales: the scans rescale after every 16 steps, tree_product
+# at the levels whose nodes span a multiple of 16 steps.  One growth condition
+# keeps the bits of both those of rescaling after every product: 16
+# consecutive steps grow by less than 2^500, so no entry of a partial product,
+# nor its sigma1, overflows.  The tree's raw inputs may break it, so a tree
+# whose root comes out non-finite restarts with every level rescaled
 _STRIDE = 16
 
 
@@ -366,17 +370,29 @@ def scan_lanes(a, b, c, d, running: bool = False):
 def tree_product(a, b, c, d):
     """Ordered products along the last axis of (L, n) arrays, pairwise.
 
-    Pairs combine as M[2k+1] @ M[2k] (index 0 applied first), an odd level is
-    padded with the identity on the late side, and every level is rescaled.
-    The reduction order is fixed, independent of chunking or thread counts.
-    Returns per-lane (pa, pb, pc, pd, E) like scan_lanes.
+    Pairs combine as M[2k+1] @ M[2k] (index 0 applied first), and an odd level
+    is padded with the identity on the late side.  Only the levels whose nodes
+    span a multiple of _STRIDE steps, and the root, are rescaled; the levels
+    between run `_mul` alone.  Under _STRIDE's growth condition no entry
+    overflows, so the bits are those of rescaling every level.  The raw inputs
+    are not bounded, and a non-finite entry persists through every product and
+    rescale to the root: a non-finite root restarts the same loop with every
+    level rescaled.  The reduction order is fixed, independent of chunking or
+    thread counts.  Returns per-lane (pa, pb, pc, pd, E) like scan_lanes.
     """
-    e = np.zeros(a.shape[0], dtype=np.int64)
-    while a.shape[1] > 1:
-        if a.shape[1] % 2 == 1:
-            a, b, c, d = (np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
-                          for v, one in zip((a, b, c, d), (1.0, 0.0, 0.0, 1.0)))
-        a, b, c, d, k = _rescale(*_mul(a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2],
-                                       a[:, 0::2], b[:, 0::2], c[:, 0::2], d[:, 0::2]))
-        e += k.sum(axis=1)
-    return a[:, 0], b[:, 0], c[:, 0], d[:, 0], e
+    # the strided pass overflows quietly; the restart warns as numpy is set to
+    for stride, quiet in ((_STRIDE, "ignore"), (1, None)):
+        m, e, span = (a, b, c, d), np.zeros(a.shape[0], dtype=np.int64), 1
+        with np.errstate(over=quiet, invalid=quiet):
+            while m[0].shape[1] > 1:
+                if m[0].shape[1] % 2 == 1:
+                    m = tuple(np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
+                              for v, one in zip(m, (1.0, 0.0, 0.0, 1.0)))
+                m = _mul(*(v[:, 1::2] for v in m), *(v[:, 0::2] for v in m))
+                span *= 2
+                if span % stride == 0 or m[0].shape[1] == 1:
+                    *m, k = _rescale(*m)
+                    e += k.sum(axis=1)
+        if all(np.isfinite(v).all() for v in m):
+            break
+    return m[0][:, 0], m[1][:, 0], m[2][:, 0], m[3][:, 0], e

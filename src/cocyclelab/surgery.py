@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -410,7 +410,8 @@ class GrowthCertificate:
     sup||A|| and `sup_distance` are grid-sampled; `block_logs` are float
     products.  `max_direct` is the float sweep at the grid points, `margin`
     four times its largest neighbour step, and `dominance_ok` says every
-    lane stays under U.
+    lane stays under U.  `direct` keeps the lanes, which `to_json` does not
+    write.
     """
 
     n: int
@@ -426,6 +427,7 @@ class GrowthCertificate:
     visit_freq_sup: float
     visit_freq_cap: float
     dominance_ok: bool
+    direct: np.ndarray = field(repr=False, compare=False)  # per grid point
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -490,6 +492,7 @@ def verify_growth(pc: PerturbedCocycle, cfg: SurgeryConfig, n: int,
         visit_freq_sup=sf,
         visit_freq_cap=freq_cap,
         dominance_ok=dominance,
+        direct=direct,
     )
 
 

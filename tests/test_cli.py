@@ -91,16 +91,21 @@ class TestBasics:
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("content", ["", "x,a,b,c,d\n", "x,a,b,c\n0,1,0,0\n",
-                                         "x,a,b,c,d\n0,1,zero,0,1\n"],
-                             ids=["empty-file", "header-only", "four-columns", "non-numeric"])
-    def test_empty_table_exit_2(self, tmp_path, content):
+    @pytest.mark.parametrize("content,row", [
+        ("", None), ("x,a,b,c,d\n", None), ("x,a,b,c\n0,1,0,0\n", None),
+        ("x,a,b,c,d\n0,1,zero,0,1\n", None), ("x,a,b,c,d\n0,2,0,0,3\n", "row 0"),
+        ("x,a,b,c,d,e\n0,2,0,0,0.5,7\n", "row 0"),
+        ("x,a,b,c,d\n0,1,0,0,1\n0.5,1,0,0,1\n0.7,1,0,0,1\n", "row 1"),
+    ], ids=["empty-file", "header-only", "four-columns", "non-numeric", "det-six",
+            "six-columns", "x-off-grid"])
+    def test_empty_table_exit_2(self, tmp_path, content, row):
         table = tmp_path / "table.csv"
         table.write_text(content)
         r = run_cli(["exponent", "--out", "o", "--generator.family=table",
                      f"--generator.table_path={table}"], tmp_path)
         assert r.returncode == 2, r.stdout + r.stderr
         assert r.stderr.startswith(f"config error: generator.table_path {str(table)!r}")
+        assert row is None or row in r.stderr
         assert "Traceback" not in r.stderr and not (tmp_path / "o").exists()
 
     def test_one_row_table(self, tmp_path):

