@@ -3,10 +3,13 @@
 `parallel_lanes` is the outer level, behind --threads: work splits into a
 fixed number of slices independent of the thread count, and the slices go
 through `ordered_map` on --threads threads, their results combined in slice
-order.  `ordered_map` alone is the inner level, inside one long sweep (the
-lane groups of `cocycle.log_norms_batch`): it maps over items in order on as
-many threads as the process has CPUs (its affinity mask, not --threads).
-Each caller splits its work so that no byte depends on the thread count.
+order.  `ordered_map` alone is the inner level, inside one long sweep: it
+maps over items in order on as many threads as the process has CPUs (its
+affinity mask, not --threads).  It has two callers there: the lane groups of
+`cocycle.log_norms_batch`, and the anchor groups of the steering-window
+sweeps (`perturb._sweep`), which go one wave of `map_workers()` groups at a
+time so that a failing wave ends the sweep.  Each caller splits its work so
+that no byte depends on the thread count.
 
 The levels do not nest: a worker of either level runs `ordered_map`
 serially in its own thread, so a grid sweep under --threads k runs at most k

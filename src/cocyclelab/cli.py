@@ -196,16 +196,22 @@ def build_generator(cfg: dict) -> cocycle.Generator:
         if not path or not Path(path).exists():
             raise ConfigError(f"generator.table_path missing or not found: {path}")
         try:
-            with warnings.catch_warnings():  # an empty table is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                vals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as e:  # a ragged row or a non-numeric cell
+            # data rows as loadtxt reads them: after the header, comments cut,
+            # blank lines skipped; its own ragged-row message counts file lines
+            data = [ln for ln in (raw.split("#")[0] for raw in
+                                  Path(path).read_text().splitlines()[1:]) if ln.strip()]
+            bad = next((i for i, ln in enumerate(data) if ln.count(",") != 4), None)
+            if bad is None:
+                with warnings.catch_warnings():  # an empty table is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    vals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as e:  # a non-numeric cell or bytes that are not text
             raise ConfigError(f"generator.table_path {path!r}: {e}") from None
+        if bad is not None:
+            raise ConfigError(f"generator.table_path {path!r}: row {bad} has "
+                              f"{data[bad].count(',') + 1} columns, not the 5 of x,a,b,c,d")
         if vals.size == 0:
             raise ConfigError(f"generator.table_path {path!r} holds no table rows")
-        if vals.shape[1] != 5:
-            raise ConfigError(f"generator.table_path {path!r}: row 0 has {vals.shape[1]} "
-                              "columns, not the 5 of x,a,b,c,d")
         rows = vals.shape[0]
         off = ~(np.abs(vals[:, 0] - np.arange(rows) / rows) <= 1e-9)  # a NaN x is off too
         if off.any():

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._parallel import map_workers, ordered_map
 from .basedyn import BasePoint, Cell, locate
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
@@ -46,6 +47,8 @@ from .sl2 import (
 ANGLE_TOL = 1e-6
 _LANE_CHUNK = 256
 _WINDOW_CANDIDATES = 64  # steering-window centers scanned by choose_steering_window
+# lanes of one window-sweep group: 256 anchors at k = 8, 16 at k = 32
+_SWEEP_LANES = 1 << 14
 
 
 # -- data types ---------------------------------------------------------------------
@@ -95,15 +98,19 @@ class SegmentPlan:
 
 def plan_entries(co: Cocycle, plan: SegmentPlan) -> tuple[np.ndarray, ...]:
     """Entry arrays (a, b, c, d) of L_0..L_{N-1} for a plan."""
-    pos = co.orbit(plan.x, plan.N)
-    ents = [np.array(e, dtype=float) for e in co.generator.entries(pos)]
+    return _overlay_block(co.generator.entries(co.orbit(plan.x, plan.N)), plan)
+
+
+def _overlay_block(gen, plan: SegmentPlan) -> tuple[np.ndarray, ...]:
+    """Float copies of the generator entry arrays gen, with a steered plan's
+    block written over its slots j1 .. j1 + m - 1."""
+    ents = tuple(np.array(e, dtype=float) for e in gen)
     if isinstance(plan.branch, Steered):
         j1 = plan.branch.j1
-        for k, M in enumerate(plan.branch.block.matrices):
-            vals = M.entries()
-            for i in range(4):
-                ents[i][j1 + k] = vals[i]
-    return tuple(ents)
+        mats = np.array([M.entries() for M in plan.branch.block.matrices])
+        for e, col in zip(ents, mats.T):
+            e[j1:j1 + col.size] = col
+    return ents
 
 
 # -- steering core -------------------------------------------------------------------
@@ -281,6 +288,36 @@ def _window_sweep_ok(co: Cocycle, anchors: np.ndarray, eps: float, m: int, k: in
     return ((err <= ANGLE_TOL) & (dist < eps)).reshape(k * k, anchors.size).all(axis=0)
 
 
+def _sweep(co: Cocycle, points: np.ndarray, eps: float, m: int, k: int, seen: dict,
+           stop: bool) -> bool:
+    """Whether every point steers at (m, k), with the verdicts cached in seen.
+
+    The points not yet in seen are swept in order, in groups of
+    _SWEEP_LANES // (k*k) anchors (at least one), each group one
+    _window_sweep_ok call.  The groups go through `ordered_map` one wave of
+    `map_workers()` groups at a time, and every verdict swept goes into seen.
+    With stop, a known failing point returns False at once, and so does the
+    first wave that holds one: the rest is never swept.  Without stop every
+    point is swept.  A verdict is per anchor, so neither the group size nor
+    the worker count moves one.
+    """
+    pts = points.tolist()
+    if stop and not all(seen.get(p, True) for p in pts):
+        return False
+    new = [p for p in dict.fromkeys(pts) if p not in seen]
+    size = max(1, _SWEEP_LANES // (k * k))
+    groups = [np.array(new[i:i + size]) for i in range(0, len(new), size)]
+    workers = map_workers()
+    for lo in range(0, len(groups), workers):
+        wave = groups[lo:lo + workers]
+        oks = ordered_map(lambda g: _window_sweep_ok(co, g, eps, m, k), wave)
+        for g, ok in zip(wave, oks):
+            seen.update(zip(g.tolist(), ok.tolist()))
+        if stop and not all(ok.all() for ok in oks):
+            return False
+    return all(seen[p] for p in pts)
+
+
 def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     """Open window W and block length m certified by a direction-pair sweep.
 
@@ -297,13 +334,26 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     half-width halved, down to the grid spacing.  The first pass is the
     full-size scan, so any input it certifies gets the same (W, m) as a
     search without halvings.  The 8x8 sweep at the centers does not depend
-    on the window size: it runs once per m, over all centers in one batch.
-    A sweep's verdict is per point, so every point is swept at most once per
+    on the window size: it runs once per m, over all centers.  A sweep's
+    verdict is per point, so every point is swept at most once per
     (m, direction grid), however many windows share it.  A sweep of A points
-    over a k x k grid is one _steer_batch call: the generator, the operator
-    norms and the rotation caps are evaluated once per point, the pullback
-    targets once per (w, point), and only the steering recurrence once per
-    (w, v, point) lane, each with the bits it has over k*k tiled copies.
+    over a k x k grid is _steer_batch calls over groups of points: the
+    generator, the operator norms and the rotation caps are evaluated once
+    per point, the pullback targets once per (w, point), and only the
+    steering recurrence once per (w, v, point) lane, each with the bits it
+    has over k*k tiled copies.
+
+    A window's inside points need only one failing point to fail, so their
+    sweeps (8x8, then 32x32) stop early (_sweep): the points go in order, in
+    groups of about 2^14 lanes (_SWEEP_LANES // (k*k) points), one wave of
+    `_parallel.map_workers()` groups at a time, and the first wave that
+    holds a failing point ends the check.  A group of 2^14 lanes keeps a
+    32x32 sweep's arrays at 128 KiB each and gives a wave of 2 groups 32
+    points, where most failing inside sets fail; at 2^11 lanes the per-call
+    overhead eats the saving, and at 2^17 a wave sweeps past most failures.  The center sweep needs every
+    verdict and runs the same groups to the end.  Every lane of _steer_batch
+    is elementwise, so a point's verdict, and with it (W, m), does not depend
+    on the group size, the worker count or how far a sweep ran.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
@@ -332,15 +382,7 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     for m in ladder:
         gap = float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
         full_half[m] = Fraction(min(gap * 0.45, 0.05)).limit_denominator(1 << 24)
-    verdicts: dict = {}  # (m, k) -> {point: sweep verdict}; a verdict is per lane
-
-    def sweep_ok(points: np.ndarray, m: int, k: int) -> np.ndarray:
-        """_window_sweep_ok, sweeping only the points not yet swept at (m, k)."""
-        seen = verdicts.setdefault((m, k), {})
-        new = [p for p in dict.fromkeys(points.tolist()) if p not in seen]
-        if new:
-            seen.update(zip(new, _window_sweep_ok(co, np.array(new), eps, m, k).tolist()))
-        return np.array([seen[p] for p in points.tolist()])
+    verdicts: dict = {}  # (m, k) -> {point: sweep verdict}; a verdict is per anchor
 
     narrowest = Fraction(1)
     for halvings in itertools.count():
@@ -350,9 +392,11 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
             break
         narrowest = min(narrowest, *halves.values())
         for m, half in halves.items():
-            for c, ok in zip(centers, sweep_ok(center_floats, m, 8)):
+            seen = verdicts.setdefault((m, 8), {})
+            _sweep(co, center_floats, eps, m, 8, seen, stop=False)
+            for c, cf in zip(centers, center_floats.tolist()):
                 lo, hi = c - half, c + half
-                if not ok or lo < 0 or hi > 1:
+                if not seen[cf] or lo < 0 or hi > 1:
                     continue
                 if not (m == 1 or hi - lo <= min_orbit_gap(alpha, m)):
                     continue
@@ -361,7 +405,8 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
                     inside = np.array([float(c)])
                 if inside.size > 256:
                     inside = inside[:: inside.size // 256 + 1]
-                if sweep_ok(inside, m, 8).all() and sweep_ok(inside, m, 32).all():
+                if all(_sweep(co, inside, eps, m, k, verdicts.setdefault((m, k), {}), stop=True)
+                       for k in (8, 32)):
                     return Cell.from_union([(rot.lift(lo), rot.lift(hi))]), m
     if halvings:
         sizes = (f"half-widths {float(max(full_half.values())):.3g} down to {float(narrowest):.3g} "
@@ -524,10 +569,14 @@ class SegmentReport:
 
 
 def verify_segment(co: Cocycle, plan: SegmentPlan) -> SegmentReport:
-    """Independent recomputation of both plan bounds from the raw matrices."""
-    ents = plan_entries(co, plan)
-    gen = co.generator.entries(co.orbit(plan.x, plan.N))
-    dist = float(general_operator_norm(*(e - np.asarray(g, dtype=float)
-                                         for e, g in zip(ents, gen))).max())
+    """Independent recomputation of both plan bounds from the raw matrices.
+
+    The orbit and the generator are evaluated once; the plan's matrices are
+    their entries with the steered block overlaid, as plan_entries gives them.
+    """
+    pos = co.orbit(plan.x, plan.N)
+    gen = tuple(np.asarray(g, dtype=float) for g in co.generator.entries(pos))
+    ents = _overlay_block(gen, plan)
+    dist = float(general_operator_norm(*(e - g for e, g in zip(ents, gen))).max())
     return SegmentReport(max_distance=dist, product_log_norm=float(log_norm(*scan_product(*ents))),
                          eps=plan.eps, N=plan.N)

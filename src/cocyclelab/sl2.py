@@ -332,16 +332,20 @@ def scan_product(a, b, c, d):
 
     Pure-Python floats, one step at a time.  Returns (pa, pb, pc, pd, E): the
     product is 2^E times the mantissa matrix.  Bitwise equal to the unscaled
-    product times 2^-E while that does not overflow, and to scan_lanes.
+    product times 2^-E while that does not overflow, and to scan_lanes.  The
+    step is `_mul`'s expressions and the rescale `_rescale`'s, written out
+    inline: a function call per step costs about a fifth of the loop.
     """
     a, b, c, d = (np.asarray(v, dtype=float).tolist() for v in (a, b, c, d))
     pa, pb, pc, pd, e = 1.0, 0.0, 0.0, 1.0, 0
     for s in range(0, len(a), _STRIDE):
         t = s + _STRIDE
         for na, nb, nc, nd in zip(a[s:t], b[s:t], c[s:t], d[s:t]):
-            pa, pb, pc, pd = _mul(na, nb, nc, nd, pa, pb, pc, pd)
+            pa, pb, pc, pd = (na * pa + nb * pc, na * pb + nb * pd,
+                              nc * pa + nd * pc, nc * pb + nd * pd)
         _, k = math.frexp(max(abs(pa), abs(pb), abs(pc), abs(pd)))
-        pa, pb, pc, pd = (math.ldexp(v, -k) for v in (pa, pb, pc, pd))
+        pa, pb, pc, pd = (math.ldexp(pa, -k), math.ldexp(pb, -k),
+                          math.ldexp(pc, -k), math.ldexp(pd, -k))
         e += k
     return pa, pb, pc, pd, e
 

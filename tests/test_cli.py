@@ -96,8 +96,10 @@ class TestBasics:
         ("x,a,b,c,d\n0,1,zero,0,1\n", None), ("x,a,b,c,d\n0,2,0,0,3\n", "row 0"),
         ("x,a,b,c,d,e\n0,2,0,0,0.5,7\n", "row 0"),
         ("x,a,b,c,d\n0,1,0,0,1\n0.5,1,0,0,1\n0.7,1,0,0,1\n", "row 1"),
+        ("x,a,b,c,d\n0,1,0,0,1\n0.5,1,0,0,1,7\n",
+         "row 1 has 6 columns, not the 5 of x,a,b,c,d"),
     ], ids=["empty-file", "header-only", "four-columns", "non-numeric", "det-six",
-            "six-columns", "x-off-grid"])
+            "six-columns", "x-off-grid", "ragged-row"])
     def test_empty_table_exit_2(self, tmp_path, content, row):
         table = tmp_path / "table.csv"
         table.write_text(content)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
-from cocyclelab.errors import BudgetExhausted, CocycleLabError, NoBalancedIndex
+from cocyclelab.errors import BudgetExhausted, CocycleLabError, NoBalancedIndex, SearchFailed
 from cocyclelab.exact import QuadExt, min_orbit_gap
-from cocyclelab.sl2 import Mat2, general_operator_norm
+from cocyclelab.sl2 import Mat2, general_operator_norm, log_norm, scan_product
 
 
 def golden(grid=1024):
@@ -198,14 +201,17 @@ def reference_steer_batch(co, anchors, vx, vy, wx, wy, eps, m):
 
 
 class CountingGenerator(cy.Generator):
-    """Wraps a generator and counts the positions it is evaluated at."""
+    """Wraps a generator and counts the positions it is evaluated at, from any
+    number of threads."""
 
     def __init__(self, inner):
         self.inner = inner
         self.positions = 0
+        self._lock = threading.Lock()
 
     def entries(self, xs):
-        self.positions += np.size(xs)
+        with self._lock:
+            self.positions += np.size(xs)
         return self.inner.entries(xs)
 
 
@@ -341,6 +347,97 @@ class TestChooseN:
         assert Ns == sorted(Ns)
 
 
+def reference_choose_steering_window(co, eps):
+    """The window search as it was before its sweeps were grouped: every
+    not-yet-seen point of a sweep in one _window_sweep_ok call, swept to the
+    end.  The reference for (W, m) and the SearchFailed message."""
+    if eps <= 0:
+        raise CocycleLabError("eps must be positive")
+    rot = co.base
+    alpha = rot.alpha
+    m_cap = 10 * math.ceil(1.0 / eps)
+    xs = rot.grid_floats()
+    probe = cy.log_norms_batch(co, xs, 16)
+    order = np.argsort(probe, kind="stable")
+    centers = [float(xs[i]) for i in order[: pb._WINDOW_CANDIDATES // 2]]
+    centers += [float(xs[int(i)]) for i in
+                np.linspace(0, xs.size - 1, pb._WINDOW_CANDIDATES - len(centers)).astype(int)]
+    centers = list(dict.fromkeys(Fraction(c).limit_denominator(1 << 24) for c in centers))
+    center_floats = np.array([float(c) for c in centers])
+    reach = 2.0 * math.asin(min(1.0, eps * co.sup_norm / 2.0)) \
+        + math.atan(eps * co.sup_norm)
+    m_floor = max(1, math.ceil((math.pi / 2.0) / max(reach, 1e-9)))
+    ladder = sorted({min(max(m_floor, m), m_cap) for m in
+                     (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, m_cap)})
+    spacing = Fraction(1, rot.grid_size)
+    full_half = {}
+    for m in ladder:
+        gap = float(min_orbit_gap(alpha, m + 1)) if m > 1 else 0.49
+        full_half[m] = Fraction(min(gap * 0.45, 0.05)).limit_denominator(1 << 24)
+    verdicts: dict = {}
+
+    def sweep_ok(points, m, k):
+        seen = verdicts.setdefault((m, k), {})
+        new = [p for p in dict.fromkeys(points.tolist()) if p not in seen]
+        if new:
+            seen.update(zip(new, pb._window_sweep_ok(co, np.array(new), eps, m, k).tolist()))
+        return np.array([seen[p] for p in points.tolist()])
+
+    narrowest = Fraction(1)
+    for halvings in itertools.count():
+        halves = {m: h / (1 << halvings) for m, h in full_half.items()
+                  if h / (1 << halvings) > spacing}
+        if not halves:
+            break
+        narrowest = min(narrowest, *halves.values())
+        for m, half in halves.items():
+            for c, ok in zip(centers, sweep_ok(center_floats, m, 8)):
+                lo, hi = c - half, c + half
+                if not ok or lo < 0 or hi > 1:
+                    continue
+                if not (m == 1 or hi - lo <= min_orbit_gap(alpha, m)):
+                    continue
+                inside = xs[(xs >= float(lo)) & (xs < float(hi))]
+                if inside.size == 0:
+                    inside = np.array([float(c)])
+                if inside.size > 256:
+                    inside = inside[:: inside.size // 256 + 1]
+                if sweep_ok(inside, m, 8).all() and sweep_ok(inside, m, 32).all():
+                    return bd.Cell.from_union([(rot.lift(lo), rot.lift(hi))]), m
+    if halvings:
+        sizes = (f"half-widths {float(max(full_half.values())):.3g} down to {float(narrowest):.3g} "
+                 f"(full size and {halvings - 1} halvings, floor grid spacing 1/{rot.grid_size})")
+    else:
+        sizes = f"no window size above grid spacing 1/{rot.grid_size}"
+    raise SearchFailed(f"no certified window after scanning {pb._WINDOW_CANDIDATES} candidates, "
+                       f"m <= {m_cap}, {sizes}")
+
+
+# window-search inputs; the last finds no window, at any size, and sweeps
+# window insides before it fails
+_SEARCH_INPUTS = {
+    "identity": (identity_cocycle, 0.2),
+    "schrodinger-1.2": (weak_schrodinger, 0.3),
+    "twisted-1.2": (lambda: cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024)), 0.5),
+    "no-window": (lambda: weak_schrodinger(128, 3.0), 0.1),
+}
+
+
+def search_result(search, co, eps):
+    """(exact W intervals, m), or the SearchFailed message."""
+    try:
+        W, m = search(co, eps)
+    except SearchFailed as e:
+        return str(e)
+    return W.intervals, m
+
+
+@pytest.fixture(scope="module")
+def reference_windows():
+    """Reference search results by input name, filled on first use."""
+    return {}
+
+
 class TestChooseWindow:
     def test_identity_small_m(self):
         co = identity_cocycle()
@@ -387,6 +484,57 @@ class TestChooseWindow:
                       for i in range(anchors.size)]
             assert batch.shape == anchors.shape and batch.tolist() == single
             assert 0 < sum(single) < anchors.size  # both verdicts occur
+
+    @pytest.mark.parametrize("one_anchor", [False, True], ids=["groups", "one-anchor"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SEARCH_INPUTS))
+    def test_search_equals_reference(self, monkeypatch, reference_windows, name, workers,
+                                     one_anchor):
+        """Grouped, early-exiting sweeps give the reference's (W, m), or its
+        SearchFailed message, at any worker count and group size."""
+        make, eps = _SEARCH_INPUTS[name]
+        if name not in reference_windows:
+            reference_windows[name] = search_result(reference_choose_steering_window, make(), eps)
+        want = reference_windows[name]
+        assert isinstance(want, str) == (name == "no-window")
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
+        if one_anchor:
+            monkeypatch.setattr(pb, "_SWEEP_LANES", 1)
+        assert search_result(pb.choose_steering_window, make(), eps) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_stops_after_first_failing_wave(self, monkeypatch, workers):
+        co = weak_schrodinger(lam=3.0)
+        anchors = np.linspace(0.0, 1.0, 24, endpoint=False) + 0.013
+        ok = pb._window_sweep_ok(co, anchors, 0.1, 8, 8)
+        pts = np.concatenate([anchors[~ok][:1], anchors[ok]])  # only the first fails
+        want = [(p, i > 0) for i, p in enumerate(pts.tolist())]
+        monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
+        seen: dict = {}
+        assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)
+        assert list(seen.items()) == want[:workers]  # the first wave, in order
+        assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)  # a known failure
+        assert len(seen) == workers
+        # without stop every point is swept, in order
+        seen = {}
+        assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=False)
+        assert list(seen.items()) == want
+        seen = {}
+        assert pb._sweep(co, pts[1:], 0.1, 8, 8, seen, stop=True)
+        assert list(seen.items()) == want[1:]
+
+    def test_early_exit_evaluates_fewer_positions(self):
+        """On the plans input the search evaluates the generator at fewer
+        positions than the reference, which sweeps every window's inside
+        points to the end."""
+        results, positions = [], []
+        for search in (reference_choose_steering_window, pb.choose_steering_window):
+            gen = CountingGenerator(cy.SchrodingerGenerator(0.0, 1.2))
+            results.append(search_result(search, cy.Cocycle(golden(2048), gen), 0.18))
+            positions.append(gen.positions)
+        assert results[0] == results[1]
+        assert positions[1] < positions[0]
 
 
 _ANGLES = st.sampled_from([bd.CircleRotation.golden(grid_size=64),
@@ -454,6 +602,20 @@ class TestPlans:
             in_w = [j for j in range(j0, min(j0 + m1, N - 1) + 1)
                     if W.contains_floats(pos[j:j + 1])[0]]
             assert p.branch.j1 == in_w[0]
+
+    def test_verify_evaluates_each_position_once(self):
+        gen = CountingGenerator(cy.SchrodingerGenerator(0.0, 1.2))
+        co = cy.Cocycle(golden(2048), gen)
+        W = bd.Cell.from_union([(0.36, 0.41)])
+        pts = [co.base.point(float(u)) for u in np.random.default_rng(5).uniform(0, 1, 20)]
+        plans = pb.plan_segments(co, pts, 0.18, 100, W, 40, 12)
+        assert {type(p.branch) for p in plans} == {pb.EarlyExit, pb.Steered}
+        for plan in plans:
+            before = gen.positions
+            rep = pb.verify_segment(co, plan)
+            assert gen.positions - before == plan.N
+            ents = pb.plan_entries(co, plan)
+            assert rep.product_log_norm == float(log_norm(*scan_product(*ents)))
 
     def test_injected_violation_fails_verification(self):
         co = weak_schrodinger()
