@@ -456,17 +456,8 @@ def _first_entry_below(alpha, h) -> int:
             continue
         # positive-side records between this champion and the next convergent
         step = -eta
-        need = v_p - h
-        jstar = max(math.floor(float(need) / float(step)), 0)
-        while need - jstar * step >= 0:  # smallest j with v_p + j*eta < h
-            jstar += 1
-        while jstar > 1 and need - (jstar - 1) * step < 0:
-            jstar -= 1
-        jmax = max(math.floor(float(v_p) / float(step)), 0)  # stay above 0
-        while v_p - (jmax + 1) * step > 0:
-            jmax += 1
-        while jmax > 0 and v_p - jmax * step <= 0:
-            jmax -= 1
+        jstar = math.floor((v_p - h) / step) + 1  # smallest j with v_p - j*step < h
+        jmax = -math.floor(-v_p / step) - 1  # largest j with v_p - j*step > 0
         if jstar <= jmax:
             n = n_p + jstar * q
             if n > FIRST_RETURN_HORIZON:

@@ -4,9 +4,15 @@ One JSON config drives every subcommand; any leaf key is overridable on the
 command line as --key=value (dotted paths for nesting).  A key that
 DEFAULT_CONFIG does not have, or a value of another type than the key's
 default, is a configuration error.  Artifacts are CSV for curves and JSON for
-certificates, written with full-precision decimals and sorted keys so reruns
-are bitwise identical.  Exit codes: 0 success, 1 a
-certified check failed, 2 configuration or runtime error.
+certificates, and this module is the one that reads and writes files: every
+CSV goes through `_write_csv` (floats as .17g, which round-trip exactly, ints
+as they are) and every JSON through `_write_json` (sorted keys, a final
+newline), so reruns are bitwise identical; the one other artifact is
+`plan-segment`'s plan text.  A command makes the output directory once, after
+its inputs are built and before any work; a path the run cannot use (config
+file, table file, output directory or an artifact in it) exits 2 naming it.
+Exit codes: 0 success, 1 a certified check failed, 2 configuration or runtime
+error.
 """
 
 from __future__ import annotations
@@ -75,14 +81,21 @@ def _set_path(cfg: dict, dotted: str, raw: str) -> None:
     _merge(cfg, val)
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of a file the run reads; an unreadable one is a ConfigError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {str(path)!r} is not UTF-8 text (byte {e.start})") from None
+    except OSError as e:
+        raise ConfigError(f"{what} {str(path)!r}: {e.strerror}") from None
+
+
 def load_config(path: Optional[str], overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(p.read_text())
+            loaded = json.loads(_read_text(Path(path), "config file"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config parse error in {path}: line {e.lineno} col {e.colno}: {e.msg}")
         if not isinstance(loaded, dict):
@@ -198,14 +211,14 @@ def build_generator(cfg: dict) -> cocycle.Generator:
         try:
             # data rows as loadtxt reads them: after the header, comments cut,
             # blank lines skipped; its own ragged-row message counts file lines
-            data = [ln for ln in (raw.split("#")[0] for raw in
-                                  Path(path).read_text().splitlines()[1:]) if ln.strip()]
+            lines = _read_text(Path(path), "generator.table_path").splitlines()
+            data = [ln for ln in (raw.split("#")[0] for raw in lines[1:]) if ln.strip()]
             bad = next((i for i, ln in enumerate(data) if ln.count(",") != 4), None)
             if bad is None:
                 with warnings.catch_warnings():  # an empty table is reported below
                     warnings.simplefilter("ignore", UserWarning)
-                    vals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as e:  # a non-numeric cell or bytes that are not text
+                    vals = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as e:  # a non-numeric cell
             raise ConfigError(f"generator.table_path {path!r}: {e}") from None
         if bad is not None:
             raise ConfigError(f"generator.table_path {path!r}: row {bad} has "
@@ -232,8 +245,18 @@ def build_cocycle(cfg: dict) -> cocycle.Cocycle:
 def out_dir(cfg: dict) -> Path:
     out = cfg["out"] or os.environ.get(ENV_OUT) or "cocyclelab-out"
     p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or a parent that is not a directory
+        raise ConfigError(f"output directory {out!r}: {e.strerror}") from None
     return p
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -242,14 +265,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_growth_csv(path: Path, rep: cocycle.GrowthReport) -> None:
+    _write_csv(path, ["x", "n", "log_norm_over_n"],
+               ((x, rep.n, v) for x, v in zip(rep.positions, rep.values)))
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_exponent(cfg: dict) -> int:
     co = build_cocycle(cfg)
-    rep = cocycle.growth_sweep(co, int(cfg["n"]), threads=int(cfg["threads"]))
     out = out_dir(cfg)
-    rep.to_csv(out / "exponent.csv")
+    rep = cocycle.growth_sweep(co, int(cfg["n"]), threads=int(cfg["threads"]))
+    _write_growth_csv(out / "exponent.csv", rep)
     _write_json(out / "exponent.json", {
         "n": rep.n, "grid": rep.grid_size, "min": rep.min, "max": rep.max,
         "mean": rep.mean, "argmax": rep.argmax})
@@ -259,10 +287,10 @@ def cmd_exponent(cfg: dict) -> int:
 
 def cmd_growth_test(cfg: dict) -> int:
     co = build_cocycle(cfg)
+    out = out_dir(cfg)
     eps = float(cfg["eps"])
     ok, rep = cocycle.uniform_growth_test(co, eps, int(cfg["n"]), threads=int(cfg["threads"]))
-    out = out_dir(cfg)
-    rep.to_csv(out / "growth.csv")
+    _write_growth_csv(out / "growth.csv", rep)
     _write_json(out / "growth.json", {
         "eps": eps, "n": rep.n, "max": rep.max, "margin": rep.margin, "pass": ok})
     print(f"uniform growth test at eps={eps}, n={rep.n}: {'PASS' if ok else 'FAIL'} "
@@ -272,8 +300,8 @@ def cmd_growth_test(cfg: dict) -> int:
 
 def cmd_uh_check(cfg: dict) -> int:
     co = build_cocycle(cfg)
-    res = cocycle.uh_certify(co)
     out = out_dir(cfg)
+    res = cocycle.uh_certify(co)
     payload: dict[str, Any] = {"kind": type(res).__name__}
     if isinstance(res, cocycle.Certificate):
         payload.update(expansion=res.expansion, n=res.n, cone_width=res.cone_width)
@@ -288,6 +316,7 @@ def cmd_uh_check(cfg: dict) -> int:
 
 def cmd_steer(cfg: dict) -> int:
     co = build_cocycle(cfg)
+    out = out_dir(cfg)
     s = cfg["steer"]
     v = (math.cos(float(s["v_angle"])), math.sin(float(s["v_angle"])))
     w = (math.cos(float(s["w_angle"])), math.sin(float(s["w_angle"])))
@@ -298,7 +327,6 @@ def cmd_steer(cfg: dict) -> int:
         gen = co.generator.entries(co.orbit(x, blk.length))
         mats = np.array([M.entries() for M in blk.matrices])
         dist = float(general_operator_norm(*(mats[:, k] - g for k, g in enumerate(gen))).max())
-    out = out_dir(cfg)
     _write_json(out / "steer.json", {
         "m": blk.length, "achieved_error": blk.achieved_error,
         "budget": blk.budget, "max_distance": dist})
@@ -308,15 +336,12 @@ def cmd_steer(cfg: dict) -> int:
 
 def cmd_plan_segment(cfg: dict) -> int:
     co = build_cocycle(cfg)
+    out = out_dir(cfg)
     eps = float(cfg["eps"])
-    W, m = perturb.choose_steering_window(co, eps)
-    m1 = max(basedyn.covering_time(co.base, W), m)
-    c = math.log(co.sup_norm + eps) + 1e-9
-    N = perturb.choose_N(co, eps, c, m1)
+    _, W, m, m1, N = perturb.plan_constants(co, eps)
     x = co.base.point(float(cfg["anchor"]))
     plan = perturb.plan_segment(co, x, eps, N, W, m1, m)
     rep = perturb.verify_segment(co, plan)
-    out = out_dir(cfg)
     (out / "segment.txt").write_text(plan.to_text())
     _write_json(out / "segment.json", {
         "N": N, "m": m, "m1": m1, "branch": type(plan.branch).__name__,
@@ -329,10 +354,12 @@ def cmd_plan_segment(cfg: dict) -> int:
 
 def cmd_castle(cfg: dict) -> int:
     base = build_base(cfg)
+    out = out_dir(cfg)
     N = int(cfg["castle_n"])
     castle = towers.build_castle(base, N)
-    out = out_dir(cfg)
-    castle.to_csv(out / "castle.csv")
+    _write_csv(out / "castle.csv", ["base_lo", "base_hi", "height"],
+               ((float(lo), float(hi), t.height) for t in castle.towers
+                for lo, hi in t.base.intervals))
     _write_json(out / "castle.json", {
         "N": N, "towers": len(castle.towers), "floors": castle.floor_count(),
         "heights": sorted({t.height for t in castle.towers}), **castle.report})
@@ -343,18 +370,19 @@ def cmd_castle(cfg: dict) -> int:
 
 def cmd_freq_bound(cfg: dict) -> int:
     base = build_base(cfg)
+    out = out_dir(cfg)
     pts = [float(p) for p in cfg["freq_points"]]
     fb = towers.visit_freq_bound(base, pts, float(cfg["freq_eps"]))
-    out = out_dir(cfg)
-    fb.to_json(out / "freq.json")
+    _write_json(out / "freq.json", {"rho": fb.rho, "n0": fb.n0, "eps": fb.eps,
+                                    "sup_frequency": fb.sup_frequency})
     print(f"freq bound: rho={fb.rho:.3e}, n0={fb.n0}, sup={fb.sup_frequency:.3e}")
     return 0
 
 
 def cmd_surgery(cfg: dict) -> int:
     co = build_cocycle(cfg)
-    s = cfg["surgery"]
     out = out_dir(cfg)
+    s = cfg["surgery"]
     threads = int(cfg["threads"])
     gsize = int(s["verify_grid"])
     grid = np.arange(gsize) / gsize
@@ -369,13 +397,18 @@ def cmd_surgery(cfg: dict) -> int:
 
     before = parallel_lanes(lambda sl: cocycle.log_norms_batch(co, sl, 2048), grid, threads) / 2048
     after = parallel_lanes(lambda sl: cocycle.log_norms_batch(pc.cocycle, sl, 2048), grid, threads) / 2048
-    with open(out / "surgery_growth.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "log_growth_before", "log_growth_after"])
-        for row in zip(grid, before, after):
-            w.writerow([f"{v:.17g}" for v in row])
-    pc.export_table(out / "surgery_table.csv")
-    cert.to_json(out / "surgery.json")
+    _write_csv(out / "surgery_growth.csv", ["x", "log_growth_before", "log_growth_after"],
+               zip(grid, before, after))
+    xs = co.base.grid_floats()
+    _write_csv(out / "surgery_table.csv", ["x", "a", "b", "c", "d", "bump"],
+               zip(xs, *pc.entries(xs), pc.bump(xs)))
+    _write_json(out / "surgery.json", {
+        "horizon": cert.n, "grid": cert.grid_size, "max_direct": cert.max_direct,
+        "margin": cert.margin, "uniform_bound": cert.uniform_bound,
+        "uniform_head_tail": cert.head_tail, "uniform_table_rate": cert.table_rate,
+        "uniform_v_blocks": cert.v_blocks, "bound": cert.bound, "pass": cert.passed,
+        "visit_freq_sup": cert.visit_freq_sup, "visit_freq_cap": cert.visit_freq_cap,
+        "dominance_ok": cert.dominance_ok})
     print(f"surgery: N={scfg.N}, sup-dist {pc.sup_distance:.4f}, "
           f"certificate {'PASS' if cert.passed else 'FAIL'} "
           f"(direct {cert.max_direct:.4f} vs bound {cert.bound:.4f})")
@@ -383,12 +416,14 @@ def cmd_surgery(cfg: dict) -> int:
 
 
 def cmd_demo_hopf(cfg: dict) -> int:
+    out = out_dir(cfg)
     alpha = cfg["hopf_alpha"]
     if alpha is None:
         alpha = 2.0 * math.pi * float(GOLDEN_MEAN)
     cert = scenarios.certify_restricted_uh(float(alpha), grid_size=int(cfg["base"]["grid"]))
-    out = out_dir(cfg)
-    scenarios.export_unstable_field(cert, out / "hopf_field.csv")
+    G = cert.field.angles.size
+    _write_csv(out / "hopf_field.csv", ["theta", "direction_angle"],
+               ((2.0 * math.pi * i / G, ang) for i, ang in enumerate(cert.field.angles)))
     _write_json(out / "hopf.json", {
         "expansion": cert.expansion, "winding": cert.winding,
         "cone_width": cert.cone_width})
@@ -483,7 +518,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except CocycleLabError as e:
+    except (CocycleLabError, OSError) as e:  # only this module does file I/O
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

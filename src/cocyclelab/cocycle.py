@@ -14,7 +14,6 @@ either.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -315,13 +314,6 @@ class GrowthReport:
     values: np.ndarray
     positions: np.ndarray
     margin: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "n", "log_norm_over_n"])
-            for x, v in zip(self.positions, self.values):
-                w.writerow([f"{x:.17g}", self.n, f"{v:.17g}"])
 
 
 def growth_sweep(co: Cocycle, n: int, grid: Optional[np.ndarray] = None,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._parallel import map_workers, ordered_map
-from .basedyn import BasePoint, Cell, locate
+from .basedyn import BasePoint, Cell, covering_time, locate
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
     BudgetExhausted,
@@ -263,6 +263,16 @@ def choose_N(co: Cocycle, eps: float, c: float, m1: int) -> int:
     while (4 * m1 + 1) * math.log(C) >= eps * N - 0.5 * math.log(2.0) or eps * N <= c:
         N += 1
     return N
+
+
+def plan_constants(co: Cocycle, eps: float) -> tuple[float, Cell, int, int, int]:
+    """(c, W, m, m1, N) in proof order: c = log(sup||A|| + eps) + 1e-9, the
+    steering window W with its block length m, m1 = max(covering time of W, m)
+    and N = `choose_N`."""
+    c = math.log(co.sup_norm + eps) + 1e-9
+    W, m = choose_steering_window(co, eps)
+    m1 = max(covering_time(co.base, W), m)  # the early-exit chain needs m <= m1
+    return c, W, m, m1, choose_N(co, eps, c, m1)
 
 
 # -- steering window -------------------------------------------------------------------

@@ -11,7 +11,6 @@ computation rather than an open-ended search on S^3.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -101,13 +100,3 @@ def certify_restricted_uh(alpha: float, grid_size: int = 4096) -> HopfCertificat
         field=field,
         cone_width=res.cone_width,
     )
-
-
-def export_unstable_field(cert: HopfCertificate, path) -> None:
-    """CSV of (theta, direction angle) over the invariant circle."""
-    G = cert.field.angles.size
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "direction_angle"])
-        for i, ang in enumerate(cert.field.angles):
-            w.writerow([f"{2.0 * math.pi * i / G:.17g}", f"{ang:.17g}"])

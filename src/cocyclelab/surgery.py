@@ -17,8 +17,6 @@ runs entirely through exact table matrices.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +30,6 @@ from .basedyn import (
     bucket_locator,
     column_floors,
     complement,
-    covering_time,
     first_overlap,
     float_breaks,
     inter_union,
@@ -54,8 +51,7 @@ from .errors import (
 )
 from .perturb import (
     SegmentPlan,
-    choose_N,
-    choose_steering_window,
+    plan_constants,
     plan_entries,
     plan_segments,
 )
@@ -160,10 +156,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
             raise NotApplicable(
                 f"exponent estimate {est:.3e} <= {EXPONENT_FLOOR}; already near subexponential")
 
-    c = math.log(co.sup_norm + eps) + 1e-9
-    W, m = choose_steering_window(co, eps)
-    m1 = max(covering_time(base, W), m)  # the early-exit chain needs m <= m1
-    N = choose_N(co, eps, c, m1)
+    c, W, m, m1, N = plan_constants(co, eps)
     castle = build_castle(base, N)
     delta = continuity_modulus(co, eps)
 
@@ -349,16 +342,6 @@ class PerturbedCocycle(Generator):
                 f"sup distance {self.sup_distance:.6g} >= e^c(e^c+1) eps = {bound:.6g}")
         return self.sup_distance
 
-    def export_table(self, path, grid: Optional[np.ndarray] = None) -> None:
-        xs = self.original.base.grid_floats() if grid is None else np.asarray(grid)
-        a, b, c, d = self.entries(xs)
-        bump = self.bump(xs)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "a", "b", "c", "d", "bump"])
-            for row in zip(xs, a, b, c, d, bump):
-                w.writerow([f"{v:.17g}" for v in row])
-
 
 def _column_matrices(co: Cocycle, plan: SegmentPlan, height: int) -> np.ndarray:
     """Entries of L_{l,i,j}, j < height, as a (4, height) array; a top slot copies the generator."""
@@ -410,8 +393,8 @@ class GrowthCertificate:
     sup||A|| and `sup_distance` are grid-sampled; `block_logs` are float
     products.  `max_direct` is the float sweep at the grid points, `margin`
     four times its largest neighbour step, and `dominance_ok` says every
-    lane stays under U.  `direct` keeps the lanes, which `to_json` does not
-    write.
+    lane stays under U.  `direct` keeps the lanes, which `surgery.json` does
+    not hold.
     """
 
     n: int
@@ -428,24 +411,6 @@ class GrowthCertificate:
     visit_freq_cap: float
     dominance_ok: bool
     direct: np.ndarray = field(repr=False, compare=False)  # per grid point
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "horizon": self.n,
-                "grid": self.grid_size,
-                "max_direct": self.max_direct,
-                "margin": self.margin,
-                "uniform_bound": self.uniform_bound,
-                "uniform_head_tail": self.head_tail,
-                "uniform_table_rate": self.table_rate,
-                "uniform_v_blocks": self.v_blocks,
-                "bound": self.bound,
-                "pass": self.passed,
-                "visit_freq_sup": self.visit_freq_sup,
-                "visit_freq_cap": self.visit_freq_cap,
-                "dominance_ok": self.dominance_ok,
-            }, fh, indent=2, sort_keys=True)
 
 
 def verify_growth(pc: PerturbedCocycle, cfg: SurgeryConfig, n: int,

@@ -14,8 +14,6 @@ is strictly stronger than a grid sweep with margins.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,18 +75,18 @@ def frobenius_threshold_dp(N: int, horizon: Optional[int] = None) -> int:
 
 
 def decompose_height(n: int, N: int) -> tuple[int, int]:
-    """(l, l') with l*N + l'*(N+1) = n, maximal l' (= n mod N when feasible)."""
+    """(l, l') with l*N + l'*(N+1) = n and the least l', which is n mod N.
+
+    Every solution has l' = n (mod N), and a larger l' only lowers l, so n is
+    representable exactly when l' = n mod N leaves l >= 0.
+    """
     if N < 1:
         raise CocycleLabError("N >= 1 required")
     lp = n % N
     l = (n - lp * (N + 1)) // N
-    if l >= 0 and l * N + lp * (N + 1) == n:
-        return l, lp
-    for lp in range(n // (N + 1), -1, -1):
-        rem = n - lp * (N + 1)
-        if rem >= 0 and rem % N == 0:
-            return rem // N, lp
-    raise NotRepresentable(f"{n} is not l*{N} + l'*{N + 1}")
+    if l < 0:
+        raise NotRepresentable(f"{n} is not l*{N} + l'*{N + 1}")
+    return l, lp
 
 
 @dataclass
@@ -205,14 +203,6 @@ class Castle:
         report["sampled"] = checked
         return report
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["base_lo", "base_hi", "height"])
-            for t in self.towers:
-                for lo, hi in t.base.intervals:
-                    w.writerow([f"{float(lo):.17g}", f"{float(hi):.17g}", t.height])
-
 
 def build_castle(rot: CircleRotation, N: int) -> Castle:
     """Castle with heights in {N, N+1} covering the space (rotation bases).
@@ -277,11 +267,6 @@ class FreqBound:
     eps: float
     sup_frequency: float
     rho: float
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"rho": self.rho, "n0": self.n0, "eps": self.eps,
-                       "sup_frequency": self.sup_frequency}, fh, indent=2, sort_keys=True)
 
 
 def _packing_count_bound(alpha, pieces, n: int) -> float:

@@ -719,6 +719,19 @@ class TestFirstReturn:
             assert [(n, float(c.intervals[0][0])) for c, n in a] == pytest.approx(
                 [(n, float(c.intervals[0][0])) for c, n in b])
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver"]), st.integers(1, 3000),
+           st.booleans())
+    def test_first_entry_below_equals_exact_scan(self, angle, k, irrational):
+        """The record walk's n is the first n >= 1 with {n alpha} < h, found
+        by stepping {n alpha} exactly; h is k/10^4, or that times alpha."""
+        alpha = getattr(bd.CircleRotation, angle)().alpha
+        h = Fraction(k, 10_000) * (alpha if irrational else 1)
+        n, v = 1, alpha
+        while not v < h:
+            n, v = n + 1, mod1(v + alpha)
+        assert bd._first_entry_below(alpha, h) == n
+
     def test_silver_rotation(self):
         rot = bd.CircleRotation.silver(grid_size=512)
         U = bd.Cell.from_union([(QuadExt(Fraction(1, 10), 0, 2),

@@ -142,6 +142,31 @@ class TestBasics:
         assert r.stderr.startswith("config error: threads") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args,path", [
+        (["--out", "f"], "f"),
+        (["--out", "f/sub"], "f/sub"),
+        (["--out", "o", "--config", "missing.json"], "missing.json"),
+        (["--out", "o", "--config", "d"], "d"),
+        (["--out", "o", "--config", "latin1.json"], "latin1.json"),
+        (["--out", "o", "--generator.family=table", "--generator.table_path=d"], "d"),
+    ], ids=["out-is-file", "out-under-file", "config-missing", "config-is-dir",
+            "config-not-utf8", "table-path-is-dir"])
+    def test_unusable_path_exit_2(self, tmp_path, args, path):
+        (tmp_path / "f").write_text("a file\n")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"n": 10, "anchor": "\u00e9"}'.encode("latin-1"))
+        r = run_cli(["exponent", "--n=10", "--base.grid=64", *args], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("config error:") and repr(path) in r.stderr
+        assert "Traceback" not in r.stderr and not (tmp_path / "o").exists()
+
+    def test_unwritable_artifact_exit_2(self, tmp_path):
+        (tmp_path / "o" / "exponent.csv").mkdir(parents=True)
+        r = run_cli(["exponent", "--out", "o", "--n=10", "--base.grid=64"], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("error: IsADirectoryError") and "exponent.csv" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_threads_flag_wins_over_config_key(self, tmp_path):
         cfgf = tmp_path / "cfg.json"
         cfgf.write_text(json.dumps({"threads": 0, "n": 10, "base": {"grid": 64}}))
@@ -218,6 +243,7 @@ class TestBasics:
         r = run_cli(["selftest", "--out", "o", "--base.grid=256"], tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
         assert "PASS" in r.stdout
+        assert not (tmp_path / "o").exists()  # selftest writes nothing
 
 
 @pytest.mark.slow

@@ -330,11 +330,11 @@ class TestUniformGrowthTest:
             assert abs(rep.max - math.log(2)) < 1e-12
 
     def test_report_csv(self, tmp_path):
-        co = rotation_valued()
-        _, rep = cy.uniform_growth_test(co, 0.1, 50)
-        path = tmp_path / "growth.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        # the report of rotation_valued() at eps 0.1, n 50, as `growth-test` writes it
+        _, rep = cy.uniform_growth_test(rotation_valued(), 0.1, 50)
+        cli.main(["growth-test", "--out", str(tmp_path), "--generator.family=rotation",
+                  "--generator.offset=0.048", "--eps=0.1", "--n=50", "--base.grid=1024"])
+        lines = (tmp_path / "growth.csv").read_text().strip().splitlines()
         assert lines[0] == "x,n,log_norm_over_n"
         assert len(lines) == 1 + rep.grid_size
 

@@ -1,5 +1,6 @@
-"""Every name a cocyclelab module imports is used in that module, and every
-module-level private name it defines is read there.
+"""Every name a cocyclelab module imports is used in that module, every
+module-level private name it defines is read there, and no module but `cli`
+imports `csv` or `json`: `cli` writes every artifact.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -73,3 +74,25 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules a source imports, absolute imports only."""
+    tree = ast.parse(source)
+    names = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    return names | {node.module.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+
+
+def test_checker_finds_imported_modules():
+    source = ("import csv as c\nimport os.path\nfrom json import dumps\n"
+              "from . import cli\nfrom .errors import ConfigError\n")
+    assert imported_modules(source) == {"csv", "os", "json"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_cli_writes_artifacts(path):
+    """Every artifact is written by `cli`; a library module imports no file format."""
+    assert imported_modules(path.read_text()) & {"csv", "json"} == set()

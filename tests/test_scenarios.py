@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cocyclelab import cli
 from cocyclelab import scenarios as sc
 from cocyclelab.errors import LiftFailed
 from cocyclelab.exact import GOLDEN_MEAN
@@ -91,9 +92,7 @@ class TestCertification:
         assert cert.winding == 1
 
     def test_export(self, tmp_path):
-        cert = sc.certify_restricted_uh(GOLDEN_ANGLE, grid_size=512)
-        path = tmp_path / "field.csv"
-        sc.export_unstable_field(cert, path)
-        lines = path.read_text().strip().splitlines()
+        assert cli.main(["demo-hopf", "--out", str(tmp_path), "--base.grid=512"]) == 0
+        lines = (tmp_path / "hopf_field.csv").read_text().strip().splitlines()
         assert lines[0] == "theta,direction_angle"
         assert len(lines) == 513

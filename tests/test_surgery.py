@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cocyclelab import basedyn as bd
+from cocyclelab import cli
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import NotApplicable, ResolutionExceeded
@@ -354,17 +356,20 @@ class TestPipeline:
         assert cfg.N == 87
         check_uniform_bound(co, cfg, pc, cert, np.arange(96) / 96)
 
-    def test_exports(self, pipeline, tmp_path):
+    def test_exports(self, pipeline, tmp_path, monkeypatch):
+        """`surgery`'s artifacts of the fixture's run, written by the command
+        itself: its `run_surgery` call returns the fixture's objects."""
         co, cfg, pc, cert = pipeline
-        table = tmp_path / "table.csv"
-        pc.export_table(table, grid=np.arange(64) / 64)
-        lines = table.read_text().strip().splitlines()
+        monkeypatch.setattr(sg, "run_surgery", lambda *args, **kwargs: (cfg, pc, cert))
+        assert cli.main(["surgery", "--out", str(tmp_path), "--generator.family=twisted-table",
+                         "--generator.coupling=1.2", "--eps=0.4", "--base.grid=1024",
+                         "--surgery.verify_grid=64"]) == 0
+        growth = (tmp_path / "surgery_growth.csv").read_text().strip().splitlines()
+        assert growth[0] == "x,log_growth_before,log_growth_after"
+        assert len(growth) == 65
+        lines = (tmp_path / "surgery_table.csv").read_text().strip().splitlines()
         assert lines[0] == "x,a,b,c,d,bump"
-        assert len(lines) == 65
-        certf = tmp_path / "cert.json"
-        cert.to_json(certf)
-        import json
-
-        data = json.loads(certf.read_text())
+        assert len(lines) == 1 + co.base.grid_size
+        data = json.loads((tmp_path / "surgery.json").read_text())
         assert data["pass"] is True
         assert data["horizon"] == cert.n

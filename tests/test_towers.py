@@ -42,6 +42,7 @@ class TestDecompose:
     def test_exact_heights(self):
         assert tw.decompose_height(10, 10) == (1, 0)
         assert tw.decompose_height(21, 10) == (1, 1)
+        assert tw.decompose_height(12, 3) == (4, 0)  # the least l', not (0, 3)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(3)
@@ -51,7 +52,7 @@ class TestDecompose:
                 l, lp = tw.decompose_height(int(n), N)
                 assert l >= 0 and lp >= 0
                 assert l * N + lp * (N + 1) == n
-                assert lp == n % N  # maximal-l' rule
+                assert lp == n % N  # the least l'
 
     def test_unrepresentable(self):
         with pytest.raises(NotRepresentable):
@@ -110,9 +111,9 @@ class TestCastle:
     def test_csv_export(self, tmp_path):
         rot = bd.CircleRotation.golden(grid_size=1024)
         castle = tw.build_castle(rot, 4)
-        path = tmp_path / "castle.csv"
-        castle.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        assert cli.main(["castle", "--out", str(tmp_path), "--castle_n=4",
+                         "--base.grid=1024"]) == 0
+        lines = (tmp_path / "castle.csv").read_text().strip().splitlines()
         assert lines[0] == "base_lo,base_hi,height"
         assert len(lines) >= 1 + len(castle.towers)
 
@@ -176,9 +177,9 @@ class TestFreqBound:
     def test_json_roundtrip(self, tmp_path):
         rot = bd.CircleRotation.golden(grid_size=1024)
         fb = tw.visit_freq_bound(rot, [0.25], 0.2)
-        path = tmp_path / "freq.json"
-        fb.to_json(path)
-        data = json.loads(path.read_text())
+        assert cli.main(["freq-bound", "--out", str(tmp_path), "--base.grid=1024",
+                         "--freq_points=[0.25]", "--freq_eps=0.2"]) == 0
+        data = json.loads((tmp_path / "freq.json").read_text())
         assert data["n0"] == fb.n0
         assert data["sup_frequency"] == fb.sup_frequency
 
