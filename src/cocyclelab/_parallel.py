@@ -15,6 +15,12 @@ The levels do not nest: a worker of either level runs `ordered_map`
 serially in its own thread, so a grid sweep under --threads k runs at most k
 threads.  `ordered_map` is the one place a pool is made, and its pool lives
 in a `with` block: no thread outlives the call.
+
+A worker may keep reusable buffers in `scratch()`, its thread's dict, for as
+long as the outermost `ordered_map` runs: a pool thread's dict ends with the
+thread when the pool's `with` block ends, and the calling thread's is dropped
+when that call returns.  Outside a worker `scratch()` is a fresh dict, so
+nothing is kept.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ FIXED_CHUNKS = 64
 T = TypeVar("T")
 R = TypeVar("R")
 
-_worker = threading.local()  # .active is true in a worker of either level
+# .active is true in a worker of either level; .scratch is its scratch() dict
+_worker = threading.local()
 
 
 def cpu_workers() -> int:
@@ -42,15 +49,25 @@ def cpu_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _in_worker() -> bool:
+    return getattr(_worker, "active", False)
+
+
 def map_workers() -> int:
     """Threads `ordered_map` runs on here: one inside a worker, else the CPUs."""
-    return 1 if getattr(_worker, "active", False) else cpu_workers()
+    return 1 if _in_worker() else cpu_workers()
+
+
+def scratch() -> dict:
+    """The calling worker's dict for buffers it reuses, kept until the
+    outermost `ordered_map` ends; a fresh dict outside a worker."""
+    return vars(_worker).setdefault("scratch", {}) if _in_worker() else {}
 
 
 def _as_worker(fn: Callable[[T], R]) -> Callable[[T], R]:
     """fn, with the calling thread marked a worker while it runs."""
     def run(item: T) -> R:
-        prev = getattr(_worker, "active", False)
+        prev = _in_worker()
         _worker.active = True
         try:
             return fn(item)
@@ -65,15 +82,21 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T],
     the process's CPUs, serial inside a worker).
 
     Each item runs marked a worker.  An exception surfaces from the earliest
-    item that raised, as in the serial loop.
+    item that raised, as in the serial loop.  The outermost call ends every
+    `scratch()` dict its items used.
     """
     items = list(items)
     run = _as_worker(fn)
+    outermost = not _in_worker()
     workers = min(map_workers() if workers is None else workers, len(items))
-    if workers <= 1:
-        return [run(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+    try:
+        if workers <= 1:
+            return [run(x) for x in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, items))
+    finally:
+        if outermost:
+            vars(_worker).pop("scratch", None)
 
 
 def parallel_lanes(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,

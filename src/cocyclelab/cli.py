@@ -158,6 +158,8 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError(f"base.grid must be an integer >= 1, got {grid!r}")
     if not cfg["threads"] >= 1:
         raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
+    if not cfg["n"] >= 1:
+        raise ConfigError(f"n must be an integer >= 1, got {cfg['n']!r}")
     if len(cfg["generator"]["entries"]) != 4:
         raise ConfigError(f"generator.entries must be 4 numbers a, b, c, d, "
                           f"got {cfg['generator']['entries']!r}")

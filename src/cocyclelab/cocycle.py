@@ -6,10 +6,13 @@ level, and a power-of-two rescale only at the levels whose nodes span a
 multiple of 16 steps and at the root.  Grid sweeps chunk lanes and steps, and
 build each step chunk's tree from aligned power-of-two blocks of at most
 max(min(_MAX_ELEMS, 2^19), lane_chunk) entry elements (one step of a lane
-chunk when the lanes alone exceed the cap): memory is bounded by one block at
-any horizon, and the bits are those of the whole chunk's tree.  A chunk of
-more blocks than CPUs splits its lanes over the CPUs, which moves no bit
-either.
+chunk when the lanes alone exceed the cap) and at most 4096 steps: memory is
+bounded by one block at any horizon, and the bits are those of the whole
+chunk's tree.  A chunk wider than one uncapped block per CPU splits its lanes
+over the CPUs, which moves no bit either.  The trees write their levels into
+buffers that each worker thread keeps until the outermost
+`_parallel.ordered_map` returns, so the blocks and slices of one sweep reuse
+them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ _OVERFLOW_LIMIT = 1e300
 _WITNESS_EPS = 1e-3  # uh_certify's norm-collapse threshold on (1/n) log ||A_n||
 _MAX_ELEMS = 1 << 23  # entry elements per lane and step chunk of log_norms_batch
 _BLOCK_ELEMS = 1 << 19  # entry elements per block of log_norms_batch's tree
+_BLOCK_STEPS = 1 << 12  # and steps per block, at most
 
 
 # -- generators -------------------------------------------------------------------
@@ -262,20 +266,32 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     by powers of two like the tree.  `_MAX_ELEMS` fixes these lane and step
     chunks, the carry grouping, and the bits depend on nothing else.  Each
     chunk's tree is built from aligned power-of-two blocks (`_blocked_tree`)
-    of at most max(min(_MAX_ELEMS, 2^19), lane_chunk) elements: a block is one
-    step long when a lane chunk alone exceeds the cap, as with many lanes and
-    a short horizon.  So memory is bounded by one block at any n, and the
-    blocks move no bit.
+    whose width is max(min(_MAX_ELEMS, 2^19), lane_chunk) elements, one step
+    when a lane chunk alone exceeds the cap, as with many lanes and a short
+    horizon, and whose length is at most `_BLOCK_STEPS` = 4096 steps.  So
+    memory is bounded by one block at any n, and the blocks move no bit.
 
-    Where a step chunk's tree has more blocks than there are CPUs and the
-    lane chunk at least two lanes, the chunk's lanes split into contiguous
+    Every tree writes its levels into its thread's buffers (`sl2.tree_product`),
+    which live until the outermost `ordered_map` returns: across the blocks,
+    chunks and lane groups of this call, and across the slices of a sweep
+    that runs it in a worker.  A call outside a worker drops them on
+    return.  The 4096-step cap is measured.  The `sweep` bench input (64
+    lanes a slice, 10,000 steps) has 8192-step blocks without it, and the
+    buffers its two threads keep for them raised peak RSS from about 75 to
+    110 MiB.  The surgery's 96-lane direct sweep already has 4096-step
+    blocks, and with 1024-step blocks there the surgery ran slower.
+
+    Where a step chunk is wider than one uncapped block per CPU and the lane
+    chunk holds at least two lanes, the chunk's lanes split into contiguous
     groups, one per CPU (`_parallel.ordered_map`), each running the same step
     loop.  Every operation in that loop is lane-wise (the entries, `_mul`,
     `_rescale`, `tree_product`'s per-lane exponent sum, `log_norm`), so the
     bits do not depend on the grouping, and the groups together hold one
-    block.  Shorter trees stay serial: the surgery's exponent estimate (two
-    blocks of 3 lanes) gains 0.03 s from a split, and its helper thread's
-    heap, left fragmented, raised a later stage's peak RSS by up to 40 MiB.
+    block.  Narrower chunks stay serial, and the split reads the uncapped
+    width so that the cap does not change which: the surgery's exponent
+    estimate (3 lanes, 200,000 steps, under two 131,072-step widths) gains
+    0.03 s from a split, and its helper thread's heap, left fragmented,
+    raised a later stage's peak RSS by up to 40 MiB.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
@@ -283,9 +299,10 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(anchors.size, dtype=float)
     lane_chunk = max(1, min(anchors.size, max(_MAX_ELEMS // max(n, 1), 256)))
     step_chunk = max(1, _MAX_ELEMS // lane_chunk)
-    block = 1 << max(0, (min(_MAX_ELEMS, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
+    width = 1 << max(0, (min(_MAX_ELEMS, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
+    block = min(width, _BLOCK_STEPS)
     workers = map_workers()
-    groups = workers if min(step_chunk, n) > workers * block else 1
+    groups = workers if min(step_chunk, n) > workers * width else 1
     for lo in range(0, anchors.size, lane_chunk):
         sl = anchors[lo:lo + lane_chunk]
         parts = np.array_split(sl, min(groups, sl.size))

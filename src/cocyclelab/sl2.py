@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import scratch
 from .errors import DeterminantError, LogDomain
 
 _RENORM_DRIFT = 1e-12
@@ -304,9 +305,22 @@ LN2 = math.log(2.0)
 _STRIDE = 16
 
 
-def _mul(a1, b1, c1, d1, a0, b0, c0, d0):
-    """[[a1, b1], [c1, d1]] @ [[a0, b0], [c0, d0]], entrywise over arrays or floats."""
-    return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+def _mul(a1, b1, c1, d1, a0, b0, c0, d0, out=None):
+    """[[a1, b1], [c1, d1]] @ [[a0, b0], [c0, d0]], entrywise over arrays or floats.
+
+    With `out`, four arrays of the result's shape and a temporary of that
+    shape, the same products and sums are written into the four, which are
+    returned.
+    """
+    if out is None:
+        return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+    *res, tmp = out
+    for r, (x1, x0, y1, y0) in zip(res, ((a1, a0, b1, c0), (a1, b0, b1, d0),
+                                          (c1, a0, d1, c0), (c1, b0, d1, d0))):
+        np.multiply(x1, x0, out=r)
+        np.multiply(y1, y0, out=tmp)
+        np.add(r, tmp, out=r)
+    return tuple(res)
 
 
 def _rescale(a, b, c, d):
@@ -314,6 +328,26 @@ def _rescale(a, b, c, d):
     _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
                                np.maximum(np.abs(c), np.abs(d))))
     return np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e), np.ldexp(d, -e), e
+
+
+def _rescale_into(m, tmp, ex):
+    """`_rescale` of the four entry arrays m in place, through a float
+    temporary and an int exponent array of their shape; returns the exponent
+    sums along the last axis."""
+    a, b, c, d = m
+    # the largest |entry| is max(a, b, c, d, -min(a, b, c, d)): no |.| arrays
+    np.minimum(a, b, out=tmp)
+    np.minimum(tmp, c, out=tmp)
+    np.minimum(tmp, d, out=tmp)
+    np.negative(tmp, out=tmp)
+    for v in m:
+        np.maximum(tmp, v, out=tmp)
+    np.frexp(tmp, out=(tmp, ex))
+    k = ex.sum(axis=-1)
+    np.negative(ex, out=ex)
+    for v in m:
+        np.ldexp(v, ex, out=v)
+    return k
 
 
 def log_norm(a, b, c, d, e):
@@ -371,6 +405,23 @@ def scan_lanes(a, b, c, d, running: bool = False):
     return (pa, pb, pc, pd, e), logs
 
 
+def _level_sets(lanes: int, n: int):
+    """The calling worker's two buffer sets for a tree over (lanes, n) entries.
+
+    A set is five float arrays, four entry arrays and a product temporary,
+    with an int exponent array of the same size.  The first set holds level
+    1, the second level 2, each with a spare column per lane; later levels
+    alternate between them.  A set too small for this tree is replaced by
+    one of the size it needs.
+    """
+    sets = scratch().setdefault("tree_levels", [None, None])
+    for i, width in enumerate(((n + 1) // 2, (n + 3) // 4)):
+        size = lanes * (width + 1)
+        if sets[i] is None or sets[i][1].size < size:
+            sets[i] = ([np.empty(size) for _ in range(5)], np.empty(size, dtype=np.intc))
+    return sets
+
+
 def tree_product(a, b, c, d):
     """Ordered products along the last axis of (L, n) arrays, pairwise.
 
@@ -382,21 +433,47 @@ def tree_product(a, b, c, d):
     are not bounded, and a non-finite entry persists through every product and
     rescale to the root: a non-finite root restarts the same loop with every
     level rescaled.  The reduction order is fixed, independent of chunking or
-    thread counts.  Returns per-lane (pa, pb, pc, pd, E) like scan_lanes.
+    thread counts.  Returns per-lane (pa, pb, pc, pd, E) like scan_lanes, as
+    new arrays.
+
+    Every level is written, with numpy `out=`, into the two buffer sets of
+    `_level_sets`, level 1 into the first, level 2 into the second, and so
+    on alternately.  A worker keeps them for its next trees
+    (`_parallel.scratch`), so a long sweep's many trees allocate nothing per
+    level.  A level is stored in rows of even length: an odd level's spare
+    column holds the identity, its pad, so the next level pairs whole rows,
+    which numpy runs as one strided loop.  An odd n pads the caller's input
+    instead by writing its last column as I @ M[n-1], the products and sums
+    of the padded pair.
     """
+    L, n = a.shape
+    sets = _level_sets(L, n)
     # the strided pass overflows quietly; the restart warns as numpy is set to
     for stride, quiet in ((_STRIDE, "ignore"), (1, None)):
-        m, e, span = (a, b, c, d), np.zeros(a.shape[0], dtype=np.int64), 1
+        m, w, e, level = (a, b, c, d), n, np.zeros(L, dtype=np.int64), 0
         with np.errstate(over=quiet, invalid=quiet):
-            while m[0].shape[1] > 1:
-                if m[0].shape[1] % 2 == 1:
-                    m = tuple(np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
-                              for v, one in zip(m, (1.0, 0.0, 0.0, 1.0)))
-                m = _mul(*(v[:, 1::2] for v in m), *(v[:, 0::2] for v in m))
-                span *= 2
-                if span % stride == 0 or m[0].shape[1] == 1:
-                    *m, k = _rescale(*m)
-                    e += k.sum(axis=1)
-        if all(np.isfinite(v).all() for v in m):
+            while w > 1:
+                h = (w + 1) // 2
+                rows, ex = sets[level % 2]
+                row = h + h % 2
+                out = [r[:L * row].reshape(L, row) for r in rows[:4]]
+                tmp = rows[4][:L * h].reshape(L, h)
+                if m[0].shape[1] % 2 == 0:  # a buffer's rows, or an even n
+                    _mul(*(v[:, 1::2] for v in m), *(v[:, 0::2] for v in m),
+                         out=[o[:, :h] for o in out] + [tmp])
+                else:
+                    _mul(*(v[:, 1::2] for v in m), *(v[:, 0:w - 1:2] for v in m),
+                         out=[o[:, :h - 1] for o in out] + [tmp[:, :h - 1]])
+                    _mul(1.0, 0.0, 0.0, 1.0, *(v[:, w - 1] for v in m),
+                         out=[o[:, h - 1] for o in out] + [tmp[:, h - 1]])
+                if h % 2:
+                    for o, one in zip(out, (1.0, 0.0, 0.0, 1.0)):
+                        o[:, h] = one
+                m, w = out, h
+                level += 1
+                if (1 << level) % stride == 0 or h == 1:
+                    e += _rescale_into([o[:, :h] for o in m], tmp,
+                                       ex[:L * h].reshape(L, h))
+        if all(np.isfinite(v[:, 0]).all() for v in m):
             break
-    return m[0][:, 0], m[1][:, 0], m[2][:, 0], m[3][:, 0], e
+    return (*(v[:, 0].copy() for v in m), e)

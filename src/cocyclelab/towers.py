@@ -272,35 +272,38 @@ class FreqBound:
 def _packing_count_bound(alpha, pieces, n: int) -> float:
     """Upper bound on max_x #{j < n : x + j alpha in V} via the minimal orbit gap.
 
-    pieces holds (float length, lo, hi) per interval [lo, hi) of V, with lo, hi
-    in [0, 1].  An interval of exact length L holds at most floor(L/g) + 1
-    orbit points, g the exact minimal gap.  Every endpoint and the gap convert
-    to float with relative error below 2^-41 (a rational rounds once; a
-    QuadExt cancels by at most a factor 1000 before it switches to its
-    conjugate), so the float quotient q of length by gap satisfies
-    |q - L/g| < 2^-38 (1/g + q).  Where that window holds an integer the
-    floor is decided exactly; elsewhere floor(q) is floor(L/g).
+    pieces is `_pieces` of the intervals [lo, hi) of V, with lo, hi in
+    [0, 1].  An interval of exact length L holds at most floor(L/g) + 1 orbit
+    points, g the exact minimal gap.  Every endpoint and the gap convert to
+    float with relative error below 2^-41 (a rational rounds once; a QuadExt
+    cancels by at most a factor 1000 before it switches to its conjugate), so
+    the float quotient q of length by gap satisfies |q - L/g| < 2^-38 (1/g + q).
+    Where that window holds an integer the floor is decided exactly; elsewhere
+    floor(q) is floor(L/g).  The quotients, floors and windows are taken for
+    all pieces at once.  The total is a sum of whole floats far below 2^53,
+    exact in any order.
     """
-    if not pieces:
+    lengths, intervals = pieces
+    if not intervals:
         return 0.0
     if n < 2:
-        return float(len(pieces))
+        return float(len(intervals))
     exact_gap = min_orbit_gap(alpha, n)
     gap = float(exact_gap)
-    total = 0.0
-    for h, lo, hi in pieces:
-        q = h / gap
-        k = math.floor(q)
-        tol = 2.0**-38 * (1.0 / gap + q)
-        if math.floor(q - tol) != k or math.floor(q + tol) != k:
-            k = math.floor((as_exact(hi) - as_exact(lo)) / exact_gap)
-        total += k + 1.0
-    return total
+    q = lengths / gap
+    k = np.floor(q)
+    tol = 2.0**-38 * (1.0 / gap + q)
+    for i in np.flatnonzero((np.floor(q - tol) != k) | (np.floor(q + tol) != k)):
+        lo, hi = intervals[i]
+        k[i] = math.floor((as_exact(hi) - as_exact(lo)) / exact_gap)
+    return float(np.sum(k + 1.0))
 
 
-def _pieces(intervals) -> list:
-    """(float length, lo, hi) per interval, the input of _packing_count_bound."""
-    return [(float(hi) - float(lo), lo, hi) for lo, hi in intervals]
+def _pieces(intervals) -> tuple:
+    """(float lengths, intervals) of a list of intervals (lo, hi): the input
+    of _packing_count_bound."""
+    intervals = list(intervals)
+    return np.array([float(hi) - float(lo) for lo, hi in intervals]), intervals
 
 
 def _freq_bound_over_range(alpha, pieces, n0: int) -> float:

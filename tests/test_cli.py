@@ -142,6 +142,14 @@ class TestBasics:
         assert r.stderr.startswith("config error: threads") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["exponent", "growth-test"])
+    def test_n_below_one_exit_2(self, tmp_path, command, n):
+        r = run_cli([command, "--out", "o", f"--n={n}", "--base.grid=64"], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr == f"config error: n must be an integer >= 1, got {n}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("args,path", [
         (["--out", "f"], "f"),
         (["--out", "f/sub"], "f/sub"),

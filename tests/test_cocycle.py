@@ -236,6 +236,47 @@ class TestLaneGroups:
         cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
         assert groups == [[lanes]]
 
+    @pytest.mark.parametrize("lanes,n,block,groups", [
+        (64, 10_000, 4096, [64]), (3, 200_000, 4096, [3]), (96, 245_761, 4096, [48, 48]),
+        (2048, 16, 256, [2048])], ids=["sweep-slice", "estimate", "direct-sweep", "probe"])
+    def test_blocks_at_most_4096_steps(self, monkeypatch, lanes, n, block, groups):
+        """A block is at most 4096 steps, and the split still reads the
+        uncapped width: the 3-lane estimate (131,072 steps wide) stays
+        serial, and a 64-lane slice of the sweep (8,192) is one group."""
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 2)
+        seen = []
+
+        def record(co, g, n_, step_chunk, blk):
+            seen.append((g.size, blk))
+            return np.zeros(g.size)
+
+        monkeypatch.setattr(cy, "_lane_log_norms", record)
+        cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
+        assert sorted(seen) == [(g, block) for g in groups]
+
+    def test_tree_buffers_live_for_the_outermost_call(self, monkeypatch):
+        """Every tree of a serial sweep writes into one set of buffers, and
+        the sweep's return drops them, as does a top-level log_norms_batch."""
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 1)
+        seen = []
+        real = cy.tree_product
+
+        def spy(*ents):
+            out = real(*ents)
+            seen.append(_parallel.scratch()["tree_levels"][0][1])
+            return out
+
+        monkeypatch.setattr(cy, "tree_product", spy)
+        co = schrodinger(1.3)
+        xs = np.arange(128) / 128  # 64 slices of two lanes: 3 blocks and a top each
+        cy.growth_sweep(co, 9000, xs, threads=1)
+        assert len(seen) == 4 * 64 and all(s is seen[0] for s in seen)
+        assert not hasattr(_parallel._worker, "scratch")
+        seen.clear()
+        cy.log_norms_batch(co, xs[:3], 9000)
+        assert len(seen) == 4 and all(s is seen[0] for s in seen)
+        assert not hasattr(_parallel._worker, "scratch")
+
 
 class TestOrderedMap:
     @pytest.fixture

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
@@ -441,6 +445,86 @@ class TestProductKernel:
         ents = [np.broadcast_to(v, lanes * n).reshape(lanes, n) for v in ents]
         for g, w in zip(tree_product(*ents), reference_tree_product(*ents)):
             assert g.tobytes() == w.tobytes()  # signed zeros count too
+
+    @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1),
+           shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 700)),
+                           min_size=2, max_size=6))
+    @example(seed=1, shapes=[(64, 1808), (64, 3), (2, 4097), (64, 1808)])
+    def test_worker_trees_reuse_buffers(self, seed, shapes):
+        """One worker's trees, shapes growing and shrinking, share its level
+        buffers: each equals the every-level tree, and no result changes
+        when a later tree overwrites the buffers.  The buffers end with the
+        outermost ordered_map."""
+        rng = np.random.default_rng(seed)
+        trees = [[v.reshape(lanes, n) for v in random_sl2(rng, lanes * n, 20.0)]
+                 for lanes, n in shapes]
+
+        def run(_):
+            got = []
+            for ents in trees:
+                got.append(tree_product(*ents))
+                assert "tree_levels" in _parallel.scratch()
+            return got, [tuple(v.tobytes() for v in g) for g in got]
+
+        [(got, saved)] = _parallel.ordered_map(run, [0], workers=1)
+        assert not hasattr(_parallel._worker, "scratch")
+        for g, bits, ents in zip(got, saved, trees):
+            assert tuple(v.tobytes() for v in g) == bits
+            assert bits == tuple(w.tobytes() for w in reference_tree_product(*ents))
+
+    def test_threads_keep_their_own_buffers(self):
+        """Four pool threads, more than the CPUs, switching often, each
+        reusing its own buffers over trees of other shapes."""
+        rng = np.random.default_rng(41)
+        trees = [[v.reshape(lanes, n) for v in random_sl2(rng, lanes * n, 20.0)]
+                 for lanes, n in [(3, 1000), (5, 257), (1, 4097), (2, 33), (4, 2048), (3, 1)] * 4]
+        want = [tree_product(*ents) for ents in trees]
+        idents = set()
+
+        def run(ents):
+            idents.add(threading.get_ident())
+            return tree_product(*ents)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = _parallel.ordered_map(run, trees, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.get_ident() not in idents
+        for g, w in zip(got, want, strict=True):
+            assert [v.tobytes() for v in g] == [v.tobytes() for v in w]
+
+    def test_restart_after_warm_call(self):
+        # R(0.3) diag(1e30, 1e-30) overflows in 16 steps: the every-level
+        # restart, here in buffers that a strided tree has just used
+        r = rotation(0.3)
+        stretched = [np.full((2, 4096), v) for v in (r.a * 1e30, r.b / 1e30, r.c * 1e30, r.d / 1e30)]
+        warm = [v.reshape(2, 3000) for v in random_sl2(np.random.default_rng(5), 6000)]
+
+        def run(_):
+            tree_product(*warm)
+            return tree_product(*stretched)
+
+        [got] = _parallel.ordered_map(run, [0], workers=1)
+        for g, w in zip(got, reference_tree_product(*stretched)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_second_tree_allocates_no_levels(self):
+        ents = [v.reshape(64, 4096) for v in random_sl2(np.random.default_rng(6), 64 * 4096)]
+
+        def run(_):
+            tree_product(*ents)
+            tracemalloc.start()
+            try:
+                tree_product(*ents)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        [peak] = _parallel.ordered_map(run, [0], workers=1)
+        assert peak < ents[0].nbytes / 8
 
     @KERNEL
     @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4),

@@ -1,19 +1,41 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import towers as tw
 from cocyclelab.errors import NotRepresentable, ShrinkExhausted
-from cocyclelab.exact import QuadExt, min_orbit_gap
+from cocyclelab.exact import QuadExt, as_exact, min_orbit_gap
 
 
 def sturmian(grid):
     """The golden Sturmian shift as the CLI builds it: the rotation by its slope."""
     return cli.build_base({"base": {"variant": "sturmian", "alpha": None, "grid": grid}})
+
+
+def scalar_packing_count_bound(alpha, intervals, n: int) -> float:
+    """The packing bound one piece at a time: the oracle for the array form."""
+    if not intervals:
+        return 0.0
+    if n < 2:
+        return float(len(intervals))
+    exact_gap = min_orbit_gap(alpha, n)
+    gap = float(exact_gap)
+    total = 0.0
+    for lo, hi in intervals:
+        q = (float(hi) - float(lo)) / gap
+        k = math.floor(q)
+        tol = 2.0**-38 * (1.0 / gap + q)
+        if math.floor(q - tol) != k or math.floor(q + tol) != k:
+            k = math.floor((as_exact(hi) - as_exact(lo)) / exact_gap)
+        total += k + 1.0
+    return total
 
 
 def measured_visit_frequency(rot, V, x0: float, n: int) -> float:
@@ -209,6 +231,25 @@ class TestFreqBound:
                         break
                     bound = tw._packing_count_bound(bd.GOLDEN_MEAN, tw._pieces([(lo, hi)]), n)
                     assert bound == k + 1, (n, i, k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6000), data=st.data())
+    def test_packing_bound_equals_scalar_loop(self, n, data):
+        # lengths on, a hair off, and away from whole multiples of the gap
+        gap = min_orbit_gap(bd.GOLDEN_MEAN, max(n, 2))
+        tiny = Fraction(1, 10**30)
+        intervals = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            lo = QuadExt(Fraction(data.draw(st.integers(0, 999)), 1000), 0, 5)
+            k = data.draw(st.integers(1, 60))
+            kind = data.draw(st.sampled_from(["multiple", "above", "below", "free"]))
+            hi = {"multiple": lo + k * gap, "above": lo + k * gap + tiny,
+                  "below": lo + k * gap - tiny,
+                  "free": lo + Fraction(data.draw(st.integers(1, 10**6)), 10**7)}[kind]
+            if hi <= 1:
+                intervals.append((lo, hi))
+        got = tw._packing_count_bound(bd.GOLDEN_MEAN, tw._pieces(intervals), n)
+        assert got == scalar_packing_count_bound(bd.GOLDEN_MEAN, intervals, n)
 
     def test_packing_bound_is_rigorous(self):
         # the per-interval packing count dominates true counts for every x
