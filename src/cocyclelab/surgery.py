@@ -289,9 +289,18 @@ class PerturbedCocycle(Generator):
         table matrix gathered from its contiguous columns, then, only at the
         points that are not region interiors (t < 1, about a tenth of an
         orbit), the generator, the bump and the blend.
+
+        The four outputs are the rows of one array.  In the direct sweep of
+        `verify_growth` that is one 6 MiB allocation per 4096-step block of
+        48 lanes, not four of 1.5 MiB.  glibc maps the first one and, once it
+        is freed, raises its mmap and trim thresholds above it, so later
+        blocks and their slices reuse heap pages.  With four arrays the
+        thresholds stayed near 1.5 MiB, the heap was trimmed between blocks,
+        and a `surgery` round's sweep faulted 14-151 k pages in again instead
+        of 8 k, varying from one process to the next.
         """
         flat = np.asarray(xs, dtype=float).reshape(-1)
-        out = tuple(np.empty(flat.size) for _ in range(4))
+        out = tuple(np.empty((4, flat.size)))
         for s in range(0, flat.size, _SLICE):
             self._entries_slice(flat[s:s + _SLICE], [o[s:s + _SLICE] for o in out])
         return tuple(o.reshape(np.shape(xs)) for o in out)
