@@ -265,9 +265,14 @@ def wrap_floats(y) -> np.ndarray:
     subtraction.  For y < 0 both round the real y - floor(y) once, from two
     exact terms.  A zero is +0.0 in both (x - x is +0.0); a tiny negative y
     gives 1.0 in both.
+
+    The floor goes into a new array and the difference into the same one, so
+    the caller's y is never written.  A scalar or 0-d y gives a numpy scalar,
+    as y - floor(y) does.
     """
     y = np.asarray(y, dtype=float)
-    return y - np.floor(y)
+    out = np.floor(y)
+    return np.subtract(y, out, out=out) if out.ndim else y - out
 
 
 class CircleRotation:

@@ -49,7 +49,14 @@ _BLOCK_STEPS = 1 << 12  # and steps per block, at most
 
 
 class Generator:
-    """Map from base coordinates to SL(2,R), evaluable on coordinate arrays."""
+    """Map from base coordinates to SL(2,R), evaluable on coordinate arrays.
+
+    `entries(xs)` returns the entry arrays (a, b, c, d), each of xs's shape.
+    They are read-only to callers: an entry the generator knows without
+    evaluating, as Schrodinger's b, c and d, may be a zero-stride view
+    (`np.broadcast_to`) that cannot be written, and two entries may be one
+    array.  A caller that needs to write copies first.
+    """
 
     def entries(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -60,10 +67,8 @@ class ConstantGenerator(Generator):
         self.mat = mat
 
     def entries(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        one = np.ones_like(xs)
-        m = self.mat
-        return m.a * one, m.b * one, m.c * one, m.d * one
+        shape = np.shape(xs)
+        return tuple(np.broadcast_to(np.float64(v), shape) for v in self.mat.entries())
 
 
 class RotationGenerator(Generator):
@@ -75,9 +80,12 @@ class RotationGenerator(Generator):
 
     def entries(self, xs):
         xs = np.asarray(xs, dtype=float)
-        th = 2.0 * math.pi * (self.offset + self.winding * xs)
-        c, s = np.cos(th), np.sin(th)
-        return c, -s, s, c
+        th = np.multiply(self.winding, xs, out=np.empty(xs.shape))
+        np.add(self.offset, th, out=th)
+        np.multiply(2.0 * math.pi, th, out=th)
+        c = np.cos(th)
+        s = np.sin(th, out=th)
+        return c, np.negative(s), s, c
 
 
 class SchrodingerGenerator(Generator):
@@ -89,9 +97,11 @@ class SchrodingerGenerator(Generator):
 
     def entries(self, xs):
         xs = np.asarray(xs, dtype=float)
-        a = self.energy - 2.0 * self.coupling * np.cos(2.0 * math.pi * xs)
-        one = np.ones_like(xs)
-        return a, -one, one, np.zeros_like(xs)
+        a = np.multiply(2.0 * math.pi, xs, out=np.empty(xs.shape))
+        np.cos(a, out=a)
+        np.multiply(2.0 * self.coupling, a, out=a)
+        np.subtract(self.energy, a, out=a)
+        return (a, *(np.broadcast_to(v, xs.shape) for v in (-1.0, 1.0, 0.0)))
 
 
 class HopfRestrictionGenerator(Generator):
@@ -101,15 +111,28 @@ class HopfRestrictionGenerator(Generator):
         self.alpha = float(alpha)
 
     def entries(self, xs):
-        th = 2.0 * math.pi * np.asarray(xs, dtype=float)
-        ca, sa = np.cos(th + self.alpha), np.sin(th + self.alpha)
+        xs = np.asarray(xs, dtype=float)
+        th = np.multiply(2.0 * math.pi, xs, out=np.empty(xs.shape))
         ct, st = np.cos(th), np.sin(th)
+        np.add(th, self.alpha, out=th)
+        ca = np.cos(th)
+        sa = np.sin(th, out=th)
+        tmp = np.empty(xs.shape)
+
+        def entry(p, q, combine, r, s):
+            """(2 p) q combined with (0.5 r) s, into a new array."""
+            out = np.multiply(2.0, p, out=np.empty(xs.shape))
+            np.multiply(out, q, out=out)
+            np.multiply(0.5, r, out=tmp)
+            np.multiply(tmp, s, out=tmp)
+            return combine(out, tmp, out=out)
+
         # R_{th+alpha} @ diag(2, 1/2) @ R_{-th}, expanded entrywise
         return (
-            2.0 * ca * ct + 0.5 * sa * st,
-            2.0 * ca * st - 0.5 * sa * ct,
-            2.0 * sa * ct - 0.5 * ca * st,
-            2.0 * sa * st + 0.5 * ca * ct,
+            entry(ca, ct, np.add, sa, st),
+            entry(ca, st, np.subtract, sa, ct),
+            entry(sa, ct, np.subtract, ca, st),
+            entry(sa, st, np.add, ca, ct),
         )
 
 
@@ -134,11 +157,19 @@ class TableGenerator(Generator):
         self._xi = log_sl2_arrays(*_mul(d, -b, -c, a, *np.roll(vals, -1, axis=0).T))
 
     def entries(self, xs):
-        pos = wrap_floats(xs) * self.size
-        idx = np.minimum(pos.astype(int), self.size - 1)
-        t = pos - idx
-        t1, t2, t3 = (xi.take(idx) * t for xi in self._xi)
-        return _mul(*(col.take(idx) for col in self._cols), *exp_traceless_arrays(t1, t2, t3))
+        shape = np.shape(xs)
+        pos = wrap_floats(np.reshape(xs, -1))  # a new flat array, written in place
+        np.multiply(pos, self.size, out=pos)
+        idx = pos.astype(int)
+        np.minimum(idx, self.size - 1, out=idx)
+        t = np.subtract(pos, idx, out=pos)
+        ts = [xi.take(idx) for xi in self._xi]
+        for v in ts:
+            np.multiply(v, t, out=v)
+        step = exp_traceless_arrays(*ts)
+        out = [np.empty(pos.size) for _ in range(4)] + [ts[0]]  # t1 is spent: the temporary
+        ents = _mul(*(col.take(idx) for col in self._cols), *step, out=out)
+        return tuple(e.reshape(shape) for e in ents)
 
 
 def twisted_table(coupling: float, size: int = 4096) -> TableGenerator:

@@ -39,7 +39,7 @@ from .errors import (
     NotRepresentable,
     ShrinkExhausted,
 )
-from .exact import as_exact, best_denominators, min_orbit_gap, mod1
+from .exact import as_exact, convergents, min_orbit_gap, mod1
 
 _CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
 _RETURN_SAMPLE_SEED = 7  # seed of the sampled first-return check in Castle.verify
@@ -311,12 +311,9 @@ def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
 
     The minimal gap is piecewise constant between convergent denominators, so
     the maximum is attained at n0 or at a denominator in range; all candidates
-    are checked.
+    are checked.  The denominators are read from the cached convergents.
     """
-    candidates = [n0]
-    for q, _ in best_denominators(alpha, 8 * n0):
-        if n0 < q <= 8 * n0:
-            candidates.append(q)
+    candidates = [n0] + [q for _, q in convergents(alpha, 64) if n0 < q <= 8 * n0]
     return max(_packing_count_bound(alpha, pieces, n) / n for n in candidates)
 
 

@@ -399,9 +399,13 @@ class TestMod1:
 
 
 def _np_mod_bits(y):
+    """wrap_floats(y) has np.mod's bits, leaves y as it was and shares no
+    memory with it."""
     y = np.asarray(y, dtype=float)
+    before = y.copy()
     got, want = bd.wrap_floats(y), np.mod(y, 1.0)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert y.tobytes() == before.tobytes() and not np.shares_memory(got, y)
 
 
 # |y| from 2^-1074 to 2^60, of either sign
@@ -424,6 +428,15 @@ class TestWrapFloats:
              -2.0**-53, -2.0**-54, 0.5, -0.5, 0.75, -0.25],
             ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf)]))
         assert bd.wrap_floats(-1e-20) == 1.0  # as np.mod: 1.0, not 0.0 (mod1 gives 0.0)
+
+    @pytest.mark.parametrize("y", [-1e-20, 0.75, np.float64(-2.5), np.asarray(-0.0),
+                                   np.asarray(3.25)], ids=repr)
+    def test_scalars_give_numpy_scalars(self, y):
+        """A scalar or 0-d y gives a numpy scalar, as y - floor(y) does."""
+        a = np.asarray(y, dtype=float)
+        got, want = bd.wrap_floats(y), a - np.floor(a)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_MAGNITUDES | _INTEGERS | st.sampled_from([0.0, -0.0]), min_size=1,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import time
@@ -7,14 +8,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
+from cocyclelab import perturb as pb
+from cocyclelab import surgery as sg
 from cocyclelab.basedyn import BasePoint
 from cocyclelab.errors import CocycleLabError, Overflow
-from cocyclelab.sl2 import Mat2, log_norm, operator_norm, scan_product
+from cocyclelab.sl2 import Mat2, _mul, exp_traceless_arrays, log_norm, operator_norm, scan_product
 
 
 # -- test-local helpers: sequential log-norms, empirical measures, witnesses -----
@@ -516,3 +522,172 @@ class TestTableGenerator:
     def test_rejects_empty_or_misshapen_table(self, make, match):
         with pytest.raises(CocycleLabError, match=match):
             make()
+
+
+# -- generator outputs: the old expressions as an oracle, and read-only callers ------
+
+
+def oracle_entries(gen, xs):
+    """The generators' entry expressions as they were before they wrote into
+    their own buffers: every entry a full array, every step a new one."""
+    xs = np.asarray(xs, dtype=float)
+    if type(gen) is cy.ConstantGenerator:
+        one = np.ones_like(xs)
+        m = gen.mat
+        return m.a * one, m.b * one, m.c * one, m.d * one
+    if type(gen) is cy.RotationGenerator:
+        th = 2.0 * math.pi * (gen.offset + gen.winding * xs)
+        c, s = np.cos(th), np.sin(th)
+        return c, -s, s, c
+    if type(gen) is cy.SchrodingerGenerator:
+        a = gen.energy - 2.0 * gen.coupling * np.cos(2.0 * math.pi * xs)
+        one = np.ones_like(xs)
+        return a, -one, one, np.zeros_like(xs)
+    if type(gen) is cy.HopfRestrictionGenerator:
+        th = 2.0 * math.pi * xs
+        ca, sa = np.cos(th + gen.alpha), np.sin(th + gen.alpha)
+        ct, st_ = np.cos(th), np.sin(th)
+        return (2.0 * ca * ct + 0.5 * sa * st_, 2.0 * ca * st_ - 0.5 * sa * ct,
+                2.0 * sa * ct - 0.5 * ca * st_, 2.0 * sa * st_ + 0.5 * ca * ct)
+    assert type(gen) is cy.TableGenerator
+    pos = (xs - np.floor(xs)) * gen.size
+    idx = np.minimum(pos.astype(int), gen.size - 1)
+    t = pos - idx
+    t1, t2, t3 = (xi.take(idx) * t for xi in gen._xi)
+    return _mul(*(col.take(idx) for col in gen._cols), *exp_traceless_arrays(t1, t2, t3))
+
+
+_FAMILIES = {
+    "constant": cy.ConstantGenerator(Mat2(2, 0, 0, 0.5)),
+    "constant-rotation": cy.ConstantGenerator(Mat2(0.6, -0.8, 0.8, 0.6)),
+    "rotation-still": cy.RotationGenerator(),
+    "rotation": cy.RotationGenerator(0.05, 1.0),
+    "rotation-winding": cy.RotationGenerator(0.3, -2.0),
+    "schrodinger": cy.SchrodingerGenerator(0.0, 1.2),
+    "schrodinger-energy": cy.SchrodingerGenerator(2.5, 3.0),
+    "hopf": cy.HopfRestrictionGenerator(0.7),
+    "table-one-row": cy.TableGenerator(np.array([[2.0, 0.0, 0.0, 0.5]])),
+    "table": cy.TableGenerator(np.array([[2.0, 0.0, 0.0, 0.5], [1.0, 1.0, 0.0, 1.0],
+                                         [1.0, 0.0, 1.0, 1.0]])),
+    "twisted-table": cy.twisted_table(1.3, 512),
+}
+
+# positions at 0, just below 1, at 1.0, negative, and anywhere in [-4, 4]
+_POSITIONS = st.sampled_from([0.0, -0.0, float(np.nextafter(1.0, 0.0)), 1.0, -1e-20, -0.25,
+                              -1.0, -2.5]) | st.floats(-4.0, 4.0)
+_SHAPES = st.sampled_from([(), (0,)]) | st.tuples(st.integers(1, 9)) \
+    | st.tuples(st.integers(1, 4), st.integers(1, 9))
+
+
+class TestEntriesMatchOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(_FAMILIES)), hnp.arrays(np.float64, _SHAPES, elements=_POSITIONS),
+           st.booleans())
+    def test_bitwise(self, family, xs, transpose):
+        """Every entry has the oracle's bits and xs's shape, shares no memory
+        with xs, and xs is left as it was (a transposed xs is not contiguous)."""
+        gen = _FAMILIES[family]
+        xs = xs.T if transpose else xs
+        before = xs.copy()
+        got = gen.entries(xs)
+        assert len(got) == 4
+        for g, w in zip(got, oracle_entries(gen, before)):
+            assert np.shape(g) == xs.shape
+            assert np.asarray(g).tobytes() == np.asarray(w, dtype=float).tobytes()
+            assert not np.shares_memory(g, xs)
+        assert xs.tobytes() == before.tobytes()
+
+    def test_known_entries_are_zero_stride_views(self):
+        xs = np.linspace(0.0, 1.0, 64).reshape(4, 16)
+        a, *rest = _FAMILIES["schrodinger"].entries(xs)
+        assert a.flags.writeable and a.strides != (0, 0)
+        for v, want in zip(rest, (-1.0, 1.0, 0.0)):
+            assert v.strides == (0, 0) and not v.flags.writeable
+            assert np.array_equal(v, np.full(xs.shape, want))
+        for v in _FAMILIES["constant"].entries(xs):
+            assert v.strides == (0, 0) and not v.flags.writeable
+
+
+class ReadOnlyOutputs(cy.Generator):
+    """A generator whose outputs are read-only copies of another's: a caller
+    that writes into one raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def entries(self, xs):
+        outs = []
+        for e in self.inner.entries(xs):
+            e = np.array(e, dtype=float)
+            e.setflags(write=False)
+            outs.append(e)
+        return tuple(outs)
+
+
+def bits(value):
+    """A comparable form of a result: arrays by their bytes, floats by hex,
+    dataclasses field by field (a plan's cocycle left out)."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (list, tuple)):
+        return tuple(bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(bits(getattr(value, f.name))
+                                           for f in dataclasses.fields(value)
+                                           if f.name != "_cocycle")
+    return repr(value)
+
+
+def outcome(fn):
+    """bits of fn(), or the program's own error (a CocycleLabError) by type
+    and message.  Any other exception, as a write into a read-only array
+    raises, propagates."""
+    try:
+        return bits(fn())
+    except CocycleLabError as e:
+        return type(e).__name__, str(e)
+
+
+class TestCallersDoNotWrite:
+    """Every caller of a generator reads its outputs only: through read-only
+    copies, each runs without error and with the same bits."""
+
+    @staticmethod
+    def runs(co):
+        grid = co.base.grid_floats()
+        W = bd.Cell.from_union([(0.36, 0.41)])
+        pts = [co.base.point(float(u)) for u in np.random.default_rng(5).uniform(0, 1, 20)]
+
+        def plans():
+            ps = pb.plan_segments(co, pts, 0.18, 100, W, 40, 12)
+            return [(p.to_text(), p) for p in ps], [pb.verify_segment(co, p) for p in ps]
+        return [
+            outcome(lambda: cy.log_norms_batch(co, np.linspace(0.0, 1.0, 7), 3000)),
+            outcome(lambda: cy.growth_sweep(co, 500, threads=2)),
+            outcome(lambda: cy.uh_certify(co, grid[::2])),
+            outcome(lambda: pb.steer_direction(co, co.base.point(0.3), (1.0, 0.0), (0.0, 1.0),
+                                               0.3, 40)),
+            outcome(plans),
+        ]
+
+    @pytest.mark.parametrize("family", ["constant", "rotation", "schrodinger", "hopf", "table",
+                                        "twisted-table"])
+    def test_same_bits_through_read_only_outputs(self, family):
+        base = golden(256)
+        gen = _FAMILIES[family]
+        want = self.runs(cy.Cocycle(base, gen))
+        assert self.runs(cy.Cocycle(base, ReadOnlyOutputs(gen))) == want
+
+    def test_surgery(self):
+        grid = np.arange(8) / 8
+
+        def run(gen):
+            co = cy.Cocycle(golden(512), gen)
+            cfg, pc, cert = sg.run_surgery(co, 0.5, verify_grid=grid)
+            xs = co.base.grid_floats()
+            return bits((cert, pc.block_logs, pc.sup_distance, pc.entries(xs), pc.bump(xs),
+                         cfg.N, cfg.n0))
+        gen = cy.twisted_table(1.2, 1024)
+        assert run(ReadOnlyOutputs(gen)) == run(gen)

@@ -1,6 +1,7 @@
 """Every name a cocyclelab module imports is used in that module, every
-module-level private name it defines is read there, and no module but `cli`
-imports `csv` or `json`: `cli` writes every artifact.
+module-level private name it defines is read there, no module but `cli`
+imports `csv` or `json` (`cli` writes every artifact), and every `Generator`
+subclass defines `entries(self, xs)` with no other parameter.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -11,6 +12,7 @@ name starts with one underscore; it is read when a Name node loads it.
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -96,3 +98,57 @@ def test_checker_finds_imported_modules():
 def test_only_cli_writes_artifacts(path):
     """Every artifact is written by `cli`; a library module imports no file format."""
     assert imported_modules(path.read_text()) & {"csv", "json"} == set()
+
+
+def entries_parameters(sources: list[str]) -> dict[str, Optional[tuple[str, ...]]]:
+    """Per `Generator` subclass defined in the sources (a class whose base is
+    `Generator` or such a subclass, by name), the parameters of its own
+    `entries`: names, `*args`/`**kwargs` starred, a default marked `=`.  None
+    where the class does not define `entries`."""
+    classes = {node.name: node for source in sources for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef)}
+    bases = {name: {b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                    if isinstance(b, (ast.Name, ast.Attribute))}
+             for name, node in classes.items()}
+    generators = {"Generator"}
+    while True:
+        more = {name for name, b in bases.items() if b & generators} - generators
+        if not more:
+            break
+        generators |= more
+    out: dict[str, Optional[tuple[str, ...]]] = {}
+    for name in sorted(generators - {"Generator"}):
+        fn = next((f for f in classes[name].body
+                   if isinstance(f, ast.FunctionDef) and f.name == "entries"), None)
+        if fn is None:
+            out[name] = None
+            continue
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            positional[i] += "="
+        out[name] = tuple(positional + ([f"*{a.vararg.arg}"] if a.vararg else [])
+                          + [p.arg for p in a.kwonlyargs]
+                          + ([f"**{a.kwarg.arg}"] if a.kwarg else []))
+    return out
+
+
+def test_checker_finds_entries_parameters():
+    source = ("class Generator:\n    def entries(self, xs): ...\n"
+              "class A(Generator):\n    def entries(self, xs: int): ...\n"
+              "class B(A):\n    def entries(self, xs, n=1): ...\n"
+              "class C(cy.Generator):\n    def entries(self, xs, *rest, k, **kw): ...\n"
+              "class D(B):\n    pass\n"
+              "class Other:\n    def entries(self, xs, n): ...\n")
+    assert entries_parameters([source]) == {
+        "A": ("self", "xs"), "B": ("self", "xs", "n="),
+        "C": ("self", "xs", "*rest", "k", "**kw"), "D": None}
+
+
+def test_generators_take_only_xs():
+    """The bench tracer's `cocycle.entries` wrapper takes (self, xs) only, so
+    a generator whose `entries` took another parameter would break a traced
+    run."""
+    found = entries_parameters([p.read_text() for p in sorted(SRC.glob("*.py"))])
+    assert {"ConstantGenerator", "TableGenerator", "PerturbedCocycle"} <= found.keys()
+    assert {name: params for name, params in found.items() if params != ("self", "xs")} == {}

@@ -11,7 +11,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import towers as tw
 from cocyclelab.errors import NotRepresentable, ShrinkExhausted
-from cocyclelab.exact import QuadExt, as_exact, min_orbit_gap
+from cocyclelab.exact import QuadExt, as_exact, best_denominators, min_orbit_gap
 
 
 def sturmian(grid):
@@ -188,6 +188,22 @@ class TestFreqBound:
         pts = list(np.arange(32) / 32.0)
         with pytest.raises(ShrinkExhausted):
             tw.visit_freq_bound(rot, pts, 1e-4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([bd.CircleRotation.golden(grid_size=1024).alpha, QuadExt(-1, 1, 2)]),
+           st.integers(1, 10**6) | st.integers(1, 10**12), st.integers(-1, 1),
+           st.lists(st.fractions(0, 1, max_denominator=10**4), min_size=2, max_size=6))
+    def test_range_bound_reads_the_best_denominators(self, alpha, n0, shift, ends):
+        """The candidates taken from the cached convergents are those that
+        best_denominators(alpha, 8 n0) lists, so the bound is the same float.
+        n0 also lands next to a convergent denominator."""
+        if shift:
+            n0 = max(1, min(q for q, _ in best_denominators(alpha, 10**13) if q >= n0) + shift)
+        ends = sorted(ends)
+        pieces = tw._pieces(list(zip(ends[::2], ends[1::2])))
+        want = max(tw._packing_count_bound(alpha, pieces, n) / n for n in
+                   [n0] + [q for q, _ in best_denominators(alpha, 8 * n0) if q > n0])
+        assert tw._freq_bound_over_range(alpha, pieces, n0).hex() == want.hex()
 
     def test_reproducible_bitwise(self):
         rot = bd.CircleRotation.golden(grid_size=1024)
