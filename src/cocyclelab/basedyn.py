@@ -519,7 +519,7 @@ def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
             if t > FIRST_RETURN_HORIZON:
                 raise HorizonExceeded(f"return time {t} beyond 1e6")
         got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
-        if abs(float(got) - float(h)) > 1e-12:
+        if got != h:
             raise CocycleLabError("three-distance pieces do not tile the interval")
         return sorted(out, key=lambda p: (p[1], float(p[0].intervals[0][0])))
     return _first_return_marching(rot, U)

@@ -3,8 +3,11 @@
 Castle construction follows the inducing recipe: pick a small base cell whose
 iterates up to the Frobenius threshold stay disjoint, partition it by first
 return time (closed form for rotations), then cut each return tower into
-stacked blocks of heights N and N+1.  With exact endpoints the floors tile the
-circle exactly, so disjointness and coverage certify by endpoint comparison.
+stacked blocks of heights N and N+1.  The endpoints are exact, so the castle
+certifies from its towers alone, at every size: the bases are disjoint, their
+returns f^h(B_t) are disjoint and fill the base union, and Kac's sum of
+h |B_t| is 1.  Castle.verify shows why that makes the floors tile the circle
+and every base point first return at its tower's height.
 
 Visit frequencies use a three-distance packing certificate: an n-step orbit is
 ||q_K alpha||-separated, so a length-h interval sees at most h/||q_K alpha|| + 1
@@ -24,13 +27,11 @@ import numpy as np
 from .basedyn import (
     Cell,
     CircleRotation,
-    column_floors,
     first_overlap,
     first_return,
-    float_breaks,
-    locate,
     norm_union,
     small_boundary_cell,
+    translate_union,
     wrap_interval,
 )
 from .errors import (
@@ -40,10 +41,6 @@ from .errors import (
     ShrinkExhausted,
 )
 from .exact import as_exact, convergents, min_orbit_gap, mod1
-
-_CASTLE_EXACT_FLOOR_LIMIT = 25_000  # full exact floor check below this many floors
-_RETURN_SAMPLE_SEED = 7  # seed of the sampled first-return check in Castle.verify
-_RETURN_SAMPLES = 10_000  # points of that check, shared among the towers
 
 
 def frobenius_threshold(N: int) -> int:
@@ -114,94 +111,56 @@ class Castle:
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
 
-    def float_floors(self) -> tuple[np.ndarray, np.ndarray]:
-        """All floor intervals as float arrays, built by vectorized translation."""
-        lows, highs = [], []
-        for t in self.towers:
-            for lo, hi in t.base.intervals:
-                width = float(hi) - float(lo)
-                pos = self.system.orbit_floats(float(lo), t.height)
-                over = pos + width > 1.0
-                lows.append(pos[~over])
-                highs.append(pos[~over] + width)
-                if over.any():
-                    lows.append(pos[over])
-                    highs.append(np.ones(int(over.sum())))
-                    lows.append(np.zeros(int(over.sum())))
-                    highs.append(pos[over] + width - 1.0)
-        lo = np.concatenate(lows)
-        hi = np.concatenate(highs)
-        order = np.argsort(lo, kind="stable")
-        return lo[order], hi[order]
-
     def verify(self) -> dict:
-        """Recompute the castle invariants; raises on any failure.
+        """Certify exactly that the floors tile the circle and that each point
+        of a base B_t first returns to the base union B at its tower's height
+        h_t; raises DisjointnessFailed otherwise.  The work is O(towers) exact
+        comparisons at every size:
 
-        Exact mode sorts every floor endpoint and asserts a perfect half-open
-        tiling of [0, 1).  Above the floor-count limit the tiling check runs
-        at float precision instead (the exact statement is structural: floors
-        re-chunk the Kakutani tower of the inducing cell, whose disjointness
-        was certified by the exact gap comparison); base-cell disjointness
-        stays exact at every size.
+        (a) the bases B_t are pairwise disjoint;
+        (b) the returns f^{h_t}(B_t) are pairwise disjoint, and their union
+            is B (for a valid castle exactly so: the return map is a
+            bijection of B);
+        (c) Kac's sum of h_t |B_t| is 1 in the angle's field.
+
+        Why this suffices.  Let Z be the union of all floors f^j(B_t),
+        0 <= j < h_t.  By (b), f(Z) lies in Z, and a rotation preserves
+        length, so f(Z) = Z.  A component of Z's complement is a proper arc,
+        and only the identity rotation fixes one, so its translates by
+        j alpha are distinct arcs of the complement for every j below the
+        angle's order: infinite for a QuadExt angle, the denominator for a
+        Fraction angle.  The complement has at most as many arcs as there are
+        floor pieces, at most 2 sum_t h_t (pieces of B_t) since a translate
+        splits at 1 at most once; the order is checked to exceed that count,
+        so Z is the whole circle.  By (c) the floors' lengths sum to |Z|, so
+        two half-open floors meet in a null set, hence not at all.  The
+        floors at levels 1 .. h_t - 1 then miss every base, and by (b) each
+        point of B_t first returns at exactly h_t.
+
+        first_overlap sorts by float, but its exact compare of neighbours
+        fails wherever that order is not the exact one, so the lists it
+        passes are exactly sorted and norm_union merges them as they stand.
+        Endpoints are in the angle's field, as build_castle makes them.
         """
-        n_floors = self.floor_count()
-        do_exact = n_floors <= _CASTLE_EXACT_FLOOR_LIMIT
-        report = {"floors": n_floors, "exact_tiling": None, "grid_covered": None,
-                  "return_times_ok": None}
-        if first_overlap(iv for t in self.towers for iv in t.base.intervals)[1] is not None:
+        alpha = self.system.alpha
+        pieces = 2 * sum(t.height * len(t.base.intervals) for t in self.towers)
+        if isinstance(alpha, Fraction) and alpha.denominator <= pieces:
+            raise DisjointnessFailed(f"angle denominator {alpha.denominator} does not exceed "
+                                     f"the {pieces} floor pieces the tiling argument counts")
+        bases, bad = first_overlap(iv for t in self.towers for iv in t.base.intervals)
+        if bad is not None:
             raise DisjointnessFailed("tower bases overlap")
-        if do_exact:
-            pieces, bad = first_overlap(
-                p for t in self.towers
-                for p, _ in column_floors(t.base.intervals, self.system.alpha, t.height))
-            if bad is not None:
-                raise DisjointnessFailed(f"floors overlap near {float(pieces[bad + 1][0])!r}")
-            tiles = all(hi1 == lo2 for (lo1, hi1), (lo2, hi2) in zip(pieces[:-1], pieces[1:]))
-            tiles = tiles and pieces[0][0] == 0 and pieces[-1][1] == 1
-            if not tiles:
-                raise DisjointnessFailed("floors do not tile [0, 1) exactly")
-            report["exact_tiling"] = True
-            flo, fhi = float_breaks(pieces)
-        else:
-            flo, fhi = self.float_floors()
-            if np.any(fhi[:-1] > flo[1:] + 1e-12):
-                raise DisjointnessFailed("floors overlap (float check)")
-            if np.any(flo[1:] - fhi[:-1] > 1e-9) or flo[0] > 1e-12 or fhi[-1] < 1 - 1e-12:
-                raise DisjointnessFailed("floors do not tile [0, 1) (float check)")
-            report["exact_tiling"] = False
-
-        # grid coverage with one-spacing margin (also implied by the tiling)
-        xs = self.system.grid_floats()
-        idx, _ = locate(flo, fhi, xs)
-        sp = 1.0 / self.system.grid_size
-        covered = (xs >= flo[idx] - sp) & (xs < fhi[idx] + sp)
-        if not covered.all():
-            raise DisjointnessFailed("grid point not covered by any floor")
-        report["grid_covered"] = True
-
-        # sampled first-return times from B to B equal the tower heights
-        rng = np.random.default_rng(_RETURN_SAMPLE_SEED)
-        blo, bhi = self.base_union().float_breaks()
-        per = max(1, _RETURN_SAMPLES // max(len(self.towers), 1))
-        checked = 0
-        for t in self.towers:
-            for lo, hi in t.base.intervals:
-                lof, hif = float(lo), float(hi)
-                pad = (hif - lof) * 1e-3
-                pts = rng.uniform(lof + pad, hif - pad, size=per)
-                # in base at steps 1 .. height, one column per step
-                inb = locate(blo, bhi, self.system.orbit_floats(pts, t.height, 1))[1]
-                early = inb[:, :-1].any(axis=0)
-                if early.any():
-                    raise DisjointnessFailed(f"orbit re-entered base at step "
-                                             f"{int(np.argmax(early)) + 1} < height {t.height}")
-                if not inb[:, -1].all():
-                    raise DisjointnessFailed(
-                        f"orbit failed to return at the tower height {t.height}")
-                checked += pts.size
-        report["return_times_ok"] = True
-        report["sampled"] = checked
-        return report
+        shift = {h: mod1(h * alpha) for h in {t.height for t in self.towers}}
+        tops, bad = first_overlap(iv for t in self.towers
+                                  for iv in translate_union(t.base.intervals, shift[t.height]))
+        if bad is not None:
+            raise DisjointnessFailed(f"tower returns overlap near {float(tops[bad + 1][0])!r}")
+        if norm_union(tops) != norm_union(bases):
+            raise DisjointnessFailed("tower returns do not fill the base union")
+        kac = sum(t.height * (hi - lo) for t in self.towers for lo, hi in t.base.intervals)
+        if kac != 1:
+            raise DisjointnessFailed(f"Kac's sum is {float(kac)!r}, not 1")
+        return {"floors": self.floor_count(), "exact_tiling": True, "return_times_ok": True}
 
 
 def build_castle(rot: CircleRotation, N: int) -> Castle:

@@ -79,9 +79,8 @@ def test_criterion_2_castle_contract():
             rot = getattr(bd.CircleRotation, mk)(grid_size=10_000)
             castle = tw.build_castle(rot, N)
             rep = castle.verify()
-            assert rep["exact_tiling"] is True, (mk, N)
-            assert rep["grid_covered"] is True, (mk, N)
-            assert rep["return_times_ok"] is True, (mk, N)
+            assert rep == {"floors": sum(t.height for t in castle.towers),
+                           "exact_tiling": True, "return_times_ok": True}, (mk, N)
             heights = sorted({t.height for t in castle.towers})
             assert set(heights) <= {N, N + 1}, (mk, N, heights)
             details.append(f"{mk} N={N}: {len(castle.towers)} towers")

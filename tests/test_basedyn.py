@@ -763,6 +763,24 @@ class TestFirstReturn:
                   for c, n in out)
         assert abs(kac - 1.0) < 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 45 * 10**4),
+           st.data())
+    def test_pieces_tile_and_return_exactly(self, angle, width, data):
+        """The three-distance pieces of U = [l, l + h) have exact lengths
+        summing to h, and each piece's translate by its return time lies
+        inside U; h runs from 10^-4 to 0.45, the closed form's range."""
+        rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
+               else getattr(bd.CircleRotation, angle)())
+        l = rot.lift(Fraction(data.draw(st.integers(0, 10**6 - width)), 10**6))
+        h = rot.lift(Fraction(width, 10**6))
+        U = bd.Cell.from_union([(l, l + h)])
+        out = bd.first_return(rot, U)
+        assert sum(hi - lo for c, _ in out for lo, hi in c.intervals) == h
+        for cell, n in out:
+            assert bd.sub_union(bd.translate_union(cell.intervals, mod1(n * rot.alpha)),
+                                U.intervals) == ()
+
     def test_union_cell_marching(self):
         rot = golden()
         U = bd.Cell.from_union([(qe(0.1), qe(0.15)), (qe(0.6), qe(0.63))])

@@ -1,7 +1,8 @@
 """Every name a cocyclelab module imports is used in that module, every
 module-level private name it defines is read there, no module but `cli`
-imports `csv` or `json` (`cli` writes every artifact), and every `Generator`
-subclass defines `entries(self, xs)` with no other parameter.
+imports `csv` or `json` (`cli` writes every artifact), no module draws
+random numbers, and every `Generator` subclass defines `entries(self, xs)`
+with no other parameter.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -98,6 +99,46 @@ def test_checker_finds_imported_modules():
 def test_only_cli_writes_artifacts(path):
     """Every artifact is written by `cli`; a library module imports no file format."""
     assert imported_modules(path.read_text()) & {"csv", "json"} == set()
+
+
+def random_sources(source: str) -> list[str]:
+    """Where a source reaches for random numbers: an import of `random` or
+    `numpy.random` (also `from numpy import random`), and every `np.random`
+    or `numpy.random` attribute read."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = [f"{node.value.id}.random"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "random" or name.startswith("numpy.random")
+                  or name == "np.random"]
+    return found
+
+
+def test_checker_finds_random_sources():
+    source = ("import random\nimport numpy as np\nfrom random import choice\n"
+              "import numpy.random as npr\nfrom numpy import random, pi\n"
+              "rng = np.random.default_rng(7)\nx = numpy.random.rand()\n"
+              "y = rng.random()\nfrom .random import helper\n")
+    assert random_sources(source) == [
+        "random (line 1)", "random (line 3)", "random.choice (line 3)",
+        "numpy.random (line 4)", "numpy.random (line 5)", "np.random (line 6)",
+        "numpy.random (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_sampling(path):
+    """No certificate rests on random sampling: no library module draws
+    random numbers."""
+    assert random_sources(path.read_text()) == []
 
 
 def entries_parameters(sources: list[str]) -> dict[str, Optional[tuple[str, ...]]]:

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +11,64 @@ from hypothesis import strategies as st
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import towers as tw
-from cocyclelab.errors import NotRepresentable, ShrinkExhausted
-from cocyclelab.exact import QuadExt, as_exact, best_denominators, min_orbit_gap
+from cocyclelab.errors import DisjointnessFailed, NotRepresentable, ShrinkExhausted
+from cocyclelab.exact import QuadExt, as_exact, best_denominators, min_orbit_gap, mod1
 
 
 def sturmian(grid):
     """The golden Sturmian shift as the CLI builds it: the rotation by its slope."""
     return cli.build_base({"base": {"variant": "sturmian", "alpha": None, "grid": grid}})
+
+
+def rotation(mk: str, grid: int = 2048):
+    """The golden or silver rotation, or ("float") the dyadic rational a double angle is."""
+    if mk == "float":
+        return bd.CircleRotation(0.7320508075688772, grid_size=grid)
+    return getattr(bd.CircleRotation, mk)(grid_size=grid)
+
+
+def per_floor_tiling(castle) -> None:
+    """Oracle for Castle.verify: build every floor f^j(B_t), j < h_t, exactly,
+    sort them and require that they tile [0, 1) end to end, and that each
+    base translated by its height lands inside the base union.  Raises
+    DisjointnessFailed otherwise."""
+    alpha = castle.system.alpha
+    pieces, bad = bd.first_overlap(
+        p for t in castle.towers for p, _ in bd.column_floors(t.base.intervals, alpha, t.height))
+    if bad is not None:
+        raise DisjointnessFailed(f"floors overlap near {float(pieces[bad + 1][0])!r}")
+    tiles = bool(pieces) and pieces[0][0] == 0 and pieces[-1][1] == 1 and all(
+        hi1 == lo2 for (_, hi1), (lo2, _) in zip(pieces[:-1], pieces[1:]))
+    if not tiles:
+        raise DisjointnessFailed("floors do not tile [0, 1) exactly")
+    B = castle.base_union().intervals
+    for t in castle.towers:
+        if bd.sub_union(bd.translate_union(t.base.intervals, mod1(t.height * alpha)), B):
+            raise DisjointnessFailed(f"a base of height {t.height} does not return into B")
+
+
+def full_report(castle) -> dict:
+    return {"floors": sum(t.height for t in castle.towers), "exact_tiling": True,
+            "return_times_ok": True}
+
+
+TINY = Fraction(1, 2**60)
+MUTATIONS = {  # one tower's (intervals, height) -> the mutated pair
+    "base_shifted": lambda u, h: (((u[0][0] + TINY, u[0][1] + TINY),), h),
+    "height_up": lambda u, h: (u, h + 1),
+    "height_down": lambda u, h: (u, h - 1),
+    "top_lowered": lambda u, h: (((u[0][0], u[0][1] - TINY),), h),
+}
+
+
+def mutated(castle, kind: str):
+    """The castle with MUTATIONS[kind] applied to its middle one-interval tower."""
+    towers = list(castle.towers)
+    singles = [i for i, t in enumerate(towers) if len(t.base.intervals) == 1]
+    k = singles[len(singles) // 2]
+    u, h = MUTATIONS[kind](towers[k].base.intervals, towers[k].height)
+    towers[k] = tw.Tower(bd.Cell(u, tuple(p for iv in u for p in iv)), h)
+    return tw.Castle(N=castle.N, towers=towers, system=castle.system)
 
 
 def scalar_packing_count_bound(alpha, intervals, n: int) -> float:
@@ -86,19 +138,65 @@ class TestCastle:
                                       ("silver", 10), ("float", 3), ("float", 5),
                                       ("float", 10)])
     def test_contract(self, mk, N):
-        if mk == "float":  # a double angle is the dyadic rational it is
-            rot = bd.CircleRotation(0.7320508075688772)
-        else:
-            rot = getattr(bd.CircleRotation, mk)(grid_size=2048)
+        rot = rotation(mk)
         castle = tw.build_castle(rot, N)
         assert sorted({t.height for t in castle.towers}) in ([N, N + 1], [N])
         # base endpoints live in the angle's field: QuadExt for golden/silver
         assert {type(p) for t in castle.towers for iv in t.base.intervals
                 for p in iv} == {type(rot.alpha)}
-        report = castle.verify()
-        assert report["exact_tiling"] is True
-        assert report["grid_covered"] is True
-        assert report["return_times_ok"] is True
+        assert castle.verify() == full_report(castle)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(1, 40),
+           st.sampled_from([64, 1024, 4096, 10_000]))
+    def test_verify_agrees_with_per_floor_oracle(self, mk, N, grid):
+        castle = tw.build_castle(rotation(mk, grid), N)
+        assert castle.report == castle.verify() == full_report(castle)
+        per_floor_tiling(castle)
+
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    @pytest.mark.parametrize("N", [1, 3, 10, 25])
+    @pytest.mark.parametrize("mk", ["golden", "silver", "float"])
+    def test_mutation_rejected(self, mk, N, kind):
+        """A base moved by 2^-60 with its length kept (Kac cannot see it), a
+        height off by one, or a base's upper end lowered by 2^-60: the
+        tower-level check and the per-floor oracle both reject it."""
+        bad = mutated(tw.build_castle(rotation(mk), N), kind)
+        with pytest.raises(DisjointnessFailed):
+            bad.verify()
+        with pytest.raises(DisjointnessFailed):
+            per_floor_tiling(bad)
+
+    def test_rational_angle_needs_denominator_above_floor_pieces(self):
+        """Rotation by 1/2 with one base [0, 1/4) of height 4: the bases are
+        disjoint, f^4 fixes the base and Kac's sum is 1, yet the floors repeat.
+        The denominator 2 does not exceed the 8 floor pieces, so verify
+        refuses before the tower checks."""
+        quarter = (Fraction(0), Fraction(1, 4))
+        castle = tw.Castle(N=4, towers=[tw.Tower(bd.Cell((quarter,), quarter), 4)],
+                           system=SimpleNamespace(alpha=Fraction(1, 2)))
+        with pytest.raises(DisjointnessFailed, match="denominator 2 does not exceed the 8"):
+            castle.verify()
+        with pytest.raises(DisjointnessFailed):
+            per_floor_tiling(castle)
+
+    def test_kac_sum_rejects_a_circle_covered_twice(self):
+        """One tower on the whole circle with height 2: its return f^2 maps the
+        base onto itself, so only Kac's sum, 2, sees the floors overlap."""
+        rot = bd.CircleRotation.golden()
+        whole = (rot.lift(0), rot.lift(1))
+        castle = tw.Castle(N=2, towers=[tw.Tower(bd.Cell((whole,)), 2)], system=rot)
+        with pytest.raises(DisjointnessFailed, match="Kac's sum is 2.0, not 1"):
+            castle.verify()
+        with pytest.raises(DisjointnessFailed):
+            per_floor_tiling(castle)
+
+    @pytest.mark.parametrize("N,floors", [(87, 57_314), (158, 150_050)])
+    def test_large_castles_tile_exactly(self, N, floors):
+        """The surgery's castles at eps = 0.5 and 0.4 are certified exactly."""
+        castle = tw.build_castle(bd.CircleRotation.golden(grid_size=1024), N)
+        assert castle.report == {"floors": floors, "exact_tiling": True,
+                                 "return_times_ok": True}
 
     def test_degenerate_height_one(self):
         rot = bd.CircleRotation.golden(grid_size=1024)
@@ -126,9 +224,8 @@ class TestCastle:
     def test_kac_identity(self):
         rot = bd.CircleRotation.silver(grid_size=1024)
         castle = tw.build_castle(rot, 7)
-        total = sum(t.height * (float(hi) - float(lo))
-                    for t in castle.towers for lo, hi in t.base.intervals)
-        assert abs(total - 1.0) < 1e-12
+        total = sum(t.height * (hi - lo) for t in castle.towers for lo, hi in t.base.intervals)
+        assert isinstance(total, QuadExt) and total == 1  # exact in Q(sqrt 2)
 
     def test_csv_export(self, tmp_path):
         rot = bd.CircleRotation.golden(grid_size=1024)
