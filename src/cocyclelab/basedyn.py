@@ -176,9 +176,11 @@ def translate_union(u, delta) -> tuple:
 
 
 def column_floors(u, alpha, height: int):
-    """(piece, level) of every floor translate_union(u, mod1(j alpha)), j < height."""
+    """(piece, level) of every floor f^j(u), j < height, of a normalised u; floor
+    j + 1 is floor j translated by alpha, the same union as u by mod1(j alpha)."""
     for j in range(height):
-        for piece in translate_union(u, mod1(j * alpha)):
+        floor = translate_union(floor, alpha) if j else u
+        for piece in floor:
             yield piece, j
 
 
@@ -497,24 +499,13 @@ def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
         n2 = _first_entry_below(1 - alpha, h)
         a = mod1(n1 * alpha)
         b = mod1(n2 * alpha) - 1
-        out = []
-
-        def _piece(y0, y1, t):
-            if y1 > y0:
-                out.append((Cell.from_union([(lo + y0, lo + y1)]), t))
-
         zero = _zero_like(h)
-        if a - b > h:
-            _piece(zero, h - a, n1)
-            _piece(h - a, -b, n1 + n2)
-            _piece(-b, h, n2)
-        elif a - b == h:
-            _piece(zero, h - a, n1)
-            _piece(-b, h, n2)
-        else:
-            _piece(zero, -b, n1)
-            _piece(-b, h - a, min(n1, n2))
-            _piece(h - a, h, n2)
+        # a - b >= h, so only the middle piece can be empty.  a = {n1 alpha} < h and
+        # |b| = {-n2 alpha} < h, so a + |b| < 2h < 1 is {(n1 - n2) alpha} if n1 > n2 and
+        # {-(n2 - n1) alpha} if n2 > n1; a + |b| < h would contradict the minimality of
+        # n1 or n2.  If n1 = n2, a - b = 1 > h.
+        cuts = ((zero, h - a, n1), (h - a, -b, n1 + n2), (-b, h, n2))
+        out = [(Cell.from_union([(lo + y0, lo + y1)]), t) for y0, y1, t in cuts if y1 > y0]
         for _, t in out:
             if t > FIRST_RETURN_HORIZON:
                 raise HorizonExceeded(f"return time {t} beyond 1e6")

@@ -387,13 +387,13 @@ def growth_sweep(co: Cocycle, n: int, grid: Optional[np.ndarray] = None,
     )
 
 
-def uniform_growth_test(co: Cocycle, eps: float, n: int, grid: Optional[np.ndarray] = None,
+def uniform_growth_test(co: Cocycle, eps: float, n: int,
                         threads: int = 1) -> tuple[bool, GrowthReport]:
     """Grid-certified check of ||A_n(x)|| <= e^{eps n} with a Lipschitz margin;
     `threads` splits the sweep's lanes without changing any bit."""
     if eps <= 0 or n < 1:
         raise CocycleLabError("need eps > 0 and n >= 1")
-    rep = growth_sweep(co, n, grid, threads)
+    rep = growth_sweep(co, n, threads=threads)
     return rep.max < eps - rep.margin, rep
 
 

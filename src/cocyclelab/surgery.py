@@ -33,7 +33,9 @@ from .basedyn import (
     first_overlap,
     float_breaks,
     inter_union,
+    norm_union,
     shrink_union,
+    sub_union,
 )
 from .cocycle import (
     Certificate,
@@ -219,11 +221,7 @@ class PerturbedCocycle(Generator):
     Evaluation at a point: locate the region piece; in the interior (bump = 1)
     the value IS the table matrix bitwise; in the blend-width collar at the
     piece edges the tangent chart interpolates back to the unperturbed
-    generator, and everywhere else the generator itself applies.  In that
-    order: one bucket lookup over the sorted region starts
-    (`basedyn.bucket_locator`, exactly `basedyn.locate`'s index) and one
-    gather of the piece bounds, a table gather, and only at the points that
-    are not interiors the generator, the bump and the blend.  It is the
+    generator, and everywhere else the generator itself applies.  It is the
     generator of `self.cocycle`, the perturbed cocycle over the same base.
     """
 
@@ -238,16 +236,27 @@ class PerturbedCocycle(Generator):
 
     def _build_regions(self):
         """Regions are the floors of the label columns: rows (region_lo, region_hi,
-        region_label, region_level) over one (4, height) matrix column per label."""
+        region_label, region_level) over one (4, height) matrix column per label.
+
+        Region (h, i, j) is f^j(P_{h,i}), j < h, for the rep pieces P_{h,i} of
+        label (h, i).  Checked exactly here: for each h in {N, N+1} the P_{h,i}
+        are pairwise disjoint and lie in B_h, the bases of the height-h towers.
+        The castle floors f^j(B_t) are pairwise disjoint (`Castle.verify`), so
+        regions with (h, j) != (h', j') lie in distinct floors, and the others
+        are images of disjoint P_{h,i}, P_{h,i'} under the injective f^j.
+        """
         co, cfg = self.original, self.cfg
         label_keys: list[tuple] = sorted(cfg.rep_pieces.keys())
+        for h in (cfg.N, cfg.N + 1):
+            reps = [iv for key in label_keys if key[0] == h for iv in cfg.rep_pieces[key]]
+            if first_overlap(reps)[1] is not None:
+                raise CertificationFailed(f"rep pieces of height {h} overlap")
+            if sub_union(norm_union(reps), cfg.castle.base_union(h).intervals):
+                raise CertificationFailed(f"rep pieces of height {h} leave the castle base")
         cols = [_column_matrices(co, self.plans[key], key[0]) for key in label_keys]
         floors = [(piece, label, level) for label, key in enumerate(label_keys)
                   for piece, level in column_floors(cfg.rep_pieces[key], co.base.alpha, key[0])]
         pieces, labels, levels = zip(*floors)
-        # exact disjointness of all regions ("these sets are disjoint")
-        if first_overlap(pieces)[1] is not None:
-            raise CertificationFailed("perturbation regions overlap")
         lo, hi = float_breaks(pieces)
         order = np.argsort(lo, kind="stable")
         self.region_lo, self.region_hi = lo[order], hi[order]
@@ -396,14 +405,13 @@ class GrowthCertificate:
       under the frequency certificate of [n0, 8 n0].
     The head/tail term falls as n grows, so U at n bounds every longer horizon.
 
-    Trust of the inputs: the castle structure is exact by construction, and
-    `Castle.verify` rechecks it exactly up to 25,000 floors, only in floats
-    on both bench castles (57,314 and 150,050 floors); sf is analytic;
-    sup||A|| and `sup_distance` are grid-sampled; `block_logs` are float
-    products.  `max_direct` is the float sweep at the grid points, `margin`
-    four times its largest neighbour step, and `dominance_ok` says every
-    lane stays under U.  `direct` keeps the lanes, which `surgery.json` does
-    not hold.
+    Trust of the inputs: the castle's tiling (`Castle.verify`) and the
+    regions' disjointness (`PerturbedCocycle`) are certified exactly at every
+    size; sf is analytic; sup||A|| and `sup_distance` are grid-sampled;
+    `block_logs` are float products.  `max_direct` is the float sweep at the grid points,
+    `margin` four times its largest neighbour step, and `dominance_ok` says
+    every lane stays under U.  `direct` keeps the lanes, which `surgery.json`
+    does not hold.
     """
 
     n: int

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
@@ -780,6 +780,29 @@ class TestFirstReturn:
         for cell, n in out:
             assert bd.sub_union(bd.translate_union(cell.intervals, mod1(n * rot.alpha)),
                                 U.intervals) == ()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 45 * 10**4),
+           st.integers(1, 3000), st.booleans())
+    @example("golden", 100, 5, True)
+    @example("silver", 100, 3, True)
+    @example("float", 100, 7, True)
+    def test_three_distance_gap_is_at_least_h(self, angle, width, k, orbit_width):
+        """a - b >= h for a = {n1 alpha} and b = {n2 alpha} - 1, n1 and n2 the
+        first entries below h from either side, so `first_return` has no case
+        a - b < h; where a - b == h its middle piece is empty.  h is width/10^6
+        or {k alpha}, inside [10^-4, 0.45]; the examples take k where
+        a - b == h, which random k rarely hit."""
+        rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
+               else getattr(bd.CircleRotation, angle)())
+        alpha = rot.alpha
+        h = mod1(k * alpha) if orbit_width else rot.lift(Fraction(width, 10**6))
+        assume(10**-4 <= h <= 0.45)
+        a = mod1(bd._first_entry_below(alpha, h) * alpha)
+        b = mod1(bd._first_entry_below(1 - alpha, h) * alpha) - 1
+        assert a - b >= h
+        out = bd.first_return(rot, bd.Cell.from_union([(h - h, h)]))
+        assert len(out) == (2 if a - b == h else 3)
 
     def test_union_cell_marching(self):
         rot = golden()

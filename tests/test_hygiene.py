@@ -1,8 +1,8 @@
 """Every name a cocyclelab module imports is used in that module, every
 module-level private name it defines is read there, no module but `cli`
 imports `csv` or `json` (`cli` writes every artifact), no module draws
-random numbers, and every `Generator` subclass defines `entries(self, xs)`
-with no other parameter.
+random numbers, every `Generator` subclass defines `entries(self, xs)`
+with no other parameter, and every name the bench tracer wraps exists.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -12,12 +12,14 @@ name starts with one underscore; it is read when a Name node loads it.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cocyclelab"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -193,3 +195,44 @@ def test_generators_take_only_xs():
     found = entries_parameters([p.read_text() for p in sorted(SRC.glob("*.py"))])
     assert {"ConstantGenerator", "TableGenerator", "PerturbedCocycle"} <= found.keys()
     assert {name: params for name, params in found.items() if params != ("self", "xs")} == {}
+
+
+def unresolved_targets(targets) -> list[str]:
+    """The (module, attribute, metric) targets the bench tracer could not
+    wrap, looked up as `Tracer._patch` does: a module-level name of
+    `cocyclelab.<module>`, or `Class.method` in that class's own `__dict__`."""
+    missing = []
+    for mod, attr, _ in targets:
+        home = importlib.import_module(f"cocyclelab.{mod}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in getattr(getattr(home, cls_name, None), "__dict__", {})
+        else:
+            found = callable(getattr(home, attr, None))
+        if not found:
+            missing.append(f"{mod}.{attr}")
+    return missing
+
+
+def test_checker_finds_unresolved_targets():
+    targets = [("surgery", "build_config", "a"), ("surgery", "no_such_stage", "b"),
+               ("surgery", "PerturbedCocycle.entries", "c"),
+               ("cocycle", "NoSuchClass.entries", "d"),
+               ("surgery", "PerturbedCocycle.no_such_method", "e"),
+               ("cocycle", "SchrodingerGenerator.__repr__", "f"),  # inherited, not its own
+               ("surgery", "EXPONENT_FLOOR", "g")]  # not callable
+    assert unresolved_targets(targets) == [
+        "surgery.no_such_stage", "cocycle.NoSuchClass.entries",
+        "surgery.PerturbedCocycle.no_such_method", "cocycle.SchrodingerGenerator.__repr__",
+        "surgery.EXPONENT_FLOOR"]
+
+
+def test_traced_names_exist():
+    """`perfbench/tracing.py`, loaded by path as it stands, wraps only names
+    that exist, so deleting or renaming a traced function fails here and not
+    at the `getattr` of a traced bench run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.SPAN_TARGETS) > 20 and len(tracing.COUNT_TARGETS) > 10
+    assert unresolved_targets(tracing.SPAN_TARGETS + tracing.COUNT_TARGETS) == []

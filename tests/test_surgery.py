@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
-from cocyclelab.errors import NotApplicable, ResolutionExceeded
+from cocyclelab.errors import CertificationFailed, NotApplicable, ResolutionExceeded
 from cocyclelab.exact import QuadExt, mod1
 from cocyclelab.perturb import plan_entries
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
@@ -55,11 +57,13 @@ def reference_bump(pc, xs):
 def reference_regions(pc):
     """The region table as first built: per label, its column as float tuples
     and one translate_union per floor into one list of rows carrying their
-    matrices, then a second loop over the rep pieces for the base table."""
+    matrices, then a second loop over the rep pieces for the base table.
+    The exact floor pieces are pairwise disjoint: the small-N oracle of the
+    disjointness that `PerturbedCocycle` derives from the castle."""
     co, cfg = pc.original, pc.cfg
     label_keys = sorted(cfg.rep_pieces.keys())
     key_index = {k: i for i, k in enumerate(label_keys)}
-    lo_list, hi_list, mats = [], [], []
+    lo_list, hi_list, mats, pieces = [], [], [], []
     block_logs = np.zeros(len(label_keys))
     for key in label_keys:
         h, _ = key
@@ -76,6 +80,8 @@ def reference_regions(pc):
                 lo_list.append(float(lo))
                 hi_list.append(float(hi))
                 mats.append(col[j])
+                pieces.append((lo, hi))
+    assert bd.first_overlap(pieces)[1] is None
     order = np.argsort(np.array(lo_list), kind="stable")
     base_lo, base_hi, base_lab = [], [], []
     for key in label_keys:
@@ -291,6 +297,33 @@ class TestPipeline:
             g = got[name]
             assert g.dtype == w.dtype and g.shape == w.shape, name
             assert g.tobytes() == w.tobytes(), name
+
+    def test_rep_piece_past_its_base_rejected(self, pipeline):
+        """The last rep piece of height N inside one castle base piece, widened
+        to 2^-60 past that piece's end: its regions could meet another floor."""
+        co, cfg, pc, cert = pipeline
+        h = cfg.N
+        base = cfg.castle.base_union(h).intervals
+        within = [(k, iv, b) for k, u in cfg.rep_pieces.items() if k[0] == h for iv in u
+                  for b in base if b[0] <= iv[0] < iv[1] <= b[1] < 1]
+        key, (lo, hi), (_, top) = max(within, key=lambda w: w[1][0])
+        wide = (lo, top + Fraction(1, 2**60))
+        rep = dict(cfg.rep_pieces)
+        rep[key] = tuple(wide if iv == (lo, hi) else iv for iv in rep[key])
+        with pytest.raises(CertificationFailed, match=f"height {h} leave the castle base"):
+            sg.PerturbedCocycle(co, dataclasses.replace(cfg, rep_pieces=rep), pc.plans)
+
+    @pytest.mark.parametrize("top", [False, True], ids=["N", "N+1"])
+    def test_overlapping_labels_of_one_height_rejected(self, pipeline, top):
+        """One label's first rep piece copied into another label of the same
+        height: both columns would perturb the same floors."""
+        co, cfg, pc, cert = pipeline
+        h = cfg.N + top
+        k1, k2 = [k for k in sorted(cfg.rep_pieces) if k[0] == h][:2]
+        rep = dict(cfg.rep_pieces)
+        rep[k2] = bd.norm_union(rep[k2] + rep[k1][:1])
+        with pytest.raises(CertificationFailed, match=f"height {h} overlap"):
+            sg.PerturbedCocycle(co, dataclasses.replace(cfg, rep_pieces=rep), pc.plans)
 
     def test_entries_equal_reference_body(self, pipeline):
         """Table gathers in the interiors and the generator only where needed
