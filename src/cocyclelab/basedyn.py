@@ -470,11 +470,9 @@ def _first_entry_below(alpha, h) -> int:
             if n > FIRST_RETURN_HORIZON:
                 raise HorizonExceeded(f"first entry time {n} beyond 1e6")
             return n
+        # v_p - jmax*step >= h here: were it below h, jmax would meet jstar's
+        # defining inequality, so jstar <= jmax, which has returned above
         n_p, v_p = n_p + jmax * q, v_p - jmax * step
-        if v_p < h:
-            if n_p > FIRST_RETURN_HORIZON:
-                raise HorizonExceeded(f"first entry time {n_p} beyond 1e6")
-            return n_p
     raise HorizonExceeded("record walk exhausted 64 convergent levels")
 
 

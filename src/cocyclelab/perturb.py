@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,13 +56,10 @@ _SWEEP_LANES = 1 << 14
 
 @dataclass
 class SteeringBlock:
-    anchor: BasePoint
     length: int
     matrices: list[Mat2]
     budget: float
     achieved_error: float
-    v: tuple[float, float]
-    w: tuple[float, float]
 
 
 @dataclass
@@ -209,8 +206,7 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
     wx, wy = w[0] / nw, w[1] / nw
     cross = abs(vx * wy - vy * wx)
     if cross <= 1e-15 and vx * wx + vy * wy != 0:
-        return SteeringBlock(anchor=x, length=0, matrices=[], budget=eps,
-                             achieved_error=0.0, v=(vx, vy), w=(wx, wy))
+        return SteeringBlock(length=0, matrices=[], budget=eps, achieved_error=0.0)
     # one generator evaluation: orbit positions are taken from the anchor,
     # so the first m columns are the entries along the orbit's first m steps
     ents = co.entries_along(np.array([co.base.float_coords(x)[0]]), m_max)
@@ -220,8 +216,7 @@ def steer_direction(co: Cocycle, x: BasePoint, v: Sequence[float], w: Sequence[f
         last_err = float(err[0])
         if last_err <= ANGLE_TOL:
             mats = [Mat2(*(float(e[0]) for e in step)) for step in steps]
-            return SteeringBlock(anchor=x, length=m, matrices=mats, budget=eps,
-                                 achieved_error=last_err, v=(vx, vy), w=(wx, wy))
+            return SteeringBlock(length=m, matrices=mats, budget=eps, achieved_error=last_err)
     raise BudgetExhausted(f"angular error {last_err:.2e} after m_max={m_max} steps")
 
 
@@ -410,9 +405,9 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
                     continue
                 if not (m == 1 or hi - lo <= min_orbit_gap(alpha, m)):
                     continue
+                # hi - lo = 2 half > 2 spacing, so the window holds at least two
+                # grid points and inside is never empty
                 inside = xs[(xs >= float(lo)) & (xs < float(hi))]
-                if inside.size == 0:
-                    inside = np.array([float(c)])
                 if inside.size > 256:
                     inside = inside[:: inside.size // 256 + 1]
                 if all(_sweep(co, inside, eps, m, k, verdicts.setdefault((m, k), {}), stop=True)
@@ -443,17 +438,17 @@ def plan_segments(co: Cocycle, xs: Sequence[BasePoint], eps: float, N: int, W: C
         raise CocycleLabError("need eps > 0 and N >= 1")
     points = list(xs)
     anchors = np.array([co.base.float_coords(p)[0] for p in points])
-    out: list[Optional[SegmentPlan]] = [None] * len(points)
+    plans: list[SegmentPlan] = []
     for lo in range(0, anchors.size, _LANE_CHUNK):
-        hi = min(lo + _LANE_CHUNK, anchors.size)
-        _plan_chunk(co, points[lo:hi], anchors[lo:hi], eps, N, W, m1, m, out, lo)
-    return out  # type: ignore[return-value]
+        hi = lo + _LANE_CHUNK
+        plans += _plan_chunk(co, points[lo:hi], anchors[lo:hi], eps, N, W, m1, m)
+    return plans
 
 
-def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
+def _plan_chunk(co, points, anchors, eps, N, W, m1, m) -> list[SegmentPlan]:
     L = anchors.size
-    # one generator evaluation, shared by the scans, the masked products and
-    # the certification
+    # one generator evaluation, shared by the scans, the masked products, the
+    # steering blocks and the certification
     pos = co.base.orbit_floats(anchors, N)
     ents = tuple(np.asarray(e, dtype=float) for e in co.generator.entries(pos))
     pre, _, j0 = _balance(ents, perturbation_constant(co, eps))
@@ -487,8 +482,9 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
         _, _, szx, szy, _, degZ = singular_axes_arrays(*Ze)
         szx = np.where(degZ, 1.0, szx)
         szy = np.where(degZ, 0.0, szy)
-        # each block is steered from its own anchor f^{j1}(x)
-        *steps, (_, err) = _steer_batch(co.entries_along(pos[steered_lanes, j1[steered_lanes]], m),
+        # each block is steered from the plan's own slots j1 .. j1 + m - 1
+        rows, cols = steered_lanes[:, None], j1[steered_lanes][:, None] + np.arange(m)
+        *steps, (_, err) = _steer_batch(tuple(e[rows, cols] for e in ents),
                                         vx_, vy_, szx, szy, eps)
         block_ents = np.array(steps).transpose(2, 0, 1).tolist()  # (lane, step, entry)
         bad = err > ANGLE_TOL
@@ -498,16 +494,12 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
                 f"anchor {anchors[steered_lanes[k]]}: steering error {err[k]:.2e} at m={m}"
             )
         for i, lane in enumerate(steered_lanes):
-            mats = [Mat2(*step) for step in block_ents[i]]
-            pt = points[lane]
-            blocks[lane] = SteeringBlock(
-                anchor=co.base.step(pt, int(j1[lane])), length=m, matrices=mats,
-                budget=eps, achieved_error=float(err[i]),
-                v=(float(vx_[i]), float(vy_[i])), w=(float(szx[i]), float(szy[i])),
-            )
+            blocks[lane] = SteeringBlock(length=m, matrices=[Mat2(*step) for step in block_ents[i]],
+                                         budget=eps, achieved_error=float(err[i]))
 
     # certify all lanes with one batched scan over the actual L matrices
     prod_logs, max_dists = _certify_chunk(ents, j1, m, early, blocks)
+    plans = []
     for lane in range(L):
         if early[lane]:
             branch: Union[EarlyExit, Steered] = EarlyExit()
@@ -522,10 +514,9 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m, out, base_idx):
             )
         if md >= eps:
             raise CertificationFailed(f"anchor {anchors[lane]}: distance {md:.3e} >= eps")
-        out[base_idx + lane] = SegmentPlan(
-            x=points[lane], N=N, eps=eps, branch=branch,
-            product_log_norm=pl, max_distance=md, _cocycle=co,
-        )
+        plans.append(SegmentPlan(x=points[lane], N=N, eps=eps, branch=branch,
+                                 product_log_norm=pl, max_distance=md, _cocycle=co))
+    return plans
 
 
 def _masked_products(ents, N, j1, m, lanes):

@@ -108,12 +108,6 @@ class TangentVec:
     t2: float
     t3: float
 
-    def scale(self, f: float) -> "TangentVec":
-        return TangentVec(self.t1 * f, self.t2 * f, self.t3 * f)
-
-    def norm(self) -> float:
-        return float(general_operator_norm(self.t1, self.t2, self.t3, -self.t1))
-
 
 def compose(A: Mat2, B: Mat2) -> Mat2:
     """Matrix product A @ B."""

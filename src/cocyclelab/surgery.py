@@ -53,8 +53,8 @@ from .errors import (
 )
 from .perturb import (
     SegmentPlan,
+    _overlay_block,
     plan_constants,
-    plan_entries,
     plan_segments,
 )
 from .sl2 import (
@@ -116,7 +116,6 @@ class SurgeryConfig:
     castle: Castle
     cover: list[Cell]  # disjointified U_i
     freq: FreqBound
-    V_inner: Cell
     reps: dict  # (height, cover index) -> base point at the middle of its widest rep piece
     rep_pieces: dict  # (height, cover index) -> interval union of B_l ^ U_i \ V_inner
     boundary_points: list
@@ -177,11 +176,11 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
     spacing = 1.0 / base.grid_size
     inner_shift = Fraction(min(rho / 2.0, 2.0 * spacing)).limit_denominator(1 << 48)
     blend_width = float(inner_shift) / 2.0
-    V_inner = Cell(shrink_union(freq.V.intervals, inner_shift))
+    V_inner = shrink_union(freq.V.intervals, inner_shift)
 
     reps: dict = {}
     rep_pieces: dict = {}
-    outside = complement(V_inner.intervals)  # built once for every piece
+    outside = complement(V_inner)  # built once for every piece
     for key, inter in pieces.items():
         cut = inter_union(inter, outside)
         if not cut:
@@ -193,7 +192,7 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
     if not reps:
         raise CocycleLabError("every base piece fell inside V; resolution too coarse")
     return SurgeryConfig(eps=eps, c=c, N=N, W=W, m=m, m1=m1, delta=delta,
-                         castle=castle, cover=cover, freq=freq, V_inner=V_inner,
+                         castle=castle, cover=cover, freq=freq,
                          reps=reps, rep_pieces=rep_pieces, boundary_points=bnd,
                          blend_width=blend_width)
 
@@ -362,12 +361,13 @@ class PerturbedCocycle(Generator):
 
 
 def _column_matrices(co: Cocycle, plan: SegmentPlan, height: int) -> np.ndarray:
-    """Entries of L_{l,i,j}, j < height, as a (4, height) array; a top slot copies the generator."""
-    col = np.array(plan_entries(co, plan))
-    if height == plan.N + 1:
-        x0 = co.base.float_coords(plan.x)[0]
-        col = np.hstack([col, np.array(co.entries_along(x0, 1, plan.N))])
-    return col
+    """Entries of L_{l,i,j}, j < height, as a (4, height) array; a top slot copies the generator.
+
+    One generator evaluation along the plan's orbit: every position is taken
+    from the anchor, so the first N columns are the plan's own slots.
+    """
+    x0 = co.base.float_coords(plan.x)[0]
+    return np.array(_overlay_block(co.entries_along(x0, height), plan))
 
 
 def assemble_perturbation(co: Cocycle, cfg: SurgeryConfig) -> PerturbedCocycle:

@@ -617,6 +617,47 @@ class TestPlans:
             ents = pb.plan_entries(co, plan)
             assert rep.product_log_norm == float(log_norm(*scan_product(*ents)))
 
+    def test_plans_evaluate_each_position_once(self):
+        """plan_segments evaluates the generator at N positions per anchor: the
+        steering blocks read the plan's own slots, not a second evaluation."""
+        gen = CountingGenerator(cy.SchrodingerGenerator(0.0, 1.2))
+        co = cy.Cocycle(golden(2048), gen)
+        W = bd.Cell.from_union([(0.36, 0.41)])
+        pts = [co.base.point(float(u)) for u in np.random.default_rng(5).uniform(0, 1, 300)]
+        plans = pb.plan_segments(co, pts, 0.18, 100, W, 40, 12)
+        assert {type(p.branch) for p in plans} == {pb.EarlyExit, pb.Steered}
+        # the one sup-norm sweep over the grid, then N positions per anchor
+        assert gen.positions == co.base.grid_size + len(pts) * 100
+
+    def test_blocks_steered_from_the_plan_slots(self, monkeypatch):
+        """Each steered plan's block is steered from the generator entries at
+        its own slots j1 .. j1 + m - 1, bitwise, and is the kernel's output."""
+        co = weak_schrodinger()
+        W = bd.Cell.from_union([(0.36, 0.41)])
+        calls = []
+        steer = pb._steer_batch
+
+        def spy(ents, *args):
+            calls.append(([np.array(e) for e in ents], args))
+            return steer(ents, *args)
+
+        monkeypatch.setattr(pb, "_steer_batch", spy)
+        pts = [co.base.point(float(u)) for u in np.random.default_rng(7).uniform(0, 1, 300)]
+        N, m = 100, 12
+        plans = pb.plan_segments(co, pts, 0.18, N, W, 40, m)
+        steered = [p for p in plans if isinstance(p.branch, pb.Steered)]
+        rows = [(ents, args, i) for ents, args in calls for i in range(ents[0].shape[0])]
+        assert len(calls) == 2 and len(rows) == len(steered) > 0  # one call per lane chunk
+        for p, (ents, args, i) in zip(steered, rows):
+            j1 = p.branch.j1
+            gen = co.generator.entries(co.orbit(p.x, N))
+            for e, g in zip(ents, gen):
+                assert np.array_equal(e[i], np.asarray(g, dtype=float)[j1:j1 + m])
+            lane = tuple(e[i:i + 1] for e in ents)
+            *steps, _ = steer(lane, *(np.asarray(a)[i:i + 1] for a in args[:4]), args[4])
+            assert [M.entries() for M in p.branch.block.matrices] == \
+                [tuple(float(v[0]) for v in step) for step in steps]
+
     def test_injected_violation_fails_verification(self):
         co = weak_schrodinger()
         W, m = bd.Cell.from_union([(0.4, 0.45)]), 6
@@ -627,10 +668,10 @@ class TestPlans:
         tampered = pb.SegmentPlan(
             x=plan.x, N=plan.N, eps=plan.eps,
             branch=pb.Steered(j1=10, block=pb.SteeringBlock(
-                anchor=co.base.step(plan.x, 10), length=1,
+                length=1,
                 matrices=[Mat2(*(cy.iterate(co, co.base.step(plan.x, 10), 1)
                                  @ Mat2(3.0, 0, 0, 1 / 3.0)).entries())],
-                budget=plan.eps, achieved_error=0.0, v=(1, 0), w=(1, 0))),
+                budget=plan.eps, achieved_error=0.0)),
             product_log_norm=plan.product_log_norm, max_distance=plan.max_distance,
             _cocycle=co)
         rep2 = pb.verify_segment(co, tampered)

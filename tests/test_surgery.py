@@ -12,7 +12,7 @@ from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
 from cocyclelab.errors import CertificationFailed, NotApplicable, ResolutionExceeded
 from cocyclelab.exact import QuadExt, mod1
-from cocyclelab.perturb import plan_entries
+from cocyclelab.perturb import EarlyExit, Steered, plan_entries, plan_segments
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
                              log_sl2_arrays, scan_product)
 
@@ -237,6 +237,21 @@ class TestContinuityModulus:
         co = cy.Cocycle(golden(64), cy.SchrodingerGenerator(0.0, 3.0))
         with pytest.raises(ResolutionExceeded):
             sg.continuity_modulus(co, 0.001)
+
+
+def test_column_matrices_equal_plan_entries_and_top_slot():
+    """A label column is one generator evaluation with the block overlaid:
+    bitwise the plan's entries, then the generator at the top slot, also for
+    steered plans (the surgery inputs above steer none)."""
+    co = cy.Cocycle(golden(2048), cy.SchrodingerGenerator(0.0, 1.2))
+    pts = [co.base.point(float(u)) for u in np.random.default_rng(3).uniform(0, 1, 40)]
+    plans = plan_segments(co, pts, 0.18, 100, bd.Cell.from_union([(0.36, 0.41)]), 40, 12)
+    assert {type(p.branch) for p in plans} == {EarlyExit, Steered}
+    for plan in plans:
+        col = np.array(plan_entries(co, plan))
+        top = np.array(co.entries_along(co.base.float_coords(plan.x)[0], 1, plan.N))
+        assert np.array_equal(sg._column_matrices(co, plan, plan.N), col)
+        assert np.array_equal(sg._column_matrices(co, plan, plan.N + 1), np.hstack([col, top]))
 
 
 class TestGates:

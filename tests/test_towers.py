@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import basedyn as bd
@@ -153,6 +153,17 @@ class TestCastle:
         castle = tw.build_castle(rotation(mk, grid), N)
         assert castle.report == castle.verify() == full_report(castle)
         per_floor_tiling(castle)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(1, 300))
+    @example("golden", 300)
+    @example("float", 300)
+    def test_one_inducing_cell_suffices(self, mk, N):
+        """build_castle tries a single inducing cell; up to N = 300 its exact
+        gap check holds and the castle tiles."""
+        castle = tw.build_castle(rotation(mk, 1024), N)
+        assert {t.height for t in castle.towers} <= {N, N + 1}
+        assert castle.report == full_report(castle)
 
     @pytest.mark.parametrize("kind", sorted(MUTATIONS))
     @pytest.mark.parametrize("N", [1, 3, 10, 25])
