@@ -35,7 +35,6 @@ from .exact import (
 FIRST_RETURN_HORIZON = 10**6
 COVERING_HORIZON = 10**6
 ORBIT_AVOID_HORIZON = 10**5
-ORBIT_AVOID_DIST = 1e-7
 
 
 # -- half-open interval unions ---------------------------------------------------
@@ -403,43 +402,6 @@ def exact_covering_time(rot: CircleRotation, W: Cell, horizon: int = 10**5) -> i
     raise HorizonExceeded("exact covering sweep exhausted")
 
 
-# -- small-boundary cells -----------------------------------------------------------
-
-
-def small_boundary_cell(rot: CircleRotation, x0: BasePoint, eps: float) -> Cell:
-    """Open cell around x0 of diameter <= 4*eps with orbit-avoiding boundary.
-
-    Endpoints stay at distance > 1e-7 from the first 1e5 forward orbit points
-    of x0, which keeps later surgery cuts away from degenerate coincidences.
-    """
-    if eps <= 0:
-        raise CocycleLabError("eps must be positive")
-    c = rot.scalar(x0)
-    cf = float(c)
-    orbit = rot.orbit_floats(cf, ORBIT_AVOID_HORIZON)
-    r = rot.lift(_avoiding_radius(orbit, cf, min(2.0 * eps, 0.249)))
-    return Cell.from_union(wrap_interval(c - r, c + r))
-
-
-def _avoiding_radius(orbit: np.ndarray, center: float, r_max: float) -> Fraction:
-    """Largest ladder radius whose endpoints clear the orbit by > 1e-7."""
-    for k in range(1, 64):
-        r = Fraction(r_max).limit_denominator(1 << 20) * Fraction(256 - k, 256)
-        rf = float(r)
-        if rf <= 0:
-            break
-        ok = True
-        for e in (center - rf, center + rf):
-            d = np.abs(np.mod(orbit - e, 1.0))
-            d = np.minimum(d, 1.0 - d)
-            if float(d.min()) <= ORBIT_AVOID_DIST:
-                ok = False
-                break
-        if ok:
-            return r
-    raise CocycleLabError("no orbit-avoiding radius found (eps too small for horizon)")
-
-
 # -- first return ---------------------------------------------------------------------
 
 
@@ -466,10 +428,7 @@ def _first_entry_below(alpha, h) -> int:
         jstar = math.floor((v_p - h) / step) + 1  # smallest j with v_p - j*step < h
         jmax = -math.floor(-v_p / step) - 1  # largest j with v_p - j*step > 0
         if jstar <= jmax:
-            n = n_p + jstar * q
-            if n > FIRST_RETURN_HORIZON:
-                raise HorizonExceeded(f"first entry time {n} beyond 1e6")
-            return n
+            return n_p + jstar * q
         # v_p - jmax*step >= h here: were it below h, jmax would meet jstar's
         # defining inequality, so jstar <= jmax, which has returned above
         n_p, v_p = n_p + jmax * q, v_p - jmax * step
@@ -479,9 +438,10 @@ def _first_entry_below(alpha, h) -> int:
 def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
     """Partition of U into sub-cells of constant first-return time.
 
-    Single intervals use the Slater three-distance closed form (translation
-    equivariance reduces [l, l+h) to [0, h)); interval unions and very wide
-    cells fall back to exact marching.
+    Single intervals shorter than 1/2 use the Slater three-distance closed
+    form (translation equivariance reduces [l, l+h) to [0, h)), at any return
+    time; interval unions and cells of width at least 1/2 fall back to exact
+    marching, which stops at FIRST_RETURN_HORIZON.
     """
     if U.is_empty():
         raise EmptyCell("first_return needs a non-empty cell")
@@ -489,8 +449,8 @@ def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
     total = union_length(u)
     if total >= 1.0 - 1e-15:
         return [(Cell.full(), 1)]
-    if len(u) == 1 and total <= 0.45:
-        lo, hi = u[0]
+    lo, hi = u[0]
+    if len(u) == 1 and 2 * (hi - lo) < 1:
         h = hi - lo
         alpha = rot.alpha
         n1 = _first_entry_below(alpha, h)
@@ -504,9 +464,6 @@ def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
         # n1 or n2.  If n1 = n2, a - b = 1 > h.
         cuts = ((zero, h - a, n1), (h - a, -b, n1 + n2), (-b, h, n2))
         out = [(Cell.from_union([(lo + y0, lo + y1)]), t) for y0, y1, t in cuts if y1 > y0]
-        for _, t in out:
-            if t > FIRST_RETURN_HORIZON:
-                raise HorizonExceeded(f"return time {t} beyond 1e6")
         got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
         if got != h:
             raise CocycleLabError("three-distance pieces do not tile the interval")

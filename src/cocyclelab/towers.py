@@ -25,18 +25,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basedyn import (
+    FIRST_RETURN_HORIZON,
     Cell,
     CircleRotation,
     first_overlap,
     first_return,
     norm_union,
-    small_boundary_cell,
     translate_union,
     wrap_interval,
 )
 from .errors import (
     CocycleLabError,
     DisjointnessFailed,
+    HorizonExceeded,
     NotRepresentable,
     ShrinkExhausted,
 )
@@ -163,33 +164,46 @@ class Castle:
         return {"floors": self.floor_count(), "exact_tiling": True, "return_times_ok": True}
 
 
+def _cell_radius(r_max: float) -> Fraction:
+    """Radius of the inducing cell for a float bound r_max in (0, 0.249]:
+    limit_denominator(2^20) of r_max, times 255/256.  Below 2^-20, r_max is
+    first scaled by an exact 2^k into [2^-20, 2^-19) and the result scaled
+    back.  limit_denominator moves a value of at least 2^-20 by less than
+    2^-20 of itself, so the radius is below r_max at every scale.
+    """
+    k = max(0, -19 - math.frexp(r_max)[1])
+    return Fraction(math.ldexp(r_max, k)).limit_denominator(1 << 20) * Fraction(255, 256 << k)
+
+
 def build_castle(rot: CircleRotation, N: int) -> Castle:
     """Castle with heights in {N, N+1} covering the space (rotation bases).
 
-    The inducing cell U must keep U, f(U), ..., f^{n1}(U) disjoint; since the
-    translates are rigid, that is exactly "diameter < minimal orbit gap at
-    horizon n1", which the convergents give in closed form and one exact
-    comparison checks.  The first-return towers of U are then cut into
-    N+1-blocks below N-blocks.
+    The inducing cell U = [1/2 - r, 1/2 + r) must keep U, f(U), ..., f^{n1}(U)
+    disjoint; since the translates are rigid, that is exactly "diameter <
+    minimal orbit gap at horizon n1", which the convergents give in closed
+    form and one exact comparison checks.  The first-return towers of U are
+    then cut into N+1-blocks below N-blocks.  A cell whose longest return
+    exceeds max(FIRST_RETURN_HORIZON, 64 n1) would give that return over N
+    towers, and is refused with HorizonExceeded.  Only angles near a rational
+    reach it: the ratio reads at most 38 on golden, silver and three float
+    angles up to N = 1,335, and up to 268,060 on 0.1234567891 (near 10/81).
     """
     n1 = frobenius_threshold(N)
     gap = min_orbit_gap(rot.alpha, n1 + 1) if n1 >= 1 else 1.0
-    # One candidate cell, centred at exactly 1/2.  Its radius r is
-    # limit_denominator(2^20) of min(diam/2, 0.249), times (256 - k)/256 with
-    # k >= 1 (basedyn._avoiding_radius).  While min(diam/2, 0.249) >= 2^-20,
-    # limit_denominator moves it by less than 2^-20 of itself, so
-    # r < diam/2 <= 0.48 gap (1 + 2^-41) (float(gap) is within 2^-41 of gap):
-    # the width 2r is below the gap, and with r < 1/4 the cell is one piece.
-    # Measured on 620 inputs (golden, silver and three float angles; N = 1-119,
-    # 150, 158, 200, 250 and 288): the check held wherever small_boundary_cell
-    # returned a cell.
+    # r < diam/2 <= 0.48 gap (1 + 2^-41) (float(gap) is within 2^-41 of gap), so
+    # the width 2r is below the gap, and with r < 1/4 the cell is one piece
     diam = min(4.0 / (n1 + 1), float(gap) * 0.96)
-    U = small_boundary_cell(rot, rot.point(Fraction(1, 2)), diam / 4.0)
+    centre, r = rot.lift(Fraction(1, 2)), rot.lift(_cell_radius(min(diam / 2, 0.249)))
+    U = Cell.from_union([(centre - r, centre + r)])
     (lo, hi), = U.intervals
     if not (hi - lo) < gap:  # exact: rigid translates stay disjoint
         raise DisjointnessFailed(f"inducing cell of width {float(hi - lo)!r} does not keep "
                                  f"{n1 + 1} iterates disjoint (gap {float(gap)!r})")
     classes = first_return(rot, U)
+    longest, bound = max(n for _, n in classes), max(FIRST_RETURN_HORIZON, 64 * n1)
+    if longest > bound:
+        raise HorizonExceeded(f"inducing cell's longest first return {longest} exceeds "
+                              f"max(FIRST_RETURN_HORIZON, 64 n1) = {bound}")
     towers: list[Tower] = []
     for cell, n in classes:
         if n < n1:
@@ -284,8 +298,8 @@ def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
     each read mod 1.  V is the union of radius-rho intervals around them; rho
     halves and n0 grows until the three-distance packing certificate clears
     eps.  The certificate is analytic and valid at any positive rho; the
-    default failure floor is the grid spacing (callers that only need the
-    all-x analytic statement may lower it toward float resolution).
+    default failure floor is half the grid spacing (callers that only need
+    the all-x analytic statement may lower it toward float resolution).
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")

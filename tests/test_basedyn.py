@@ -33,20 +33,6 @@ def word(rot, x, length):
     return "".join(str(b) for b in (pos >= 1.0 - rot.alpha_float).astype(int))
 
 
-def cylinder(rot, x, depth):
-    """Coding oracle: the parameter interval of the points sharing x's depth-`depth`
-    word, a clopen set of the shift (hence no boundary)."""
-    t, beta = rot.scalar(x), rot.alpha
-    breaks = [p for j in range(depth) for p in (bd.mod1(-j * beta), bd.mod1(1 - beta - j * beta))]
-    lo, hi = t - t, t - t + 1
-    for p in breaks:
-        if lo < p <= t:
-            lo = p
-        if t < p < hi:
-            hi = p
-    return bd.Cell(bd.norm_union([(lo, hi)]))
-
-
 class TestStep:
     def test_addition_mod_one(self):
         # 0.3 is rational, so the near-rational minimality diagnostic fires
@@ -665,38 +651,6 @@ class TestCoveringTime:
             bd.covering_time(rot, bd.Cell.from_union([]))
 
 
-class TestSmallBoundaryCell:
-    def test_contains_and_diameter(self):
-        rot = golden()
-        x0 = rot.point(Fraction(1, 2))
-        cell = bd.small_boundary_cell(rot, x0, 0.1)
-        assert cell.contains(float(rot.scalar(x0)))
-        lo, hi = cell.intervals[0]
-        assert float(hi) - float(lo) <= 4 * 0.1
-        assert float(lo) > 0.3 and float(hi) < 0.7
-
-    def test_boundary_avoids_orbit(self):
-        rot = golden()
-        x0 = rot.point(Fraction(1, 3))
-        cell = bd.small_boundary_cell(rot, x0, 0.02)
-        orbit = rot.orbit_floats(1.0 / 3.0, 10**5)
-        for p in cell.boundary:
-            d = np.abs(np.mod(orbit - float(p), 1.0))
-            d = np.minimum(d, 1.0 - d)
-            assert float(d.min()) > 1e-7
-
-    def test_sturmian_cylinder(self):
-        st = sturmian(512)
-        x0 = st.point(Fraction(1, 3))
-        cyl = cylinder(st, x0, 4)
-        assert cyl.boundary == ()  # clopen cylinder
-        assert cyl.contains(float(st.scalar(x0)))
-        # small-boundary cells over the shift are the rotation's
-        rot = bd.CircleRotation.golden(grid_size=512)
-        want = bd.small_boundary_cell(rot, rot.point(Fraction(1, 3)), 0.1)
-        assert bd.small_boundary_cell(st, x0, 0.1) == want
-
-
 class TestFirstReturn:
     def test_full_space(self):
         rot = golden()
@@ -724,13 +678,19 @@ class TestFirstReturn:
                                           if len(times) == 3 else True)
 
     def test_closed_form_matches_marching(self):
-        rot = golden()
-        for l, h in [(0.0, 0.1), (0.25, 0.07), (0.9, 0.08)]:
-            U = bd.Cell.from_union([(qe(l), qe(l + h))])
-            a = bd.first_return(rot, U)
-            b = bd._first_return_marching(rot, U)
-            assert [(n, float(c.intervals[0][0])) for c, n in a] == pytest.approx(
-                [(n, float(c.intervals[0][0])) for c, n in b])
+        """The three-distance pieces equal the marching partition exactly, on
+        five angles, for widths up to just below 1/2, the closed form's range."""
+        rng = np.random.default_rng(7)
+        for angle in ("golden", "silver", 0.7320508075688772, 0.41421356, 0.4871234567):
+            rot = (getattr(bd.CircleRotation, angle)() if isinstance(angle, str)
+                   else bd.CircleRotation(angle))
+            hs = rng.uniform(0.45, 0.5, 60)
+            cells = [(0.0, 0.1), (0.25, 0.07), (0.9, 0.08)] + list(zip(rng.uniform(0, 1 - hs), hs))
+            for l, h in cells:
+                lo = rot.lift(Fraction(l).limit_denominator(10**9))
+                hi = lo + rot.lift(Fraction(h).limit_denominator(10**9))
+                U = bd.Cell.from_union([(lo, hi)])
+                assert bd.first_return(rot, U) == bd._first_return_marching(rot, U)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["golden", "silver"]), st.integers(1, 3000),
@@ -764,12 +724,12 @@ class TestFirstReturn:
         assert abs(kac - 1.0) < 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 45 * 10**4),
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 5 * 10**5 - 1),
            st.data())
     def test_pieces_tile_and_return_exactly(self, angle, width, data):
         """The three-distance pieces of U = [l, l + h) have exact lengths
         summing to h, and each piece's translate by its return time lies
-        inside U; h runs from 10^-4 to 0.45, the closed form's range."""
+        inside U; h runs from 10^-4 to just below 1/2, the closed form's range."""
         rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
                else getattr(bd.CircleRotation, angle)())
         l = rot.lift(Fraction(data.draw(st.integers(0, 10**6 - width)), 10**6))
@@ -782,7 +742,7 @@ class TestFirstReturn:
                                 U.intervals) == ()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 45 * 10**4),
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 5 * 10**5 - 1),
            st.integers(1, 3000), st.booleans())
     @example("golden", 100, 5, True)
     @example("silver", 100, 3, True)
@@ -791,13 +751,13 @@ class TestFirstReturn:
         """a - b >= h for a = {n1 alpha} and b = {n2 alpha} - 1, n1 and n2 the
         first entries below h from either side, so `first_return` has no case
         a - b < h; where a - b == h its middle piece is empty.  h is width/10^6
-        or {k alpha}, inside [10^-4, 0.45]; the examples take k where
+        or {k alpha}, inside [10^-4, 1/2); the examples take k where
         a - b == h, which random k rarely hit."""
         rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
                else getattr(bd.CircleRotation, angle)())
         alpha = rot.alpha
         h = mod1(k * alpha) if orbit_width else rot.lift(Fraction(width, 10**6))
-        assume(10**-4 <= h <= 0.45)
+        assume(10**-4 <= h and 2 * h < 1)
         a = mod1(bd._first_entry_below(alpha, h) * alpha)
         b = mod1(bd._first_entry_below(1 - alpha, h) * alpha) - 1
         assert a - b >= h

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import towers as tw
-from cocyclelab.errors import DisjointnessFailed, NotRepresentable, ShrinkExhausted
+from cocyclelab.errors import (DisjointnessFailed, HorizonExceeded, NotRepresentable,
+                               ShrinkExhausted)
 from cocyclelab.exact import QuadExt, as_exact, best_denominators, min_orbit_gap, mod1
 
 
@@ -208,6 +210,42 @@ class TestCastle:
         castle = tw.build_castle(bd.CircleRotation.golden(grid_size=1024), N)
         assert castle.report == {"floors": floors, "exact_tiling": True,
                                  "return_times_ok": True}
+
+    @pytest.mark.parametrize("mk,towers", [("golden", 8_542), ("silver", 9_924)])
+    def test_castle_at_n_1335(self, mk, towers):
+        """The coupling-2 surgery at eps = 0.21 needs N = 1,335: its castle
+        builds and certifies exactly in under 2 s of CPU time."""
+        start = time.process_time()
+        castle = tw.build_castle(rotation(mk, 1024), 1335)
+        assert time.process_time() - start < 2.0
+        assert len(castle.towers) == towers and castle.report == full_report(castle)
+
+    def test_return_bound_refuses_a_near_rational_angle(self, monkeypatch):
+        """0.1234567891 is within 1.2e-9 of 10/81: at N = 10 the inducing cell's
+        longest return is 24,125,429, beyond max(10^6, 64 n1), and build_castle
+        refuses it at once instead of cutting millions of towers."""
+        monkeypatch.setattr(tw, "decompose_height",
+                            lambda n, N: pytest.fail(f"return {n} cut into towers"))
+        start = time.process_time()
+        with pytest.raises(HorizonExceeded, match="first return 24125429 exceeds .* 1000000"):
+            tw.build_castle(bd.CircleRotation(0.1234567891, grid_size=1024), 10)
+        assert time.process_time() - start < 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(2.0**-40, 0.249))
+    @example(2.0**-20)
+    @example(math.nextafter(2.0**-20, 0))
+    @example(0.249)
+    def test_cell_radius(self, r_max):
+        """The radius lies in (0.99 r_max, r_max), so the cell [1/2 - r, 1/2 + r)
+        is one piece narrower than diam = 2 r_max, at every scale; from 2^-20
+        up it is limit_denominator(2^20) of r_max times 255/256."""
+        r = tw._cell_radius(r_max)
+        assert Fraction(99, 100) * Fraction(r_max) < r < Fraction(r_max)
+        half = Fraction(1, 2)
+        assert len(bd.Cell.from_union([(half - r, half + r)]).intervals) == 1
+        if r_max >= 2.0**-20:
+            assert r == Fraction(r_max).limit_denominator(1 << 20) * Fraction(255, 256)
 
     def test_degenerate_height_one(self):
         rot = bd.CircleRotation.golden(grid_size=1024)
