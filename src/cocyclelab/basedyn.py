@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -26,9 +29,13 @@ from .errors import EmptyCell, HorizonExceeded, CocycleLabError
 from .exact import (
     GOLDEN_MEAN,
     SILVER_MEAN,
+    _sign,
     as_exact,
     best_denominators,
     convergents,
+    coordinate_float,
+    coordinates,
+    from_coordinates,
     mod1,
 )
 
@@ -44,9 +51,20 @@ ORBIT_AVOID_HORIZON = 10**5
 # Other modules query unions only through this section.
 
 
+def _sort_exactly(items: list, key) -> None:
+    """Sort items in place by the exact scalar key(item): by its float first,
+    then, if any neighbours are out of exact order, by exact compare.  float()
+    is not monotone on exact scalars (values closer than an ulp round alike,
+    and a QuadExt's float is not correctly rounded), but a list it nearly
+    sorts costs Timsort few exact compares."""
+    items.sort(key=lambda x: float(key(x)))
+    if any(key(b) < key(a) for a, b in pairwise(items)):
+        items.sort(key=key)
+
+
 def norm_union(parts) -> tuple:
     parts = [(lo, hi) for lo, hi in parts if hi > lo]
-    parts.sort(key=lambda p: float(p[0]))
+    _sort_exactly(parts, itemgetter(0))
     merged: list = []
     for lo, hi in parts:
         if merged and lo <= merged[-1][1]:
@@ -69,10 +87,15 @@ def union_contains(u, x) -> bool:
 
 
 def inter_union(u1, u2) -> tuple:
-    """Intersection of two normalised unions by one sorted sweep.
+    """Intersection of two normalised unions by one sorted sweep that gallops.
 
     Inputs must be sorted, disjoint and non-touching (as norm_union returns
     them); then so is the output, and every endpoint is an input endpoint.
+    A piece that ends at or before the other union's current piece starts
+    meets nothing more, and neither do the pieces after it that end there
+    too: the sweep skips them all by an exact galloping search on the piece
+    ends, so a few pieces against hundreds cost a few compares each, not a
+    walk through all of them.
     """
     out = []
     i = j = 0
@@ -80,14 +103,27 @@ def inter_union(u1, u2) -> tuple:
         (lo1, hi1), (lo2, hi2) = u1[i], u2[j]
         lo = lo1 if lo1 >= lo2 else lo2
         if hi1 <= hi2:
-            hi = hi1
-            i += 1
-        else:
-            hi = hi2
+            if hi1 > lo:
+                out.append((lo, hi1))
+                i += 1
+            else:  # hi1 <= lo2
+                i = _first_end_after(u1, lo2, i + 1)
+        elif hi2 > lo:
+            out.append((lo, hi2))
             j += 1
-        if hi > lo:
-            out.append((lo, hi))
+        else:  # hi2 <= lo1
+            j = _first_end_after(u2, lo1, j + 1)
     return tuple(out)
+
+
+def _first_end_after(u, x, k: int) -> int:
+    """Least m >= k with u[m] ending after x, or len(u); the ends increase.
+    Steps of 1, 2, 4, ... from k bracket it, and bisection inside the last
+    step finds it: about 2 log2(m - k) exact compares."""
+    lo, hi, step = k, k, 1
+    while hi < len(u) and not x < u[hi][1]:  # every piece up to hi ends by x
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    return bisect_right(u, x, lo, min(hi, len(u)), key=itemgetter(1))
 
 
 def complement(u) -> tuple:
@@ -175,12 +211,27 @@ def translate_union(u, delta) -> tuple:
 
 
 def column_floors(u, alpha, height: int):
-    """(piece, level) of every floor f^j(u), j < height, of a normalised u; floor
-    j + 1 is floor j translated by alpha, the same union as u by mod1(j alpha)."""
-    for j in range(height):
-        floor = translate_union(floor, alpha) if j else u
-        for piece in floor:
-            yield piece, j
+    """(piece, level) of every floor f^j(u), j < height, of a normalised u: the
+    union u rotated by mod1(j alpha), from one walk in integer coordinates
+    (`_rotations`), each piece in the field of alpha and u."""
+    frame, floors = _rotations(u, alpha, height)
+    for j, arcs in enumerate(floors):
+        for lp, lq, hp, hq in arcs:
+            yield (frame.scalar(lp, lq), frame.scalar(hp, hq)), j
+
+
+def column_float_breaks(u, alpha, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lows, highs and levels of the pieces of column_floors(u, alpha, height),
+    in its order, from the same walk; the floats have the bits of float() of
+    the exact pieces, and no scalar is built."""
+    frame, floors = _rotations(u, alpha, height)
+    M, D, fl = frame.M, frame.D, coordinate_float
+    lo, hi, level = [], [], []
+    for j, arcs in enumerate(floors):
+        lo += [fl(lp, lq, M, D) for lp, lq, _, _ in arcs]
+        hi += [fl(hp, hq, M, D) for _, _, hp, hq in arcs]
+        level += [j] * len(arcs)
+    return np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(level, dtype=int)
 
 
 def shrink_union(u, margin) -> tuple:
@@ -200,14 +251,171 @@ def _one_like(x):
     return x - x + 1
 
 
-def wrap_interval(lo, hi) -> list:
-    """[lo, hi) with hi - lo < 1, reduced mod 1 into half-open pieces."""
-    zero, one = _zero_like(lo), _one_like(lo)
-    if lo >= 0 and hi <= 1:
-        return [(lo, hi)]
-    if lo < 0:
-        return [(zero, hi), (lo + 1, one)]
-    return [(lo, one), (zero, hi - 1)]
+# -- unions in integer coordinates ---------------------------------------------------
+# Exact scalars of one field are written over one common denominator M, as
+# integer pairs (P, Q) for (P + Q sqrt D)/M (Q = 0 and D = 0 in a rational
+# field).  Rotating a union is then integer addition, an order test is one
+# exact._sign, and exact.coordinate_float gives float()'s bits on these
+# unreduced coordinates.  An arc (P_lo, Q_lo, P_hi, Q_hi) is [lo, hi).
+
+
+class _Frame:
+    """The common denominator M and the discriminant D (0: rational) of a field's scalars."""
+
+    __slots__ = ("M", "D")
+
+    def __init__(self, M: int, D: int):
+        self.M, self.D = M, D
+
+    @classmethod
+    def of(cls, scalars) -> "_Frame":
+        frame = cls(1, 0)
+        for x in scalars:
+            _, _, d, D = coordinates(x)
+            if D and frame.D and D != frame.D:
+                raise ValueError(f"mixed discriminants {frame.D} and {D}")
+            frame.M, frame.D = math.lcm(frame.M, d), D or frame.D
+        return frame
+
+    def pair(self, x) -> tuple[int, int]:
+        p, q, d, _ = coordinates(x)
+        k = self.M // d
+        return p * k, q * k
+
+    def sign(self, P: int, Q: int) -> int:
+        return _sign(P, Q, self.D)
+
+    def scalar(self, P: int, Q: int):
+        return from_coordinates(P, Q, self.M, self.D)
+
+
+def _circle(arcs: list, frame: _Frame) -> Optional[list]:
+    """Arcs of the circle, in increasing order of start in [0, 1), from sorted,
+    disjoint, non-touching arcs of the line of which only the first may start
+    below 0 and only the last end past 1.  The last and the first join when
+    they meet across 0 = 1 (a lone arc then covers the circle: None), and a
+    first arc that starts below 0 moves up by 1 to the end.  Afterwards only
+    the last arc may end past 1."""
+    M = frame.M
+    lp, lq, hp, hq = arcs[0]
+    last_lp, last_lq, last_hp, last_hq = arcs[-1]
+    if frame.sign(last_hp - M - lp, last_hq - lq) >= 0:
+        return None if len(arcs) == 1 else arcs[1:-1] + [(last_lp, last_lq, hp + M, hq)]
+    if frame.sign(lp, lq) < 0:
+        return arcs[1:] + [(lp + M, lq, hp + M, hq)]
+    return arcs
+
+
+def _cut_at_seam(arcs: list, frame: _Frame) -> list:
+    """The normalised union, as arcs, of arcs of the circle in increasing order
+    of start in [0, 1) of which only the last may end past 1: it splits at 1,
+    its part past 1 moving to the front."""
+    if not arcs:
+        return arcs
+    M = frame.M
+    lp, lq, hp, hq = arcs[-1]
+    if frame.sign(hp - M, hq) <= 0:
+        return arcs
+    return [(0, 0, hp - M, hq)] + arcs[:-1] + [(lp, lq, M, 0)]
+
+
+def _rotations(u, alpha, height: int):
+    """(frame, floors) for a normalised union u: floor j < height is u rotated
+    by mod1(j alpha), as a list of arcs of the frame (the endpoints of u and
+    alpha, each the exact scalar `as_exact` makes of it).
+
+    A rotation keeps the cyclic order of u's arcs on the circle (u's pieces,
+    with a piece ending at 1 joined to one starting at 0), so a floor is a
+    cyclic shift of them: the arcs whose start s has s + delta >= 1, found by
+    exact bisection, come first, moved down by 1, and the arc then last splits
+    at 1 if it reaches past it.  delta steps by alpha and drops by 1 where it
+    reaches 1.  The exact work per floor is a few integer signs.
+    """
+    u = [(as_exact(lo), as_exact(hi)) for lo, hi in u]
+    alpha = mod1(as_exact(alpha))
+    frame = _Frame.of([alpha, *(x for piece in u for x in piece)])
+    M, D = frame.M, frame.D
+    ap, aq = frame.pair(alpha)
+    arcs = _circle([frame.pair(lo) + frame.pair(hi) for lo, hi in u], frame) if u else []
+
+    def floors():
+        dp = dq = 0
+        for _ in range(height):
+            if arcs is None:
+                yield [(0, 0, M, 0)]
+            else:
+                k, top = 0, len(arcs)
+                while k < top:
+                    mid = (k + top) // 2
+                    if _sign(arcs[mid][0] + dp - M, arcs[mid][1] + dq, D) >= 0:
+                        top = mid
+                    else:
+                        k = mid + 1
+                yield _cut_at_seam(
+                    [(lp + dp - M, lq + dq, hp + dp - M, hq + dq) for lp, lq, hp, hq in arcs[k:]]
+                    + [(lp + dp, lq + dq, hp + dp, hq + dq) for lp, lq, hp, hq in arcs[:k]],
+                    frame)
+            dp, dq = dp + ap, dq + aq
+            if _sign(dp - M, dq, D) >= 0:
+                dp -= M
+    return frame, floors()
+
+
+class FrameUnion:
+    """A normalised union held as arcs of one frame."""
+
+    __slots__ = ("frame", "arcs")
+
+    def __init__(self, frame: _Frame, arcs: list):
+        self.frame, self.arcs = frame, arcs
+
+    def __len__(self) -> int:
+        return len(self.arcs)
+
+    def float_lengths(self) -> np.ndarray:
+        """float(hi) - float(lo) of every piece, with float()'s bits."""
+        M, D = self.frame.M, self.frame.D
+        return np.array([coordinate_float(hp, hq, M, D) - coordinate_float(lp, lq, M, D)
+                         for lp, lq, hp, hq in self.arcs], dtype=float)
+
+    def exact_length(self, i: int):
+        lp, lq, hp, hq = self.arcs[i]
+        return self.frame.scalar(hp - lp, hq - lq)
+
+    def intervals(self) -> tuple:
+        scalar = self.frame.scalar
+        return tuple((scalar(lp, lq), scalar(hp, hq)) for lp, lq, hp, hq in self.arcs)
+
+
+def neighbourhoods(points):
+    """rho -> the normalised union of [p - rho, p + rho) mod 1 over the points,
+    as a FrameUnion, for a Fraction rho > 0.
+
+    Each point is the exact scalar `as_exact` makes of it (a float is the
+    dyadic rational it is), read mod 1.  The points are sorted once, and
+    their gaps taken once; at each rho the neighbourhoods of two neighbours
+    join where their gap is at most 2 rho, one integer sign per gap, and the
+    runs they make go through `_circle` and `_cut_at_seam`.
+    """
+    pts = [mod1(as_exact(p)) for p in points]
+    _sort_exactly(pts, lambda x: x)
+    frame = _Frame.of(pts)
+    M, D, sign = frame.M, frame.D, frame.sign
+    coords = [frame.pair(p) for p in pts]
+    gaps = [(p1 - p0, q1 - q0) for (p0, q0), (p1, q1) in pairwise(coords)]
+
+    def at(rho: Fraction) -> FrameUnion:
+        a, b = rho.numerator, rho.denominator
+        level, r = _Frame(M * b, D), a * M  # rho is r over the level's denominator M b
+        if not coords:
+            return FrameUnion(level, [])
+        cuts = [i for i, (gp, gq) in enumerate(gaps) if sign(b * gp - 2 * r, b * gq) > 0]
+        arcs = [(b * coords[s][0] - r, b * coords[s][1], b * coords[e][0] + r, b * coords[e][1])
+                for s, e in zip([0] + [i + 1 for i in cuts], cuts + [len(coords) - 1])]
+        circle = _circle(arcs, level)
+        return FrameUnion(level, [(0, 0, level.M, 0)] if circle is None
+                          else _cut_at_seam(circle, level))
+    return at
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def _make(p: int, q: int, d: int, D: int) -> "QuadExt":
 
 
 def _sign(A: int, B: int, D: int) -> int:
-    """Sign of A + B*sqrt(D) for integers A, B and a non-square D."""
+    """Sign of A + B*sqrt(D) for integers A, B and a non-square D (any D when B = 0)."""
     if B == 0:
         return (A > 0) - (A < 0)
     sb = 1 if B > 0 else -1
@@ -63,11 +63,13 @@ class QuadExt:
     q < 0).  As floor(x/d) = floor(floor(x)/d) for an integer d > 0,
     floor((p + q sqrt D)/d) is (p + s)//d, or (p - s - 1)//d.
 
-    float() is fa + fb with fa = p/d and fb = (q/d)*sqrt(D); near
-    cancellation it divides the rounded norm (p^2 - q^2 D)/d^2 by the float
-    conjugate fa - fb instead.  Each int/int true division is correctly
-    rounded, so it equals float(Fraction(p, d)), and float() has the bits of
-    the same formula on rational coordinates.  The result is not correctly
+    float() is `coordinate_float(p, q, d, D)`: fa + fb with fa = p/d and
+    fb = (q/d)*sqrt(D); near cancellation it divides the rounded norm
+    (p^2 - q^2 D)/d^2 by the float conjugate fa - fb instead.  Each int/int
+    true division is correctly rounded, so it equals float(Fraction(p, d)),
+    float() has the bits of the same formula on rational coordinates, and
+    the helper gives the same bits on coordinates not in lowest terms, as
+    the integer walks of `basedyn` hold them.  The result is not correctly
     rounded (hundreds of ulps off on some castle endpoints), but castle.csv,
     the region starts and the certificates are written from these bits, so a
     correctly rounded float() moves artifact bytes: a change of its own.
@@ -213,18 +215,7 @@ class QuadExt:
     # -- real-number interface --------------------------------------------------
 
     def __float__(self) -> float:
-        p, q, d = self.p, self.q, self.d
-        fa = p / d
-        fb = q / d * math.sqrt(self.D)
-        naive = fa + fb
-        # near-cancellation (e.g. q*alpha - p at deep convergents): go through
-        # the conjugate, whose float value has no cancellation
-        if abs(naive) > 1e-3 * (abs(fa) + abs(fb)) or naive == 0.0 and fa == 0.0:
-            return naive
-        den = fa - fb
-        if den == 0.0:
-            return naive
-        return (p * p - q * q * self.D) / (d * d) / den
+        return coordinate_float(self.p, self.q, self.d, self.D)
 
     def __floor__(self) -> int:
         p, q = self.p, self.q
@@ -239,6 +230,44 @@ class QuadExt:
 
 GOLDEN_MEAN = QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)  # (sqrt 5 - 1)/2
 SILVER_MEAN = QuadExt(-1, 1, 2)  # sqrt 2 - 1
+
+
+# -- integer coordinates ----------------------------------------------------------
+
+
+def coordinates(x) -> tuple[int, int, int, int]:
+    """(p, q, d, D) with x = (p + q sqrt D)/d: a QuadExt's own, and q = D = 0
+    for an int or a Fraction."""
+    if isinstance(x, QuadExt):
+        return x.p, x.q, x.d, x.D
+    return x.numerator, 0, x.denominator, 0
+
+
+def from_coordinates(p: int, q: int, d: int, D: int):
+    """The scalar (p + q sqrt D)/d, d > 0: a QuadExt in lowest terms, or the
+    Fraction p/d when D = 0 (then q = 0)."""
+    return _make(p, q, d, D) if D else Fraction(p, d)
+
+
+def coordinate_float(p: int, q: int, d: int, D: int) -> float:
+    """float((p + q sqrt D)/d) for d > 0, as QuadExt.__float__ documents it.
+
+    The value is read only through int/int true divisions, each correctly
+    rounded, and through float operations on their results, so coordinates
+    (kp, kq, kd) give the bits of (p, q, d) for every k > 0; with q = 0 the
+    result is p/d, the bits of float(Fraction(p, d)).
+    """
+    fa = p / d
+    fb = q / d * math.sqrt(D)
+    naive = fa + fb
+    # near-cancellation (e.g. q*alpha - p at deep convergents): go through
+    # the conjugate, whose float value has no cancellation
+    if abs(naive) > 1e-3 * (abs(fa) + abs(fb)) or naive == 0.0 and fa == 0.0:
+        return naive
+    den = fa - fb
+    if den == 0.0:
+        return naive
+    return (p * p - q * q * D) / (d * d) / den
 
 
 # -- scalar helpers usable on float, rational and QuadExt --------------------------

@@ -28,7 +28,7 @@ from .basedyn import (
     Cell,
     CircleRotation,
     bucket_locator,
-    column_floors,
+    column_float_breaks,
     complement,
     first_overlap,
     float_breaks,
@@ -253,14 +253,14 @@ class PerturbedCocycle(Generator):
             if sub_union(norm_union(reps), cfg.castle.base_union(h).intervals):
                 raise CertificationFailed(f"rep pieces of height {h} leave the castle base")
         cols = [_column_matrices(co, self.plans[key], key[0]) for key in label_keys]
-        floors = [(piece, label, level) for label, key in enumerate(label_keys)
-                  for piece, level in column_floors(cfg.rep_pieces[key], co.base.alpha, key[0])]
-        pieces, labels, levels = zip(*floors)
-        lo, hi = float_breaks(pieces)
+        breaks = [column_float_breaks(cfg.rep_pieces[key], co.base.alpha, key[0])
+                  for key in label_keys]
+        lo, hi, levels = (np.concatenate(b) for b in zip(*breaks))
+        labels = np.repeat(np.arange(len(label_keys)), [b[2].size for b in breaks])
         order = np.argsort(lo, kind="stable")
         self.region_lo, self.region_hi = lo[order], hi[order]
-        self.region_label = np.array(labels)[order]
-        self.region_level = np.array(levels)[order]
+        self.region_label = labels[order]
+        self.region_level = levels[order]
         heights = [col.shape[1] for col in cols]
         row = (np.cumsum(heights) - heights)[self.region_label] + self.region_level
         self._table = tuple(entry.take(row) for entry in np.concatenate(cols, axis=1))

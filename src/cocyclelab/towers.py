@@ -30,9 +30,9 @@ from .basedyn import (
     CircleRotation,
     first_overlap,
     first_return,
+    neighbourhoods,
     norm_union,
     translate_union,
-    wrap_interval,
 )
 from .errors import (
     CocycleLabError,
@@ -41,7 +41,7 @@ from .errors import (
     NotRepresentable,
     ShrinkExhausted,
 )
-from .exact import as_exact, convergents, min_orbit_gap, mod1
+from .exact import convergents, min_orbit_gap, mod1
 
 
 def frobenius_threshold(N: int) -> int:
@@ -245,38 +245,31 @@ class FreqBound:
 def _packing_count_bound(alpha, pieces, n: int) -> float:
     """Upper bound on max_x #{j < n : x + j alpha in V} via the minimal orbit gap.
 
-    pieces is `_pieces` of the intervals [lo, hi) of V, with lo, hi in
-    [0, 1].  An interval of exact length L holds at most floor(L/g) + 1 orbit
-    points, g the exact minimal gap.  Every endpoint and the gap convert to
-    float with relative error below 2^-41 (a rational rounds once; a QuadExt
-    cancels by at most a factor 1000 before it switches to its conjugate), so
-    the float quotient q of length by gap satisfies |q - L/g| < 2^-38 (1/g + q).
-    Where that window holds an integer the floor is decided exactly; elsewhere
-    floor(q) is floor(L/g).  The quotients, floors and windows are taken for
-    all pieces at once.  The total is a sum of whole floats far below 2^53,
-    exact in any order.
+    pieces is (float lengths, exact length of piece i) of the intervals
+    [lo, hi) of V, with lo, hi in [0, 1]: a FrameUnion's.  An interval of
+    exact length L holds at most floor(L/g) + 1 orbit points, g the exact
+    minimal gap.  Every endpoint and the gap convert to float with relative
+    error below 2^-41 (a rational rounds once; a QuadExt cancels by at most a
+    factor 1000 before it switches to its conjugate), so the float quotient q
+    of length by gap satisfies |q - L/g| < 2^-38 (1/g + q).  Where that
+    window holds an integer the floor is decided exactly; elsewhere floor(q)
+    is floor(L/g).  The quotients, floors and windows are taken for all
+    pieces at once.  The total is a sum of whole floats far below 2^53, exact
+    in any order.
     """
-    lengths, intervals = pieces
-    if not intervals:
+    lengths, exact_length = pieces
+    if not lengths.size:
         return 0.0
     if n < 2:
-        return float(len(intervals))
+        return float(lengths.size)
     exact_gap = min_orbit_gap(alpha, n)
     gap = float(exact_gap)
     q = lengths / gap
     k = np.floor(q)
     tol = 2.0**-38 * (1.0 / gap + q)
     for i in np.flatnonzero((np.floor(q - tol) != k) | (np.floor(q + tol) != k)):
-        lo, hi = intervals[i]
-        k[i] = math.floor((as_exact(hi) - as_exact(lo)) / exact_gap)
+        k[i] = math.floor(exact_length(i) / exact_gap)
     return float(np.sum(k + 1.0))
-
-
-def _pieces(intervals) -> tuple:
-    """(float lengths, intervals) of a list of intervals (lo, hi): the input
-    of _packing_count_bound."""
-    intervals = list(intervals)
-    return np.array([float(hi) - float(lo) for lo, hi in intervals]), intervals
 
 
 def _freq_bound_over_range(alpha, pieces, n0: int) -> float:
@@ -294,30 +287,31 @@ def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
                      rho_floor: Optional[float] = None) -> FreqBound:
     """Certified (V, n0) with visit frequency below eps for every orbit.
 
-    L is a finite collection of boundary points (exact scalars or floats),
-    each read mod 1.  V is the union of radius-rho intervals around them; rho
-    halves and n0 grows until the three-distance packing certificate clears
-    eps.  The certificate is analytic and valid at any positive rho; the
-    default failure floor is half the grid spacing (callers that only need
-    the all-x analytic statement may lower it toward float resolution).
+    L is a finite collection of boundary points (exact scalars or floats, a
+    float being the dyadic rational it is), each read mod 1.  V is the union
+    of radius-rho intervals around them; rho halves and n0 grows until the
+    three-distance packing certificate clears eps.  The points are sorted
+    once (`neighbourhoods`); each level is built in integer coordinates, and
+    only the accepted one becomes exact pieces.  The certificate is analytic
+    and valid at any positive rho; the default failure floor is half the grid
+    spacing (callers that only need the all-x analytic statement may lower it
+    toward float resolution).
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")
-    pts = [mod1(p) for p in L]
-    if not pts:
+    L = list(L)
+    if not L:
         return FreqBound(V=Cell(()), n0=1, eps=eps, sup_frequency=0.0, rho=0.0)
     alpha = rot.alpha
     spacing = 1.0 / rot.grid_size
     floor = spacing / 2 if rho_floor is None else max(rho_floor, 1e-12)
     rho_frac = Fraction(max(spacing * 4, 1e-6)).limit_denominator(1 << 40)
+    around = neighbourhoods(L)
     best = math.inf
     while True:
-        parts = []
-        for p in pts:
-            parts.extend(wrap_interval(p - rho_frac, p + rho_frac))
-        intervals = norm_union(parts)
+        V = around(rho_frac)
         # the packing bound reads float lengths: convert the endpoints once
-        fl = _pieces(intervals)
+        fl = (V.float_lengths(), V.exact_length)
         # grow n0 geometrically until the [n0, 8 n0] certificate clears eps;
         # once the per-interval +1 term is negligible and it still fails, only
         # a smaller rho can help (the measure term is n-independent)
@@ -334,9 +328,9 @@ def visit_freq_bound(rot: CircleRotation, L: Sequence, eps: float,
                         lo_n = mid
                 n0 = hi_n
                 best = _freq_bound_over_range(alpha, fl, n0)
-                return FreqBound(V=Cell.from_union(intervals), n0=n0, eps=eps, sup_frequency=best,
-                                 rho=float(rho_frac))
-            if len(intervals) / n0 < 0.02 * eps:
+                return FreqBound(V=Cell.from_union(V.intervals()), n0=n0, eps=eps,
+                                 sup_frequency=best, rho=float(rho_frac))
+            if len(V) / n0 < 0.02 * eps:
                 break
         if float(rho_frac) <= floor:
             raise ShrinkExhausted(

@@ -1,3 +1,4 @@
+import bisect
 import math
 import operator
 from fractions import Fraction
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab.errors import CocycleLabError, EmptyCell
-from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, best_denominators, convergents,
+from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, as_exact, best_denominators, convergents,
                               min_orbit_gap, mod1)
+
+ROTATIONS = {"golden": bd.CircleRotation.golden(), "silver": bd.CircleRotation.silver(),
+             "float": bd.CircleRotation(0.7320508075688772)}
 
 
 def golden(grid=1024):
@@ -493,15 +497,43 @@ _EXACT_POINTS = st.tuples(st.integers(0, 63), st.integers(-6, 6)).map(
 _FLOAT_POINTS = st.integers(0, 1024).map(lambda k: k / 1024)
 
 
+def _pair_off(pts):
+    pts = sorted(set(pts))
+    return tuple(zip(pts[0::2], pts[1::2]))
+
+
 def _unions(points, one):
-    def pair_off(pts):
-        pts = sorted(set(pts))
-        return tuple(zip(pts[0::2], pts[1::2]))
-    return st.lists(st.one_of(points, st.just(one)), max_size=10).map(pair_off)
+    return st.lists(st.one_of(points, st.just(one)), max_size=10).map(_pair_off)
 
 
 _EXACT_UNIONS = _unions(_EXACT_POINTS, QuadExt(1, 0, 5))
 _FLOAT_UNIONS = _unions(_FLOAT_POINTS, 1.0)
+
+
+def _many_pieces(point, seed):
+    """A union of 200 to 239 pieces: 400 to 479 distinct points paired off."""
+    rng = np.random.default_rng(seed)
+    return _pair_off(point(int(k)) for k in rng.choice(4096, int(rng.integers(400, 480)),
+                                                       replace=False))
+
+
+def _lopsided(points, point):
+    """(u1, u2) in either order: 1 to 3 pieces against 200 or more."""
+    few = st.lists(points, min_size=2, max_size=6).map(_pair_off).filter(len)
+    many = st.integers(0, 2**32).map(lambda seed: _many_pieces(point, seed))
+    return st.tuples(few, many, st.booleans()).map(lambda t: t[:2] if t[2] else t[1::-1])
+
+
+# distinct indices k < 4096 give distinct points
+_LOPSIDED = st.one_of(
+    _lopsided(_EXACT_POINTS, lambda k: mod1(Fraction(k >> 4, 256) + ((k & 15) - 8) * GOLDEN_MEAN)),
+    _lopsided(_FLOAT_POINTS, lambda k: k / 4096))
+
+
+def _contains(u, x) -> bool:
+    """x in the normalised union u, by bisection on the piece starts."""
+    k = bisect.bisect_right(u, x, key=operator.itemgetter(0))
+    return k > 0 and x < u[k - 1][1]
 
 
 def _assert_normalised(u):
@@ -520,18 +552,29 @@ def _probes(*unions):
 class TestUnionAlgebra:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.tuples(_EXACT_UNIONS, _EXACT_UNIONS),
-                     st.tuples(_FLOAT_UNIONS, _FLOAT_UNIONS)))
+                     st.tuples(_FLOAT_UNIONS, _FLOAT_UNIONS), _LOPSIDED))
     def test_inter_and_sub_pointwise(self, us):
+        """Lopsided inputs make the sweep skip runs of pieces in either union."""
         u1, u2 = us
         inter, sub = bd.inter_union(u1, u2), bd.sub_union(u1, u2)
+        ends = {p for iv in u1 + u2 for p in iv}  # equal values hash alike
         for out in (inter, sub):
             _assert_normalised(out)
-            ends = [p for iv in u1 + u2 for p in iv]
-            assert all(any(p == e for e in ends) for iv in out for p in iv)
+            assert all(p in ends for iv in out for p in iv)
         for x in _probes(u1, u2, inter, sub):
-            in1, in2 = bd.union_contains(u1, x), bd.union_contains(u2, x)
-            assert bd.union_contains(inter, x) == (in1 and in2)
-            assert bd.union_contains(sub, x) == (in1 and not in2)
+            in1, in2 = _contains(u1, x), _contains(u2, x)
+            assert _contains(inter, x) == (in1 and in2)
+            assert _contains(sub, x) == (in1 and not in2)
+
+    def test_norm_union_orders_lows_exactly(self):
+        """Lows that round to one double merge in their exact order."""
+        a = GOLDEN_MEAN - Fraction(1, 2)
+        b = a + Fraction(1, 2**70)
+        assert float(a) == float(b)
+        c, d = a + Fraction(1, 10), a + Fraction(1, 5)
+        assert bd.norm_union([(b, c), (a, d)]) == ((a, d),)
+        tiny = (a, a + Fraction(1, 2**71))
+        assert bd.norm_union([(b, c), tiny]) == (tiny, (b, c))
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.tuples(_EXACT_UNIONS, _EXACT_POINTS),
@@ -543,12 +586,65 @@ class TestUnionAlgebra:
         for x in _probes(u, out):
             assert bd.union_contains(out, x) == bd.union_contains(u, bd.mod1(x - delta))
 
-    @settings(max_examples=60, deadline=None)
-    @given(_EXACT_UNIONS, st.integers(1, 12))
-    def test_column_floors_are_translated_cells(self, u, height):
-        rot = golden()
-        want = [(p, j) for j in range(height) for p in rot.translate_cell(bd.Cell(u), j).intervals]
-        assert list(bd.column_floors(u, rot.alpha, height)) == want
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(ROTATIONS)),
+           st.lists(st.tuples(st.integers(0, 63), st.integers(-6, 6)), max_size=10),
+           st.booleans(), st.integers(1, 200))
+    def test_column_floors_are_translated_cells(self, angle, points, seam, height):
+        """The walk gives the per-floor oracle translate_union(u, mod1(j alpha)),
+        piece by piece and in the angle's field, and floats with the bits of
+        float() of those pieces.  With `seam`, u has a piece starting at 0 and
+        one ending at 1, which every nonzero rotation joins (u = [0, 1) when
+        nothing lies between).  Floor -k puts a point {k alpha}, k < 0 (r = 0),
+        exactly on 1."""
+        rot = ROTATIONS[angle]
+        inner = sorted({mod1(rot.lift(Fraction(r, 64)) + k * rot.alpha) for r, k in points})
+        if seam:
+            inner = inner[1:] if inner and inner[0] == 0 else inner
+            inner = [rot.lift(0), *inner[:len(inner) // 2 * 2], rot.lift(1)]
+        u = tuple(zip(inner[0::2], inner[1::2]))
+        want = [(p, j) for j in range(height)
+                for p in bd.translate_union(u, mod1(j * rot.alpha))]
+        got = list(bd.column_floors(u, rot.alpha, height))
+        assert got == want
+        assert all(type(x) is type(rot.alpha) for piece, _ in got for x in piece)
+        lo, hi, level = bd.column_float_breaks(u, rot.alpha, height)
+        assert [x.hex() for x in lo.tolist()] == [float(p[0]).hex() for p, _ in want]
+        assert [x.hex() for x in hi.tolist()] == [float(p[1]).hex() for p, _ in want]
+        assert level.tolist() == [j for _, j in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(ROTATIONS)),
+           st.lists(st.tuples(st.integers(0, 63), st.integers(-2, 2)), min_size=1, max_size=12),
+           st.integers(1, 32), st.booleans())
+    def test_neighbourhoods_equal_per_point_union(self, angle, points, s, floats):
+        """Each rho level equals the union of the per-point pieces of
+        [p - rho, p + rho), wrapped mod 1 and normalised, and its float lengths
+        have the bits of float() of those pieces.  Points r/64 and rho = s/128
+        make neighbourhoods touch, end on 1 or start on 0 exactly; float points
+        enter as the dyadic rationals they are."""
+        rot = ROTATIONS[angle]
+        pts = [mod1(rot.lift(Fraction(r, 64)) + k * rot.alpha) for r, k in points]
+        if floats:
+            pts = [r / 64 - k for r, k in points]  # read mod 1
+        rho = Fraction(s, 128)
+        parts = []
+        for p in pts:
+            p = mod1(as_exact(p))
+            lo, hi, zero = p - rho, p + rho, 0 * p
+            if lo < 0:
+                parts += [(zero, hi), (lo + 1, zero + 1)]
+            elif hi > 1:
+                parts += [(lo, zero + 1), (zero, hi - 1)]
+            else:
+                parts.append((lo, hi))
+        want = bd.norm_union(parts)
+        got = bd.neighbourhoods(pts)(rho)
+        assert got.intervals() == want and len(got) == len(want)
+        assert all(type(x) is type(want[0][0]) for piece in got.intervals() for x in piece)
+        assert [x.hex() for x in got.float_lengths().tolist()] == [
+            (float(hi) - float(lo)).hex() for lo, hi in want]
+        assert [got.exact_length(i) for i in range(len(got))] == [hi - lo for lo, hi in want]
 
     @pytest.mark.parametrize("alpha", [None, math.sqrt(2) - 1], ids=["golden", "float-angle"])
     def test_column_floors_split_at_one(self, alpha):

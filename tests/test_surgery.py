@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -204,6 +205,14 @@ def pipeline():
     return co, cfg, pc, cert
 
 
+@pytest.fixture(scope="module")
+def bench_pipeline():
+    """The benchmark's surgery input, eps = 0.5, run once for the checks that read it."""
+    co = cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024))
+    cfg, pc, cert = sg.run_surgery(co, 0.5, verify_grid=np.arange(96) / 96)
+    return co, cfg, pc, cert
+
+
 class TestContinuityModulus:
     def test_constant_generator_diameter(self):
         co = cy.Cocycle(golden(), cy.ConstantGenerator(Mat2(2, 0, 0, 0.5)))
@@ -397,12 +406,28 @@ class TestPipeline:
         co, cfg, pc, cert = pipeline
         check_uniform_bound(co, cfg, pc, cert, np.arange(96) / 96)
 
-    def test_structural_dominates_direct_bench_input(self):
+    def test_structural_dominates_direct_bench_input(self, bench_pipeline):
         """The same at eps = 0.5, the benchmark's surgery input."""
-        co = cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024))
-        cfg, pc, cert = sg.run_surgery(co, 0.5, verify_grid=np.arange(96) / 96)
+        co, cfg, pc, cert = bench_pipeline
         assert cfg.N == 87
         check_uniform_bound(co, cfg, pc, cert, np.arange(96) / 96)
+
+    def test_bench_regions_and_freq_bound_pinned(self, bench_pipeline):
+        """The region arrays and the visit-frequency certificate derived from
+        the exact sets at the benchmark's input, with the digests that one
+        exact `translate_union` per floor gives.  `_table` is not pinned: its
+        bits depend on libm."""
+        co, cfg, pc, cert = bench_pipeline
+        digests = {name: hashlib.sha1(getattr(pc, name).astype(dtype).tobytes()).hexdigest()
+                   for name, dtype in (("region_lo", "<f8"), ("region_hi", "<f8"),
+                                       ("region_label", "<i8"), ("region_level", "<i8"))}
+        assert digests == {"region_lo": "b3ce491cb7e8d62851fc305fdae2037e4edc0ef0",
+                           "region_hi": "a7b9ddbea2413434b0506323b301c5ade1cef352",
+                           "region_label": "84c582c8a892b5efa54e3e17ca3ddc5c5994a500",
+                           "region_level": "91abe35e60b53d7067f16b76700b9a883a3e715b"}
+        fb = cfg.freq
+        assert (fb.rho, fb.n0, fb.sup_frequency.hex(), len(fb.V.intervals)) == (
+            2.0**-19, 245760, "0x1.6cccccccccccdp-8", 605)
 
     def test_exports(self, pipeline, tmp_path, monkeypatch):
         """`surgery`'s artifacts of the fixture's run, written by the command

@@ -73,6 +73,14 @@ def mutated(castle, kind: str):
     return tw.Castle(N=castle.N, towers=towers, system=castle.system)
 
 
+def pieces_of(intervals) -> tuple:
+    """(float lengths, exact length of piece i) of a list of intervals (lo, hi):
+    the input of _packing_count_bound that `visit_freq_bound` gives it."""
+    intervals = list(intervals)
+    return (np.array([float(hi) - float(lo) for lo, hi in intervals], dtype=float),
+            lambda i: as_exact(intervals[i][1]) - as_exact(intervals[i][0]))
+
+
 def scalar_packing_count_bound(alpha, intervals, n: int) -> float:
     """The packing bound one piece at a time: the oracle for the array form."""
     if not intervals:
@@ -346,7 +354,7 @@ class TestFreqBound:
         if shift:
             n0 = max(1, min(q for q, _ in best_denominators(alpha, 10**13) if q >= n0) + shift)
         ends = sorted(ends)
-        pieces = tw._pieces(list(zip(ends[::2], ends[1::2])))
+        pieces = pieces_of(list(zip(ends[::2], ends[1::2])))
         want = max(tw._packing_count_bound(alpha, pieces, n) / n for n in
                    [n0] + [q for q, _ in best_denominators(alpha, 8 * n0) if q > n0])
         assert tw._freq_bound_over_range(alpha, pieces, n0).hex() == want.hex()
@@ -391,7 +399,7 @@ class TestFreqBound:
                     hi = lo + k * gap + tiny
                     if hi > 1:
                         break
-                    bound = tw._packing_count_bound(bd.GOLDEN_MEAN, tw._pieces([(lo, hi)]), n)
+                    bound = tw._packing_count_bound(bd.GOLDEN_MEAN, pieces_of([(lo, hi)]), n)
                     assert bound == k + 1, (n, i, k)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -410,7 +418,7 @@ class TestFreqBound:
                   "free": lo + Fraction(data.draw(st.integers(1, 10**6)), 10**7)}[kind]
             if hi <= 1:
                 intervals.append((lo, hi))
-        got = tw._packing_count_bound(bd.GOLDEN_MEAN, tw._pieces(intervals), n)
+        got = tw._packing_count_bound(bd.GOLDEN_MEAN, pieces_of(intervals), n)
         assert got == scalar_packing_count_bound(bd.GOLDEN_MEAN, intervals, n)
 
     def test_packing_bound_is_rigorous(self):
@@ -420,7 +428,7 @@ class TestFreqBound:
         intervals = bd.norm_union([(Fraction(1, 5), Fraction(1, 5) + Fraction(1, 50))])
         rng = np.random.default_rng(7)
         for n in (50, 500, 5000):
-            bound = tw._packing_count_bound(alpha, tw._pieces(intervals), n)
+            bound = tw._packing_count_bound(alpha, pieces_of(intervals), n)
             for x0 in rng.uniform(0, 1, 5):
                 pos = rot.orbit_floats(float(x0), n)
                 cnt = int(((pos >= 0.2) & (pos < 0.22)).sum())
