@@ -181,20 +181,6 @@ def bucket_locator(lo: np.ndarray):
     return find
 
 
-def first_overlap(pieces) -> tuple[list, Optional[int]]:
-    """Sort (lo, hi) pieces by lower end and find the first overlapping pair.
-
-    Returns the sorted list and the least i with pieces[i] reaching past the
-    start of pieces[i + 1] under exact compare, or None when the pieces are
-    pairwise disjoint (touching ends are disjoint: the pieces are half-open).
-    """
-    pieces = sorted(pieces, key=lambda p: float(p[0]))
-    for i in range(len(pieces) - 1):
-        if not pieces[i][1] <= pieces[i + 1][0]:
-            return pieces, i
-    return pieces, None
-
-
 def translate_union(u, delta) -> tuple:
     """Rigid rotation of the union by delta, with wrap splitting at 1."""
     out = []
@@ -420,19 +406,13 @@ def neighbourhoods(points):
 
 @dataclass(frozen=True)
 class Cell:
-    """A normalised interval union of the circle, plus its boundary points.
-
-    The boundary is the finite endpoint set (zero probability for atomless
-    invariant measures).
-    """
+    """A normalised interval union of the circle."""
 
     intervals: tuple  # normalised, as norm_union returns it
-    boundary: tuple = ()  # boundary scalars
 
     @classmethod
     def from_union(cls, u) -> "Cell":
-        u = norm_union(u)
-        return cls(u, tuple(p for iv in u for p in iv))
+        return cls(norm_union(u))
 
     @classmethod
     def full(cls) -> "Cell":
@@ -568,9 +548,7 @@ class CircleRotation:
     # -- cells ------------------------------------------------------------------
 
     def translate_cell(self, cell: Cell, n: int) -> Cell:
-        delta = mod1(n * self.alpha)
-        return Cell(translate_union(cell.intervals, delta),
-                    tuple(mod1(p + delta) for p in cell.boundary))
+        return Cell(translate_union(cell.intervals, mod1(n * self.alpha)))
 
 
 # -- covering time -----------------------------------------------------------------
@@ -675,7 +653,7 @@ def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
         got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
         if got != h:
             raise CocycleLabError("three-distance pieces do not tile the interval")
-        return sorted(out, key=lambda p: (p[1], float(p[0].intervals[0][0])))
+        return sorted(out, key=lambda p: (p[1], p[0].intervals[0][0]))
     return _first_return_marching(rot, U)
 
 
@@ -706,7 +684,7 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
                         cuts.append(ulo)
                     if slo < uhi < shi:
                         cuts.append(uhi)
-                cuts = sorted(set(cuts), key=float)
+                cuts = sorted(set(cuts))
                 for q0, q1 in zip(cuts[:-1], cuts[1:]):
                     pre0 = base + (q0 - slo)
                     if union_contains(u, q0):
@@ -720,4 +698,4 @@ def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int
     for cell, n in out:
         merged.setdefault(n, []).extend(cell.intervals)
     result = [(Cell.from_union(parts), n) for n, parts in merged.items()]
-    return sorted(result, key=lambda p: (p[1], float(p[0].intervals[0][0])))
+    return sorted(result, key=lambda p: (p[1], p[0].intervals[0][0]))

@@ -30,7 +30,6 @@ from .basedyn import (
     bucket_locator,
     column_float_breaks,
     complement,
-    first_overlap,
     float_breaks,
     inter_union,
     norm_union,
@@ -198,11 +197,13 @@ def build_config(co: Cocycle, eps: float, *, force: bool = False) -> SurgeryConf
 
 
 def _cover_cells(base: CircleRotation, castle: Castle, delta: float) -> list[Cell]:
-    """Half-open tiling of K by k cells of diameter < delta, avoiding B-endpoints."""
-    bpoints = [p for t in castle.towers for p in t.base.boundary]
+    """Half-open tiling of K by k cells of diameter < delta whose edges i/k,
+    0 < i < k, avoid the tower base endpoints.  Edge 0 is not tested: it is
+    the seam at which a wrapped base is cut."""
+    bpoints = [p for t in castle.towers for iv in t.base.intervals for p in iv]
     k = max(2, math.ceil(1.0 / (0.95 * delta)) + 1)
     for _ in range(64):
-        edges = [Fraction(i, k) for i in range(k)]
+        edges = [Fraction(i, k) for i in range(1, k)]
         # equal values hash alike across int, Fraction, float and rational QuadExt
         if set(edges).isdisjoint(bpoints):
             break
@@ -239,7 +240,8 @@ class PerturbedCocycle(Generator):
 
         Region (h, i, j) is f^j(P_{h,i}), j < h, for the rep pieces P_{h,i} of
         label (h, i).  Checked exactly here: for each h in {N, N+1} the P_{h,i}
-        are pairwise disjoint and lie in B_h, the bases of the height-h towers.
+        are pairwise disjoint (their lengths sum to their union's) and lie in
+        B_h, the bases of the height-h towers.
         The castle floors f^j(B_t) are pairwise disjoint (`Castle.verify`), so
         regions with (h, j) != (h', j') lie in distinct floors, and the others
         are images of disjoint P_{h,i}, P_{h,i'} under the injective f^j.
@@ -248,9 +250,10 @@ class PerturbedCocycle(Generator):
         label_keys: list[tuple] = sorted(cfg.rep_pieces.keys())
         for h in (cfg.N, cfg.N + 1):
             reps = [iv for key in label_keys if key[0] == h for iv in cfg.rep_pieces[key]]
-            if first_overlap(reps)[1] is not None:
+            union = norm_union(reps)
+            if sum(hi - lo for lo, hi in reps) != sum(hi - lo for lo, hi in union):
                 raise CertificationFailed(f"rep pieces of height {h} overlap")
-            if sub_union(norm_union(reps), cfg.castle.base_union(h).intervals):
+            if sub_union(union, cfg.castle.base_union(h).intervals):
                 raise CertificationFailed(f"rep pieces of height {h} leave the castle base")
         cols = [_column_matrices(co, self.plans[key], key[0]) for key in label_keys]
         breaks = [column_float_breaks(cfg.rep_pieces[key], co.base.alpha, key[0])

@@ -4,10 +4,10 @@ Castle construction follows the inducing recipe: pick a small base cell whose
 iterates up to the Frobenius threshold stay disjoint, partition it by first
 return time (closed form for rotations), then cut each return tower into
 stacked blocks of heights N and N+1.  The endpoints are exact, so the castle
-certifies from its towers alone, at every size: the bases are disjoint, their
-returns f^h(B_t) are disjoint and fill the base union, and Kac's sum of
-h |B_t| is 1.  Castle.verify shows why that makes the floors tile the circle
-and every base point first return at its tower's height.
+certifies from its towers alone, at every size: the returns f^h(B_t) fill the
+base union, and Kac's sum of h |B_t| is 1.  Castle.verify shows why that makes
+the floors tile the circle and every base point first return at its tower's
+height.
 
 Visit frequencies use a three-distance packing certificate: an n-step orbit is
 ||q_K alpha||-separated, so a length-h interval sees at most h/||q_K alpha|| + 1
@@ -28,7 +28,6 @@ from .basedyn import (
     FIRST_RETURN_HORIZON,
     Cell,
     CircleRotation,
-    first_overlap,
     first_return,
     neighbourhoods,
     norm_union,
@@ -106,8 +105,7 @@ class Castle:
     def base_union(self, height: Optional[int] = None) -> Cell:
         """Union of the tower bases, or of the bases of the towers of one height."""
         towers = [t for t in self.towers if height is None or t.height == height]
-        parts = [iv for t in towers for iv in t.base.intervals]
-        return Cell(norm_union(parts), tuple(p for t in towers for p in t.base.boundary))
+        return Cell.from_union(iv for t in towers for iv in t.base.intervals)
 
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
@@ -118,29 +116,26 @@ class Castle:
         h_t; raises DisjointnessFailed otherwise.  The work is O(towers) exact
         comparisons at every size:
 
-        (a) the bases B_t are pairwise disjoint;
-        (b) the returns f^{h_t}(B_t) are pairwise disjoint, and their union
-            is B (for a valid castle exactly so: the return map is a
-            bijection of B);
-        (c) Kac's sum of h_t |B_t| is 1 in the angle's field.
+        (a) the returns f^{h_t}(B_t) fill B: their union is B;
+        (b) Kac's sum of h_t |B_t| is 1 in the angle's field, |B_t| the
+            length of the set B_t's pieces cover (a piece with hi <= lo
+            is empty).
 
         Why this suffices.  Let Z be the union of all floors f^j(B_t),
-        0 <= j < h_t.  By (b), f(Z) lies in Z, and a rotation preserves
-        length, so f(Z) = Z.  A component of Z's complement is a proper arc,
-        and only the identity rotation fixes one, so its translates by
-        j alpha are distinct arcs of the complement for every j below the
-        angle's order: infinite for a QuadExt angle, the denominator for a
-        Fraction angle.  The complement has at most as many arcs as there are
-        floor pieces, at most 2 sum_t h_t (pieces of B_t) since a translate
-        splits at 1 at most once; the order is checked to exceed that count,
-        so Z is the whole circle.  By (c) the floors' lengths sum to |Z|, so
-        two half-open floors meet in a null set, hence not at all.  The
-        floors at levels 1 .. h_t - 1 then miss every base, and by (b) each
-        point of B_t first returns at exactly h_t.
+        0 <= j < h_t.  By (a), f maps each top floor into B, so f(Z) lies in
+        Z, and a rotation preserves length, so f(Z) = Z.  A component of Z's
+        complement is a proper arc, and only the identity rotation fixes
+        one, so its translates by j alpha are distinct arcs of the complement
+        for every j below the angle's order: infinite for a QuadExt angle,
+        the denominator for a Fraction angle.  The complement has at most as
+        many arcs as there are floor pieces, at most 2 sum_t h_t (pieces of
+        B_t) since a translate splits at 1 at most once; the order is checked
+        to exceed that count, so Z is the whole circle.  By (b) the floors'
+        lengths sum to |Z|, so two half-open floors meet in a null set, hence
+        not at all.  The bases are the floors at level 0, so they are
+        disjoint, and the floors at levels 1 .. h_t - 1 miss every base; by
+        (a) each point of B_t first returns at exactly h_t.
 
-        first_overlap sorts by float, but its exact compare of neighbours
-        fails wherever that order is not the exact one, so the lists it
-        passes are exactly sorted and norm_union merges them as they stand.
         Endpoints are in the angle's field, as build_castle makes them.
         """
         alpha = self.system.alpha
@@ -148,17 +143,12 @@ class Castle:
         if isinstance(alpha, Fraction) and alpha.denominator <= pieces:
             raise DisjointnessFailed(f"angle denominator {alpha.denominator} does not exceed "
                                      f"the {pieces} floor pieces the tiling argument counts")
-        bases, bad = first_overlap(iv for t in self.towers for iv in t.base.intervals)
-        if bad is not None:
-            raise DisjointnessFailed("tower bases overlap")
-        shift = {h: mod1(h * alpha) for h in {t.height for t in self.towers}}
-        tops, bad = first_overlap(iv for t in self.towers
-                                  for iv in translate_union(t.base.intervals, shift[t.height]))
-        if bad is not None:
-            raise DisjointnessFailed(f"tower returns overlap near {float(tops[bad + 1][0])!r}")
-        if norm_union(tops) != norm_union(bases):
+        tops = [iv for h in {t.height for t in self.towers}
+                for iv in translate_union(self.base_union(h).intervals, mod1(h * alpha))]
+        if norm_union(tops) != self.base_union().intervals:
             raise DisjointnessFailed("tower returns do not fill the base union")
-        kac = sum(t.height * (hi - lo) for t in self.towers for lo, hi in t.base.intervals)
+        kac = sum(t.height * (hi - lo) for t in self.towers
+                  for lo, hi in norm_union(t.base.intervals))
         if kac != 1:
             raise DisjointnessFailed(f"Kac's sum is {float(kac)!r}, not 1")
         return {"floors": self.floor_count(), "exact_tiling": True, "return_times_ok": True}

@@ -13,6 +13,7 @@ from cocyclelab import cli
 from cocyclelab.errors import CocycleLabError, EmptyCell
 from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, as_exact, best_denominators, convergents,
                               min_orbit_gap, mod1)
+from disjoint import first_overlap
 
 ROTATIONS = {"golden": bd.CircleRotation.golden(), "silver": bd.CircleRotation.silver(),
              "float": bd.CircleRotation(0.7320508075688772)}
@@ -704,11 +705,19 @@ class TestUnionAlgebra:
         assert np.array_equal((xs >= lo[idx]) & (xs < hi[idx]), want_inside)
 
     def test_first_overlap(self):
+        """The tests' disjointness oracle (tests/disjoint.py): touching pieces
+        are disjoint, an overlap is found, and lows 2^-70 apart, which round
+        to one double, come out in exact order and disjoint."""
         touching = [(0.5, 0.7), (0.1, 0.3), (0.3, 0.5)]
-        assert bd.first_overlap(touching) == ([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], None)
+        assert first_overlap(touching) == ([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], None)
         q = [(qe(0.6), qe(0.7)), (qe(0.1), qe(0.3)), (qe(0.3), GOLDEN_MEAN)]
-        pieces, bad = bd.first_overlap(q)
+        pieces, bad = first_overlap(q)
         assert bad == 1 and pieces[bad] == q[2]  # [0.3, 0.618...) runs past 0.6
+        a = GOLDEN_MEAN - Fraction(1, 2)
+        b, c = a + Fraction(1, 2**70), a + Fraction(1, 10)
+        assert float(a) == float(b)
+        assert first_overlap([(b, c), (a, a + Fraction(1, 2**71))]) == (
+            [(a, a + Fraction(1, 2**71)), (b, c)], None)
 
 
 class TestCoveringTime:
@@ -859,6 +868,25 @@ class TestFirstReturn:
         assert a - b >= h
         out = bd.first_return(rot, bd.Cell.from_union([(h - h, h)]))
         assert len(out) == (2 if a - b == h else 3)
+
+    @pytest.mark.parametrize("k", [k for k in range(1, 40)
+                                   if mod1(k * GOLDEN_MEAN) + Fraction(12, 35) < 1])
+    def test_marching_orders_cuts_exactly(self, k):
+        """U = [a, a + 1/7) and [a + 1/7 + 2^-70, a + 12/35), a = {k alpha} on the
+        golden rotation: the gap's ends round to one double.  The marching
+        partition tiles U exactly, with U's exact length, and each piece's
+        return lies in U."""
+        rot = golden()
+        a = mod1(k * rot.alpha)
+        gap = a + Fraction(1, 7)
+        U = bd.Cell.from_union([(a, gap), (gap + Fraction(1, 2**70), a + Fraction(12, 35))])
+        out = bd.first_return(rot, U)
+        pieces = [iv for cell, _ in out for iv in cell.intervals]
+        assert bd.norm_union(pieces) == U.intervals
+        assert sum(hi - lo for lo, hi in pieces) == sum(hi - lo for lo, hi in U.intervals)
+        for cell, n in out:
+            assert bd.sub_union(bd.translate_union(cell.intervals, mod1(n * rot.alpha)),
+                                U.intervals) == ()
 
     def test_union_cell_marching(self):
         rot = golden()

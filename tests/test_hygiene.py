@@ -1,8 +1,9 @@
 """Every name a cocyclelab module imports is used in that module, every
 module-level private name it defines is read there, no module but `cli`
 imports `csv` or `json` (`cli` writes every artifact), no module draws
-random numbers, every `Generator` subclass defines `entries(self, xs)`
-with no other parameter, and every name the bench tracer wraps exists.
+random numbers, no module sorts by float but `basedyn._sort_exactly`, every
+`Generator` subclass defines `entries(self, xs)` with no other parameter,
+and every name the bench tracer wraps exists.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -141,6 +142,63 @@ def test_no_random_sampling(path):
     """No certificate rests on random sampling: no library module draws
     random numbers."""
     assert random_sources(path.read_text()) == []
+
+
+def float_sorts(source: str) -> list[str]:
+    """Where a source sorts by float: a `sorted(...)` or `.sort(...)` call
+    whose key is `float` or a lambda that calls `float(`, named by the
+    dotted class and function names around it."""
+    found = []
+
+    def float_key(key) -> bool:
+        if isinstance(key, ast.Lambda):
+            return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "float" for n in ast.walk(key.body))
+        return isinstance(key, ast.Name) and key.id == "float"
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "sorted"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "sort"):
+                if any(kw.arg == "key" and float_key(kw.value) for kw in child.keywords):
+                    found.append(f"{where or '<module>'} (line {child.lineno})")
+            visit(child, inner)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_float_sorts():
+    """The float-ordered sorts `basedyn.first_overlap` and the marching first
+    return once made, with exact and key-less sorts that pass."""
+    source = ("def first_overlap(pieces):\n"
+              "    pieces = sorted(pieces, key=lambda p: float(p[0]))\n"
+              "def _first_return_marching(rot, U):\n"
+              "    cuts = sorted(set(cuts), key=float)\n"
+              "    return sorted(result, key=lambda p: (p[1], float(p[0].intervals[0][0])))\n"
+              "def _sort_exactly(items, key):\n"
+              "    items.sort(key=lambda x: float(key(x)))\n"
+              "class Castle:\n    def verify(self):\n        tops.sort(key=float)\n"
+              "ok = sorted(xs, key=itemgetter(0)) + sorted(ys, key=abs) + sorted(zs)\n"
+              "xs.sort(key=lambda p: (p[1], p[0]))\nm = max(xs, key=float)\n")
+    assert float_sorts(source) == [
+        "first_overlap (line 2)", "_first_return_marching (line 4)",
+        "_first_return_marching (line 5)", "_sort_exactly (line 7)",
+        "Castle.verify (line 10)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_ordered_sorts(path):
+    """float() is not monotone on exact scalars, so exact pieces and cuts are
+    sorted exactly; `basedyn._sort_exactly` alone sorts by float first, and
+    then checks the order exactly."""
+    found = float_sorts(path.read_text())
+    if path.name == "basedyn.py":
+        found = [f for f in found if not f.startswith("_sort_exactly ")]
+    assert found == []
 
 
 def entries_parameters(sources: list[str]) -> dict[str, Optional[tuple[str, ...]]]:

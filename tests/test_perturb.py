@@ -16,6 +16,7 @@ from cocyclelab import perturb as pb
 from cocyclelab.errors import BudgetExhausted, CocycleLabError, NoBalancedIndex, SearchFailed
 from cocyclelab.exact import QuadExt, min_orbit_gap
 from cocyclelab.sl2 import Mat2, general_operator_norm, log_norm, scan_product
+from disjoint import first_overlap
 
 
 def golden(grid=1024):
@@ -33,7 +34,7 @@ def weak_schrodinger(grid=2048, lam=1.2):
 def translates_disjoint(rot, W, m):
     """Oracle: W, f(W), ..., f^{m-1}(W) pairwise disjoint, by translating and sorting."""
     pieces = [iv for j in range(m) for iv in rot.translate_cell(W, j).intervals]
-    return bd.first_overlap(pieces)[1] is None
+    return first_overlap(pieces)[1] is None
 
 
 def block_distances(co, x, blk):

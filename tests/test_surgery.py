@@ -16,6 +16,7 @@ from cocyclelab.exact import QuadExt, mod1
 from cocyclelab.perturb import EarlyExit, Steered, plan_entries, plan_segments
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
                              log_sl2_arrays, scan_product)
+from disjoint import first_overlap
 
 
 def golden(grid=1024):
@@ -82,7 +83,7 @@ def reference_regions(pc):
                 hi_list.append(float(hi))
                 mats.append(col[j])
                 pieces.append((lo, hi))
-    assert bd.first_overlap(pieces)[1] is None
+    assert first_overlap(pieces)[1] is None
     order = np.argsort(np.array(lo_list), kind="stable")
     base_lo, base_hi, base_lab = [], [], []
     for key in label_keys:
@@ -428,6 +429,16 @@ class TestPipeline:
         fb = cfg.freq
         assert (fb.rho, fb.n0, fb.sup_frequency.hex(), len(fb.V.intervals)) == (
             2.0**-19, 245760, "0x1.6cccccccccccdp-8", 605)
+
+    def test_bench_cover_edges_avoid_base_endpoints(self, bench_pipeline):
+        """The cover cells tile [0, 1) at edges i/k, and no edge with
+        0 < i < k is an endpoint of a tower base."""
+        co, cfg, pc, cert = bench_pipeline
+        k = len(cfg.cover)
+        assert [c.intervals for c in cfg.cover] == [
+            ((co.base.lift(Fraction(i, k)), co.base.lift(Fraction(i + 1, k))),) for i in range(k)]
+        ends = {p for t in cfg.castle.towers for iv in t.base.intervals for p in iv}
+        assert not any(co.base.lift(Fraction(i, k)) in ends for i in range(1, k))
 
     def test_exports(self, pipeline, tmp_path, monkeypatch):
         """`surgery`'s artifacts of the fixture's run, written by the command

@@ -15,6 +15,7 @@ from cocyclelab import towers as tw
 from cocyclelab.errors import (DisjointnessFailed, HorizonExceeded, NotRepresentable,
                                ShrinkExhausted)
 from cocyclelab.exact import QuadExt, as_exact, best_denominators, min_orbit_gap, mod1
+from disjoint import first_overlap
 
 
 def sturmian(grid):
@@ -35,7 +36,7 @@ def per_floor_tiling(castle) -> None:
     base translated by its height lands inside the base union.  Raises
     DisjointnessFailed otherwise."""
     alpha = castle.system.alpha
-    pieces, bad = bd.first_overlap(
+    pieces, bad = first_overlap(
         p for t in castle.towers for p, _ in bd.column_floors(t.base.intervals, alpha, t.height))
     if bad is not None:
         raise DisjointnessFailed(f"floors overlap near {float(pieces[bad + 1][0])!r}")
@@ -69,7 +70,7 @@ def mutated(castle, kind: str):
     singles = [i for i, t in enumerate(towers) if len(t.base.intervals) == 1]
     k = singles[len(singles) // 2]
     u, h = MUTATIONS[kind](towers[k].base.intervals, towers[k].height)
-    towers[k] = tw.Tower(bd.Cell(u, tuple(p for iv in u for p in iv)), h)
+    towers[k] = tw.Tower(bd.Cell(u), h)
     return tw.Castle(N=castle.N, towers=towers, system=castle.system)
 
 
@@ -194,7 +195,7 @@ class TestCastle:
         The denominator 2 does not exceed the 8 floor pieces, so verify
         refuses before the tower checks."""
         quarter = (Fraction(0), Fraction(1, 4))
-        castle = tw.Castle(N=4, towers=[tw.Tower(bd.Cell((quarter,), quarter), 4)],
+        castle = tw.Castle(N=4, towers=[tw.Tower(bd.Cell((quarter,)), 4)],
                            system=SimpleNamespace(alpha=Fraction(1, 2)))
         with pytest.raises(DisjointnessFailed, match="denominator 2 does not exceed the 8"):
             castle.verify()
@@ -211,6 +212,21 @@ class TestCastle:
             castle.verify()
         with pytest.raises(DisjointnessFailed):
             per_floor_tiling(castle)
+
+    @pytest.mark.parametrize("reversed_copy", [False, True])
+    def test_kac_sum_rejects_a_duplicated_tower(self, reversed_copy):
+        """A one-piece tower listed twice: its returns still fill the base
+        union, so only Kac's sum sees that its floors are covered twice.  A
+        third copy with its piece reversed, (hi, lo), is empty: it must not
+        take the copy's length back off the sum."""
+        castle = tw.build_castle(bd.CircleRotation.golden(), 10)
+        t = next(t for t in castle.towers if len(t.base.intervals) == 1)
+        extra = [t] + [tw.Tower(bd.Cell((t.base.intervals[0][::-1],)), t.height)] * reversed_copy
+        twice = tw.Castle(N=10, towers=castle.towers + extra, system=castle.system)
+        with pytest.raises(DisjointnessFailed, match="Kac's sum is 1.0"):
+            twice.verify()
+        with pytest.raises(DisjointnessFailed):
+            per_floor_tiling(twice)
 
     @pytest.mark.parametrize("N,floors", [(87, 57_314), (158, 150_050)])
     def test_large_castles_tile_exactly(self, N, floors):
