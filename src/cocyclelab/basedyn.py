@@ -40,7 +40,6 @@ from .exact import (
 )
 
 FIRST_RETURN_HORIZON = 10**6
-COVERING_HORIZON = 10**6
 ORBIT_AVOID_HORIZON = 10**5
 
 
@@ -73,10 +72,6 @@ def norm_union(parts) -> tuple:
         else:
             merged.append((lo, hi))
     return tuple((lo, hi) for lo, hi in merged)
-
-
-def union_length(u) -> float:
-    return float(sum(float(hi) - float(lo) for lo, hi in u))
 
 
 def union_contains(u, x) -> bool:
@@ -414,10 +409,6 @@ class Cell:
     def from_union(cls, u) -> "Cell":
         return cls(norm_union(u))
 
-    @classmethod
-    def full(cls) -> "Cell":
-        return cls(((0.0, 1.0),))
-
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -555,37 +546,17 @@ class CircleRotation:
 
 
 def covering_time(rot: CircleRotation, W: Cell) -> int:
-    """Smallest m1 (at grid resolution) with union_{j<=m1} f^j(W) = K.
+    """Smallest m1 with union_{j<=m1} f^j(W) = K: the longest first return
+    time R to the interval W, less 1.
 
-    Certified over every grid point after shrinking W by one grid spacing: the
-    bases here are isometries, so a grid point landing in the shrunk cell
-    covers its whole half-spacing neighborhood.
+    Let W_t be the points of W that first return at time t.  The floors
+    f^j(W_t), 0 <= j < t, tile the circle, and f^j(W_t) lies in f^j(W), so
+    the iterates up to R - 1 cover it.  Take w in W_R.  Were f^{R-1}(w) in
+    f^j(W) for some j < R - 1, then f^{R-1-j}(w) would lie in W, and w would
+    return before R.  So the top floor f^{R-1}(W_R) misses every f^j(W) with
+    j < R - 1, and R - 2 iterates do not cover.
     """
-    if W.is_empty():
-        raise EmptyCell("covering_time needs a non-empty cell")
-    if union_length(W.intervals) >= 1.0 - 1e-15:
-        return 0  # the whole space needs no iterates and no margin
-    shrunk = shrink_union(W.intervals, Fraction(1, rot.grid_size))  # exact margin
-    if not shrunk:
-        raise EmptyCell("cell below grid resolution after margin")
-    lo, hi = float_breaks(shrunk)
-    pts, alpha = rot.grid_floats(), rot.alpha_float
-    alive = np.arange(pts.size)
-    for j in range(COVERING_HORIZON + 1):
-        alive = alive[~locate(lo, hi, np.mod(pts[alive] - j * alpha, 1.0))[1]]
-        if alive.size == 0:
-            return j
-    raise HorizonExceeded("no cover within 1e6 iterates")
-
-
-def exact_covering_time(rot: CircleRotation, W: Cell, horizon: int = 10**5) -> int:
-    """Oracle: exact sweep of the union of iterates until total length reaches 1."""
-    acc: tuple = ()
-    for j in range(horizon + 1):
-        acc = norm_union(list(acc) + list(rot.translate_cell(W, j).intervals))
-        if len(acc) == 1 and acc[0][0] <= 0 and acc[0][1] >= 1:
-            return j
-    raise HorizonExceeded("exact covering sweep exhausted")
+    return max(n for _, n in first_return(rot, W)) - 1
 
 
 # -- first return ---------------------------------------------------------------------
@@ -598,7 +569,7 @@ def _first_entry_below(alpha, h) -> int:
     current positive-side champion and q_k the following negative-side
     denominator; values decrease by |eta_k| per step.  Exact when alpha is.
     """
-    if not (float(h) > 0):
+    if not h > 0:
         raise CocycleLabError("need h > 0")
     pairs = [(1, mod1(alpha))]  # k = 0 convergent (0, 1)
     for p, q in convergents(alpha, 64):
@@ -622,80 +593,38 @@ def _first_entry_below(alpha, h) -> int:
 
 
 def first_return(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
-    """Partition of U into sub-cells of constant first-return time.
-
-    Single intervals shorter than 1/2 use the Slater three-distance closed
-    form (translation equivariance reduces [l, l+h) to [0, h)), at any return
-    time; interval unions and cells of width at least 1/2 fall back to exact
-    marching, which stops at FIRST_RETURN_HORIZON.
+    """Partition of an interval U = [l, l + h) of [0, 1] into sub-cells of
+    constant first-return time, by the Slater three-distance closed form
+    (translation equivariance reduces U to [0, h)), at any width and return
+    time.  Pieces that share a return time form one cell, in order of time.
+    A cell of two or more pieces raises CocycleLabError.
     """
     if U.is_empty():
         raise EmptyCell("first_return needs a non-empty cell")
-    u = U.intervals
-    total = union_length(u)
-    if total >= 1.0 - 1e-15:
-        return [(Cell.full(), 1)]
-    lo, hi = u[0]
-    if len(u) == 1 and 2 * (hi - lo) < 1:
-        h = hi - lo
-        alpha = rot.alpha
-        n1 = _first_entry_below(alpha, h)
-        n2 = _first_entry_below(1 - alpha, h)
-        a = mod1(n1 * alpha)
-        b = mod1(n2 * alpha) - 1
-        zero = _zero_like(h)
-        # a - b >= h, so only the middle piece can be empty.  a = {n1 alpha} < h and
-        # |b| = {-n2 alpha} < h, so a + |b| < 2h < 1 is {(n1 - n2) alpha} if n1 > n2 and
-        # {-(n2 - n1) alpha} if n2 > n1; a + |b| < h would contradict the minimality of
-        # n1 or n2.  If n1 = n2, a - b = 1 > h.
-        cuts = ((zero, h - a, n1), (h - a, -b, n1 + n2), (-b, h, n2))
-        out = [(Cell.from_union([(lo + y0, lo + y1)]), t) for y0, y1, t in cuts if y1 > y0]
-        got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
-        if got != h:
-            raise CocycleLabError("three-distance pieces do not tile the interval")
-        return sorted(out, key=lambda p: (p[1], p[0].intervals[0][0]))
-    return _first_return_marching(rot, U)
-
-
-def _first_return_marching(rot: CircleRotation, U: Cell) -> list[tuple[Cell, int]]:
-    """Exact marching: advance sub-arcs of U, peeling off returning parts."""
-    u = U.intervals
-    active = [(lo, hi, lo, hi) for lo, hi in u]  # (cur_lo, cur_hi, pre_lo, pre_hi)
-    out = []
+    if len(U.intervals) > 1:
+        raise CocycleLabError(f"first_return needs one interval, got {len(U.intervals)} pieces")
+    lo, hi = U.intervals[0]
+    if lo == 0 and hi == 1:
+        return [(U, 1)]
+    h = hi - lo
     alpha = rot.alpha
-    for n in range(1, FIRST_RETURN_HORIZON + 1):
-        if not active:
-            break
-        nxt = []
-        for clo, chi, plo, phi in active:
-            length = chi - clo
-            nlo = mod1(clo + alpha)
-            segs = []
-            if nlo + length <= 1:
-                segs.append((nlo, nlo + length, plo))
-            else:
-                cut = 1 - nlo
-                segs.append((nlo, _one_like(nlo), plo))
-                segs.append((_zero_like(nlo), length - cut, plo + cut))
-            for slo, shi, base in segs:
-                cuts = [slo, shi]
-                for ulo, uhi in u:
-                    if slo < ulo < shi:
-                        cuts.append(ulo)
-                    if slo < uhi < shi:
-                        cuts.append(uhi)
-                cuts = sorted(set(cuts))
-                for q0, q1 in zip(cuts[:-1], cuts[1:]):
-                    pre0 = base + (q0 - slo)
-                    if union_contains(u, q0):
-                        out.append((Cell.from_union([(pre0, pre0 + (q1 - q0))]), n))
-                    else:
-                        nxt.append((q0, q1, pre0, pre0 + (q1 - q0)))
-        active = nxt
-    if active:
-        raise HorizonExceeded("first return beyond 1e6 steps")
-    merged: dict[int, list] = {}
-    for cell, n in out:
-        merged.setdefault(n, []).extend(cell.intervals)
-    result = [(Cell.from_union(parts), n) for n, parts in merged.items()]
-    return sorted(result, key=lambda p: (p[1], p[0].intervals[0][0]))
+    n1 = _first_entry_below(alpha, h)
+    n2 = _first_entry_below(1 - alpha, h)
+    a = mod1(n1 * alpha)
+    b = mod1(n2 * alpha) - 1
+    zero = _zero_like(h)
+    # a - b = a + |b| >= h, so only the middle piece can be empty: a = {n1 alpha}
+    # and |b| = {-n2 alpha} are below h, and if a + |b| < 1 then n1 != n2 and
+    # a + |b| is {(n1 - n2) alpha} or {-(n2 - n1) alpha}, below h only against
+    # the minimality of n1 or n2.  n1 = n2 (a + |b| = 1) needs 2h > 1; its first
+    # and last pieces then share a return time and form one cell.
+    cuts = ((zero, h - a, n1), (h - a, -b, n1 + n2), (-b, h, n2))
+    parts: dict[int, list] = {}
+    for y0, y1, t in cuts:
+        if y1 > y0:
+            parts.setdefault(t, []).append((lo + y0, lo + y1))
+    out = [(Cell.from_union(p), t) for t, p in sorted(parts.items())]
+    got = sum((hi_ - lo_ for c, _ in out for lo_, hi_ in c.intervals), zero)
+    if got != h:
+        raise CocycleLabError("three-distance pieces do not tile the interval")
+    return out

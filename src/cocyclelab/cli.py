@@ -160,6 +160,12 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     if not cfg["n"] >= 1:
         raise ConfigError(f"n must be an integer >= 1, got {cfg['n']!r}")
+    if not cfg["castle_n"] >= 1:
+        raise ConfigError(f"castle_n must be an integer >= 1, got {cfg['castle_n']!r}")
+    if not cfg["freq_eps"] > 0:
+        raise ConfigError(f"freq_eps must be positive, got {cfg['freq_eps']!r}")
+    if not cfg["steer"]["m_max"] >= 1:
+        raise ConfigError(f"steer.m_max must be an integer >= 1, got {cfg['steer']['m_max']!r}")
     if len(cfg["generator"]["entries"]) != 4:
         raise ConfigError(f"generator.entries must be 4 numbers a, b, c, d, "
                           f"got {cfg['generator']['entries']!r}")

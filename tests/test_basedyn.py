@@ -14,6 +14,7 @@ from cocyclelab.errors import CocycleLabError, EmptyCell
 from cocyclelab.exact import (GOLDEN_MEAN, QuadExt, as_exact, best_denominators, convergents,
                               min_orbit_gap, mod1)
 from disjoint import first_overlap
+from oracles import exact_covering_time, first_return_marching
 
 ROTATIONS = {"golden": bd.CircleRotation.golden(), "silver": bd.CircleRotation.silver(),
              "float": bd.CircleRotation(0.7320508075688772)}
@@ -475,7 +476,7 @@ class TestCells:
         u2 = bd.norm_union([(0.3, 0.6)])
         assert bd.inter_union(u1, u2) == ((0.3, 0.4), (0.5, 0.6))
         assert bd.sub_union(u1, u2) == ((0.1, 0.3), (0.6, 0.7))
-        assert bd.union_length(u1) == pytest.approx(0.5)
+        assert sum(hi - lo for lo, hi in u1) == pytest.approx(0.5)
 
     def test_translate_wraps(self):
         u = bd.translate_union(((0.8, 0.95),), 0.15)
@@ -723,22 +724,28 @@ class TestUnionAlgebra:
 class TestCoveringTime:
     def test_full_space(self):
         rot = golden()
-        assert bd.covering_time(rot, bd.Cell.full()) == 0
+        assert bd.covering_time(rot, bd.Cell.from_union([(rot.lift(0), rot.lift(1))])) == 0
 
-    def test_matches_exact_oracle(self):
-        rot = golden(grid=2048)
-        for h in (0.3, 0.11, 0.037):
-            W = bd.Cell.from_union([(qe(0), qe(h))])
-            grid_m1 = bd.covering_time(rot, W)
-            exact_m1 = bd.exact_covering_time(rot, W)
-            assert exact_m1 <= grid_m1 <= exact_m1 + 3
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(1, 1000),
+           st.integers(0, 10**6))
+    @example("golden", 1, 0)
+    @example("float", 1000, 0)
+    def test_matches_exact_oracle(self, angle, width, start):
+        """The longest first return less 1 is the exact covering sweep's m1,
+        for W = [l, l + h) with h = width/10^3 from 10^-3 to the whole circle."""
+        rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
+               else getattr(bd.CircleRotation, angle)())
+        l = rot.lift(Fraction(start % (1001 - width), 1000))
+        W = bd.Cell.from_union([(l, l + rot.lift(Fraction(width, 1000)))])
+        assert bd.covering_time(rot, W) == exact_covering_time(rot, W)
 
     def test_three_distance_bound(self):
         rot = golden(grid=4096)
         qs = [q for _, q in convergents(rot.alpha, 25)]
         for h in (0.2, 0.05, 0.013):
             W = bd.Cell.from_union([(qe(0), qe(h))])
-            m1 = bd.exact_covering_time(rot, W)
+            m1 = exact_covering_time(rot, W)
             q_bound = next(q for q in qs if 1.0 / q < h)
             # covering needs at least enough translates to fill length 1
             assert m1 >= math.ceil(1.0 / h) - 1
@@ -759,8 +766,26 @@ class TestCoveringTime:
 class TestFirstReturn:
     def test_full_space(self):
         rot = golden()
-        out = bd.first_return(rot, bd.Cell.full())
-        assert len(out) == 1 and out[0][1] == 1
+        U = bd.Cell.from_union([(rot.lift(0), rot.lift(1))])
+        assert bd.first_return(rot, U) == [(U, 1)]
+
+    @pytest.mark.parametrize("angle", ["golden", "silver"])
+    def test_just_short_of_the_circle(self, angle):
+        """U = [0, 1 - 2^-60) is not the circle: its points near 1 return at
+        time 2.  Its first return equals marching's, and it covers the circle
+        after one step."""
+        rot = getattr(bd.CircleRotation, angle)()
+        U = bd.Cell.from_union([(rot.lift(0), rot.lift(1 - Fraction(1, 2**60)))])
+        out = bd.first_return(rot, U)
+        assert out == first_return_marching(rot, U)
+        assert [n for _, n in out] == [1, 2]
+        assert bd.covering_time(rot, U) == 1
+
+    def test_union_rejected(self):
+        rot = golden()
+        U = bd.Cell.from_union([(qe(0.1), qe(0.15)), (qe(0.6), qe(0.63))])
+        with pytest.raises(CocycleLabError, match="one interval, got 2 pieces"):
+            bd.first_return(rot, U)
 
     def test_golden_unit_interval_two_times(self):
         rot = golden()
@@ -783,19 +808,20 @@ class TestFirstReturn:
                                           if len(times) == 3 else True)
 
     def test_closed_form_matches_marching(self):
-        """The three-distance pieces equal the marching partition exactly, on
-        five angles, for widths up to just below 1/2, the closed form's range."""
+        """The three-distance cells equal the marching partition exactly, on
+        five angles, for widths 0 < h < 1; where 2h > 1 and n1 = n2, two
+        pieces of one return time form one cell in both."""
         rng = np.random.default_rng(7)
         for angle in ("golden", "silver", 0.7320508075688772, 0.41421356, 0.4871234567):
             rot = (getattr(bd.CircleRotation, angle)() if isinstance(angle, str)
                    else bd.CircleRotation(angle))
-            hs = rng.uniform(0.45, 0.5, 60)
+            hs = rng.uniform(0, 1, 60)
             cells = [(0.0, 0.1), (0.25, 0.07), (0.9, 0.08)] + list(zip(rng.uniform(0, 1 - hs), hs))
             for l, h in cells:
                 lo = rot.lift(Fraction(l).limit_denominator(10**9))
                 hi = lo + rot.lift(Fraction(h).limit_denominator(10**9))
                 U = bd.Cell.from_union([(lo, hi)])
-                assert bd.first_return(rot, U) == bd._first_return_marching(rot, U)
+                assert bd.first_return(rot, U) == first_return_marching(rot, U)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["golden", "silver"]), st.integers(1, 3000),
@@ -815,7 +841,7 @@ class TestFirstReturn:
         U = bd.Cell.from_union([(QuadExt(Fraction(1, 10), 0, 2),
                                  QuadExt(Fraction(1, 5), 0, 2))])
         out = bd.first_return(rot, U)
-        march = bd._first_return_marching(rot, U)
+        march = first_return_marching(rot, U)
         assert [(n, float(c.intervals[0][0])) for c, n in out] == pytest.approx(
             [(n, float(c.intervals[0][0])) for c, n in march])
 
@@ -829,12 +855,12 @@ class TestFirstReturn:
         assert abs(kac - 1.0) < 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 5 * 10**5 - 1),
+    @given(st.sampled_from(["golden", "silver", "float"]), st.integers(100, 10**6 - 1),
            st.data())
     def test_pieces_tile_and_return_exactly(self, angle, width, data):
         """The three-distance pieces of U = [l, l + h) have exact lengths
         summing to h, and each piece's translate by its return time lies
-        inside U; h runs from 10^-4 to just below 1/2, the closed form's range."""
+        inside U; h runs from 10^-4 to just below 1."""
         rot = (bd.CircleRotation(0.7320508075688772) if angle == "float"
                else getattr(bd.CircleRotation, angle)())
         l = rot.lift(Fraction(data.draw(st.integers(0, 10**6 - width)), 10**6))
@@ -874,13 +900,13 @@ class TestFirstReturn:
     def test_marching_orders_cuts_exactly(self, k):
         """U = [a, a + 1/7) and [a + 1/7 + 2^-70, a + 12/35), a = {k alpha} on the
         golden rotation: the gap's ends round to one double.  The marching
-        partition tiles U exactly, with U's exact length, and each piece's
+        oracle's partition tiles U exactly, with U's exact length, and each piece's
         return lies in U."""
         rot = golden()
         a = mod1(k * rot.alpha)
         gap = a + Fraction(1, 7)
         U = bd.Cell.from_union([(a, gap), (gap + Fraction(1, 2**70), a + Fraction(12, 35))])
-        out = bd.first_return(rot, U)
+        out = first_return_marching(rot, U)
         pieces = [iv for cell, _ in out for iv in cell.intervals]
         assert bd.norm_union(pieces) == U.intervals
         assert sum(hi - lo for lo, hi in pieces) == sum(hi - lo for lo, hi in U.intervals)
@@ -889,9 +915,10 @@ class TestFirstReturn:
                                 U.intervals) == ()
 
     def test_union_cell_marching(self):
+        """The marching oracle on a union of two intervals."""
         rot = golden()
         U = bd.Cell.from_union([(qe(0.1), qe(0.15)), (qe(0.6), qe(0.63))])
-        out = bd.first_return(rot, U)
+        out = first_return_marching(rot, U)
         # spot-check each piece by direct orbit iteration from its midpoint
         for cell, n in out:
             lo, hi = cell.intervals[0]

@@ -150,6 +150,19 @@ class TestBasics:
         assert r.stderr == f"config error: n must be an integer >= 1, got {n}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["castle", "--castle_n=0"], "castle_n must be an integer >= 1, got 0"),
+        (["freq-bound", "--freq_eps=0"], "freq_eps must be positive, got 0"),
+        (["steer", "--steer.m_max=0"], "steer.m_max must be an integer >= 1, got 0"),
+    ], ids=["castle-n-zero", "freq-eps-zero", "steer-m-max-zero"])
+    def test_command_key_out_of_range_exit_2(self, tmp_path, args, message):
+        """Each key is checked with the config, before any work starts: the
+        message names it and no output directory is made."""
+        r = run_cli([args[0], "--out", "o", "--base.grid=64", *args[1:]], tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("args,path", [
         (["--out", "f"], "f"),
         (["--out", "f/sub"], "f/sub"),

@@ -1,7 +1,8 @@
 """Every name a cocyclelab module imports is used in that module, every
 module-level private name it defines is read there, no module but `cli`
 imports `csv` or `json` (`cli` writes every artifact), no module draws
-random numbers, no module sorts by float but `basedyn._sort_exactly`, every
+random numbers, no module sorts by float but `basedyn._sort_exactly`, the
+exact first return, covering time and castle check make no float decision, every
 `Generator` subclass defines `entries(self, xs)` with no other parameter,
 and every name the bench tracer wraps exists.
 
@@ -199,6 +200,76 @@ def test_no_float_ordered_sorts(path):
     if path.name == "basedyn.py":
         found = [f for f in found if not f.startswith("_sort_exactly ")]
     assert found == []
+
+
+# The exact functions: each decides from exact compares alone.
+EXACT_FUNCTIONS = {"basedyn.py": ("first_return", "_first_entry_below", "covering_time"),
+                   "towers.py": ("Castle.verify",)}
+
+
+def float_decisions(source: str, names) -> list[str]:
+    """Where the functions named (dotted `Class.method` for a method) call
+    `float`, `union_length`, `float_breaks` or a `*_floats` helper, as a name
+    or an attribute, outside an f-string: a float there would feed a
+    decision, while an f-string only formats a message."""
+    found = []
+
+    def calls(node, where: str) -> None:
+        if isinstance(node, ast.JoinedStr):
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute) else "")
+            if callee in ("float", "union_length", "float_breaks") or callee.endswith("_floats"):
+                found.append(f"{where} (line {node.lineno}): {callee}")
+        for child in ast.iter_child_nodes(node):
+            calls(child, where)
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+                if inner in names:
+                    calls(child, inner)
+                else:
+                    visit(child, inner)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_float_decisions():
+    """The float decisions the first return and the covering time once made
+    (the whole-circle test by `union_length`, the record walk's `float(h)`,
+    the grid sweep), a float in an f-string message that passes, and a
+    float call outside the named functions that is not looked at."""
+    source = ("def covering_time(rot, W):\n"
+              "    if union_length(W.intervals) >= 1.0 - 1e-15:\n        return 0\n"
+              "    lo, hi = float_breaks(shrunk)\n"
+              "    pts, alpha = rot.grid_floats(), rot.alpha_float\n"
+              "def _first_entry_below(alpha, h):\n    if not (float(h) > 0):\n        raise E()\n"
+              "def first_return(rot, U):\n    total = bd.union_length(u)\n"
+              "class Castle:\n    def verify(self):\n"
+              "        raise E(f\"Kac's sum is {float(kac)!r}, not 1\")\n"
+              "    def floor_count(self):\n        return float(n)\n"
+              "def other(x):\n    return float(x)\n")
+    names = ("first_return", "_first_entry_below", "covering_time", "Castle.verify")
+    assert float_decisions(source, names) == [
+        "covering_time (line 2): union_length", "covering_time (line 4): float_breaks",
+        "covering_time (line 5): grid_floats", "_first_entry_below (line 7): float",
+        "first_return (line 10): union_length"]
+
+
+@pytest.mark.parametrize("module", sorted(EXACT_FUNCTIONS))
+def test_exact_functions_make_no_float_decision(module):
+    source = (SRC / module).read_text()
+    names = EXACT_FUNCTIONS[module]
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    assert set(names) <= defined  # a rename must not empty the check
+    assert float_decisions(source, names) == []
 
 
 def entries_parameters(sources: list[str]) -> dict[str, Optional[tuple[str, ...]]]:

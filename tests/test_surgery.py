@@ -457,3 +457,48 @@ class TestPipeline:
         data = json.loads((tmp_path / "surgery.json").read_text())
         assert data["pass"] is True
         assert data["horizon"] == cert.n
+
+
+@pytest.fixture(scope="module")
+def steered_surgery():
+    """The perturbed twisted table at coupling 4, grid 1024, eps = 0.72,
+    built with N = 144 and the visit-frequency budget 0.015/(N + 1) at a rho
+    floor of 1e-12 (the formula's N and budget give no certificate here), so
+    that most of its plans steer."""
+    co = cy.Cocycle(golden(1024), cy.twisted_table(4.0, 1024))
+    plan_constants, visit_freq_bound = sg.plan_constants, sg.visit_freq_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "plan_constants", lambda co, eps: (*plan_constants(co, eps)[:4], 144))
+        mp.setattr(sg, "visit_freq_bound", lambda base, bnd, eps, rho_floor=None:
+                   visit_freq_bound(base, bnd, 0.015 / 145, rho_floor=1e-12))
+        cfg = sg.build_config(co, 0.72, force=True)
+        pc = sg.assemble_perturbation(co, cfg)
+    return cfg, pc
+
+
+def test_steered_fixture_steers(steered_surgery):
+    cfg, pc = steered_surgery
+    assert cfg.N == 144 and pc.region_lo.size == 46_801
+    assert sum(isinstance(p.branch, Steered) for p in pc.plans.values()) == 149
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: the direct sweep (log_norms_batch's pairwise "
+                   "tree) loses the product of a surgery whose plans steer")
+def test_direct_sweep_matches_mpmath_when_plans_steer(steered_surgery):
+    """On lane x = 0.51 at n = 8192 steps, log_norms_batch is within 1 nat of
+    an 80-digit mpmath product of the same doubles.  It reads 0.5066591 n
+    against mpmath's 0.4986906 n, 65 nats off."""
+    mpmath = pytest.importorskip("mpmath")
+    _, pc = steered_surgery
+    n, x = 8192, np.array([0.51])
+    got = float(cy.log_norms_batch(pc.cocycle, x, n)[0])
+    a, b, c, d = (e[0].tolist() for e in pc.cocycle.entries_along(x, n))
+    with mpmath.workdps(80):
+        pa, pb, pc_, pd = (mpmath.mpf(v) for v in (1, 0, 0, 1))
+        for na, nb, nc, nd in zip(a, b, c, d):
+            pa, pb, pc_, pd = (na * pa + nb * pc_, na * pb + nb * pd,
+                               nc * pa + nd * pc_, nc * pb + nd * pd)
+        g = pa * pa + pb * pb + pc_ * pc_ + pd * pd
+        det = pa * pd - pb * pc_
+        ref = float(mpmath.log(mpmath.sqrt((g + mpmath.sqrt((g - 2 * det) * (g + 2 * det))) / 2)))
+    assert abs(got - ref) < 1.0
