@@ -30,11 +30,11 @@ from .sl2 import (
     Mat2,
     _HARD_DRIFT,
     _mul,
-    _rescale,
     exp_traceless_arrays,
     general_operator_norm,
     log_norm,
     log_sl2_arrays,
+    rescale,
     tree_product,
 )
 
@@ -284,7 +284,7 @@ def _lane_log_norms(co: Cocycle, lanes: np.ndarray, n: int, step_chunk: int,
         s1 = min(s0 + step_chunk, n)
         *chunk, e_chunk = _blocked_tree(
             lambda s, k: co.entries_along(lanes, k, s0 + s), s1 - s0, block)
-        *carry, e_carry = _rescale(*_mul(*chunk, *carry))
+        *carry, e_carry = rescale(*_mul(*chunk, *carry))
         exp2 += e_chunk + e_carry
     return log_norm(*carry, exp2)
 
@@ -316,7 +316,7 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     chunk holds at least two lanes, the chunk's lanes split into contiguous
     groups, one per CPU (`_parallel.ordered_map`), each running the same step
     loop.  Every operation in that loop is lane-wise (the entries, `_mul`,
-    `_rescale`, `tree_product`'s per-lane exponent sum, `log_norm`), so the
+    `rescale`, `tree_product`'s per-lane exponent sum, `log_norm`), so the
     bits do not depend on the grouping, and the groups together hold one
     block.  Narrower chunks stay serial, and the split reads the uncapped
     width so that the cap does not change which: the surgery's exponent

@@ -113,6 +113,19 @@ def _overlay_block(gen, plan: SegmentPlan) -> tuple[np.ndarray, ...]:
 # -- steering core -------------------------------------------------------------------
 
 
+def _mod_pi(x):
+    """np.mod(x, pi) bit for bit, from one fmod.
+
+    np.mod is fmod, plus pi after a negative remainder, and +0.0 for a zero
+    one.  Adding (r < 0) pi does both: r + pi where r < 0, and r + 0.0
+    elsewhere, which turns -0.0 into +0.0 and leaves every other r (a nan
+    too) as it is.  It skips the quotient that np.mod also computes.
+    """
+    r = np.fmod(x, math.pi)
+    r += (r < 0) * math.pi
+    return r
+
+
 def _steer_batch(ents, vx, vy, wx, wy, eps: float):
     """Steer v to w in exactly m steps over the generator entry arrays
     ents = (a, b, c, d), each (A, m): step j of anchor i is ents[.][i, j].
@@ -168,7 +181,7 @@ def _steer_batch(ents, vx, vy, wx, wy, eps: float):
         correct = (~done) & safe & (unrm < cap_scale)
         # greedy rotation fallback
         psi = np.arctan2(mdy, mdx)
-        delta = np.mod(np.arctan2(t2, t1) - psi, math.pi)
+        delta = _mod_pi(np.arctan2(t2, t1) - psi)
         delta = np.where(delta > math.pi / 2, delta - math.pi, delta)
         phi = np.clip(delta, -cap, cap)
         phi = np.where(done | correct, 0.0, phi)
@@ -228,15 +241,23 @@ def _balance(ents, C: float):
     log Delta_j = log ||A_j(x)|| - log ||A_{N-j}(f^j x)|| for j = 0..N, and the
     least balanced index j0, |log Delta_j0| < log C (-1 where there is none).
 
-    Two running sl2.scan_lanes scans.  The suffix S_j = A_{N-1} ... A_j grows
+    One running sl2.scan_lanes scan over 2L lanes: the first L are the
+    prefixes, the last L the suffixes S_j = A_{N-1} ... A_j.  A suffix grows
     by right multiplication, so it is scanned as its transpose A_j^T ...
     A_{N-1}^T (same norm) over the reversed, transposed steps.
     """
-    ea, eb, ec, ed = ents
-    _, pre = scan_lanes(ea, eb, ec, ed, running=True)
-    _, suf = scan_lanes(ea[:, ::-1], ec[:, ::-1], eb[:, ::-1], ed[:, ::-1], running=True)
+    L, N = ents[0].shape
+    transposed = (ents[0], ents[2], ents[1], ents[3])
+
+    def fetch(s, k):
+        return [np.concatenate((e[:, s:s + k], t[:, N - s - k:N - s][:, ::-1]))
+                for e, t in zip(ents, transposed)]
+
+    _, logs = scan_lanes(fetch, 2 * L, N, running=True)
+    pre, suf = logs[:L], logs[L:]
     log_d = pre - suf[:, ::-1]
-    inside = np.abs(log_d) < math.log(C)
+    log_c = math.log(C)
+    inside = (log_d > -log_c) & (log_d < log_c)  # |log_d| < log C, without an |.| array
     return pre, log_d, np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
 
 
@@ -451,14 +472,18 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m) -> list[SegmentPlan]:
     # steering blocks and the certification
     pos = co.base.orbit_floats(anchors, N)
     ents = tuple(np.asarray(e, dtype=float) for e in co.generator.entries(pos))
+    # only the full product's log is read from the profile, so the
+    # whole-chunk profile arrays are dropped before the window lookup
     pre, _, j0 = _balance(ents, perturbation_constant(co, eps))
+    full_log = pre[:, N].copy()
+    del pre, _
     if (j0 < 0).any():
         bad = int(np.argmax(j0 < 0))
         raise NoBalancedIndex(f"anchor {anchors[bad]}: no balanced index (C too small?)")
 
     # j1: the first step in [j0, j0 + m1] that lands in W; nothing to prove
     # where the unperturbed product already meets the bound
-    trivially_small = pre[:, N] < 0.999 * eps * N
+    trivially_small = full_log < 0.999 * eps * N
     steps = np.arange(N)[None, :]
     hit = locate(*W.float_breaks(), pos)[1] & ~trivially_small[:, None] \
         & (steps >= j0[:, None]) & (steps <= (j0 + m1)[:, None])
@@ -522,19 +547,20 @@ def _plan_chunk(co, points, anchors, eps, N, W, m1, m) -> list[SegmentPlan]:
 def _masked_products(ents, N, j1, m, lanes):
     """Mantissa entries of X (prefix to j1) and Z (suffix from j1+m) per lane.
 
-    One sl2.scan_lanes scan each over the chunk's entry arrays, with the steps
-    outside the range set to the identity.
+    One sl2.scan_lanes scan each over the given lanes of the chunk's entry
+    arrays, with the steps outside the range set to the identity group by
+    group as the scan fetches them.
     """
-    ents = [e[lanes] for e in ents]
     j1s = j1[lanes][:, None]
 
     def scan(lo, hi, active):
         # identity steps leave a product bitwise unchanged, so columns that
         # are inactive in every lane are dropped
-        steps = np.arange(lo, hi)[None, :]
-        masked = (np.where(active(steps), e[:, lo:hi], one)
-                  for e, one in zip(ents, (1.0, 0.0, 0.0, 1.0)))
-        return scan_lanes(*masked)[0][:4]
+        def fetch(s, k):
+            on = active(np.arange(lo + s, lo + s + k))
+            return [np.where(on, e[lanes, lo + s:lo + s + k], one)
+                    for e, one in zip(ents, (1.0, 0.0, 0.0, 1.0))]
+        return scan_lanes(fetch, lanes.size, hi - lo)[0][:4]
 
     X = scan(0, int(j1s.max()), lambda j: j < j1s)
     Z = scan(int(j1s.min()) + m, N, lambda j: j >= j1s + m)
@@ -543,18 +569,27 @@ def _masked_products(ents, N, j1, m, lanes):
 
 def _certify_chunk(ents, j1, m, early, blocks):
     """Recompute max_j ||L_j - A(f^j x)|| and log ||L_{N-1}...L_0|| per lane
-    from the chunk's generator entries, which are left unchanged."""
-    max_dist = np.zeros(early.size)
+    from the chunk's generator entries, which are left unchanged: the scan
+    copies each group of steps that holds steered slots and overlays them."""
+    L, N = ents[0].shape
+    max_dist = np.zeros(L)
     lanes = np.flatnonzero(~early)
-    if lanes.size:
-        ents = [e.copy() for e in ents]  # the steered slots are overwritten
-        mats = np.array([[M.entries() for M in blocks[lane].matrices] for lane in lanes])
-        rows, cols = lanes[:, None], j1[lanes][:, None] + np.arange(m)[None, :]
-        diffs = (mats[:, :, k] - e[rows, cols] for k, e in enumerate(ents))
-        max_dist[lanes] = general_operator_norm(*diffs).max(axis=1)
-        for k, e in enumerate(ents):
-            e[rows, cols] = mats[:, :, k]
-    return log_norm(*scan_lanes(*ents)[0]), max_dist
+    mats = np.array([[M.entries() for M in blocks[lane].matrices] for lane in lanes])
+    mats = mats.reshape(lanes.size, m, 4)
+    rows, cols = np.broadcast_arrays(lanes[:, None], j1[lanes][:, None] + np.arange(m))
+    diffs = (mats[:, :, k] - e[rows, cols] for k, e in enumerate(ents))
+    max_dist[lanes] = general_operator_norm(*diffs).max(axis=1)
+
+    def fetch(s, k):
+        group = [e[:, s:s + k] for e in ents]
+        at = (cols >= s) & (cols < s + k)
+        if at.any():
+            group = [np.array(g) for g in group]
+            for g, v in zip(group, mats[at].T):
+                g[rows[at], cols[at] - s] = v
+        return group
+
+    return log_norm(*scan_lanes(fetch, L, N)[0]), max_dist
 
 
 @dataclass

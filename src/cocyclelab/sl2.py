@@ -317,7 +317,7 @@ def _mul(a1, b1, c1, d1, a0, b0, c0, d0, out=None):
     return tuple(res)
 
 
-def _rescale(a, b, c, d):
+def rescale(a, b, c, d):
     """Entry arrays times 2^-e with the largest |entry| in [0.5, 1), and e."""
     _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
                                np.maximum(np.abs(c), np.abs(d))))
@@ -325,7 +325,7 @@ def _rescale(a, b, c, d):
 
 
 def _rescale_into(m, tmp, ex):
-    """`_rescale` of the four entry arrays m in place, through a float
+    """`rescale` of the four entry arrays m in place, through a float
     temporary and an int exponent array of their shape; returns the exponent
     sums along the last axis."""
     a, b, c, d = m
@@ -361,7 +361,7 @@ def scan_product(a, b, c, d):
     Pure-Python floats, one step at a time.  Returns (pa, pb, pc, pd, E): the
     product is 2^E times the mantissa matrix.  Bitwise equal to the unscaled
     product times 2^-E while that does not overflow, and to scan_lanes.  The
-    step is `_mul`'s expressions and the rescale `_rescale`'s, written out
+    step is `_mul`'s expressions and the rescale `rescale`'s, written out
     inline: a function call per step costs about a fifth of the loop.
     """
     a, b, c, d = (np.asarray(v, dtype=float).tolist() for v in (a, b, c, d))
@@ -378,25 +378,54 @@ def scan_product(a, b, c, d):
     return pa, pb, pc, pd, e
 
 
-def scan_lanes(a, b, c, d, running: bool = False):
-    """scan_product for every row of (L, n) entry arrays, vectorized over rows.
+def scan_lanes(fetch, lanes: int, n: int, running: bool = False):
+    """scan_product for each of `lanes` rows of n steps, vectorized over rows.
 
-    Returns ((pa, pb, pc, pd, E), logs): per-row mantissas and exponents, and
-    with `running` the (L, n+1) array of log ||M_{j-1} ... M_0||, j = 0..n
-    (None otherwise).  Row i is bitwise equal to scan_product of row i.
+    fetch(start, count) returns the entries (a, b, c, d) of steps start ..
+    start + count - 1 as four (lanes, count) arrays, zero strides allowed.
+    It is called once per group of _STRIDE steps, in order, so a caller can
+    mask, overlay or gather each group without materialising all n steps.
+    Returns ((pa, pb, pc, pd, E), logs): per-row mantissas and exponents,
+    and with `running` the (lanes, n+1) array of log ||M_{j-1} ... M_0||,
+    j = 0..n (None otherwise).  Row i is bitwise equal to scan_product of
+    row i.
+
+    A group is one (g, 2, 2, lanes) block of steps, each step's 2x2 lane
+    matrices contiguous.  A step is three ufunc calls over the (2, 2, lanes)
+    product P: M[:, :1] P[:1], M[:, 1:] P[1:] and their sum, which are
+    `_mul`'s products and sums in `_mul`'s order.  Step j writes its product
+    into slot j of a second block and reads its P from slot j - 1, the last
+    slot standing for the product before the group, so the views of every
+    step are made once.  A running scan then takes one `log_norm` pass per
+    group over the kept products, before the group's rescale: one max of
+    |P| over the 2x2 axes, one frexp and one ldexp, as in `rescale`.
     """
-    L, n = a.shape
-    pa, pb, pc, pd = np.ones(L), np.zeros(L), np.zeros(L), np.ones(L)
-    e = np.zeros(L, dtype=np.int64)
-    logs = np.zeros((L, n + 1)) if running else None
+    block = np.empty((_STRIDE, 2, 2, lanes))
+    kept = np.zeros((_STRIDE, 2, 2, lanes))
+    kept[-1, 0, 0] = kept[-1, 1, 1] = 1.0  # the product before the first group
+    t0, t1 = np.empty((2, 2, lanes)), np.empty((2, 2, lanes))
+    steps = [(m[:, :1], m[:, 1:], kept[j - 1][:1], kept[j - 1][1:], kept[j])
+             for j, m in enumerate(block)]
+    slots = (block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1])
+    e = np.zeros(lanes, dtype=np.int64)
+    logs = np.zeros((lanes, n + 1)) if running else None
+    p = kept[-1]
     for s in range(0, n, _STRIDE):
-        for j in range(s, min(s + _STRIDE, n)):
-            pa, pb, pc, pd = _mul(a[:, j], b[:, j], c[:, j], d[:, j], pa, pb, pc, pd)
-            if running:
-                logs[:, j + 1] = log_norm(pa, pb, pc, pd, e)
-        pa, pb, pc, pd, k = _rescale(pa, pb, pc, pd)
+        g = min(_STRIDE, n - s)  # only the last group can be short
+        for slot, v in zip(slots, fetch(s, g)):
+            slot[:g] = np.transpose(v)
+        for m0, m1, p0, p1, out in steps[:g]:
+            np.multiply(m0, p0, out=t0)
+            np.multiply(m1, p1, out=t1)
+            np.add(t0, t1, out=out)
+        if running:
+            q = kept[:g]
+            logs[:, s + 1:s + g + 1] = log_norm(q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1], e).T
+        p = kept[g - 1]
+        _, k = np.frexp(np.abs(p).max(axis=(0, 1)))
+        np.ldexp(p, -k, out=p)
         e += k
-    return (pa, pb, pc, pd, e), logs
+    return (*(v.copy() for v in (p[0, 0], p[0, 1], p[1, 0], p[1, 1])), e), logs
 
 
 def _level_sets(lanes: int, n: int):

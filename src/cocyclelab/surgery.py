@@ -343,19 +343,34 @@ class PerturbedCocycle(Generator):
     # -- certificates ------------------------------------------------------------
 
     def certify_distance(self) -> float:
-        """Measured sup ||A~ - A|| over the grid plus region-edge probes."""
+        """Measured sup ||A~ - A|| over the grid plus region-edge probes.
+
+        The probes are the grid and, per offset, the region lows and highs
+        moved into the regions.  Each of these nine arrays goes through in
+        slices of `_SLICE` points, the blended map and the generator one
+        slice at a time, with a running max: a max is exact, so the slicing
+        moves no bit, while the transients stay a slice's size.  On the
+        coupling-4, eps=0.72, N=288 table (318,101 regions) one call over all
+        probes raised the process's peak RSS from 97 to 528 MiB (2-vCPU VM).
+        """
         cfg = self.cfg
-        xs = [self.original.base.grid_floats()]
         w = self.blend_width
-        for off in (0.25 * w, 0.5 * w, 0.999 * w, 1.5 * w):
-            xs.append(np.mod(self.region_lo + off, 1.0))
-            xs.append(np.mod(self.region_hi - off, 1.0))
-        probe = np.unique(np.concatenate(xs))
-        pa, pb, pc, pd = self.entries(probe)
-        ga, gb, gc, gd = (np.asarray(e, dtype=float)
-                          for e in self.original.generator.entries(probe))
-        dist = general_operator_norm(pa - ga, pb - gb, pc - gc, pd - gd)
-        self.sup_distance = float(dist.max())
+
+        def probes():
+            yield self.original.base.grid_floats()
+            for off in (0.25 * w, 0.5 * w, 0.999 * w, 1.5 * w):
+                yield np.mod(self.region_lo + off, 1.0)
+                yield np.mod(self.region_hi - off, 1.0)
+
+        maxima = []
+        for xs in probes():
+            for s in range(0, xs.size, _SLICE):
+                part = xs[s:s + _SLICE]
+                pa, pb, pc, pd = self.entries(part)
+                ga, gb, gc, gd = (np.asarray(e, dtype=float)
+                                  for e in self.original.generator.entries(part))
+                maxima.append(general_operator_norm(pa - ga, pb - gb, pc - gc, pd - gd).max())
+        self.sup_distance = float(np.max(maxima))
         bound = math.exp(cfg.c) * (math.exp(cfg.c) + 1.0) * cfg.eps
         if self.sup_distance >= bound:
             raise BlendBoundViolated(

@@ -1,12 +1,21 @@
-"""The tests' oracles for first returns and covering times of a rotation:
-exact marching and an exact covering sweep, both independent of the
-three-distance closed form that `basedyn.first_return` uses."""
+"""The tests' oracles.
+
+For first returns and covering times of a rotation: exact marching and an
+exact covering sweep, both independent of the three-distance closed form
+that `basedyn.first_return` uses.  For the planner: the whole-copy versions
+of `perturb._masked_products` and `perturb._certify_chunk`, which mask or
+overlay full (L, N) copies of the entry arrays before one scan.  For the
+surgery: `certify_distance` as one generator call over every probe.
+"""
 
 from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 from cocyclelab import basedyn as bd
 from cocyclelab.errors import HorizonExceeded
 from cocyclelab.exact import mod1
+from cocyclelab.sl2 import general_operator_norm, log_norm, scan_lanes
 
 
 def first_return_marching(rot: bd.CircleRotation, U: bd.Cell,
@@ -71,3 +80,58 @@ def exact_covering_time(rot: bd.CircleRotation, W: bd.Cell, horizon: int = 10**5
         if len(los) == 1 and los[0] <= 0 and his[0] >= 1:
             return j
     raise HorizonExceeded("exact covering sweep exhausted")
+
+
+def scan_whole(a, b, c, d):
+    """sl2.scan_lanes of (L, n) entry arrays held whole."""
+    return scan_lanes(lambda s, k: [v[:, s:s + k] for v in (a, b, c, d)], *a.shape)[0]
+
+
+def masked_products_whole(ents, N, j1, m, lanes):
+    """`perturb._masked_products` over masked (lanes, steps) copies."""
+    ents = [e[lanes] for e in ents]
+    j1s = j1[lanes][:, None]
+
+    def scan(lo, hi, active):
+        steps = np.arange(lo, hi)[None, :]
+        return scan_whole(*(np.where(active(steps), e[:, lo:hi], one)
+                            for e, one in zip(ents, (1.0, 0.0, 0.0, 1.0))))[:4]
+
+    return scan(0, int(j1s.max()), lambda j: j < j1s), \
+        scan(int(j1s.min()) + m, N, lambda j: j >= j1s + m)
+
+
+def certify_chunk_whole(ents, j1, m, early, blocks):
+    """`perturb._certify_chunk` over a whole copy of the entries with the
+    steered blocks written in."""
+    max_dist = np.zeros(early.size)
+    lanes = np.flatnonzero(~early)
+    ents = [np.array(e) for e in ents]
+    if lanes.size:
+        mats = np.array([[M.entries() for M in blocks[lane].matrices] for lane in lanes])
+        rows, cols = lanes[:, None], j1[lanes][:, None] + np.arange(m)[None, :]
+        diffs = (mats[:, :, k] - e[rows, cols] for k, e in enumerate(ents))
+        max_dist[lanes] = general_operator_norm(*diffs).max(axis=1)
+        for k, e in enumerate(ents):
+            e[rows, cols] = mats[:, :, k]
+    return log_norm(*scan_whole(*ents)), max_dist
+
+
+def distance_probes(pc) -> np.ndarray:
+    """The sorted distinct probes of a PerturbedCocycle's sup distance: the
+    grid and the region edges moved in by four offsets."""
+    w = pc.blend_width
+    xs = [pc.original.base.grid_floats()]
+    for off in (0.25 * w, 0.5 * w, 0.999 * w, 1.5 * w):
+        xs.append(np.mod(pc.region_lo + off, 1.0))
+        xs.append(np.mod(pc.region_hi - off, 1.0))
+    return np.unique(np.concatenate(xs))
+
+
+def certify_distance_one_shot(pc) -> float:
+    """sup ||A~ - A|| over `distance_probes`, in one call each of the blended
+    map and the generator."""
+    probe = distance_probes(pc)
+    pa, pb, pc_, pd = pc.entries(probe)
+    ga, gb, gc, gd = (np.asarray(e, dtype=float) for e in pc.original.generator.entries(probe))
+    return float(general_operator_norm(pa - ga, pb - gb, pc_ - gc, pd - gd).max())

@@ -1,12 +1,13 @@
 import itertools
 import math
 import threading
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import _parallel
@@ -15,8 +16,9 @@ from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
 from cocyclelab.errors import BudgetExhausted, CocycleLabError, NoBalancedIndex, SearchFailed
 from cocyclelab.exact import QuadExt, min_orbit_gap
-from cocyclelab.sl2 import Mat2, general_operator_norm, log_norm, scan_product
+from cocyclelab.sl2 import Mat2, general_operator_norm, log_norm, rotation, scan_product
 from disjoint import first_overlap
+from oracles import certify_chunk_whole, masked_products_whole
 
 
 def golden(grid=1024):
@@ -230,6 +232,28 @@ def _block_array(blocks):
     return np.array(blocks).reshape(m, 4, -1).transpose(2, 0, 1)
 
 
+_EDGES = [0.0, -0.0, math.pi, -math.pi, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+          2.2250738585072014e-308, -2.2250738585072014e-308, math.nextafter(math.pi, 0.0),
+          -math.nextafter(math.pi, 0.0), 2 * math.pi, -2 * math.pi, 1.7976931348623157e308]
+
+
+class TestModPi:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(edges=st.lists(st.sampled_from(_EDGES), max_size=8),
+           floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(edges=_EDGES, floats=[], seed=0)
+    def test_equals_np_mod(self, edges, floats, seed):
+        """pb._mod_pi is np.mod(x, pi) bit for bit: signed zeros, +-pi,
+        infinities, nan, subnormals, and normals at eight scales."""
+        normals = np.random.default_rng(seed).standard_normal((8, 128))
+        scales = np.array([1e-300, 1e-20, 1e-5, 1.0, 10.0, 1e5, 1e20, 1e300])[:, None]
+        x = np.concatenate([np.array(edges + floats, dtype=float), (normals * scales).ravel()])
+        with np.errstate(invalid="ignore"):
+            got, want = pb._mod_pi(x), np.mod(x, math.pi)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSteerKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_STEER_GENERATORS)), st.integers(1, 16),
@@ -288,6 +312,48 @@ class TestSteerKernel:
             np.array([w[0] / nw]), np.array([w[1] / nw]), eps, blk.length)
         assert blk.achieved_error == float(err[0])
         assert [M.entries() for M in blk.matrices] == [tuple(r) for r in ref[0].tolist()]
+
+
+def random_block(rng, m):
+    """m random SL(2,R) matrices R(t) diag(s, 1/s)."""
+    return [rotation(t) @ Mat2(s, 0.0, 0.0, 1.0 / s)
+            for t, s in zip(rng.uniform(0, 2 * math.pi, m), rng.uniform(0.5, 2.0, m))]
+
+
+class TestChunkScans:
+    """The planner's scans mask and overlay the entries group by group as
+    sl2.scan_lanes fetches them; they equal the whole-copy versions bit for
+    bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(["schrodinger", "twisted-table"]), lanes=st.integers(1, 6),
+           N=st.integers(1, 70), m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    @example(name="schrodinger", lanes=4, N=48, m=12, seed=1)
+    @example(name="twisted-table", lanes=5, N=33, m=17, seed=2)
+    @example(name="schrodinger", lanes=1, N=16, m=16, seed=3)  # one block fills the scan
+    def test_equal_whole_copy(self, name, lanes, N, m, seed):
+        m = min(m, N)
+        rng = np.random.default_rng(seed)
+        co = cy.Cocycle(golden(), _STEER_GENERATORS[name])
+        ents = co.entries_along(rng.uniform(0, 1, lanes), N)
+        # blocks start anywhere, so they straddle groups of 16 steps, start at
+        # step 0 and end on step N
+        j1 = rng.integers(0, N - m + 1, lanes)
+        early = rng.random(lanes) < 0.3
+        j1[early] = -1
+        steered = np.flatnonzero(~early)
+        before = [np.array(e) for e in ents]
+        blocks = {lane: pb.SteeringBlock(length=m, matrices=random_block(rng, m), budget=0.1,
+                                         achieved_error=0.0) for lane in steered}
+        if steered.size:
+            got = pb._masked_products(ents, N, j1, m, steered)
+            want = masked_products_whole(ents, N, j1, m, steered)
+            for g, w in zip(got, want):
+                assert [v.tobytes() for v in g] == [v.tobytes() for v in w]
+        got = pb._certify_chunk(ents, j1, m, early, blocks)
+        want = certify_chunk_whole(ents, j1, m, early, blocks)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert all(np.array_equal(e, b) for e, b in zip(ents, before))  # left unchanged
 
 
 class TestBalanceProfile:
@@ -629,6 +695,25 @@ class TestPlans:
         assert {type(p.branch) for p in plans} == {pb.EarlyExit, pb.Steered}
         # the one sup-norm sweep over the grid, then N positions per anchor
         assert gen.positions == co.base.grid_size + len(pts) * 100
+
+    def test_chunk_peak_allocation(self):
+        """One 256-lane, N = 800 chunk of plan_segments allocates at most seven
+        (256, 800) float arrays at its peak: the orbit, the generator's one
+        full entry array, the balance profile's 2L running logs and its log
+        Delta.  Masked or overlaid whole-chunk copies of the entries do not
+        fit: the planner that made them peaked at 9.9 such arrays."""
+        co = weak_schrodinger()
+        W = bd.Cell.from_union([(0.36, 0.41)])
+        pts = [co.base.point(float(u)) for u in np.random.default_rng(5).uniform(0, 1, 256)]
+        pb.plan_segments(co, pts[:2], 0.18, 800, W, 33, 12)  # sup norm and imports first
+        tracemalloc.start()
+        try:
+            plans = pb.plan_segments(co, pts, 0.18, 800, W, 33, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(isinstance(p.branch, pb.Steered) for p in plans) > 200
+        assert peak < 7 * 256 * 800 * 8
 
     def test_blocks_steered_from_the_plan_slots(self, monkeypatch):
         """Each steered plan's block is steered from the generator entries at

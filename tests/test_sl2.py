@@ -19,7 +19,6 @@ from cocyclelab.sl2 import (
     Mat2,
     TangentVec,
     _mul,
-    _rescale,
     compose,
     exp_map,
     exp_traceless_arrays,
@@ -28,6 +27,7 @@ from cocyclelab.sl2 import (
     log_norm,
     log_sl2_arrays,
     operator_norm,
+    rescale,
     rotation,
     scan_lanes,
     scan_product,
@@ -61,7 +61,7 @@ def reference_tree_product(a, b, c, d):
         if a.shape[1] % 2 == 1:
             a, b, c, d = (np.concatenate([v, np.full((v.shape[0], 1), one)], axis=1)
                           for v, one in zip((a, b, c, d), (1.0, 0.0, 0.0, 1.0)))
-        a, b, c, d, k = _rescale(*_mul(a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2],
+        a, b, c, d, k = rescale(*_mul(a[:, 1::2], b[:, 1::2], c[:, 1::2], d[:, 1::2],
                                        a[:, 0::2], b[:, 0::2], c[:, 0::2], d[:, 0::2]))
         e += k.sum(axis=1)
     return a[:, 0], b[:, 0], c[:, 0], d[:, 0], e
@@ -407,20 +407,72 @@ class TestProductKernel:
         assert tuple(math.ldexp(v, e) for v in mant) == cy.iterate(co, x, n).entries()
         assert 0.5 <= max(abs(v) for v in mant) < 1.0
 
-    @KERNEL
-    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 6), n=st.integers(0, 70),
-           t_max=st.floats(0.0, 20.0))
-    def test_lane_scan_equals_scalar_scan(self, seed, lanes, n, t_max):
-        # step norms up to e^20 < 2^29: 16 steps between rescales stay below 2^500
-        rng = np.random.default_rng(seed)
-        ents = [v.reshape(lanes, n) for v in random_sl2(rng, lanes * n, t_max)]
-        (*mant, e), logs = scan_lanes(*ents, running=True)
+    @staticmethod
+    def assert_rows_equal_scalar_scans(ents, running):
+        """scan_lanes over the (L, n) arrays ents, fetched by slices, equals
+        scan_product row by row, and every running log equals log_norm of
+        the scan of its prefix."""
+        lanes, n = ents[0].shape
+        (*mant, e), logs = scan_lanes(lambda s, k: [v[:, s:s + k] for v in ents], lanes, n,
+                                      running=running)
         for i in range(lanes):
             want = scan_product(*(v[i] for v in ents))
             assert tuple(float(v[i]) for v in mant) + (int(e[i]),) == want
-            assert logs[i, n] == log_norm(*want)
+            if not running:
+                assert logs is None
+                continue
+            assert logs.shape == (lanes, n + 1)
             for j in range(n + 1):  # every running value is a scan of its prefix
                 assert logs[i, j] == log_norm(*scan_product(*(v[i, :j] for v in ents)))
+
+    @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 6), n=st.integers(0, 70),
+           t_max=st.floats(0.0, 20.0), running=st.booleans())
+    # no step, one step, a group less one, one group, one step past it, two groups and one
+    @example(seed=1, lanes=3, n=0, t_max=3.0, running=True)
+    @example(seed=2, lanes=3, n=1, t_max=3.0, running=True)
+    @example(seed=3, lanes=3, n=15, t_max=11.0, running=True)
+    @example(seed=4, lanes=3, n=16, t_max=11.0, running=True)
+    @example(seed=5, lanes=3, n=17, t_max=11.0, running=True)
+    @example(seed=6, lanes=3, n=33, t_max=11.0, running=True)
+    @example(seed=7, lanes=3, n=33, t_max=20.0, running=False)
+    def test_lane_scan_equals_scalar_scan(self, seed, lanes, n, t_max, running):
+        # step norms up to e^20 < 2^29: 16 steps between rescales stay below 2^500
+        rng = np.random.default_rng(seed)
+        ents = [v.reshape(lanes, n) for v in random_sl2(rng, lanes * n, t_max)]
+        self.assert_rows_equal_scalar_scans(ents, running)
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+    def test_lane_scan_of_zero_stride_entries(self, n):
+        """Schrodinger entries: b, c, d are broadcast constants with zero
+        strides, as the generator returns them."""
+        co = cy.Cocycle(bd.CircleRotation.golden(grid_size=64), cy.SchrodingerGenerator(0.3, 1.7))
+        ents = co.entries_along(np.array([0.0, 0.137, 0.5, 0.91]), n)
+        assert all(v.strides == (0, 0) for v in ents[1:])
+        self.assert_rows_equal_scalar_scans(ents, running=True)
+
+    def test_lane_scan_fetches_each_group_once(self):
+        """fetch sees the groups of _STRIDE steps in order, the last one short."""
+        calls = []
+        ents = [v.reshape(2, 40) for v in random_sl2(np.random.default_rng(9), 80)]
+
+        def fetch(s, k):
+            calls.append((s, k))
+            return [v[:, s:s + k] for v in ents]
+
+        scan_lanes(fetch, 2, 40, running=True)
+        assert calls == [(0, 16), (16, 16), (32, 8)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="FOUND: log_norm squares g, so it overflows once an entry passes "
+                       "about 2^255, inside the 2^500 that _STRIDE allows between rescales")
+    def test_running_log_of_a_fast_group(self):
+        """16 steps of diag(2^20, 2^-20): the running log at step j is 20 j log 2,
+        and step 13's product, 2^260, is still far inside _STRIDE's bound."""
+        ents = [np.full((1, 16), v) for v in (2.0**20, 0.0, 0.0, 2.0**-20)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, logs = scan_lanes(lambda s, k: [v[:, s:s + k] for v in ents], 1, 16, running=True)
+        assert np.allclose(logs[0], 20 * np.arange(17) * math.log(2.0), rtol=1e-12)
 
     @KERNEL
     @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4), n=st.integers(1, 3000),

@@ -17,6 +17,7 @@ from cocyclelab.perturb import EarlyExit, Steered, plan_entries, plan_segments
 from cocyclelab.sl2 import (Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_norm,
                              log_sl2_arrays, scan_product)
 from disjoint import first_overlap
+from oracles import certify_distance_one_shot, distance_probes
 
 
 def golden(grid=1024):
@@ -429,6 +430,33 @@ class TestPipeline:
         fb = cfg.freq
         assert (fb.rho, fb.n0, fb.sup_frequency.hex(), len(fb.V.intervals)) == (
             2.0**-19, 245760, "0x1.6cccccccccccdp-8", 605)
+
+    def test_certify_distance_streams_slices(self, bench_pipeline, monkeypatch):
+        """certify_distance evaluates the generator on at most `_SLICE` points a
+        call, visits every probe, and its sup equals the one-shot oracle's bit
+        for bit.  The slice is cut to 1000 points, below the bench input's
+        8R + G probes."""
+        co, cfg, pc, cert = bench_pipeline
+        assert 8 * pc.region_lo.size + co.base.grid_size > 1000
+        monkeypatch.setattr(sg, "_SLICE", 1000)
+        want = certify_distance_one_shot(pc)
+        sizes, probed = [], []
+        generator_entries, blended_entries = pc.original.generator.entries, pc.entries
+
+        def generator(xs):
+            sizes.append(np.size(xs))
+            return generator_entries(xs)
+
+        def blended(xs):
+            probed.append(np.array(xs))
+            return blended_entries(xs)
+
+        monkeypatch.setattr(pc.original.generator, "entries", generator)
+        monkeypatch.setattr(pc, "entries", blended)
+        sup = pc.certify_distance()
+        assert 0 < max(sizes) <= 1000
+        assert np.array_equal(np.unique(np.concatenate(probed)), distance_probes(pc))
+        assert sup == pc.sup_distance and sup.hex() == want.hex()
 
     def test_bench_cover_edges_avoid_base_endpoints(self, bench_pipeline):
         """The cover cells tile [0, 1) at edges i/k, and no edge with
