@@ -238,26 +238,75 @@ def singular_axes_arrays(a, b, c, d):
 # -- vectorized tangent chart (hot paths: blending, table interpolation) --------
 
 
+def _by_branch(x, branches):
+    """The outputs of the branch functions over x, each element's from the
+    branch whose mask holds it; branches are (mask, fn, point), the masks
+    disjoint and covering x.
+
+    The branch holding the most elements runs on the whole array, with no
+    boolean gather or scatter, after the elements of the others are set to
+    `point`, a value in its own domain; each other branch with elements runs
+    on those alone and overwrites them.  Every element's value is its own
+    branch's elementwise expression, as with every branch on its own
+    elements.
+    """
+    counts = [np.count_nonzero(mask) for mask, _, _ in branches]
+    main = counts.index(max(counts))
+    mask, fn, point = branches[main]
+    outs = fn(x if counts[main] == x.size else np.where(mask, x, point))
+    for i, (mask, fn, _) in enumerate(branches):
+        if i != main and counts[i]:
+            for o, v in zip(outs, fn(x[mask])):
+                o[mask] = v
+    return outs
+
+
+def _exp_series(q):
+    return 1.0 + q / 2.0 + q * q / 24.0, 1.0 + q / 6.0 + q * q / 120.0
+
+
+def _exp_hyperbolic(q):
+    r = np.sqrt(q)
+    return np.cosh(r), np.sinh(r) / r
+
+
+def _exp_elliptic(q):
+    r = np.sqrt(-q)
+    return np.cos(r), np.sin(r) / r
+
+
 def exp_traceless_arrays(t1, t2, t3):
     """exp_map on arrays of tangent coordinates; returns entry arrays a, b, c, d.
 
     Each element takes one branch of q = t1^2 + t2 t3: the series where
     |q| < 1e-8, cosh and sinh where q > 0, cos and sin where q < 0, and each
-    transcendental is evaluated only on its own branch's elements.
+    transcendental is evaluated only on its own branch's elements
+    (`_by_branch`; a twisted table's steps are elliptic but where |q| < 1e-8,
+    next to its nodes).
     """
     t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
     q = np.asarray(t1 * t1 + t2 * t3)
-    alpha, beta = np.empty_like(q), np.empty_like(q)
     small = np.abs(q) < 1e-8
     hyp = ~small & (q > 0)
     ell = ~(small | hyp)
-    qs = q[small]
-    alpha[small], beta[small] = 1.0 + qs / 2.0 + qs * qs / 24.0, 1.0 + qs / 6.0 + qs * qs / 120.0
-    r = np.sqrt(q[hyp])
-    alpha[hyp], beta[hyp] = np.cosh(r), np.sinh(r) / r
-    r = np.sqrt(-q[ell])
-    alpha[ell], beta[ell] = np.cos(r), np.sin(r) / r
+    alpha, beta = _by_branch(q, ((ell, _exp_elliptic, -1.0), (hyp, _exp_hyperbolic, 1.0),
+                                 (small, _exp_series, 0.0)))
     return alpha + beta * t1, beta * t2, beta * t3, alpha - beta * t1
+
+
+def _log_series(t):
+    e = t - 1.0
+    return (1.0 - e / 3.0 + 2.0 * e * e / 15.0,)
+
+
+def _log_hyperbolic(t):
+    u = np.sqrt(np.maximum(t * t - 1.0, 1e-300))
+    return (np.arcsinh(u) / u,)
+
+
+def _log_elliptic(t):
+    u = np.sqrt(np.maximum(1.0 - t * t, 1e-300))
+    return (np.arccos(np.clip(t, -1.0, 1.0)) / u,)
 
 
 def log_sl2_arrays(a, b, c, d):
@@ -265,7 +314,8 @@ def log_sl2_arrays(a, b, c, d):
 
     Each element takes one branch of t = trace/2: the series where
     |t - 1| < 1e-6, arcsinh where t > 1, arccos otherwise, and each
-    transcendental is evaluated only on its own branch's elements.
+    transcendental is evaluated only on its own branch's elements
+    (`_by_branch`).
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -273,17 +323,11 @@ def log_sl2_arrays(a, b, c, d):
     if np.any(t <= _TRACE_FLOOR / 2.0):  # t <= -1 + 5e-7
         bad = float(np.min(t))
         raise LogDomain(f"trace/2 = {bad} <= -1 + 5e-7 in array log")
-    e = t - 1.0
-    kappa = np.empty_like(t)
-    small = np.abs(e) < 1e-6
+    small = np.abs(t - 1.0) < 1e-6
     hyp = ~small & (t > 1.0)
     ell = ~(small | hyp)
-    es, th, te = e[small], t[hyp], t[ell]
-    kappa[small] = 1.0 - es / 3.0 + 2.0 * es * es / 15.0
-    u = np.sqrt(np.maximum(th * th - 1.0, 1e-300))
-    kappa[hyp] = np.arcsinh(u) / u
-    u = np.sqrt(np.maximum(1.0 - te * te, 1e-300))
-    kappa[ell] = np.arccos(np.clip(te, -1.0, 1.0)) / u
+    (kappa,) = _by_branch(t, ((ell, _log_elliptic, 0.0), (hyp, _log_hyperbolic, 2.0),
+                              (small, _log_series, 1.0)))
     return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
 
 
@@ -347,12 +391,15 @@ def _rescale_into(m, tmp, ex):
 def log_norm(a, b, c, d, e):
     """log sigma1(2^e [[a, b], [c, d]]), entrywise over arrays or floats.
 
-    sigma1 scales exactly with the entries, and its power of two is split off
-    before the log, so every power-of-two scaling of the same product gives
-    the same bits while the squared entries stay finite (|entries| < 2^511).
+    sigma1 scales exactly with the entries.  The power of two of the largest
+    |entry| is split off before the squares (`rescale`), and sigma1's own
+    before the log, so the squares stay finite at any finite entries and
+    every power-of-two scaling of the same product gives the same bits.  A
+    mantissa matrix, largest |entry| in [0.5, 1), is not scaled at all.
     """
+    a, b, c, d, k0 = rescale(a, b, c, d)
     m, k = np.frexp(general_operator_norm(a, b, c, d))
-    return np.log(m) + (e + k) * LN2
+    return np.log(m) + (e + k0 + k) * LN2
 
 
 def scan_product(a, b, c, d):

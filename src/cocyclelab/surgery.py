@@ -18,6 +18,7 @@ runs entirely through exact table matrices.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -57,12 +58,14 @@ from .perturb import (
     plan_segments,
 )
 from .sl2 import (
+    _STRIDE,
     _mul,
     exp_traceless_arrays,
     general_operator_norm,
     log_norm,
     log_sl2_arrays,
     scan_product,
+    tree_product,
 )
 from .towers import Castle, FreqBound, build_castle, visit_freq_bound
 
@@ -70,6 +73,7 @@ EXPONENT_FLOOR = 1e-3
 _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 _SLICE = 1 << 15  # points per slice of PerturbedCocycle.entries (see there)
 _ESTIMATE_HORIZON = 200_000  # steps of the exponent-estimate gate
+_ENTRY_CAP = 2.0**31  # |entries| below it: no product of _STRIDE steps overflows
 
 
 # -- continuity modulus ---------------------------------------------------------------
@@ -223,6 +227,22 @@ class PerturbedCocycle(Generator):
     piece edges the tangent chart interpolates back to the unperturbed
     generator, and everywhere else the generator itself applies.  It is the
     generator of `self.cocycle`, the perturbed cocycle over the same base.
+
+    Long products along orbits (`orbit_product`, the direct sweep's blocks)
+    come from 16-step leaves.  The leaf of region r is tree_product of the
+    table matrices of the chain r, s(r), ..., s^15(r), where s(r) is the
+    region located at f of r's midpoint, a guess that crosses tower tops.  A
+    16-step node of a block takes its first point's leaf only where all 16
+    points pass `_bounds`' interior test in the predicted regions, which are
+    then the regions the locator returns: the entries there are exactly those
+    table matrices, and the leaf is the node that the block's tree computes,
+    rescaled at its level 4 as that tree is.  Every other node (collars,
+    points outside every region, a wrong guess) goes through `entries` and
+    tree levels 1-4, and levels 5 and up run through tree_product over the
+    nodes, so every node, and the block, keeps the bits of tree_product over
+    the block's entries.  The leaf table belongs to this evaluator, not to
+    the proof: `build_config`, `assemble_perturbation` and U never build it;
+    the first orbit product does, once, under a lock.
     """
 
     def __init__(self, co: Cocycle, cfg: SurgeryConfig, plans: dict):
@@ -233,6 +253,8 @@ class PerturbedCocycle(Generator):
         self._build_regions()
         self.cocycle = Cocycle(co.base, self)
         self.sup_distance = float("nan")  # set by certify_distance
+        self._leaves: Optional[_Leaves] = None  # built by the first orbit_product
+        self._leaf_lock = threading.Lock()
 
     def _build_regions(self):
         """Regions are the floors of the label columns: rows (region_lo, region_hi,
@@ -340,6 +362,95 @@ class PerturbedCocycle(Generator):
             for o, v in zip(out, _mul(*g, *exp_traceless_arrays(*(v * beta[mid] for v in xi)))):
                 o[rest[mid]] = v
 
+    # -- 16-step leaves -----------------------------------------------------------
+
+    def _successors(self) -> np.ndarray:
+        """s(r): the region located at f of region r's midpoint.  A float
+        guess that nothing trusts: `orbit_product` tests every point."""
+        mid = (self.region_lo + self.region_hi) / 2.0
+        return self._locate(self.original.base.orbit_floats(mid, 1, 1)[:, 0])
+
+    def _leaf_table(self) -> _Leaves:
+        """The leaf table, built under a lock by the first caller."""
+        with self._leaf_lock:
+            if self._leaves is None:
+                self._leaves = self._build_leaves()
+        return self._leaves
+
+    def _build_leaves(self) -> _Leaves:
+        """Per region r, tree_product of the table matrices of the chain r,
+        s(r), ..., s^15(r), built _SLICE / 16 regions at a time, so that no
+        (regions x 16) array exists; and the bounds of r's interior.
+
+        A float x passes `_bounds`' interior test for region r,
+        min(x - lo, hi - x) / blend_width >= 1, exactly when inner_lo[r] <= x
+        <= inner_hi[r]: each side of the test is monotone in x, and
+        `_least_passing` finds where it turns.  A leaf is usable when every
+        region of its chain is followed, in float order, by a region starting
+        at or after its end (hi[r] <= lo[r + 1]), so that a point inside it
+        is located there.  When a table entry reaches _ENTRY_CAP no leaf is
+        usable.
+        """
+        succ = self._successors()
+        lo, hi, w = self.region_lo, self.region_hi, self.blend_width
+        separated = np.append(hi[:-1] <= lo[1:], True)
+        bounded = all(np.abs(col).max() < _ENTRY_CAP for col in self._table)
+        size = lo.size
+        usable = np.empty(size, dtype=bool)
+        nodes = [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=np.int64)]
+        step = _SLICE // _STRIDE
+        for s in range(0, size, step):
+            chain = np.empty((_STRIDE, min(step, size - s)), dtype=np.intp)
+            chain[0] = np.arange(s, s + chain.shape[1])
+            for j in range(1, _STRIDE):
+                succ.take(chain[j - 1], out=chain[j])
+            usable[s:s + chain.shape[1]] = separated.take(chain).all(axis=0) & bounded
+            for out, v in zip(nodes, tree_product(*(col.take(chain.T) for col in self._table))):
+                out[s:s + chain.shape[1]] = v
+        return _Leaves(succ, usable, _least_passing(lo, w), -_least_passing(-hi, w), tuple(nodes))
+
+    def orbit_product(self, base, x0, n, start=0):
+        """`Generator.orbit_product`, bit for bit, from the leaf table.
+
+        A node of 16 steps takes its region r0's leaf where the leaf is usable
+        and each of its points x_j lies inside the predicted region
+        r_j = s^j(r0) as `_bounds` tests it.  `_entries_slice` then gives x_j
+        the table matrix of r_j, and the leaf is tree_product of those
+        matrices: the block tree's level-4 node, rescaled at its root as the
+        block tree rescales level 4.  Every other node gets the entries of its
+        points and the same tree_product.  tree_product over the nodes then
+        runs the block's levels 5 and up with their rescales
+        (`cocycle._blocked_tree`).  With every entry below _ENTRY_CAP no tree
+        here or in the whole block overflows, so none restarts; a block whose
+        length is not a multiple of 16, or whose entries reach the cap, goes
+        through `Generator.orbit_product` whole.
+        """
+        if n % _STRIDE:
+            return super().orbit_product(base, x0, n, start)
+        leaves = self._leaf_table()
+        pos = base.orbit_floats(x0, n, start)
+        rows = pos.reshape(-1, _STRIDE)  # one row per node
+        cols = np.ascontiguousarray(rows.T)
+        head = r = self._locate(cols[0])
+        ok = leaves.usable.take(head)
+        for j, x in enumerate(cols):
+            if j:
+                r = leaves.succ.take(r)
+            ok &= leaves.inner_lo.take(r) <= x
+            ok &= x <= leaves.inner_hi.take(r)
+        nodes = [v.take(head) for v in leaves.nodes]
+        slow = np.flatnonzero(~ok)
+        for s in range(0, slow.size, _SLICE // _STRIDE):  # _SLICE points at a time
+            part = slow[s:s + _SLICE // _STRIDE]
+            ents = [np.asarray(v, dtype=float) for v in self.entries(rows[part])]
+            if not all(np.abs(v).max() < _ENTRY_CAP for v in ents):
+                return super().orbit_product(base, x0, n, start)
+            for out, v in zip(nodes, tree_product(*ents)):
+                out[part] = v
+        *nodes, e = (v.reshape(pos.shape[0], -1) for v in nodes)
+        *top, e_top = tree_product(*nodes)
+        return (*top, e_top + e.sum(axis=1))
+
     # -- certificates ------------------------------------------------------------
 
     def certify_distance(self) -> float:
@@ -376,6 +487,35 @@ class PerturbedCocycle(Generator):
             raise BlendBoundViolated(
                 f"sup distance {self.sup_distance:.6g} >= e^c(e^c+1) eps = {bound:.6g}")
         return self.sup_distance
+
+
+@dataclass(frozen=True)
+class _Leaves:
+    """`PerturbedCocycle`'s leaf table: per region, the successor guess s,
+    whether its leaf may be used, the bounds of its interior and its leaf
+    (pa, pb, pc, pd, E)."""
+
+    succ: np.ndarray
+    usable: np.ndarray
+    inner_lo: np.ndarray
+    inner_hi: np.ndarray
+    nodes: tuple
+
+
+def _least_passing(lo: np.ndarray, w: float) -> np.ndarray:
+    """Per element, the least float x with (x - lo) / w >= 1 in floats, or
+    inf where a few ulp steps from lo + w do not find it.  The test is
+    monotone in x, so the x returned passes and the float below it fails,
+    which is checked."""
+    def passes(x):
+        return (x - lo) / w >= 1.0
+
+    x = lo + w
+    for _ in range(4):
+        below = np.nextafter(x, -np.inf)
+        x = np.where(passes(below), below, x)
+        x = np.where(passes(x), x, np.nextafter(x, np.inf))
+    return np.where(passes(x) & ~passes(np.nextafter(x, -np.inf)), x, np.inf)
 
 
 def _column_matrices(co: Cocycle, plan: SegmentPlan, height: int) -> np.ndarray:

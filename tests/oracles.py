@@ -5,7 +5,9 @@ exact covering sweep, both independent of the three-distance closed form
 that `basedyn.first_return` uses.  For the planner: the whole-copy versions
 of `perturb._masked_products` and `perturb._certify_chunk`, which mask or
 overlay full (L, N) copies of the entry arrays before one scan.  For the
-surgery: `certify_distance` as one generator call over every probe.
+surgery: `certify_distance` as one generator call over every probe.  For
+the tangent chart: `sl2.exp_traceless_arrays` and `sl2.log_sl2_arrays` with
+every branch gathered and scattered by its mask.
 """
 
 from bisect import bisect_left, bisect_right
@@ -15,7 +17,8 @@ import numpy as np
 from cocyclelab import basedyn as bd
 from cocyclelab.errors import HorizonExceeded
 from cocyclelab.exact import mod1
-from cocyclelab.sl2 import general_operator_norm, log_norm, scan_lanes
+from cocyclelab.errors import LogDomain
+from cocyclelab.sl2 import _TRACE_FLOOR, general_operator_norm, log_norm, scan_lanes
 
 
 def first_return_marching(rot: bd.CircleRotation, U: bd.Cell,
@@ -135,3 +138,41 @@ def certify_distance_one_shot(pc) -> float:
     pa, pb, pc_, pd = pc.entries(probe)
     ga, gb, gc, gd = (np.asarray(e, dtype=float) for e in pc.original.generator.entries(probe))
     return float(general_operator_norm(pa - ga, pb - gb, pc_ - gc, pd - gd).max())
+
+
+def exp_traceless_masked(t1, t2, t3):
+    """`sl2.exp_traceless_arrays`, each branch on its own masked elements."""
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
+    q = np.asarray(t1 * t1 + t2 * t3)
+    alpha, beta = np.empty_like(q), np.empty_like(q)
+    small = np.abs(q) < 1e-8
+    hyp = ~small & (q > 0)
+    ell = ~(small | hyp)
+    qs = q[small]
+    alpha[small], beta[small] = 1.0 + qs / 2.0 + qs * qs / 24.0, 1.0 + qs / 6.0 + qs * qs / 120.0
+    r = np.sqrt(q[hyp])
+    alpha[hyp], beta[hyp] = np.cosh(r), np.sinh(r) / r
+    r = np.sqrt(-q[ell])
+    alpha[ell], beta[ell] = np.cos(r), np.sin(r) / r
+    return alpha + beta * t1, beta * t2, beta * t3, alpha - beta * t1
+
+
+def log_sl2_masked(a, b, c, d):
+    """`sl2.log_sl2_arrays`, each branch on its own masked elements."""
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    t = np.asarray((a + d) / 2.0)
+    if np.any(t <= _TRACE_FLOOR / 2.0):
+        raise LogDomain(f"trace/2 = {float(np.min(t))} <= -1 + 5e-7 in array log")
+    e = t - 1.0
+    kappa = np.empty_like(t)
+    small = np.abs(e) < 1e-6
+    hyp = ~small & (t > 1.0)
+    ell = ~(small | hyp)
+    es, th, te = e[small], t[hyp], t[ell]
+    kappa[small] = 1.0 - es / 3.0 + 2.0 * es * es / 15.0
+    u = np.sqrt(np.maximum(th * th - 1.0, 1e-300))
+    kappa[hyp] = np.arcsinh(u) / u
+    u = np.sqrt(np.maximum(1.0 - te * te, 1e-300))
+    kappa[ell] = np.arccos(np.clip(te, -1.0, 1.0)) / u
+    return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)

@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
@@ -431,6 +434,30 @@ class TestPipeline:
         assert (fb.rho, fb.n0, fb.sup_frequency.hex(), len(fb.V.intervals)) == (
             2.0**-19, 245760, "0x1.6cccccccccccdp-8", 605)
 
+    def test_bench_direct_sweep_pinned(self, bench_pipeline):
+        """The direct sweep of the benchmark's input, 96 lanes over the
+        245,761-step horizon: every lane's bits.  Like `_table`, they depend
+        on libm."""
+        co, cfg, pc, cert = bench_pipeline
+        assert cert.n == 245_761 and cert.direct.size == 96
+        assert hashlib.sha1(cert.direct.tobytes()).hexdigest() == \
+            "25422bc64a471adc9407c11660d27cd86cd80d8a"
+
+    @pytest.mark.parametrize("tail", [80, 83])
+    def test_sweep_bytes_independent_of_workers(self, bench_pipeline, monkeypatch, tail):
+        """log_norms_batch over the blended cocycle gives the same bytes on one
+        CPU, one lane group, and on two, two groups of 48 lanes.  The horizon
+        is two 4096-step blocks and a last block of `tail` steps, a multiple
+        of 16 or not."""
+        co, cfg, pc, cert = bench_pipeline
+        xs, n = (np.arange(96) + 0.37) / 96, 2 * 4096 + tail
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
+            runs.append(cy.log_norms_batch(pc.cocycle, xs, n))
+        assert runs[0].tobytes() == runs[1].tobytes()
+        assert np.isfinite(runs[0]).all()
+
     def test_certify_distance_streams_slices(self, bench_pipeline, monkeypatch):
         """certify_distance evaluates the generator on at most `_SLICE` points a
         call, visits every probe, and its sup equals the one-shot oracle's bit
@@ -485,6 +512,117 @@ class TestPipeline:
         data = json.loads((tmp_path / "surgery.json").read_text())
         assert data["pass"] is True
         assert data["horizon"] == cert.n
+
+
+def interior_points(pc, k):
+    """k points spread over the region interiors."""
+    r = np.linspace(0, pc.region_lo.size - 1, k).astype(int)
+    return (pc.region_lo[r] + pc.region_hi[r]) / 2.0
+
+
+def gap_points(pc):
+    """Points outside every region: the middles of the gaps between them."""
+    gap = np.flatnonzero(pc.region_hi[:-1] < pc.region_lo[1:])
+    return (pc.region_hi[gap] + pc.region_lo[gap + 1]) / 2.0
+
+
+def leaf_lanes(pc):
+    """Lanes at the circle's ends, in collars, at the ends of region
+    interiors and one float outside them, outside every region, inside
+    regions, and at random."""
+    w = pc.blend_width
+    rng = np.random.default_rng(5)
+    collars = np.concatenate([pc.region_lo[::997] + 0.5 * w, pc.region_hi[::991] - 0.25 * w])
+    inner_lo = sg._least_passing(pc.region_lo[::499], w)
+    inner_hi = -sg._least_passing(-pc.region_hi[::499], w)
+    edges = np.concatenate([inner_lo, np.nextafter(inner_lo, -1.0),
+                            inner_hi, np.nextafter(inner_hi, 2.0)])
+    outside = gap_points(pc)
+    assert outside.size and not bd.locate(pc.region_lo, pc.region_hi, outside)[1].any()
+    return np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)], collars, edges, outside[::50],
+                           interior_points(pc, 24), rng.random(24)])
+
+
+# (steps, first step): blocks of 16 k steps with k odd and even, a sweep
+# block, and blocks whose length is not a multiple of 16
+LEAF_BLOCKS = [(16, 0), (48, 5), (64, 0), (16 * 33, 1000), (4096, 77824), (16 * 6, -40),
+               (50, 0), (4095, 3), (1, 9)]
+
+
+class TestLeafTable:
+    """`PerturbedCocycle.orbit_product` against `Generator.orbit_product`,
+    the tree_product of the blended map's entries, byte for byte."""
+
+    @pytest.mark.parametrize("n, start", LEAF_BLOCKS)
+    def test_equals_default(self, bench_pipeline, n, start):
+        co, cfg, pc, cert = bench_pipeline
+        xs = leaf_lanes(pc)
+        got = pc.orbit_product(co.base, xs, n, start)
+        want = cy.Generator.orbit_product(pc, co.base, xs, n, start)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_interior_bounds_are_the_bounds_test(self, bench_pipeline):
+        """inner_lo[r] is the least float, and inner_hi[r] the greatest, that
+        passes its side of `_bounds`' interior test for region r."""
+        co, cfg, pc, cert = bench_pipeline
+        leaves, lo, hi, w = pc._leaves, pc.region_lo, pc.region_hi, pc.blend_width
+        assert np.isfinite(leaves.inner_lo).all() and np.isfinite(leaves.inner_hi).all()
+        for x, ok in ((leaves.inner_lo, True), (np.nextafter(leaves.inner_lo, -1.0), False)):
+            assert ((x - lo) / w >= 1.0).tolist() == [ok] * lo.size
+        for x, ok in ((leaves.inner_hi, True), (np.nextafter(leaves.inner_hi, 2.0), False)):
+            assert ((hi - x) / w >= 1.0).tolist() == [ok] * lo.size
+
+    def test_wrong_successors_same_bytes(self, bench_pipeline, monkeypatch):
+        """A successor table with every 50th region pointed at the region
+        after its successor: the chains through those mispredict, and the
+        per-point test sends their nodes through the entries, so the bytes
+        hold while the other nodes still take leaves."""
+        co, cfg, pc, cert = bench_pipeline
+        fresh = sg.PerturbedCocycle(co, cfg, pc.plans)
+        wrong = fresh._successors()
+        wrong[::50] = (wrong[::50] + 1) % wrong.size
+        monkeypatch.setattr(fresh, "_successors", lambda: wrong)
+        xs = np.concatenate([leaf_lanes(fresh), interior_points(fresh, 200)])
+        for n, start in LEAF_BLOCKS[:5]:
+            got = fresh.orbit_product(co.base, xs, n, start)
+            want = cy.Generator.orbit_product(fresh, co.base, xs, n, start)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert fresh._leaves.succ is wrong
+
+    def test_proof_path_builds_no_leaf_table(self, monkeypatch):
+        """The leaf table belongs to the evaluator: build_config,
+        assemble_perturbation and U's terms leave it unbuilt.  The first
+        orbit product builds it once, although two lane groups start
+        together."""
+        co = cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024))
+        builds = []
+        build = sg.PerturbedCocycle._build_leaves
+
+        def counted(self):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # the other lane group reaches the table meanwhile
+            return build(self)
+
+        monkeypatch.setattr(sg.PerturbedCocycle, "_build_leaves", counted)
+        cfg = sg.build_config(co, 0.5)
+        pc = sg.assemble_perturbation(co, cfg)
+        s = math.log(co.sup_norm + pc.sup_distance)
+        table_rate = float((pc.block_logs / pc.label_heights).max())
+        assert 0.0 < table_rate + cfg.freq.sup_frequency * (cfg.N + 1) * s < cfg.growth_bound
+        assert pc._leaves is None and builds == []
+
+        barrier = threading.Barrier(2, timeout=30)
+
+        def group(xs):
+            barrier.wait()
+            return pc.orbit_product(co.base, xs, 64)
+
+        lanes = [np.arange(8) / 8, np.arange(8) / 8 + 0.01]
+        results = _parallel.ordered_map(group, lanes, workers=2)
+        assert len(builds) == 1 and pc._leaves is not None
+        for xs, got in zip(lanes, results):
+            want = cy.Generator.orbit_product(pc, co.base, xs, 64)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.fixture(scope="module")
