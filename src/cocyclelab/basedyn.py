@@ -196,23 +196,36 @@ def column_floors(u, alpha, height: int):
     union u rotated by mod1(j alpha), from one walk in integer coordinates
     (`_rotations`), each piece in the field of alpha and u."""
     frame, floors = _rotations(u, alpha, height)
-    for j, arcs in enumerate(floors):
-        for lp, lq, hp, hq in arcs:
+    for j, line in enumerate(floors):
+        for lp, lq, hp, hq in _cut_at_seam(line, frame):
             yield (frame.scalar(lp, lq), frame.scalar(hp, hq)), j
 
 
-def column_float_breaks(u, alpha, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def column_float_breaks(u, alpha, height: int) -> tuple[np.ndarray, ...]:
     """Lows, highs and levels of the pieces of column_floors(u, alpha, height),
-    in its order, from the same walk; the floats have the bits of float() of
-    the exact pieces, and no scalar is built."""
+    in its order, from the same walk, then the lows and highs of their arcs.
+
+    A piece's arc is the piece itself, but for the two pieces into which
+    `_cut_at_seam` splits an arc that crosses 0 = 1: [lo, 1) keeps the arc's
+    end past 1, and [0, hi) its start below 0.  The floats have the bits of
+    float() of the exact ends, and no scalar is built."""
     frame, floors = _rotations(u, alpha, height)
     M, D, fl = frame.M, frame.D, coordinate_float
-    lo, hi, level = [], [], []
-    for j, arcs in enumerate(floors):
-        lo += [fl(lp, lq, M, D) for lp, lq, _, _ in arcs]
-        hi += [fl(hp, hq, M, D) for _, _, hp, hq in arcs]
-        level += [j] * len(arcs)
-    return np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(level, dtype=int)
+    lo, hi, level, arc_lo, arc_hi = ([] for _ in range(5))
+    for j, line in enumerate(floors):
+        pieces = _cut_at_seam(line, frame)
+        piece_lo = [fl(lp, lq, M, D) for lp, lq, _, _ in pieces]
+        piece_hi = [fl(hp, hq, M, D) for _, _, hp, hq in pieces]
+        lo += piece_lo
+        hi += piece_hi
+        if len(pieces) > len(line):  # the last arc of the line, split at 0 = 1
+            lp, lq, hp, hq = line[-1]
+            piece_lo[0], piece_hi[-1] = fl(lp - M, lq, M, D), fl(hp, hq, M, D)
+        arc_lo += piece_lo
+        arc_hi += piece_hi
+        level += [j] * len(pieces)
+    return (*(np.array(v, dtype=float) for v in (lo, hi)), np.array(level, dtype=int),
+            *(np.array(v, dtype=float) for v in (arc_lo, arc_hi)))
 
 
 def shrink_union(u, margin) -> tuple:
@@ -303,14 +316,16 @@ def _cut_at_seam(arcs: list, frame: _Frame) -> list:
 def _rotations(u, alpha, height: int):
     """(frame, floors) for a normalised union u: floor j < height is u rotated
     by mod1(j alpha), as a list of arcs of the frame (the endpoints of u and
-    alpha, each the exact scalar `as_exact` makes of it).
+    alpha, each the exact scalar `as_exact` makes of it) in increasing order
+    of start in [0, 1), of which only the last may end past 1: `_cut_at_seam`
+    makes the floor's normalised union of them.
 
     A rotation keeps the cyclic order of u's arcs on the circle (u's pieces,
     with a piece ending at 1 joined to one starting at 0), so a floor is a
     cyclic shift of them: the arcs whose start s has s + delta >= 1, found by
-    exact bisection, come first, moved down by 1, and the arc then last splits
-    at 1 if it reaches past it.  delta steps by alpha and drops by 1 where it
-    reaches 1.  The exact work per floor is a few integer signs.
+    exact bisection, come first, moved down by 1.  delta steps by alpha and
+    drops by 1 where it reaches 1.  The exact work per floor is a few integer
+    signs.
     """
     u = [(as_exact(lo), as_exact(hi)) for lo, hi in u]
     alpha = mod1(as_exact(alpha))
@@ -332,10 +347,8 @@ def _rotations(u, alpha, height: int):
                         top = mid
                     else:
                         k = mid + 1
-                yield _cut_at_seam(
-                    [(lp + dp - M, lq + dq, hp + dp - M, hq + dq) for lp, lq, hp, hq in arcs[k:]]
-                    + [(lp + dp, lq + dq, hp + dp, hq + dq) for lp, lq, hp, hq in arcs[:k]],
-                    frame)
+                yield ([(lp + dp - M, lq + dq, hp + dp - M, hq + dq) for lp, lq, hp, hq in arcs[k:]]
+                       + [(lp + dp, lq + dq, hp + dp, hq + dq) for lp, lq, hp, hq in arcs[:k]])
             dp, dq = dp + ap, dq + aq
             if _sign(dp - M, dq, D) >= 0:
                 dp -= M

@@ -404,7 +404,7 @@ def cmd_surgery(cfg: dict) -> int:
         return 1
 
     before = parallel_lanes(lambda sl: cocycle.log_norms_batch(co, sl, 2048), grid, threads) / 2048
-    after = parallel_lanes(lambda sl: cocycle.log_norms_batch(pc.cocycle, sl, 2048), grid, threads) / 2048
+    after = parallel_lanes(lambda sl: pc.log_norms(sl, 2048), grid, threads) / 2048
     _write_csv(out / "surgery_growth.csv", ["x", "log_growth_before", "log_growth_after"],
                zip(grid, before, after))
     xs = co.base.grid_floats()

@@ -61,17 +61,6 @@ class Generator:
     def entries(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def orbit_product(self, base: CircleRotation, x0: np.ndarray, n: int, start: int = 0):
-        """`tree_product` of the entries at base.orbit_floats(x0, n, start),
-        lanes x0 (1-D): per lane (pa, pb, pc, pd, E).
-
-        `log_norms_batch` takes each block of its trees from here.  A
-        generator may serve it from precomputed nodes, but only with these
-        bits; this body is the reference.
-        """
-        pos = base.orbit_floats(x0, n, start)
-        return tree_product(*(np.asarray(e, dtype=float) for e in self.entries(pos)))
-
 
 class ConstantGenerator(Generator):
     def __init__(self, mat: Mat2):
@@ -260,11 +249,10 @@ def iterate(co: Cocycle, x: BasePoint, n: int) -> Mat2:
     return Mat2(float(pa), float(pb), float(pc), float(pd))
 
 
-def _blocked_tree(product, n: int, block: int):
-    """tree_product of n steps' (L, n) entries, with the same bits as one
-    tree_product over all n, from product(start, count), the tree_product of
-    steps start .. start + count - 1, called once per aligned block of
-    `block` steps (a power of two).
+def _blocked_tree(fetch, n: int, block: int):
+    """tree_product of the (L, n) entries that fetch(start, count) returns,
+    fetched and reduced one aligned block of `block` steps (a power of two)
+    at a time, with the same bits as one tree_product over all n steps.
 
     A complete aligned block is a node of the whole tree, reduced by the same
     pairings.  A partial last block sees, at every level below its root, the
@@ -279,18 +267,8 @@ def _blocked_tree(product, n: int, block: int):
     keeps its mantissa and exponent sum under either schedule.  A block or
     upper tree that overflows restarts with every level rescaled, as the
     whole tree does.
-
-    A block's product may itself come from 16-step nodes
-    (`Generator.orbit_product`, overridden by `PerturbedCocycle`): level 4
-    of a block of 16 k steps is k nodes of 16 steps with no padding below,
-    each rescaled at its root as level 4 is, and tree_product over the k
-    nodes runs the block's levels 5 and up, rescaling at its own levels 4,
-    8, ... and its root, which are the block's levels 8, 12, ... and root.
-    The schedule is the block's own, so every product keeps its bits; the
-    exponents are integer sums.  Entries below 2^31 keep every 16-step node
-    and every upper level finite, so neither tree restarts.
     """
-    nodes = [product(s, min(block, n - s)) for s in range(0, n, block)]
+    nodes = [tree_product(*fetch(s, min(block, n - s))) for s in range(0, n, block)]
     a, b, c, d, e = (np.stack(v, axis=1) for v in zip(*nodes))
     *top, e_top = tree_product(a, b, c, d)
     return (*top, e_top + e.sum(axis=1))
@@ -305,7 +283,7 @@ def _lane_log_norms(co: Cocycle, lanes: np.ndarray, n: int, step_chunk: int,
     for s0 in range(0, n, step_chunk):
         s1 = min(s0 + step_chunk, n)
         *chunk, e_chunk = _blocked_tree(
-            lambda s, k: co.generator.orbit_product(co.base, lanes, k, s0 + s), s1 - s0, block)
+            lambda s, k: co.entries_along(lanes, k, s0 + s), s1 - s0, block)
         *carry, e_carry = rescale(*_mul(*chunk, *carry))
         exp2 += e_chunk + e_carry
     return log_norm(*carry, exp2)
@@ -323,12 +301,6 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     when a lane chunk alone exceeds the cap, as with many lanes and a short
     horizon, and whose length is at most `_BLOCK_STEPS` = 4096 steps.  So
     memory is bounded by one block at any n, and the blocks move no bit.
-    Each block is the generator's `orbit_product`, by default tree_product of
-    the block's entries.  `PerturbedCocycle` serves it from 16-step nodes
-    that it reads from a table wherever every point of the node is a region
-    interior, which are the block tree's own level-4 nodes with their
-    rescale; its other nodes, and levels 5 and up, run the same tree_product,
-    so the bits are the default's.
 
     Every tree writes its levels into its thread's buffers (`sl2.tree_product`),
     which live until the outermost `ordered_map` returns: across the blocks,
@@ -337,8 +309,7 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     return.  The 4096-step cap is measured.  The `sweep` bench input (64
     lanes a slice, 10,000 steps) has 8192-step blocks without it, and the
     buffers its two threads keep for them raised peak RSS from about 75 to
-    110 MiB.  The surgery's 96-lane direct sweep already has 4096-step
-    blocks, and with 1024-step blocks there the surgery ran slower.
+    110 MiB.
 
     Where a step chunk is wider than one uncapped block per CPU and the lane
     chunk holds at least two lanes, the chunk's lanes split into contiguous

@@ -1,4 +1,5 @@
-"""Exact arithmetic in quadratic fields Q(sqrt(D)), plus continued-fraction helpers.
+"""Exact arithmetic in quadratic fields Q(sqrt(D)), plus continued-fraction
+helpers and exact products of 2x2 matrices of doubles.
 
 Every rotation angle is exact: the golden and silver means live in Q(sqrt(D)),
 and any other angle is the rational it is given as (a float is the dyadic
@@ -11,7 +12,9 @@ gcd(p, q, d) = 1.  A ring operation is integer arithmetic plus one gcd, and a
 comparison is the sign of A + B*sqrt(D) for cross-multiplied integers A, B:
 when A and B have opposite signs, the larger of A^2 and B^2 D wins.  No
 rational object is built on either path.  floor comes from one integer
-square root; QuadExt documents both it and the rounding of float().
+square root; QuadExt documents both it and the rounding of float().  A
+product of doubles is a power of two times an integer matrix, so a column of
+them multiplies exactly in Python integers (`column_suffixes`).
 """
 
 from __future__ import annotations
@@ -290,6 +293,57 @@ def mod1(x):
     r = math.fmod(x, 1.0)
     r = r + 1.0 if r < 0 else r
     return 0.0 if r == 1.0 else r + 0.0  # -0.0 + 0.0 is +0.0
+
+
+# -- exact 2x2 products of doubles ------------------------------------------------
+
+
+def column_suffixes(a, b, c, d):
+    """The suffixes L_{h-1} ... L_j, j < h, of a column of h doubles
+    L_j = [[a[j], b[j]], [c[j], d[j]]] (L_0 applied first), and an upper
+    bound on log sigma1 of the whole product L_{h-1} ... L_0.
+
+    One right-to-left pass in Python integers: a double is an integer times
+    a power of two (`as_integer_ratio`), so L_j is 2^-t_j times an integer
+    matrix, and the suffix P_j = P_{j+1} L_j is exactly 2^E times the
+    integer matrix [[A, B], [C, D]], E = -sum t_i.  Row j is P_j rounded to
+    (pa, pb, pc, pd, e): the largest integer is k bits long, each integer
+    is floored to a multiple of 2^(k-64) and scaled by 2^-k, so the largest
+    |p| lies in [0.5, 1], each p is within 2^-53 of 2^-k times its integer,
+    and e = E + k.
+
+    The bound: sigma1^2 = 2^2E (g + sqrt(g^2 - 4 det^2))/2 with the integers
+    g = A^2 + B^2 + C^2 + D^2 and det = AD - BC, and sqrt(x) <= isqrt(x) + 1,
+    so sigma1^2 <= 2^(2E-1) m for the integer m = g + isqrt(.) + 1.  Rounding
+    m up to q 2^s with q of 53 bits, r = q 2^-53 in [0.5, 1] is a double and
+    log sigma1 <= (log r + X log 2)/2 for the integer X = s + 2E + 52.  In
+    doubles, log(r) is within one ulp of its |value| <= 0.7 (libm), X is
+    exact, X * log(2.0) within two ulps, and the sum within one more: the
+    error is below 2^-51 (0.7 + |X log 2|), and the result adds 2^-50 times
+    that, then steps one float up to absorb the last addition's rounding.
+    """
+    ldexp, rows = math.ldexp, []  # written out: generator expressions here doubled the time
+    A, B, C, D, E = 1, 0, 0, 1, 0
+    for wa, wb, wc, wd in reversed(list(zip(a, b, c, d))):
+        (na, da), (nb, db), (nc, dc), (nd, dd) = (wa.as_integer_ratio(), wb.as_integer_ratio(),
+                                                  wc.as_integer_ratio(), wd.as_integer_ratio())
+        t = max(da, db, dc, dd)  # a power of two, the common denominator
+        la, lb, lc, ld = na * (t // da), nb * (t // db), nc * (t // dc), nd * (t // dd)
+        A, B, C, D = A * la + B * lc, A * lb + B * ld, C * la + D * lc, C * lb + D * ld
+        E -= t.bit_length() - 1
+        k = max(A.bit_length(), B.bit_length(), C.bit_length(), D.bit_length())
+        s = max(k - 64, 0)
+        x = s - k
+        rows.append((ldexp(A >> s, x), ldexp(B >> s, x), ldexp(C >> s, x), ldexp(D >> s, x), E + k))
+    rows.reverse()
+    g = A * A + B * B + C * C + D * D
+    det = A * D - B * C
+    m = g + math.isqrt((g - 2 * det) * (g + 2 * det)) + 1
+    s = m.bit_length() - 53
+    q = -(-m >> s) if s > 0 else m << -s
+    log_x = (s + 2 * E + 52) * math.log(2.0)
+    bound = 0.5 * (math.log(math.ldexp(q, -53)) + log_x)
+    return rows, math.nextafter(bound + 2.0**-50 * (0.7 + abs(log_x)), math.inf)
 
 
 # -- continued fractions --------------------------------------------------------

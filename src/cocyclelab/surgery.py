@@ -12,19 +12,19 @@ sweep at grid points as a float cross-check that must stay under it.
 Two nested scales around the cut set make the chain sound in floating
 point: visits are counted against the outer neighborhood V, while the bump
 dies on the inner half-size copy.  A block whose base point avoids V therefore
-runs entirely through exact table matrices.
+runs entirely through exact table matrices, across the seam 0 = 1 too.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .basedyn import (
     Cell,
     CircleRotation,
@@ -36,6 +36,7 @@ from .basedyn import (
     norm_union,
     shrink_union,
     sub_union,
+    wrap_floats,
 )
 from .cocycle import (
     Certificate,
@@ -57,14 +58,13 @@ from .perturb import (
     plan_constants,
     plan_segments,
 )
+from .exact import column_suffixes
 from .sl2 import (
-    _STRIDE,
     _mul,
     exp_traceless_arrays,
     general_operator_norm,
     log_norm,
     log_sl2_arrays,
-    scan_product,
     tree_product,
 )
 from .towers import Castle, FreqBound, build_castle, visit_freq_bound
@@ -73,7 +73,8 @@ EXPONENT_FLOOR = 1e-3
 _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 _SLICE = 1 << 15  # points per slice of PerturbedCocycle.entries (see there)
 _ESTIMATE_HORIZON = 200_000  # steps of the exponent-estimate gate
-_ENTRY_CAP = 2.0**31  # |entries| below it: no product of _STRIDE steps overflows
+_CHUNK = 64  # steps of a direct-sweep node that no suffix row serves
+_BATCH = _SLICE // _CHUNK  # such chunks per call of the blended map
 
 
 # -- continuity modulus ---------------------------------------------------------------
@@ -224,25 +225,25 @@ class PerturbedCocycle(Generator):
 
     Evaluation at a point: locate the region piece; in the interior (bump = 1)
     the value IS the table matrix bitwise; in the blend-width collar at the
-    piece edges the tangent chart interpolates back to the unperturbed
-    generator, and everywhere else the generator itself applies.  It is the
-    generator of `self.cocycle`, the perturbed cocycle over the same base.
+    ends of the piece's arc the tangent chart interpolates back to the
+    unperturbed generator, and everywhere else the generator itself applies.
+    A piece's arc is the piece, but for the two pieces of a floor arc that
+    `basedyn._cut_at_seam` splits at 0 = 1: the seam gets no collar.  It is
+    the generator of `self.cocycle`, the perturbed cocycle over the same base.
 
-    Long products along orbits (`orbit_product`, the direct sweep's blocks)
-    come from 16-step leaves.  The leaf of region r is tree_product of the
-    table matrices of the chain r, s(r), ..., s^15(r), where s(r) is the
-    region located at f of r's midpoint, a guess that crosses tower tops.  A
-    16-step node of a block takes its first point's leaf only where all 16
-    points pass `_bounds`' interior test in the predicted regions, which are
-    then the regions the locator returns: the entries there are exactly those
-    table matrices, and the leaf is the node that the block's tree computes,
-    rescaled at its level 4 as that tree is.  Every other node (collars,
-    points outside every region, a wrong guess) goes through `entries` and
-    tree levels 1-4, and levels 5 and up run through tree_product over the
-    nodes, so every node, and the block, keeps the bits of tree_product over
-    the block's entries.  The leaf table belongs to this evaluator, not to
-    the proof: `build_config`, `assemble_perturbation` and U never build it;
-    the first orbit product does, once, under a lock.
+    Each label column is multiplied exactly once (`exact.column_suffixes`):
+    `block_logs` is the bound on the whole column, and each region keeps the
+    rounded suffix from its level to the column top.  Long products along
+    orbits (`log_norms`, the direct sweep) are a column walk over these
+    rows.  A point at least a blend width plus a drift inside its region's
+    arc stays a blend width inside the image arcs up the column: f is a
+    rotation, the float orbit strays from the exact one by at most
+    2 ulp(n) + h 2^-54 over a column of h steps within n steps, and a float
+    arc end from the exact one by less than 2^-40 (`exact.coordinate_float`
+    reads the naive sum only below a 1000-fold cancellation).  So each point
+    of the stretch passes `_bounds`' interior test in the image region, its
+    entries are the column's table matrices, and the suffix row is their
+    product.
     """
 
     def __init__(self, co: Cocycle, cfg: SurgeryConfig, plans: dict):
@@ -253,12 +254,11 @@ class PerturbedCocycle(Generator):
         self._build_regions()
         self.cocycle = Cocycle(co.base, self)
         self.sup_distance = float("nan")  # set by certify_distance
-        self._leaves: Optional[_Leaves] = None  # built by the first orbit_product
-        self._leaf_lock = threading.Lock()
 
     def _build_regions(self):
         """Regions are the floors of the label columns: rows (region_lo, region_hi,
-        region_label, region_level) over one (4, height) matrix column per label.
+        region_label, region_level, and the arc ends arc_lo, arc_hi) over one
+        (4, height) matrix column per label.
 
         Region (h, i, j) is f^j(P_{h,i}), j < h, for the rep pieces P_{h,i} of
         label (h, i).  Checked exactly here: for each h in {N, N+1} the P_{h,i}
@@ -280,36 +280,45 @@ class PerturbedCocycle(Generator):
         cols = [_column_matrices(co, self.plans[key], key[0]) for key in label_keys]
         breaks = [column_float_breaks(cfg.rep_pieces[key], co.base.alpha, key[0])
                   for key in label_keys]
-        lo, hi, levels = (np.concatenate(b) for b in zip(*breaks))
         labels = np.repeat(np.arange(len(label_keys)), [b[2].size for b in breaks])
+        lo, hi, levels, arc_lo, arc_hi = (np.concatenate(b) for b in zip(*breaks))
         order = np.argsort(lo, kind="stable")
-        self.region_lo, self.region_hi = lo[order], hi[order]
-        self.region_label = labels[order]
-        self.region_level = levels[order]
-        heights = [col.shape[1] for col in cols]
+        (self.region_lo, self.region_hi, self.region_label, self.region_level, self.arc_lo,
+         self.arc_hi) = (v[order] for v in (lo, hi, labels, levels, arc_lo, arc_hi))
+        self.label_heights = heights = np.array([col.shape[1] for col in cols])
         row = (np.cumsum(heights) - heights)[self.region_label] + self.region_level
         self._table = tuple(entry.take(row) for entry in np.concatenate(cols, axis=1))
         self._locate = bucket_locator(self.region_lo)
-        self.block_logs = np.array([log_norm(*scan_product(*col)) for col in cols])
-        self.label_heights = np.array(heights)
+        bounds, suffixes = [], []
+        for col in cols:  # one column's rows as Python objects at a time
+            rows, bound = column_suffixes(*col.tolist())
+            bounds.append(bound)
+            suffixes.append(np.array(rows))
+        self.block_logs = np.array(bounds)
+        # (pa, pb, pc, pd, E) per region, E an integer in a float
+        self._suffix = tuple(np.concatenate(suffixes).T.take(row, axis=1))
+        self._to_top = heights[self.region_label] - self.region_level
 
     # -- evaluation -------------------------------------------------------------
 
     def _bounds(self, xs: np.ndarray):
-        """Region index, its bounds and the unclipped collar coordinate at flat
-        xs (build_config keeps only non-empty pieces, so a region exists)."""
+        """Region index and the unclipped collar coordinate at flat xs: the
+        distance to the nearer end of the region's arc, in blend widths
+        (build_config keeps only non-empty pieces, so a region exists).  It
+        is at most 0 outside the region but at x = 1.0, which a region cut
+        at the seam reads as 0.0."""
         idx = self._locate(xs)
-        lo, hi = self.region_lo.take(idx), self.region_hi.take(idx)
-        return idx, lo, hi, np.minimum(xs - lo, hi - xs) / self.blend_width
+        reach = np.minimum(xs - self.arc_lo.take(idx), self.arc_hi.take(idx) - xs)
+        return idx, reach / self.blend_width
 
     @staticmethod
-    def _bump(xs, lo, hi, t):
+    def _bump(t):
         t = np.clip(t, 0.0, 1.0)
-        return np.where((xs >= lo) & (xs < hi), t * t * (3.0 - 2.0 * t), 0.0)
+        return t * t * (3.0 - 2.0 * t)
 
     def bump(self, xs: np.ndarray) -> np.ndarray:
         flat = np.asarray(xs, dtype=float).reshape(-1)
-        return self._bump(flat, *self._bounds(flat)[1:]).reshape(np.shape(xs))
+        return self._bump(self._bounds(flat)[1]).reshape(np.shape(xs))
 
     def entries(self, xs: np.ndarray):
         """(a, b, c, d) of the blended map at xs, any shape.
@@ -318,19 +327,17 @@ class PerturbedCocycle(Generator):
         arrays.  A slice's temporaries are then 256 KiB each, and its few
         dozen elementwise passes stay in a core's 2 MiB L2 cache; on the
         `surgery` bench sweep 2^15 measured fastest among 2^13 .. 2^19.  Per
-        slice: one bucket lookup and one gather of the region bounds, the
-        table matrix gathered from its contiguous columns, then, only at the
-        points that are not region interiors (t < 1, about a tenth of an
+        slice: one bucket lookup and one gather of the region's arc ends,
+        the table matrix gathered from its contiguous columns, then, only at
+        the points that are not region interiors (t < 1, about a tenth of an
         orbit), the generator, the bump and the blend.
 
-        The four outputs are the rows of one array.  In the direct sweep of
-        `verify_growth` that is one 6 MiB allocation per 4096-step block of
-        48 lanes, not four of 1.5 MiB.  glibc maps the first one and, once it
-        is freed, raises its mmap and trim thresholds above it, so later
-        blocks and their slices reuse heap pages.  With four arrays the
-        thresholds stayed near 1.5 MiB, the heap was trimmed between blocks,
-        and a `surgery` round's sweep faulted 14-151 k pages in again instead
-        of 8 k, varying from one process to the next.
+        The four outputs are the rows of one array, one allocation, not
+        four.  glibc maps a large one and, once it is freed, raises its mmap
+        and trim thresholds above it, so later calls and their slices reuse
+        heap pages.  With four arrays of 1.5 MiB a call the thresholds stayed
+        there, the heap was trimmed between calls, and a `surgery` round
+        faulted 14-151 k pages in again instead of 8 k.
         """
         flat = np.asarray(xs, dtype=float).reshape(-1)
         out = tuple(np.empty((4, flat.size)))
@@ -339,11 +346,12 @@ class PerturbedCocycle(Generator):
         return tuple(o.reshape(np.shape(xs)) for o in out)
 
     def _entries_slice(self, xs, out):
-        idx, lo, hi, t = self._bounds(xs)
+        idx, t = self._bounds(xs)
         for o, col in zip(out, self._table):
             col.take(idx, out=o, mode="clip")  # unbuffered into out; idx is in range
-        # t >= 1 forces lo < x < hi, so these are exactly the interiors, where
-        # the table holds; elsewhere the generator, blended in the collars
+        # t >= 1 forces x a blend width inside the region's arc, so these are
+        # exactly the interiors, where the table holds; elsewhere the
+        # generator, blended in the collars
         rest = np.flatnonzero(~(t >= 1.0))
         if rest.size == 0:
             return
@@ -351,7 +359,7 @@ class PerturbedCocycle(Generator):
         g = [np.asarray(e, dtype=float) for e in self.original.generator.entries(xr)]
         for o, v in zip(out, g):
             o[rest] = v
-        beta = self._bump(xr, lo[rest], hi[rest], t[rest])
+        beta = self._bump(t[rest])
         mid = np.flatnonzero(beta > 0.0)
         if mid.size:
             # xi = log(A^-1 M), blended by beta, applied back through A
@@ -362,94 +370,70 @@ class PerturbedCocycle(Generator):
             for o, v in zip(out, _mul(*g, *exp_traceless_arrays(*(v * beta[mid] for v in xi)))):
                 o[rest[mid]] = v
 
-    # -- 16-step leaves -----------------------------------------------------------
+    # -- the direct sweep ---------------------------------------------------------
 
-    def _successors(self) -> np.ndarray:
-        """s(r): the region located at f of region r's midpoint.  A float
-        guess that nothing trusts: `orbit_product` tests every point."""
-        mid = (self.region_lo + self.region_hi) / 2.0
-        return self._locate(self.original.base.orbit_floats(mid, 1, 1)[:, 0])
-
-    def _leaf_table(self) -> _Leaves:
-        """The leaf table, built under a lock by the first caller."""
-        with self._leaf_lock:
-            if self._leaves is None:
-                self._leaves = self._build_leaves()
-        return self._leaves
-
-    def _build_leaves(self) -> _Leaves:
-        """Per region r, tree_product of the table matrices of the chain r,
-        s(r), ..., s^15(r), built _SLICE / 16 regions at a time, so that no
-        (regions x 16) array exists; and the bounds of r's interior.
-
-        A float x passes `_bounds`' interior test for region r,
-        min(x - lo, hi - x) / blend_width >= 1, exactly when inner_lo[r] <= x
-        <= inner_hi[r]: each side of the test is monotone in x, and
-        `_least_passing` finds where it turns.  A leaf is usable when every
-        region of its chain is followed, in float order, by a region starting
-        at or after its end (hi[r] <= lo[r + 1]), so that a point inside it
-        is located there.  When a table entry reaches _ENTRY_CAP no leaf is
-        usable.
+    def log_norms(self, xs: np.ndarray, n: int) -> np.ndarray:
+        """log ||A~_n(x)|| at float anchors xs over their float orbits: the
+        direct sweep, in three phases.  The walk records each lane's nodes;
+        the chunks among them are evaluated `_BATCH` at a time, the batches
+        spread over the CPUs (`_parallel.ordered_map`); and one tree_product
+        per lane merges its nodes in order.  Every step is lane-wise or
+        chunk-wise, so no bit depends on the thread count.  The walk stays on
+        one thread: its small arrays hold the GIL, and two walks on two
+        threads each took three times as long.
         """
-        succ = self._successors()
-        lo, hi, w = self.region_lo, self.region_hi, self.blend_width
-        separated = np.append(hi[:-1] <= lo[1:], True)
-        bounded = all(np.abs(col).max() < _ENTRY_CAP for col in self._table)
-        size = lo.size
-        usable = np.empty(size, dtype=bool)
-        nodes = [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=np.int64)]
-        step = _SLICE // _STRIDE
-        for s in range(0, size, step):
-            chain = np.empty((_STRIDE, min(step, size - s)), dtype=np.intp)
-            chain[0] = np.arange(s, s + chain.shape[1])
-            for j in range(1, _STRIDE):
-                succ.take(chain[j - 1], out=chain[j])
-            usable[s:s + chain.shape[1]] = separated.take(chain).all(axis=0) & bounded
-            for out, v in zip(nodes, tree_product(*(col.take(chain.T) for col in self._table))):
-                out[s:s + chain.shape[1]] = v
-        return _Leaves(succ, usable, _least_passing(lo, w), -_least_passing(-hi, w), tuple(nodes))
+        x0 = np.atleast_1d(np.asarray(xs, dtype=float))
+        lane, start, region = self._walk(x0, n)
+        chunk = np.flatnonzero(region < 0)
+        batches = [chunk[s:s + _BATCH] for s in range(0, chunk.size, _BATCH)]
+        chunks = [np.concatenate(v) for v in zip(*ordered_map(
+            lambda c: self._chunk_products(x0.take(lane[c]), start[c], n), batches))]
+        cuts = np.searchsorted(lane, np.arange(x0.size + 1))
+        firsts = np.searchsorted(chunk, cuts)  # each lane's first chunk
+        out = np.empty(x0.size)
+        for i in range(x0.size):
+            r = region[cuts[i]:cuts[i + 1]]
+            nodes = [v.take(r) for v in self._suffix]  # -1 reads the last row: a chunk's place
+            for v, c in zip(nodes, chunks):
+                v[r < 0] = c[firsts[i]:firsts[i + 1]]
+            *top, e = tree_product(*(v[None] for v in nodes[:4]))
+            out[i] = log_norm(*top, e + nodes[4].sum())[0]
+        return out
 
-    def orbit_product(self, base, x0, n, start=0):
-        """`Generator.orbit_product`, bit for bit, from the leaf table.
-
-        A node of 16 steps takes its region r0's leaf where the leaf is usable
-        and each of its points x_j lies inside the predicted region
-        r_j = s^j(r0) as `_bounds` tests it.  `_entries_slice` then gives x_j
-        the table matrix of r_j, and the leaf is tree_product of those
-        matrices: the block tree's level-4 node, rescaled at its root as the
-        block tree rescales level 4.  Every other node gets the entries of its
-        points and the same tree_product.  tree_product over the nodes then
-        runs the block's levels 5 and up with their rescales
-        (`cocycle._blocked_tree`).  With every entry below _ENTRY_CAP no tree
-        here or in the whole block overflows, so none restarts; a block whose
-        length is not a multiple of 16, or whose entries reach the cap, goes
-        through `Generator.orbit_product` whole.
+    def _walk(self, x0: np.ndarray, n: int):
+        """The nodes of lanes x0 over n steps, as arrays (lane, start, region)
+        in order of lane and then of start.  A lane's point, taken from its
+        anchor as `orbit_floats` takes it, starts a node of its region's
+        suffix row where it lies a blend width plus the drift (class
+        docstring) inside the region's arc and the column ends within n; any
+        other node is a chunk of `_CHUNK` steps, region -1.
         """
-        if n % _STRIDE:
-            return super().orbit_product(base, x0, n, start)
-        leaves = self._leaf_table()
-        pos = base.orbit_floats(x0, n, start)
-        rows = pos.reshape(-1, _STRIDE)  # one row per node
-        cols = np.ascontiguousarray(rows.T)
-        head = r = self._locate(cols[0])
-        ok = leaves.usable.take(head)
-        for j, x in enumerate(cols):
-            if j:
-                r = leaves.succ.take(r)
-            ok &= leaves.inner_lo.take(r) <= x
-            ok &= x <= leaves.inner_hi.take(r)
-        nodes = [v.take(head) for v in leaves.nodes]
-        slow = np.flatnonzero(~ok)
-        for s in range(0, slow.size, _SLICE // _STRIDE):  # _SLICE points at a time
-            part = slow[s:s + _SLICE // _STRIDE]
-            ents = [np.asarray(v, dtype=float) for v in self.entries(rows[part])]
-            if not all(np.abs(v).max() < _ENTRY_CAP for v in ents):
-                return super().orbit_product(base, x0, n, start)
-            for out, v in zip(nodes, tree_product(*ents)):
-                out[part] = v
-        *nodes, e = (v.reshape(pos.shape[0], -1) for v in nodes)
-        *top, e_top = tree_product(*nodes)
-        return (*top, e_top + e.sum(axis=1))
+        alpha = self.original.base.alpha_float
+        drift = 2.0**-36 + 4.0 * math.ulp(n + 1.0) + int(self.label_heights.max()) * 2.0**-53
+        reach = 1.0 + drift / self.blend_width  # in blend widths, as `_bounds` measures
+        steps = np.zeros(x0.size, dtype=np.int64)
+        active = np.arange(x0.size, dtype=np.int32)
+        nodes: list = []
+        while active.size:
+            start = steps.take(active)
+            r, t = self._bounds(wrap_floats(x0.take(active) + start * alpha))
+            top = self._to_top.take(r)
+            inside = (t >= reach) & (top <= n - start)
+            nodes.append((active, start, np.where(inside, r, -1).astype(np.int32)))
+            steps[active] = start + np.where(inside, top, _CHUNK)
+            active = active[steps.take(active) < n]
+        lane, start, region = (np.concatenate(v) for v in zip(*nodes))
+        del nodes
+        order = np.argsort(lane, kind="stable")
+        return lane.take(order), start.take(order), region.take(order)
+
+    def _chunk_products(self, anchors: np.ndarray, start: np.ndarray, n: int):
+        """tree_product (pa, pb, pc, pd, E) of the entries of each chunk of
+        `_CHUNK` steps from step start[i] of anchor anchors[i], with the
+        identity at step n and past it."""
+        k = start[:, None] + np.arange(_CHUNK)
+        ents = self.entries(wrap_floats(anchors[:, None] + k * self.original.base.alpha_float))
+        return tree_product(*(np.where(k < n, v, one) for v, one in zip(ents, (1.0, 0.0, 0.0, 1.0))))
 
     # -- certificates ------------------------------------------------------------
 
@@ -487,35 +471,6 @@ class PerturbedCocycle(Generator):
             raise BlendBoundViolated(
                 f"sup distance {self.sup_distance:.6g} >= e^c(e^c+1) eps = {bound:.6g}")
         return self.sup_distance
-
-
-@dataclass(frozen=True)
-class _Leaves:
-    """`PerturbedCocycle`'s leaf table: per region, the successor guess s,
-    whether its leaf may be used, the bounds of its interior and its leaf
-    (pa, pb, pc, pd, E)."""
-
-    succ: np.ndarray
-    usable: np.ndarray
-    inner_lo: np.ndarray
-    inner_hi: np.ndarray
-    nodes: tuple
-
-
-def _least_passing(lo: np.ndarray, w: float) -> np.ndarray:
-    """Per element, the least float x with (x - lo) / w >= 1 in floats, or
-    inf where a few ulp steps from lo + w do not find it.  The test is
-    monotone in x, so the x returned passes and the float below it fails,
-    which is checked."""
-    def passes(x):
-        return (x - lo) / w >= 1.0
-
-    x = lo + w
-    for _ in range(4):
-        below = np.nextafter(x, -np.inf)
-        x = np.where(passes(below), below, x)
-        x = np.where(passes(x), x, np.nextafter(x, np.inf))
-    return np.where(passes(x) & ~passes(np.nextafter(x, -np.inf)), x, np.inf)
 
 
 def _column_matrices(co: Cocycle, plan: SegmentPlan, height: int) -> np.ndarray:
@@ -566,10 +521,13 @@ class GrowthCertificate:
     Trust of the inputs: the castle's tiling (`Castle.verify`) and the
     regions' disjointness (`PerturbedCocycle`) are certified exactly at every
     size; sf is analytic; sup||A|| and `sup_distance` are grid-sampled;
-    `block_logs` are float products.  `max_direct` is the float sweep at the grid points,
-    `margin` four times its largest neighbour step, and `dominance_ok` says
-    every lane stays under U.  `direct` keeps the lanes, which `surgery.json`
-    does not hold.
+    `block_logs` are exact over the stored doubles, rounded up
+    (`exact.column_suffixes`), and those doubles are A~'s values on the
+    blocks, a floor arc cut at the seam 0 = 1 included.  `max_direct` is the
+    float sweep at the grid points (`PerturbedCocycle.log_norms`), `margin`
+    four times its largest neighbour step, and `dominance_ok` says every
+    lane is finite and under U.  `direct` keeps the lanes, which
+    `surgery.json` does not hold.
     """
 
     n: int
@@ -599,7 +557,7 @@ def verify_growth(pc: PerturbedCocycle, cfg: SurgeryConfig, n: int,
     if n <= max(cfg.n0, (cfg.N + 1) / cfg.eps):
         raise CocycleLabError(f"horizon n = {n} must exceed max(n0, (N+1)/eps)")
     xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
-    direct = log_norms_batch(pc.cocycle, xs, n) / n
+    direct = pc.log_norms(xs, n) / n
     diffs = np.abs(np.diff(direct))
     margin = 4.0 * float(diffs.max()) if diffs.size else 0.0
 
@@ -610,7 +568,7 @@ def verify_growth(pc: PerturbedCocycle, cfg: SurgeryConfig, n: int,
     v_blocks = sf * (cfg.N + 1) * s
     uniform = head_tail + table_rate + v_blocks
     freq_cap = cfg.eps / (cfg.N + 1)
-    dominance = bool(np.all(direct <= uniform + 1e-9))
+    dominance = bool(np.isfinite(direct).all() and np.all(direct <= uniform + 1e-9))
     bound = cfg.growth_bound
     passed = bool(
         (direct.max() + margin < bound)

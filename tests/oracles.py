@@ -7,7 +7,8 @@ of `perturb._masked_products` and `perturb._certify_chunk`, which mask or
 overlay full (L, N) copies of the entry arrays before one scan.  For the
 surgery: `certify_distance` as one generator call over every probe.  For
 the tangent chart: `sl2.exp_traceless_arrays` and `sl2.log_sl2_arrays` with
-every branch gathered and scattered by its mask.
+every branch gathered and scattered by its mask.  For long products: log
+sigma1 of the product of a sequence of doubles in mpmath.
 """
 
 from bisect import bisect_left, bisect_right
@@ -176,3 +177,19 @@ def log_sl2_masked(a, b, c, d):
     u = np.sqrt(np.maximum(1.0 - te * te, 1e-300))
     kappa[ell] = np.arccos(np.clip(te, -1.0, 1.0)) / u
     return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
+
+
+def mpmath_log_norm(a, b, c, d, dps: int):
+    """log sigma1 of M_{n-1} ... M_0 for the doubles M_j = [[a[j], b[j]],
+    [c[j], d[j]]], an mpmath number of `dps` digits, and with sigma1 from
+    the determinant of the product itself."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pa, pb, pc, pd = (mpmath.mpf(v) for v in (1, 0, 0, 1))
+        for na, nb, nc, nd in zip(*(np.asarray(v, dtype=float).tolist() for v in (a, b, c, d))):
+            pa, pb, pc, pd = (na * pa + nb * pc, na * pb + nb * pd,
+                              nc * pa + nd * pc, nc * pb + nd * pd)
+        g = pa * pa + pb * pb + pc * pc + pd * pd
+        det = pa * pd - pb * pc
+        return mpmath.log(mpmath.sqrt((g + mpmath.sqrt((g - 2 * det) * (g + 2 * det))) / 2))

@@ -595,7 +595,7 @@ class TestUnionAlgebra:
     def test_column_floors_are_translated_cells(self, angle, points, seam, height):
         """The walk gives the per-floor oracle translate_union(u, mod1(j alpha)),
         piece by piece and in the angle's field, and floats with the bits of
-        float() of those pieces.  With `seam`, u has a piece starting at 0 and
+        float() of those pieces and of their arcs.  With `seam`, u has a piece starting at 0 and
         one ending at 1, which every nonzero rotation joins (u = [0, 1) when
         nothing lies between).  Floor -k puts a point {k alpha}, k < 0 (r = 0),
         exactly on 1."""
@@ -610,10 +610,19 @@ class TestUnionAlgebra:
         got = list(bd.column_floors(u, rot.alpha, height))
         assert got == want
         assert all(type(x) is type(rot.alpha) for piece, _ in got for x in piece)
-        lo, hi, level = bd.column_float_breaks(u, rot.alpha, height)
+        lo, hi, level, arc_lo, arc_hi = bd.column_float_breaks(u, rot.alpha, height)
         assert [x.hex() for x in lo.tolist()] == [float(p[0]).hex() for p, _ in want]
         assert [x.hex() for x in hi.tolist()] == [float(p[1]).hex() for p, _ in want]
         assert level.tolist() == [j for _, j in want]
+        # pieces of one floor at 0 and at 1 are one arc, cut at the seam
+        arcs = []
+        for j in range(height):
+            floor = [list(p) for p, k in want if k == j]
+            if len(floor) > 1 and floor[0][0] == 0 and floor[-1][1] == 1:
+                floor[0][0], floor[-1][1] = floor[-1][0] - 1, floor[0][1] + 1
+            arcs += floor
+        assert [x.hex() for x in arc_lo.tolist()] == [float(a).hex() for a, _ in arcs]
+        assert [x.hex() for x in arc_hi.tolist()] == [float(b).hex() for _, b in arcs]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(ROTATIONS)),

@@ -14,7 +14,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
 from cocyclelab.errors import DeterminantError, LogDomain
-from cocyclelab.exact import QuadExt
+from cocyclelab.exact import QuadExt, column_suffixes
 from cocyclelab.sl2 import (
     Mat2,
     TangentVec,
@@ -34,7 +34,7 @@ from cocyclelab.sl2 import (
     singular_axes_arrays,
     tree_product,
 )
-from oracles import exp_traceless_masked, log_sl2_masked
+from oracles import exp_traceless_masked, log_sl2_masked, mpmath_log_norm
 from sl2_axes import DegenerateAxes, singular_axes
 
 # fixed examples, no example database: the suite stays reproducible
@@ -643,7 +643,7 @@ class TestProductKernel:
         block = 1 << log_block
         n = 1 + (n - 1) % (3 * block + 1)  # 1 to 3 blocks + 1 steps
         ents = [v.reshape(lanes, n) for v in random_sl2(np.random.default_rng(seed), lanes * n)]
-        got = cy._blocked_tree(lambda s, k: tree_product(*(v[:, s:s + k] for v in ents)), n, block)
+        got = cy._blocked_tree(lambda s, k: tuple(v[:, s:s + k] for v in ents), n, block)
         for g, w in zip(got, tree_product(*ents)):
             assert np.array_equal(g, w)
 
@@ -685,3 +685,35 @@ class TestProductKernel:
                 det = pa * pd - pb_ * pc
                 ref = mpmath.log(mpmath.sqrt((g + mpmath.sqrt((g - 2 * det) * (g + 2 * det))) / 2))
                 assert abs(float(ref) - float(val)) <= 1e-12 * n
+
+
+class TestColumnSuffixes:
+    """`exact.column_suffixes` against suffix products in Fractions and log
+    sigma1 in mpmath."""
+
+    @KERNEL
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 40), spread=st.integers(0, 60))
+    @example(seed=1, h=1, spread=0)  # one matrix
+    @example(seed=2, h=30, spread=60)  # entries 2^-60 .. 2^60 apart, and zeros
+    def test_rows_and_bound(self, seed, h, spread):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        ents = [v.copy() for v in random_sl2(rng, h, t_max=4.0)]
+        scale = np.ldexp(1.0, rng.integers(-spread, spread + 1, h))
+        ents[1] *= scale  # conjugation by diag(s, 1): still unimodular
+        ents[2] /= scale
+        ents[rng.integers(4)][rng.integers(h)] = 0.0
+        rows, bound = column_suffixes(*(v.tolist() for v in ents))
+        assert len(rows) == h
+        exact = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        for j in range(h - 1, -1, -1):
+            a, b, c, d = (Fraction(float(v[j])) for v in ents)
+            exact = [[exact[0][0] * a + exact[0][1] * c, exact[0][0] * b + exact[0][1] * d],
+                     [exact[1][0] * a + exact[1][1] * c, exact[1][0] * b + exact[1][1] * d]]
+            *mant, e = rows[j]
+            assert 0.5 <= max(abs(p) for p in mant) <= 1.0
+            scaled = [x / Fraction(2) ** e for x in (*exact[0], *exact[1])]
+            assert all(abs(Fraction(p) - x) <= Fraction(1, 2**53) for p, x in zip(mant, scaled))
+        ref = mpmath_log_norm(*ents, dps=60)
+        with mpmath.workdps(60):
+            assert bound >= ref and float(bound - ref) <= 1e-14 * max(1.0, abs(bound))
