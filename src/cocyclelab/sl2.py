@@ -409,15 +409,19 @@ def scan_product(a, b, c, d):
     product is 2^E times the mantissa matrix.  Bitwise equal to the unscaled
     product times 2^-E while that does not overflow, and to scan_lanes.  The
     step is `_mul`'s expressions and the rescale `rescale`'s, written out
-    inline: a function call per step costs about a fifth of the loop.
+    inline: a function call per step costs about a fifth of the loop.  A
+    step updates the product one column at a time, (pa, pc) and then
+    (pb, pd), as two pair assignments, which CPython makes without building
+    a tuple: the same expressions in the same order, and about a tenth less
+    time on 800 steps than one four-tuple assignment.
     """
     a, b, c, d = (np.asarray(v, dtype=float).tolist() for v in (a, b, c, d))
     pa, pb, pc, pd, e = 1.0, 0.0, 0.0, 1.0, 0
     for s in range(0, len(a), _STRIDE):
         t = s + _STRIDE
         for na, nb, nc, nd in zip(a[s:t], b[s:t], c[s:t], d[s:t]):
-            pa, pb, pc, pd = (na * pa + nb * pc, na * pb + nb * pd,
-                              nc * pa + nd * pc, nc * pb + nd * pd)
+            pa, pc = na * pa + nb * pc, nc * pa + nd * pc
+            pb, pd = na * pb + nb * pd, nc * pb + nd * pd
         _, k = math.frexp(max(abs(pa), abs(pb), abs(pc), abs(pd)))
         pa, pb, pc, pd = (math.ldexp(pa, -k), math.ldexp(pb, -k),
                           math.ldexp(pc, -k), math.ldexp(pd, -k))

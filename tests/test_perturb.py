@@ -591,6 +591,76 @@ class TestChooseWindow:
         assert pb._sweep(co, pts[1:], 0.1, 8, 8, seen, stop=True)
         assert list(seen.items()) == want[1:]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_probes_spread_anchors_first(self, monkeypatch, workers):
+        """An early-exiting sweep of more than 16 points sweeps 16 spread
+        points first, in one call on the calling thread, and a failing run
+        mid-set ends it there."""
+        co = weak_schrodinger()
+        xs = np.linspace(0.0, 1.0, 256, endpoint=False) + 0.0013
+        ok = pb._window_sweep_ok(co, xs[:80], 0.3, 8, 8)
+        pts = xs[:40]
+        fails = np.flatnonzero(~ok[:40])
+        # one failing run, strictly inside the set, and all-passing points after it
+        assert 0 < fails[0] and fails[-1] < 39 and fails.size == fails[-1] - fails[0] + 1
+        assert ok[40:].all()
+        verdict = dict(zip(xs[:80].tolist(), ok.tolist()))
+        # the first 16 bit-reversed 6-bit indices below 40
+        spread = [0, 32, 16, 8, 24, 4, 36, 20, 12, 28, 2, 34, 18, 10, 26, 6]
+        probe = pts[spread].tolist()
+        calls = []
+        sweep_ok = pb._window_sweep_ok
+
+        def spy(co, anchors, eps, m, k):
+            calls.append((anchors.tolist(), threading.current_thread() is threading.main_thread()))
+            return sweep_ok(co, anchors, eps, m, k)
+
+        monkeypatch.setattr(pb, "_window_sweep_ok", spy)
+        monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group after the probe
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
+        seen: dict = {}
+        assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=True)
+        assert list(seen.items()) == [(p, verdict[p]) for p in probe]
+        assert calls == [(probe, True)]
+        assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=True)  # a known failure
+        assert len(seen) == 16 and len(calls) == 1
+        # without stop every point is swept, in input order
+        seen = {}
+        assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=False)
+        assert list(seen.items()) == [(p, verdict[p]) for p in pts.tolist()]
+        # an all-passing set: the probe, then every other point in waves
+        seen, calls[:] = {}, []
+        rest = xs[40:80]
+        assert pb._sweep(co, rest, 0.3, 8, 8, seen, stop=True)
+        assert sorted(seen) == rest.tolist() and all(seen.values())
+        assert calls[0] == (rest[spread].tolist(), True)
+        assert [len(a) for a, _ in calls[1:]] == [1] * 24
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_work_on_plans_input(self, monkeypatch, reference_windows, workers):
+        """The search's steering work on the plans input, in lane-steps
+        (anchors * k^2 * m summed over _window_sweep_ok calls), stays under
+        3.2 M at any worker count, with the reference's (W, m).  Sweeping
+        each window's inside points in input order took 4.5 M at one worker
+        and 5.0 M at two."""
+        if "plans" not in reference_windows:
+            reference_windows["plans"] = search_result(reference_choose_steering_window,
+                                                       weak_schrodinger(), 0.18)
+        lane_steps = [0]
+        lock = threading.Lock()
+        sweep_ok = pb._window_sweep_ok
+
+        def spy(co, anchors, eps, m, k):
+            with lock:
+                lane_steps[0] += anchors.size * k * k * m
+            return sweep_ok(co, anchors, eps, m, k)
+
+        monkeypatch.setattr(pb, "_window_sweep_ok", spy)
+        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
+        assert search_result(pb.choose_steering_window, weak_schrodinger(), 0.18) \
+            == reference_windows["plans"]
+        assert lane_steps[0] <= 3_200_000
+
     def test_early_exit_evaluates_fewer_positions(self):
         """On the plans input the search evaluates the generator at fewer
         positions than the reference, which sweeps every window's inside
