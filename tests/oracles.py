@@ -5,12 +5,14 @@ exact covering sweep, both independent of the three-distance closed form
 that `basedyn.first_return` uses.  For the planner: the whole-copy versions
 of `perturb._masked_products` and `perturb._certify_chunk`, which mask or
 overlay full (L, N) copies of the entry arrays before one scan.  For the
-surgery: `certify_distance` as one generator call over every probe.  For
+surgery: `certify_distance` as one generator call over every probe, and the
+direct sweep as a whole walk whose nodes are merged by one tree per lane.  For
 the tangent chart: `sl2.exp_traceless_arrays` and `sl2.log_sl2_arrays` with
 every branch gathered and scattered by its mask.  For long products: log
 sigma1 of the product of a sequence of doubles in mpmath.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -19,7 +21,8 @@ from cocyclelab import basedyn as bd
 from cocyclelab.errors import HorizonExceeded
 from cocyclelab.exact import mod1
 from cocyclelab.errors import LogDomain
-from cocyclelab.sl2 import _TRACE_FLOOR, general_operator_norm, log_norm, scan_lanes
+from cocyclelab.sl2 import _TRACE_FLOOR, general_operator_norm, log_norm, scan_lanes, tree_product
+from cocyclelab.surgery import _CHUNK
 
 
 def first_return_marching(rot: bd.CircleRotation, U: bd.Cell,
@@ -139,6 +142,53 @@ def certify_distance_one_shot(pc) -> float:
     pa, pb, pc_, pd = pc.entries(probe)
     ga, gb, gc, gd = (np.asarray(e, dtype=float) for e in pc.original.generator.entries(probe))
     return float(general_operator_norm(pa - ga, pb - gb, pc_ - gc, pd - gd).max())
+
+
+def reference_walk(pc, x0: np.ndarray, n: int):
+    """The direct sweep's nodes of lanes x0 over n steps, the whole walk at
+    once, as arrays (lane, start, region) in order of lane and then of start:
+    a suffix row where the lane's point lies a blend width plus the drift
+    inside its region's arc and the column ends within n, else a chunk of
+    `surgery._CHUNK` steps, region -1."""
+    alpha = pc.original.base.alpha_float
+    drift = 2.0**-36 + 4.0 * math.ulp(n + 1.0) + int(pc.label_heights.max()) * 2.0**-53
+    reach = 1.0 + drift / pc.blend_width
+    steps = np.zeros(x0.size, dtype=np.int64)
+    active = np.arange(x0.size, dtype=np.int32)
+    nodes = []
+    while active.size:
+        start = steps.take(active)
+        r, t = pc._bounds(bd.wrap_floats(x0.take(active) + start * alpha))
+        top = pc._to_top.take(r)
+        inside = (t >= reach) & (top <= n - start)
+        nodes.append((active, start, np.where(inside, r, -1).astype(np.int32)))
+        steps[active] = start + np.where(inside, top, _CHUNK)
+        active = active[steps.take(active) < n]
+    lane, start, region = (np.concatenate(v) for v in zip(*nodes))
+    order = np.argsort(lane, kind="stable")
+    return lane.take(order), start.take(order), region.take(order)
+
+
+def reference_log_norms(pc, xs, n: int) -> np.ndarray:
+    """`PerturbedCocycle.log_norms` as one tree_product per lane over all of
+    the lane's nodes from `reference_walk`, every chunk evaluated first."""
+    x0 = np.atleast_1d(np.asarray(xs, dtype=float))
+    lane, start, region = reference_walk(pc, x0, n)
+    chunk = np.flatnonzero(region < 0)
+    parts = [pc._chunk_products(x0.take(lane[c]), start[c], n)
+             for c in np.array_split(chunk, max(1, chunk.size // 512))]
+    chunks = [np.concatenate(v) for v in zip(*parts)]
+    cuts = np.searchsorted(lane, np.arange(x0.size + 1))
+    firsts = np.searchsorted(chunk, cuts)
+    out = np.empty(x0.size)
+    for i in range(x0.size):
+        r = region[cuts[i]:cuts[i + 1]]
+        nodes = [v.take(r) for v in pc._suffix]  # -1 reads the last row: a chunk's place
+        for v, c in zip(nodes, chunks):
+            v[r < 0] = c[firsts[i]:firsts[i + 1]]
+        *top, e = tree_product(*(v[None] for v in nodes[:4]))
+        out[i] = log_norm(*top, e + nodes[4].sum())[0]
+    return out
 
 
 def exp_traceless_masked(t1, t2, t3):

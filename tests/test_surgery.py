@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,14 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
-from cocyclelab.errors import CertificationFailed, NotApplicable, ResolutionExceeded
+from cocyclelab.errors import (CertificationFailed, CocycleLabError, NotApplicable,
+                               ResolutionExceeded)
 from cocyclelab.exact import QuadExt, column_suffixes, mod1
 from cocyclelab.perturb import EarlyExit, Steered, plan_entries, plan_segments
 from cocyclelab.sl2 import Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_sl2_arrays
 from disjoint import first_overlap
-from oracles import certify_distance_one_shot, distance_probes, mpmath_log_norm
+from oracles import (certify_distance_one_shot, distance_probes, mpmath_log_norm,
+                     reference_log_norms, reference_walk)
 
 
 def golden(grid=1024):
@@ -444,9 +447,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("tail", [80, 83])
     def test_sweep_bytes_independent_of_workers(self, bench_pipeline, monkeypatch, tail):
-        """The direct sweep gives the same bytes on one CPU and on two, its
-        chunk batches then spread over two threads.  The horizon ends in
-        `tail` steps past 2 * 4096."""
+        """The direct sweep gives the same bytes on one CPU and on two.  The
+        horizon ends in `tail` steps past 2 * 4096."""
         co, cfg, pc, cert = bench_pipeline
         xs, n = (np.arange(96) + 0.37) / 96, 2 * 4096 + tail
         runs = []
@@ -539,9 +541,22 @@ def sweep_lanes(pc):
                            outside[::50], interior_points(pc, 24), rng.random(24)])
 
 
+def window_nodes(pc, xs, n):
+    """The nodes of `PerturbedCocycle._windows`, joined into arrays (lane,
+    start, region) in order of lane and then of start."""
+    parts = []
+    for start, region in pc._windows(xs, n):
+        lane, k = np.nonzero(region > -2)
+        parts.append((lane, start[lane, k], region[lane, k]))
+    lane, start, region = (np.concatenate(v) for v in zip(*parts))
+    order = np.lexsort((start, lane))
+    return lane[order], start[order], region[order]
+
+
 class TestColumnWalk:
     """`PerturbedCocycle.log_norms`, the direct sweep, against the pairwise
-    tree over the blended map's own entries, and the walk's nodes."""
+    tree over the blended map's own entries and against one tree per lane
+    over the whole walk, and the walk's nodes."""
 
     @pytest.mark.parametrize("n", [1, 64, 87, 200, 2 * 4096 + 77])
     def test_equals_tree_of_entries(self, bench_pipeline, n):
@@ -557,7 +572,7 @@ class TestColumnWalk:
         label's table matrices."""
         co, cfg, pc, cert = bench_pipeline
         xs, n = sweep_lanes(pc), 20_000
-        lane, start, region = pc._walk(xs, n)
+        lane, start, region = window_nodes(pc, xs, n)
         served = region >= 0
         end = start + np.where(served, pc._to_top.take(np.maximum(region, 0)), sg._CHUNK)
         first = np.r_[True, lane[1:] != lane[:-1]]
@@ -579,6 +594,51 @@ class TestColumnWalk:
         assert np.array_equal(pc.region_label[idx], np.broadcast_to(pc.region_label[r][:, None],
                                                                     live.shape)[live])
         assert np.array_equal(pc.region_level[idx], (pc.region_level[r][:, None] + steps)[live])
+
+    @pytest.mark.parametrize("windows", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_equals_reference_at_window_edges(self, bench_pipeline, windows, offset):
+        """Bit for bit the sweep of one tree per lane over all its nodes, at
+        the horizon where lane 0 ends with 256 windows + offset nodes: just
+        before, at and just after a window's end.  The horizon is the start
+        of that node in a longer walk whose n + 1 lies in the same binade."""
+        co, cfg, pc, cert = bench_pipeline
+        xs, k = sweep_lanes(pc), 256 * windows + offset
+        lane, start, region = reference_walk(pc, xs[:1], (1 << (14 + windows)) - 2)
+        n = int(start[k])
+        assert np.count_nonzero(reference_walk(pc, xs[:1], n)[0] == 0) == k
+        got, want = pc.log_norms(xs, n), reference_log_norms(pc, xs, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_flat_in_n(self, bench_pipeline):
+        """The sweep reduces each window of the walk as the walk runs, so
+        the traced peak over 96 lanes stays put while n grows fourfold.  A
+        walk that keeps every node until the end held 21.4 MiB at 245,761
+        steps and 42.8 MiB at four times that."""
+        co, cfg, pc, cert = bench_pipeline
+        xs = np.arange(96) / 96
+        peaks = []
+        for n in (1 << 16, 1 << 18):
+            tracemalloc.start()
+            try:
+                pc.log_norms(xs, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_needs_positive_horizon(self, bench_pipeline, n):
+        """As `cocycle.log_norms_batch`: no sweep below one step."""
+        co, cfg, pc, cert = bench_pipeline
+        with pytest.raises(CocycleLabError, match="need n >= 1"):
+            pc.log_norms(np.array([0.1, 0.2]), n)
+
+    def test_no_lanes(self, bench_pipeline):
+        """No anchors, no lanes: an empty array, as `cocycle.log_norms_batch`."""
+        co, cfg, pc, cert = bench_pipeline
+        got = pc.log_norms(np.array([]), 1000)
+        assert got.shape == (0,) and got.dtype == float
 
     @pytest.mark.parametrize("fixture", ["pipeline", "bench_pipeline"])
     def test_seam_has_no_collar(self, fixture, request):
@@ -672,6 +732,20 @@ def test_direct_sweep_matches_mpmath_when_plans_steer(steered_surgery):
     got = float(pc.log_norms(x, n)[0])
     ref = float(mpmath_log_norm(*(e[0] for e in pc.cocycle.entries_along(x, n)), dps=80))
     assert abs(got - ref) < 1.0
+
+
+def test_steered_sweep_equals_reference(steered_surgery):
+    """On the steered fixture at n = 8192, the window sweep is bit for bit
+    one tree per lane over all its nodes.  Both read -inf on the same 9 of
+    the 1,645 lanes: there the nodes' mantissas cancel below the smallest
+    double between two rescales, and the root is the zero matrix (lane 117,
+    x = 0.19194..., all chunks; an 80-digit product reads 4059.68)."""
+    _, pc = steered_surgery
+    xs = sweep_lanes(pc)
+    with np.errstate(divide="ignore"):
+        got, want = pc.log_norms(xs, 8192), reference_log_norms(pc, xs, 8192)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got == -np.inf) == 9
 
 
 def test_steered_sweep_at_n0(steered_surgery):
