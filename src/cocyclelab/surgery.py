@@ -73,7 +73,7 @@ _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
 _SLICE = 1 << 15  # points per slice of PerturbedCocycle.entries (see there)
 _ESTIMATE_HORIZON = 200_000  # steps of the exponent-estimate gate
 _CHUNK = 64  # steps of a direct-sweep node that no suffix row serves
-_BATCH = 256  # such chunks per call of the blended map, 16 k points
+_BATCH = 128  # such chunks per call of the blended map; 256 faulted 60 k pages a bench sweep
 _WINDOW = 256  # walk iterations, nodes per lane, reduced at a time by the direct sweep
 
 
