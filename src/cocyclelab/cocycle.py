@@ -8,11 +8,9 @@ build each step chunk's tree from aligned power-of-two blocks of at most
 max(min(_MAX_ELEMS, 2^19), lane_chunk) entry elements (one step of a lane
 chunk when the lanes alone exceed the cap) and at most 4096 steps: memory is
 bounded by one block at any horizon, and the bits are those of the whole
-chunk's tree.  A chunk wider than one uncapped block per CPU splits its lanes
-over the CPUs, which moves no bit either.  The trees write their levels into
-buffers that each worker thread keeps until the outermost
-`_parallel.ordered_map` returns, so the blocks and slices of one sweep reuse
-them.
+chunk's tree.  The trees write their levels into buffers that each worker
+thread keeps until the outermost `_parallel.ordered_map` returns, so the
+blocks and slices of one sweep reuse them.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import map_workers, ordered_map, parallel_lanes
+from ._parallel import ordered_map, parallel_lanes
 from .basedyn import BasePoint, CircleRotation, wrap_floats
 from .errors import CocycleLabError, Overflow
 from .sl2 import (
@@ -302,43 +300,26 @@ def log_norms_batch(co: Cocycle, anchors: np.ndarray, n: int) -> np.ndarray:
     horizon, and whose length is at most `_BLOCK_STEPS` = 4096 steps.  So
     memory is bounded by one block at any n, and the blocks move no bit.
 
-    Every tree writes its levels into its thread's buffers (`sl2.tree_product`),
-    which live until the outermost `ordered_map` returns: across the blocks,
-    chunks and lane groups of this call, and across the slices of a sweep
-    that runs it in a worker.  A call outside a worker drops them on
-    return.  The 4096-step cap is measured.  The `sweep` bench input (64
-    lanes a slice, 10,000 steps) has 8192-step blocks without it, and the
-    buffers its two threads keep for them raised peak RSS from about 75 to
-    110 MiB.
-
-    Where a step chunk is wider than one uncapped block per CPU and the lane
-    chunk holds at least two lanes, the chunk's lanes split into contiguous
-    groups, one per CPU (`_parallel.ordered_map`), each running the same step
-    loop.  Every operation in that loop is lane-wise (the entries, `_mul`,
-    `rescale`, `tree_product`'s per-lane exponent sum, `log_norm`), so the
-    bits do not depend on the grouping, and the groups together hold one
-    block.  Narrower chunks stay serial, and the split reads the uncapped
-    width so that the cap does not change which: the surgery's exponent
-    estimate (3 lanes, 200,000 steps, under two 131,072-step widths) gains
-    0.03 s from a split, and its helper thread's heap, left fragmented,
-    raised a later stage's peak RSS by up to 40 MiB.
+    The lane chunks run in order on the calling thread, as the items of one
+    serial `ordered_map`, so every tree writes its levels into the same
+    buffers (`sl2.tree_product`), which live until the outermost
+    `ordered_map` returns: across the blocks and chunks of this call, and
+    across the slices of a sweep that runs it in a worker.  The 4096-step
+    cap is measured.  The `sweep` bench input (64 lanes a slice, 10,000
+    steps) has 8192-step blocks without it, and the buffers its two threads
+    keep for them raised peak RSS from about 75 to 110 MiB.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
     if n < 1:
         raise CocycleLabError("need n >= 1")
-    out = np.empty(anchors.size, dtype=float)
     lane_chunk = max(1, min(anchors.size, max(_MAX_ELEMS // max(n, 1), 256)))
     step_chunk = max(1, _MAX_ELEMS // lane_chunk)
     width = 1 << max(0, (min(_MAX_ELEMS, _BLOCK_ELEMS) // lane_chunk).bit_length() - 1)
     block = min(width, _BLOCK_STEPS)
-    workers = map_workers()
-    groups = workers if min(step_chunk, n) > workers * width else 1
-    for lo in range(0, anchors.size, lane_chunk):
-        sl = anchors[lo:lo + lane_chunk]
-        parts = np.array_split(sl, min(groups, sl.size))
-        out[lo:lo + sl.size] = np.concatenate(ordered_map(
-            lambda g: _lane_log_norms(co, g, n, step_chunk, block), parts))
-    return out
+    chunks = [anchors[lo:lo + lane_chunk] for lo in range(0, anchors.size, lane_chunk)]
+    logs = ordered_map(lambda sl: _lane_log_norms(co, sl, n, step_chunk, block), chunks,
+                       workers=1)
+    return np.concatenate(logs) if logs else np.empty(0)
 
 
 def lyapunov_estimate(co: Cocycle, x: BasePoint, n: int) -> float:

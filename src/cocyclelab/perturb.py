@@ -23,7 +23,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._parallel import map_workers, ordered_map
 from .basedyn import BasePoint, Cell, covering_time, locate
 from .cocycle import Cocycle, log_norms_batch
 from .errors import (
@@ -329,39 +328,29 @@ def _sweep(co: Cocycle, points: np.ndarray, eps: float, m: int, k: int, seen: di
 
     Without stop every point not yet in seen is swept, in order, in groups
     of _SWEEP_LANES // (k*k) anchors (at least one), each group one
-    _window_sweep_ok call; the groups go through `ordered_map` one wave of
-    `map_workers()` groups at a time, and every verdict swept goes into seen.
-    With stop, a known failing point returns False at once.  When more than
-    _PROBE points are unswept, they go in coarse-to-fine (bit-reversed
-    index) order, and the first _PROBE of them, spread over the set, are a
-    probe: one call on the calling thread, and False if any fails.  Failing
-    points come in contiguous runs, so the probe rejects most failing sets.
-    It runs on the calling thread because its small arrays hold the GIL: a
-    pool wave of them costs several times one call.  The rest go in the
-    groups and waves above, and the first wave that holds a failing point
-    returns False: the rest is never swept.  A verdict is per anchor, so
-    neither the order, the group size nor the worker count moves one.
+    _window_sweep_ok call on the calling thread, and every verdict swept
+    goes into seen.  With stop, a known failing point returns False at
+    once, and the first group that holds a failing point returns False: the
+    rest is never swept.  When more than _PROBE points are unswept, they go
+    in coarse-to-fine (bit-reversed index) order, and the first group is the
+    first _PROBE of them, spread over the set: a probe.  Failing points come
+    in contiguous runs, so the probe rejects most failing sets.  A verdict
+    is per anchor, so neither the order nor the group size moves one.
     """
     pts = points.tolist()
     if stop and not all(seen.get(p, True) for p in pts):
         return False
     new = [p for p in dict.fromkeys(pts) if p not in seen]
+    size = max(1, _SWEEP_LANES // (k * k))
+    cuts = list(range(0, len(new), size))
     if stop and len(new) > _PROBE:
         new = [new[i] for i in _coarse_to_fine(len(new))]
-        probe, new = new[:_PROBE], new[_PROBE:]
-        ok = _window_sweep_ok(co, np.array(probe), eps, m, k)
-        seen.update(zip(probe, ok.tolist()))
-        if not ok.all():
-            return False
-    size = max(1, _SWEEP_LANES // (k * k))
-    groups = [np.array(new[i:i + size]) for i in range(0, len(new), size)]
-    workers = map_workers()
-    for lo in range(0, len(groups), workers):
-        wave = groups[lo:lo + workers]
-        oks = ordered_map(lambda g: _window_sweep_ok(co, g, eps, m, k), wave)
-        for g, ok in zip(wave, oks):
-            seen.update(zip(g.tolist(), ok.tolist()))
-        if stop and not all(ok.all() for ok in oks):
+        cuts = [0, *range(_PROBE, len(new), size)]
+    for lo, hi in zip(cuts, cuts[1:] + [len(new)]):
+        group = new[lo:hi]
+        ok = _window_sweep_ok(co, np.array(group), eps, m, k)
+        seen.update(zip(group, ok.tolist()))
+        if stop and not ok.all():
             return False
     return all(seen[p] for p in pts)
 
@@ -394,20 +383,18 @@ def choose_steering_window(co: Cocycle, eps: float) -> tuple[Cell, int]:
     A window's inside points need only one failing point to fail, so their
     sweeps (8x8 in full, then 32x32) stop early (_sweep).  A sweep of more
     than 16 points first probes 16 of them, spread over the set in
-    bit-reversed index order, in one call on the calling thread, and a
-    failing probe ends the check.  Failing points come in contiguous runs:
-    on the plans input (Schrodinger 1.2, grid 2048, eps 0.18) failing
-    windows fail on runs of 4 to 86 of their 103 to 167 inside points, so
-    the probe rejects nearly every failing window.  The rest go in the same
-    order, in groups of about 2^14 lanes (_SWEEP_LANES // (k*k) points),
-    one wave of `_parallel.map_workers()` groups at a time, and the first
-    wave that holds a failing point ends the check.  A group of 2^14 lanes
+    bit-reversed index order, in one call, and a failing probe ends the
+    check.  Failing points come in contiguous runs: on the plans input
+    (Schrodinger 1.2, grid 2048, eps 0.18) failing windows fail on runs of
+    4 to 86 of their 103 to 167 inside points, so the probe rejects nearly
+    every failing window.  The rest go in the same order, one group of
+    about 2^14 lanes (_SWEEP_LANES // (k*k) points) at a time, and the first
+    group that holds a failing point ends the check.  A group of 2^14 lanes
     keeps a 32x32 sweep's arrays at 128 KiB each; at 2^11 lanes the
     per-call overhead eats the saving.  The center sweep needs every
     verdict and runs the same groups, in input order, to the end.  Every lane of
     _steer_batch is elementwise, so a point's verdict, and with it (W, m),
-    does not depend on the order, the group size, the worker count or how
-    far a sweep ran.
+    does not depend on the order, the group size or how far a sweep ran.
     """
     if eps <= 0:
         raise CocycleLabError("eps must be positive")

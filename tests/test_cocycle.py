@@ -150,12 +150,9 @@ class TestLogNorms:
             assert abs(direct - scaled) <= 1e-8 * max(1.0, abs(direct))
             assert abs(direct - tree) <= 1e-8 * max(1.0, abs(direct))
 
-    def test_peak_memory_flat_in_n(self, monkeypatch):
+    def test_peak_memory_flat_in_n(self):
         """The chunk tree is built block by block, so the traced peak of a
-        96-lane sweep stays put while n grows fourfold.  Measured on one
-        worker: with lane groups on several threads, tracemalloc's peak sums
-        their live blocks at the worst moment, which moves with scheduling."""
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 1)
+        96-lane sweep stays put while n grows fourfold."""
         co = cy.Cocycle(golden(), cy.twisted_table(1.2))
         xs = np.arange(96) / 96
         peaks = []
@@ -193,77 +190,49 @@ class TestLogNorms:
 
 
 class TestLaneGroups:
-    """Long sweeps split their lanes over the CPUs with the same bits."""
-
-    @pytest.fixture
-    def groups(self, monkeypatch):
-        """Lane counts of the groups of every ordered_map call in cocycle."""
-        seen = []
-        real = cy.ordered_map
-
-        def recording(fn, items):
-            items = list(items)
-            seen.append([g.size for g in items])
-            return real(fn, items)
-
-        monkeypatch.setattr(cy, "ordered_map", recording)
-        return seen
+    """Long sweeps chunk their lanes and steps with the same bits."""
 
     @pytest.mark.parametrize("lanes", [1, 3, 97])
     @pytest.mark.parametrize("family", ["schrodinger", "table"])
-    def test_bits_independent_of_workers(self, monkeypatch, groups, family, lanes):
+    def test_bits_independent_of_workers(self, monkeypatch, family, lanes):
+        """Blocks of 2^9 elements give the bits of blocks of 2^13, and a
+        sweep of them the same bits at --threads 1 and 2."""
         co = (schrodinger(1.3) if family == "schrodinger"
               else cy.Cocycle(golden(), cy.twisted_table(1.2, 256)))
         xs = np.random.default_rng(lanes).uniform(0.0, 1.0, lanes)
         # 2^13 elements fix the step chunks: 2730 steps for 3 lanes, 84 for
         # 97; n spans several, each split into many blocks of at most 2^9
-        # elements (128 steps, 4 steps), more than any worker count here
+        # elements (128 steps, 4 steps)
         n = {1: 5000, 3: 6000, 97: 300}[lanes]
         monkeypatch.setattr(cy, "_MAX_ELEMS", 1 << 13)
         whole = cy.log_norms_batch(co, xs, n)  # blocks of up to 2^13
         monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 9)
-        got = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_parallel, "cpu_workers", lambda w=workers: w)
-            groups.clear()
-            got[workers] = cy.log_norms_batch(co, xs, n)
-            assert groups == [[g.size for g in np.array_split(xs, min(workers, lanes))]]
+        blocked = cy.log_norms_batch(co, xs, n)
+        swept = [_parallel.parallel_lanes(lambda sl: cy.log_norms_batch(co, sl, n), xs, threads)
+                 for threads in (1, 2)]
         assert np.all(np.isfinite(whole)) and np.all(whole > 0.0)
-        for workers in (1, 2, 3):
-            assert np.array_equal(got[workers], whole)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(swept[0], swept[1])
 
-    @pytest.mark.parametrize("lanes,n", [(2048, 16), (3, 200_000), (96, 3 * 4096)],
-                             ids=["probe", "estimate", "three-blocks"])
-    def test_short_trees_stay_serial(self, monkeypatch, groups, lanes, n):
-        """A chunk of no more blocks than CPUs is one group: the 16-step
-        probe, the 3-lane exponent estimate (two blocks), 96 lanes over
-        three blocks of 4096 steps with three CPUs."""
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 3)
-        cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
-        assert groups == [[lanes]]
-
-    @pytest.mark.parametrize("lanes,n,block,groups", [
-        (64, 10_000, 4096, [64]), (3, 200_000, 4096, [3]), (96, 245_761, 4096, [48, 48]),
-        (2048, 16, 256, [2048])], ids=["sweep-slice", "estimate", "direct-sweep", "probe"])
-    def test_blocks_at_most_4096_steps(self, monkeypatch, lanes, n, block, groups):
-        """A block is at most 4096 steps, and the split still reads the
-        uncapped width: the 3-lane estimate (131,072 steps wide) stays
-        serial, and a 64-lane slice of the sweep (8,192) is one group."""
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 2)
+    @pytest.mark.parametrize("lanes,n,block", [
+        (64, 10_000, 4096), (3, 200_000, 4096), (96, 245_761, 4096), (96, 3 * 4096, 4096),
+        (2048, 16, 256)], ids=["sweep-slice", "estimate", "direct-sweep", "three-blocks", "probe"])
+    def test_blocks_at_most_4096_steps(self, monkeypatch, lanes, n, block):
+        """A block is at most 4096 steps, and every lane chunk below 2^23
+        elements is one step loop on the calling thread."""
         seen = []
 
         def record(co, g, n_, step_chunk, blk):
-            seen.append((g.size, blk))
+            seen.append((g.size, blk, threading.current_thread()))
             return np.zeros(g.size)
 
         monkeypatch.setattr(cy, "_lane_log_norms", record)
         cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
-        assert sorted(seen) == [(g, block) for g in groups]
+        assert seen == [(lanes, block, threading.current_thread())]
 
     def test_tree_buffers_live_for_the_outermost_call(self, monkeypatch):
         """Every tree of a serial sweep writes into one set of buffers, and
         the sweep's return drops them, as does a top-level log_norms_batch."""
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 1)
         seen = []
         real = cy.tree_product
 
@@ -287,8 +256,7 @@ class TestLaneGroups:
 class TestOrderedMap:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """max_workers of every pool _parallel starts; two CPUs."""
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: 2)
+        """max_workers of every pool _parallel starts."""
         started = []
         real = _parallel.ThreadPoolExecutor
 
@@ -303,7 +271,7 @@ class TestOrderedMap:
         def slow_first(i):
             time.sleep(0.02 * (5 - i))
             return i * i
-        assert _parallel.ordered_map(slow_first, range(6)) == [i * i for i in range(6)]
+        assert _parallel.ordered_map(slow_first, range(6), 2) == [i * i for i in range(6)]
         assert pools == [2]
 
     def test_earliest_error_surfaces(self, pools):
@@ -313,7 +281,7 @@ class TestOrderedMap:
                 raise ValueError(f"item {i}")
             return i
         with pytest.raises(ValueError, match="item 1"):
-            _parallel.ordered_map(fail, range(5))
+            _parallel.ordered_map(fail, range(5), 2)
 
     def test_serial_inside_parallel_lanes(self, monkeypatch, pools):
         co = cy.Cocycle(golden(), cy.twisted_table(1.2, 256))
@@ -322,19 +290,12 @@ class TestOrderedMap:
         n = 300
         monkeypatch.setattr(cy, "_MAX_ELEMS", 3 * 1024)
         monkeypatch.setattr(cy, "_BLOCK_ELEMS", 1 << 8)
-
-        def work(sl):
-            me = threading.get_ident()
-            idents = _parallel.ordered_map(lambda _: threading.get_ident(), range(4))
-            assert idents == [me] * 4
-            return cy.log_norms_batch(co, sl, n)
-
         want = np.concatenate([cy.log_norms_batch(co, xs[i:i + 2], n)
                                for i in range(0, 128, 2)])
-        assert pools == [2] * 64  # outside a worker each slice splits
+        assert pools == []  # log_norms_batch runs on the calling thread
         for threads in (1, 2):
             pools.clear()
-            got = _parallel.parallel_lanes(work, xs, threads)
+            got = _parallel.parallel_lanes(lambda sl: cy.log_norms_batch(co, sl, n), xs, threads)
             # parallel_lanes' own pool only: no pool inside its workers
             assert pools == ([] if threads == 1 else [2])
             assert np.array_equal(got, want)

@@ -3,8 +3,11 @@ module-level private name it defines is read there, no module but `cli`
 imports `csv` or `json` (`cli` writes every artifact), no module draws
 random numbers, no module sorts by float but `basedyn._sort_exactly`, the
 exact first return, covering time, castle check and column product make no
-float decision, every `Generator` subclass defines `entries(self, xs)` with
-no other parameter, and every name the bench tracer wraps exists.
+float decision, no module but `_parallel` imports `threading` or
+`concurrent` and the others import from it only `parallel_lanes`,
+`ordered_map` and `scratch`, every `Generator` subclass defines
+`entries(self, xs)` with no other parameter, and every name the bench
+tracer wraps exists.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -103,6 +106,30 @@ def test_checker_finds_imported_modules():
 def test_only_cli_writes_artifacts(path):
     """Every artifact is written by `cli`; a library module imports no file format."""
     assert imported_modules(path.read_text()) & {"csv", "json"} == set()
+
+
+def names_from(source: str, module: str) -> set[str]:
+    """The names a source imports from the sibling `module` (`from .module import ...`)."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+def test_checker_finds_names_from():
+    source = ("from ._parallel import ordered_map, scratch as s\nfrom . import _parallel\n"
+              "from .sl2 import _mul\nfrom _parallel import pool\n")
+    assert names_from(source, "_parallel") == {"ordered_map", "scratch"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_parallel.py"),
+                         ids=lambda p: p.name)
+def test_one_level_of_threads(path):
+    """`_parallel` makes the only thread pool: no other module imports
+    `threading` or `concurrent`, and they import from `_parallel` only
+    `parallel_lanes`, `ordered_map` and `scratch`."""
+    source = path.read_text()
+    assert imported_modules(source) & {"threading", "concurrent"} == set()
+    assert names_from(source, "_parallel") <= {"parallel_lanes", "ordered_map", "scratch"}
 
 
 def random_sources(source: str) -> list[str]:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
@@ -204,17 +203,14 @@ def reference_steer_batch(co, anchors, vx, vy, wx, wy, eps, m):
 
 
 class CountingGenerator(cy.Generator):
-    """Wraps a generator and counts the positions it is evaluated at, from any
-    number of threads."""
+    """Wraps a generator and counts the positions it is evaluated at."""
 
     def __init__(self, inner):
         self.inner = inner
         self.positions = 0
-        self._lock = threading.Lock()
 
     def entries(self, xs):
-        with self._lock:
-            self.positions += np.size(xs)
+        self.positions += np.size(xs)
         return self.inner.entries(xs)
 
 
@@ -553,36 +549,31 @@ class TestChooseWindow:
             assert 0 < sum(single) < anchors.size  # both verdicts occur
 
     @pytest.mark.parametrize("one_anchor", [False, True], ids=["groups", "one-anchor"])
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SEARCH_INPUTS))
-    def test_search_equals_reference(self, monkeypatch, reference_windows, name, workers,
-                                     one_anchor):
+    def test_search_equals_reference(self, monkeypatch, reference_windows, name, one_anchor):
         """Grouped, early-exiting sweeps give the reference's (W, m), or its
-        SearchFailed message, at any worker count and group size."""
+        SearchFailed message, at any group size."""
         make, eps = _SEARCH_INPUTS[name]
         if name not in reference_windows:
             reference_windows[name] = search_result(reference_choose_steering_window, make(), eps)
         want = reference_windows[name]
         assert isinstance(want, str) == (name == "no-window")
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
         if one_anchor:
             monkeypatch.setattr(pb, "_SWEEP_LANES", 1)
         assert search_result(pb.choose_steering_window, make(), eps) == want
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_stops_after_first_failing_wave(self, monkeypatch, workers):
+    def test_sweep_stops_after_first_failing_group(self, monkeypatch):
         co = weak_schrodinger(lam=3.0)
         anchors = np.linspace(0.0, 1.0, 24, endpoint=False) + 0.013
         ok = pb._window_sweep_ok(co, anchors, 0.1, 8, 8)
         pts = np.concatenate([anchors[~ok][:1], anchors[ok]])  # only the first fails
         want = [(p, i > 0) for i, p in enumerate(pts.tolist())]
         monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
         seen: dict = {}
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)
-        assert list(seen.items()) == want[:workers]  # the first wave, in order
+        assert list(seen.items()) == want[:1]  # the first group
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)  # a known failure
-        assert len(seen) == workers
+        assert len(seen) == 1
         # without stop every point is swept, in order
         seen = {}
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=False)
@@ -591,8 +582,7 @@ class TestChooseWindow:
         assert pb._sweep(co, pts[1:], 0.1, 8, 8, seen, stop=True)
         assert list(seen.items()) == want[1:]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_probes_spread_anchors_first(self, monkeypatch, workers):
+    def test_sweep_probes_spread_anchors_first(self, monkeypatch):
         """An early-exiting sweep of more than 16 points sweeps 16 spread
         points first, in one call on the calling thread, and a failing run
         mid-set ends it there."""
@@ -617,7 +607,6 @@ class TestChooseWindow:
 
         monkeypatch.setattr(pb, "_window_sweep_ok", spy)
         monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group after the probe
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
         seen: dict = {}
         assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=True)
         assert list(seen.items()) == [(p, verdict[p]) for p in probe]
@@ -628,35 +617,31 @@ class TestChooseWindow:
         seen = {}
         assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=False)
         assert list(seen.items()) == [(p, verdict[p]) for p in pts.tolist()]
-        # an all-passing set: the probe, then every other point in waves
+        # an all-passing set: the probe, then every other point, one a call
         seen, calls[:] = {}, []
         rest = xs[40:80]
         assert pb._sweep(co, rest, 0.3, 8, 8, seen, stop=True)
         assert sorted(seen) == rest.tolist() and all(seen.values())
         assert calls[0] == (rest[spread].tolist(), True)
         assert [len(a) for a, _ in calls[1:]] == [1] * 24
+        assert all(main for _, main in calls)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_search_work_on_plans_input(self, monkeypatch, reference_windows, workers):
+    def test_search_work_on_plans_input(self, monkeypatch, reference_windows):
         """The search's steering work on the plans input, in lane-steps
         (anchors * k^2 * m summed over _window_sweep_ok calls), stays under
-        3.2 M at any worker count, with the reference's (W, m).  Sweeping
-        each window's inside points in input order took 4.5 M at one worker
-        and 5.0 M at two."""
+        3.2 M, with the reference's (W, m).  Sweeping each window's inside
+        points in input order took 4.5 M."""
         if "plans" not in reference_windows:
             reference_windows["plans"] = search_result(reference_choose_steering_window,
                                                        weak_schrodinger(), 0.18)
         lane_steps = [0]
-        lock = threading.Lock()
         sweep_ok = pb._window_sweep_ok
 
         def spy(co, anchors, eps, m, k):
-            with lock:
-                lane_steps[0] += anchors.size * k * k * m
+            lane_steps[0] += anchors.size * k * k * m
             return sweep_ok(co, anchors, eps, m, k)
 
         monkeypatch.setattr(pb, "_window_sweep_ok", spy)
-        monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
         assert search_result(pb.choose_steering_window, weak_schrodinger(), 0.18) \
             == reference_windows["plans"]
         assert lane_steps[0] <= 3_200_000

@@ -16,7 +16,8 @@ from cocyclelab import surgery as sg
 from cocyclelab.errors import (CertificationFailed, CocycleLabError, NotApplicable,
                                ResolutionExceeded)
 from cocyclelab.exact import QuadExt, column_suffixes, mod1
-from cocyclelab.perturb import EarlyExit, Steered, plan_entries, plan_segments
+from cocyclelab.perturb import (EarlyExit, Steered, choose_steering_window, plan_entries,
+                                plan_segments)
 from cocyclelab.sl2 import Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_sl2_arrays
 from disjoint import first_overlap
 from oracles import (certify_distance_one_shot, distance_probes, mpmath_log_norm,
@@ -446,16 +447,16 @@ class TestPipeline:
             "fa52d4ecb556fa48249f2de04fcce85a28efd559"
 
     @pytest.mark.parametrize("tail", [80, 83])
-    def test_sweep_bytes_independent_of_workers(self, bench_pipeline, monkeypatch, tail):
-        """The direct sweep gives the same bytes on one CPU and on two.  The
+    def test_sweep_bytes_independent_of_workers(self, bench_pipeline, tail):
+        """The direct sweep gives the same bytes in one call and over the
+        slices of --threads 1 and 2, as the `surgery` command runs it.  The
         horizon ends in `tail` steps past 2 * 4096."""
         co, cfg, pc, cert = bench_pipeline
         xs, n = (np.arange(96) + 0.37) / 96, 2 * 4096 + tail
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(_parallel, "cpu_workers", lambda: workers)
-            runs.append(pc.log_norms(xs, n))
-        assert runs[0].tobytes() == runs[1].tobytes()
+        runs = [pc.log_norms(xs, n)]
+        for threads in (1, 2):
+            runs.append(_parallel.parallel_lanes(lambda sl: pc.log_norms(sl, n), xs, threads))
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
         assert np.isfinite(runs[0]).all()
 
     def test_certify_distance_streams_slices(self, bench_pipeline, monkeypatch):
@@ -660,6 +661,28 @@ class TestColumnWalk:
             assert got.tobytes() == col[row].tobytes()
 
 
+def test_no_pool_without_threads(monkeypatch):
+    """Only --threads makes a thread pool: the window search on the plans
+    input and the whole bench surgery run on the calling thread, and
+    parallel_lanes at threads=2 starts one pool of two."""
+    pools = []
+    real = _parallel.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", counting)
+    plans = cy.Cocycle(golden(2048), cy.SchrodingerGenerator(0.0, 1.2))
+    W, m = choose_steering_window(plans, 0.18)
+    assert m == 12 and pools == []
+    bench = cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024))
+    cfg, pc, cert = sg.run_surgery(bench, 0.5, verify_grid=np.arange(96) / 96)
+    assert cert.passed and pools == []
+    _parallel.parallel_lanes(lambda sl: cy.log_norms_batch(bench, sl, 64), np.arange(128) / 128, 2)
+    assert pools == [2]
+
+
 def test_non_finite_lane_fails_dominance(bench_pipeline, monkeypatch):
     """A lane of the sweep at -inf is no lane under U."""
     co, cfg, pc, cert = bench_pipeline
@@ -736,14 +759,32 @@ def test_direct_sweep_matches_mpmath_when_plans_steer(steered_surgery):
 def test_steered_sweep_equals_reference(steered_surgery):
     """On the steered fixture at n = 8192, the window sweep is bit for bit
     one tree per lane over all its nodes.  Both read -inf on the same 9 of
-    the 1,645 lanes: there the nodes' mantissas cancel below the smallest
-    double between two rescales, and the root is the zero matrix (lane 117,
-    x = 0.19194..., all chunks; an 80-digit product reads 4059.68)."""
+    the 1,645 lanes (`test_cancelling_lane_is_finite`)."""
     _, pc = steered_surgery
     xs = sweep_lanes(pc)
     with np.errstate(divide="ignore"):
         got, want = pc.log_norms(xs, 8192), reference_log_norms(pc, xs, 8192)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="one float product of two nodes cancels to the zero matrix")
+def test_cancelling_lane_is_finite(steered_surgery):
+    """Lane 117 of `sweep_lanes` on the steered fixture, at n = 8192, is
+    finite and within 1 nat of an 80-digit product of the same doubles
+    (4059.683).  It reads -inf, as do 8 more of the 1,645 lanes: the cause
+    is total cancellation in one float product, not underflow.  In the
+    pairwise tree over the lane's entries with every level rescaled
+    (`sl2._STRIDE = 1`), a node at level 8 (256 steps) is already exactly
+    zero, and with every level rescaled all 9 lanes of the window sweep
+    still read -inf.  The sequential `scan_product` reads 4081.95."""
+    pytest.importorskip("mpmath")
+    _, pc = steered_surgery
+    n, x = 8192, np.array([0.1919402892662036])
+    with np.errstate(divide="ignore"):
+        got = float(pc.log_norms(x, n)[0])
+    ref = float(mpmath_log_norm(*(e[0] for e in pc.cocycle.entries_along(x, n)), dps=80))
+    assert math.isfinite(got) and abs(got - ref) < 1.0
 
 
 def test_steered_sweep_at_n0(steered_surgery):
