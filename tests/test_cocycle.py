@@ -218,8 +218,8 @@ class TestLaneGroups:
         (64, 10_000, 4096), (3, 200_000, 4096), (96, 245_761, 4096), (96, 3 * 4096, 4096),
         (2048, 16, 256)], ids=["sweep-slice", "estimate", "direct-sweep", "three-blocks", "probe"])
     def test_blocks_at_most_4096_steps(self, monkeypatch, lanes, n, block):
-        """A block is at most 4096 steps, and every lane chunk below 2^23
-        elements is one step loop on the calling thread."""
+        """A block is at most 4096 steps, and each of these inputs is one
+        lane chunk: one step loop over all its lanes, on the calling thread."""
         seen = []
 
         def record(co, g, n_, step_chunk, blk):
