@@ -214,9 +214,27 @@ class TestLaneGroups:
         assert np.array_equal(blocked, whole)
         assert np.array_equal(swept[0], swept[1])
 
+    @pytest.mark.parametrize("lanes,n", [(2048, 16), (3, 200_000), (96, 3 * 4096)],
+                             ids=["probe", "estimate", "three-blocks"])
+    def test_short_trees_stay_serial(self, monkeypatch, lanes, n):
+        """A short tree is one lane chunk on one thread: the 16-step probe,
+        the 3-lane exponent estimate (two blocks), 96 lanes over three blocks
+        of 4096 steps."""
+        calls = []
+        real = cy.ordered_map
+
+        def recording(fn, items, workers):
+            items = list(items)
+            calls.append(([g.size for g in items], workers))
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(cy, "ordered_map", recording)
+        cy.log_norms_batch(schrodinger(1.3), np.arange(lanes) / lanes, n)
+        assert calls == [([lanes], 1)]
+
     @pytest.mark.parametrize("lanes,n,block", [
-        (64, 10_000, 4096), (3, 200_000, 4096), (96, 245_761, 4096), (96, 3 * 4096, 4096),
-        (2048, 16, 256)], ids=["sweep-slice", "estimate", "direct-sweep", "three-blocks", "probe"])
+        (64, 10_000, 4096), (3, 200_000, 4096), (96, 245_761, 4096), (2048, 16, 256)],
+        ids=["sweep-slice", "estimate", "direct-sweep", "probe"])
     def test_blocks_at_most_4096_steps(self, monkeypatch, lanes, n, block):
         """A block is at most 4096 steps, and each of these inputs is one
         lane chunk: one step loop over all its lanes, on the calling thread."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cocyclelab import _parallel
 from cocyclelab import basedyn as bd
 from cocyclelab import cocycle as cy
 from cocyclelab import perturb as pb
@@ -495,6 +496,13 @@ def search_result(search, co, eps):
     return W.intervals, m
 
 
+def search_results(search, make, eps, threads):
+    """search_result of `threads` searches run at once, each a worker of a
+    --threads pool of that size."""
+    return _parallel.ordered_map(lambda _: search_result(search, make(), eps),
+                                 range(threads), threads)
+
+
 @pytest.fixture(scope="module")
 def reference_windows():
     """Reference search results by input name, filled on first use."""
@@ -549,10 +557,13 @@ class TestChooseWindow:
             assert 0 < sum(single) < anchors.size  # both verdicts occur
 
     @pytest.mark.parametrize("one_anchor", [False, True], ids=["groups", "one-anchor"])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SEARCH_INPUTS))
-    def test_search_equals_reference(self, monkeypatch, reference_windows, name, one_anchor):
+    def test_search_equals_reference(self, monkeypatch, reference_windows, name, threads,
+                                     one_anchor):
         """Grouped, early-exiting sweeps give the reference's (W, m), or its
-        SearchFailed message, at any group size."""
+        SearchFailed message, at any group size, in each of --threads 1 or 2
+        searches run at once."""
         make, eps = _SEARCH_INPUTS[name]
         if name not in reference_windows:
             reference_windows[name] = search_result(reference_choose_steering_window, make(), eps)
@@ -560,20 +571,24 @@ class TestChooseWindow:
         assert isinstance(want, str) == (name == "no-window")
         if one_anchor:
             monkeypatch.setattr(pb, "_SWEEP_LANES", 1)
-        assert search_result(pb.choose_steering_window, make(), eps) == want
+        assert search_results(pb.choose_steering_window, make, eps, threads) == [want] * threads
 
-    def test_sweep_stops_after_first_failing_group(self, monkeypatch):
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_sweep_stops_after_first_failing_wave(self, monkeypatch, group):
+        """An early-exiting sweep ends with its first failing group of
+        anchors, at one and two anchors a group."""
         co = weak_schrodinger(lam=3.0)
         anchors = np.linspace(0.0, 1.0, 24, endpoint=False) + 0.013
         ok = pb._window_sweep_ok(co, anchors, 0.1, 8, 8)
         pts = np.concatenate([anchors[~ok][:1], anchors[ok]])  # only the first fails
+        assert pts.size <= pb._PROBE  # no probe
         want = [(p, i > 0) for i, p in enumerate(pts.tolist())]
-        monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group
+        monkeypatch.setattr(pb, "_SWEEP_LANES", group * 8 * 8)  # `group` anchors at k = 8
         seen: dict = {}
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)
-        assert list(seen.items()) == want[:1]  # the first group
+        assert list(seen.items()) == want[:group]  # the first group, in order
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=True)  # a known failure
-        assert len(seen) == 1
+        assert len(seen) == group
         # without stop every point is swept, in order
         seen = {}
         assert not pb._sweep(co, pts, 0.1, 8, 8, seen, stop=False)
@@ -582,10 +597,11 @@ class TestChooseWindow:
         assert pb._sweep(co, pts[1:], 0.1, 8, 8, seen, stop=True)
         assert list(seen.items()) == want[1:]
 
-    def test_sweep_probes_spread_anchors_first(self, monkeypatch):
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_sweep_probes_spread_anchors_first(self, monkeypatch, group):
         """An early-exiting sweep of more than 16 points sweeps 16 spread
         points first, in one call on the calling thread, and a failing run
-        mid-set ends it there."""
+        mid-set ends it there; the rest go in groups of one or two anchors."""
         co = weak_schrodinger()
         xs = np.linspace(0.0, 1.0, 256, endpoint=False) + 0.0013
         ok = pb._window_sweep_ok(co, xs[:80], 0.3, 8, 8)
@@ -606,7 +622,7 @@ class TestChooseWindow:
             return sweep_ok(co, anchors, eps, m, k)
 
         monkeypatch.setattr(pb, "_window_sweep_ok", spy)
-        monkeypatch.setattr(pb, "_SWEEP_LANES", 1)  # one anchor per group after the probe
+        monkeypatch.setattr(pb, "_SWEEP_LANES", group * 8 * 8)  # after the probe, at k = 8
         seen: dict = {}
         assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=True)
         assert list(seen.items()) == [(p, verdict[p]) for p in probe]
@@ -617,34 +633,38 @@ class TestChooseWindow:
         seen = {}
         assert not pb._sweep(co, pts, 0.3, 8, 8, seen, stop=False)
         assert list(seen.items()) == [(p, verdict[p]) for p in pts.tolist()]
-        # an all-passing set: the probe, then every other point, one a call
+        # an all-passing set: the probe, then every other point, a group a call
         seen, calls[:] = {}, []
         rest = xs[40:80]
         assert pb._sweep(co, rest, 0.3, 8, 8, seen, stop=True)
         assert sorted(seen) == rest.tolist() and all(seen.values())
         assert calls[0] == (rest[spread].tolist(), True)
-        assert [len(a) for a, _ in calls[1:]] == [1] * 24
+        assert [len(a) for a, _ in calls[1:]] == [group] * (24 // group)
         assert all(main for _, main in calls)
 
-    def test_search_work_on_plans_input(self, monkeypatch, reference_windows):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_search_work_on_plans_input(self, monkeypatch, reference_windows, threads):
         """The search's steering work on the plans input, in lane-steps
         (anchors * k^2 * m summed over _window_sweep_ok calls), stays under
-        3.2 M, with the reference's (W, m).  Sweeping each window's inside
-        points in input order took 4.5 M."""
+        3.2 M in each of --threads 1 or 2 searches run at once, with the
+        reference's (W, m).  Sweeping each window's inside points in input
+        order took 4.5 M."""
         if "plans" not in reference_windows:
             reference_windows["plans"] = search_result(reference_choose_steering_window,
                                                        weak_schrodinger(), 0.18)
         lane_steps = [0]
+        lock = threading.Lock()
         sweep_ok = pb._window_sweep_ok
 
         def spy(co, anchors, eps, m, k):
-            lane_steps[0] += anchors.size * k * k * m
+            with lock:
+                lane_steps[0] += anchors.size * k * k * m
             return sweep_ok(co, anchors, eps, m, k)
 
         monkeypatch.setattr(pb, "_window_sweep_ok", spy)
-        assert search_result(pb.choose_steering_window, weak_schrodinger(), 0.18) \
-            == reference_windows["plans"]
-        assert lane_steps[0] <= 3_200_000
+        assert search_results(pb.choose_steering_window, weak_schrodinger, 0.18, threads) \
+            == [reference_windows["plans"]] * threads
+        assert lane_steps[0] <= 3_200_000 * threads  # the searches sweep alike
 
     def test_early_exit_evaluates_fewer_positions(self):
         """On the plans input the search evaluates the generator at fewer
