@@ -5,9 +5,9 @@ random numbers, no module sorts by float but `basedyn._sort_exactly`, the
 exact first return, covering time, castle check and column product make no
 float decision, no module but `_parallel` imports `threading` or
 `concurrent` and the others import from it only `parallel_lanes`,
-`ordered_map` and `scratch`, every `Generator` subclass defines
-`entries(self, xs)` with no other parameter, and every name the bench
-tracer wraps exists.
+`ordered_map` and `scratch` (never the module itself), every `Generator`
+subclass defines `entries(self, xs)` with no other parameter, and every
+name the bench tracer wraps exists.
 
 Parsed with the standard library's `ast`: an import binds a name (the alias,
 or the first component of a dotted `import a.b`), and a use is any Name node,
@@ -109,16 +109,34 @@ def test_only_cli_writes_artifacts(path):
 
 
 def names_from(source: str, module: str) -> set[str]:
-    """The names a source imports from the sibling `module` (`from .module import ...`)."""
-    return {alias.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
-            for alias in node.names}
+    """The names a source imports from the sibling `module`
+    (`from .module import ...` or `from cocyclelab.module import ...`), and
+    `*` where it binds the whole module (a star import, `from . import
+    module`, `from cocyclelab import module` or `import cocyclelab.module`)."""
+    dotted = f"{SRC.name}.{module}"
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {"*" for alias in node.names
+                      if alias.name == dotted or alias.name.startswith(dotted + ".")}
+        elif isinstance(node, ast.ImportFrom):
+            path = "." * node.level + (node.module or "")
+            if path in (f".{module}", dotted):
+                names |= {alias.name for alias in node.names}
+            elif path in (".", SRC.name):
+                names |= {"*" for alias in node.names if alias.name == module}
+    return names
 
 
 def test_checker_finds_names_from():
-    source = ("from ._parallel import ordered_map, scratch as s\nfrom . import _parallel\n"
-              "from .sl2 import _mul\nfrom _parallel import pool\n")
+    source = ("from ._parallel import ordered_map, scratch as s\nfrom .sl2 import _mul\n"
+              "from _parallel import pool\nfrom . import sl2\n")
     assert names_from(source, "_parallel") == {"ordered_map", "scratch"}
+    assert names_from("from cocyclelab._parallel import scratch\n", "_parallel") == {"scratch"}
+    for whole in ("from . import _parallel", "from . import sl2, _parallel as p",
+                  "from cocyclelab import _parallel", "import cocyclelab._parallel",
+                  "import cocyclelab._parallel as p", "from ._parallel import *"):
+        assert names_from(whole + "\n", "_parallel") == {"*"}, whole
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_parallel.py"),
@@ -126,7 +144,7 @@ def test_checker_finds_names_from():
 def test_one_level_of_threads(path):
     """`_parallel` makes the only thread pool: no other module imports
     `threading` or `concurrent`, and they import from `_parallel` only
-    `parallel_lanes`, `ordered_map` and `scratch`."""
+    `parallel_lanes`, `ordered_map` and `scratch`, never the module itself."""
     source = path.read_text()
     assert imported_modules(source) & {"threading", "concurrent"} == set()
     assert names_from(source, "_parallel") <= {"parallel_lanes", "ordered_map", "scratch"}

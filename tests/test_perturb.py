@@ -652,19 +652,21 @@ class TestChooseWindow:
         if "plans" not in reference_windows:
             reference_windows["plans"] = search_result(reference_choose_steering_window,
                                                        weak_schrodinger(), 0.18)
-        lane_steps = [0]
+        lane_steps: dict = {}  # id of each search's own cocycle -> (cocycle, lane-steps)
         lock = threading.Lock()
         sweep_ok = pb._window_sweep_ok
 
         def spy(co, anchors, eps, m, k):
             with lock:
-                lane_steps[0] += anchors.size * k * k * m
+                steps = lane_steps.get(id(co), (co, 0))[1] + anchors.size * k * k * m
+                lane_steps[id(co)] = co, steps
             return sweep_ok(co, anchors, eps, m, k)
 
         monkeypatch.setattr(pb, "_window_sweep_ok", spy)
         assert search_results(pb.choose_steering_window, weak_schrodinger, 0.18, threads) \
             == [reference_windows["plans"]] * threads
-        assert lane_steps[0] <= 3_200_000 * threads  # the searches sweep alike
+        assert len(lane_steps) == threads
+        assert all(steps <= 3_200_000 for _, steps in lane_steps.values())
 
     def test_early_exit_evaluates_fewer_positions(self):
         """On the plans input the search evaluates the generator at fewer
