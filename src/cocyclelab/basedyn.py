@@ -169,7 +169,7 @@ def bucket_locator(lo: np.ndarray):
 
     def find(xs):
         xs = np.asarray(xs, dtype=float)
-        k = count.take(np.clip(xs * size, 0, size).astype(np.intp))
+        k = count.take((xs * size).astype(np.intp), mode="clip")
         for _ in range(depth):
             k += lo_next.take(k) <= xs
         return np.maximum(k - 1, 0)

@@ -41,6 +41,7 @@ _WITNESS_EPS = 1e-3  # uh_certify's norm-collapse threshold on (1/n) log ||A_n||
 _MAX_ELEMS = 1 << 23  # entry elements per lane and step chunk of log_norms_batch
 _BLOCK_ELEMS = 1 << 19  # entry elements per block of log_norms_batch's tree
 _BLOCK_STEPS = 1 << 12  # and steps per block, at most
+_FIELD_LANES = 1 << 12  # grid points per chunk of uh_certify's candidate field
 
 
 # -- generators -------------------------------------------------------------------
@@ -423,19 +424,7 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
     xs = co.base.grid_floats() if grid is None else np.asarray(grid, dtype=float)
     G = xs.size
     spacing = 1.0 / G
-
-    # candidate unstable field at each grid point: push a generic direction
-    # forward along the true backward orbit (contraction makes this exact for
-    # genuinely hyperbolic cocycles, garbage otherwise -- then the check fails)
-    depth = 96
-    vx = np.ones(G)
-    vy = np.zeros(G)
-    # step k of the transposed entries is the generator at f^{k - depth}(x)
-    for a, b, c, d in zip(*(e.T for e in co.entries_along(xs, depth, -depth))):
-        vx, vy = a * vx + b * vy, c * vx + d * vy
-        nrm = np.hypot(vx, vy)
-        vx, vy = vx / nrm, vy / nrm
-    theta = np.mod(np.arctan2(vy, vx), math.pi)
+    theta = _unstable_field(co, xs)
 
     # roughness of the field and sensitivity of the direction action, x-wise
     field_diff = _angdist(theta, np.roll(theta, -1))
@@ -475,6 +464,31 @@ def uh_certify(co: Cocycle, grid: Optional[np.ndarray] = None, n_max: int = 64):
     if vals[k] < _WITNESS_EPS:
         return Witness(point=co.base.point(float(xs[k])), n=n_max, value=float(vals[k]))
     return Inconclusive(reason="no invariant cone found and no norm collapse at horizon")
+
+
+def _unstable_field(co: Cocycle, xs: np.ndarray, depth: int = 96) -> np.ndarray:
+    """RP1 angles of uh_certify's candidate unstable field at xs: a generic
+    direction pushed forward along the true backward orbit of each point
+    (contraction makes this exact for genuinely hyperbolic cocycles, garbage
+    otherwise -- then the check fails).
+
+    The points go `_FIELD_LANES` at a time, so the (points, depth) entry
+    arrays stay a chunk's size: at grid 131072 the whole grid at once made
+    the bench `surgery` input peak at 1,781 MiB.  Each point's recurrence is
+    its own, elementwise, so the chunks move no bit.
+    """
+    theta = np.empty(xs.size)
+    for lo in range(0, xs.size, _FIELD_LANES):
+        part = xs[lo:lo + _FIELD_LANES]
+        vx = np.ones(part.size)
+        vy = np.zeros(part.size)
+        # step k of the transposed entries is the generator at f^{k - depth}(x)
+        for a, b, c, d in zip(*(e.T for e in co.entries_along(part, depth, -depth))):
+            vx, vy = a * vx + b * vy, c * vx + d * vy
+            nrm = np.hypot(vx, vy)
+            vx, vy = vx / nrm, vy / nrm
+        theta[lo:lo + part.size] = np.mod(np.arctan2(vy, vx), math.pi)
+    return theta
 
 
 def _angdist(t1, t2):

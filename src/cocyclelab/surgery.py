@@ -67,6 +67,7 @@ from .sl2 import (
     tree_product,
 )
 from .towers import Castle, FreqBound, build_castle, visit_freq_bound
+from . import walk
 
 EXPONENT_FLOOR = 1e-3
 _UH_N_MAX = 64  # horizon of the UH gate's norm-collapse probe
@@ -74,7 +75,7 @@ _SLICE = 1 << 15  # points per slice of PerturbedCocycle.entries (see there)
 _ESTIMATE_HORIZON = 200_000  # steps of the exponent-estimate gate
 _CHUNK = 64  # steps of a direct-sweep node that no suffix row serves
 _BATCH = 128  # such chunks per call of the blended map; 256 faulted 60 k pages a bench sweep
-_WINDOW = 256  # walk iterations, nodes per lane, reduced at a time by the direct sweep
+_WINDOW = 256  # nodes per lane reduced at a time by the direct sweep
 
 
 # -- continuity modulus ---------------------------------------------------------------
@@ -230,16 +231,17 @@ class PerturbedCocycle(Generator):
     `block_logs` is the bound on the whole column, and each region keeps the
     rounded suffix from its level to the column top.  Long products along
     orbits (`log_norms`, the direct sweep) are a column walk over these
-    rows, reduced in aligned windows of 256 nodes a lane as it runs: the
-    bits of one tree per lane, in memory flat in the horizon.  A point at
-    least a blend width plus a drift inside its region's arc stays a blend
-    width inside the image arcs up the column: f is a rotation, the float
-    orbit strays from the exact one by at most 2 ulp(n) + h 2^-54 over a
-    column of h steps within n steps, and a float arc end from the exact
+    rows, walked by segments in lockstep (`walk`) and reduced in aligned
+    windows of 256 nodes a lane as it runs: the bits of one tree per lane
+    over the nodes of one walker a lane, in memory flat in the horizon.  A
+    point at least a blend width plus a drift inside its region's arc stays
+    a blend width inside the image arcs up the column: f is a rotation, the
+    float orbit strays from the exact one by at most 2 ulp(n) + h 2^-54 over
+    a column of h steps within n steps, and a float arc end from the exact
     one by less than 2^-40 (`exact.coordinate_float` reads the naive sum
     only below a 1000-fold cancellation).  So each point of the stretch
-    passes `_bounds`' interior test in the image region, its entries are
-    the column's table matrices, and the suffix row is their product.
+    passes `_bounds`' interior test in the image region, its entries are the
+    column's table matrices, and the suffix row is their product.
     """
 
     def __init__(self, co: Cocycle, cfg: SurgeryConfig, plans: dict):
@@ -291,8 +293,9 @@ class PerturbedCocycle(Generator):
             bounds.append(bound)
             suffixes.append(np.array(rows))
         self.block_logs = np.array(bounds)
-        # (pa, pb, pc, pd, E) per region, E an integer in a float
-        self._suffix = tuple(np.concatenate(suffixes).T.take(row, axis=1))
+        # (pa, pb, pc, pd, E) per region, E an integer in a float, then the identity
+        self._suffix = tuple(np.append(v, one) for v, one in zip(
+            np.concatenate(suffixes).T.take(row, axis=1), (1.0, 0.0, 0.0, 1.0, 0.0)))
         self._to_top = heights[self.region_label] - self.region_level
 
     # -- evaluation -------------------------------------------------------------
@@ -323,10 +326,9 @@ class PerturbedCocycle(Generator):
         arrays.  A slice's temporaries are then 256 KiB each, and its few
         dozen elementwise passes stay in a core's 2 MiB L2 cache; on the
         `surgery` bench sweep 2^15 measured fastest among 2^13 .. 2^19.  Per
-        slice: one bucket lookup and one gather of the region's arc ends,
-        the table matrix gathered from its contiguous columns, then, only at
-        the points that are not region interiors (t < 1, about a tenth of an
-        orbit), the generator, the bump and the blend.
+        slice (`_entries_slice`): one bucket lookup and one gather of the
+        region's arc ends, the table or the generator, by branch, then the
+        bump and the blend in the collars.
 
         The four outputs are the rows of one array, one allocation, not
         four.  glibc maps a large one and, once it is freed, raises its mmap
@@ -342,29 +344,47 @@ class PerturbedCocycle(Generator):
         return tuple(o.reshape(np.shape(xs)) for o in out)
 
     def _entries_slice(self, xs, out):
+        """The blended map at a slice xs, into the arrays out, by branch as
+        `sl2._by_branch` runs one.  The table holds at the region interiors
+        and the generator at every other point; the one that holds most of
+        the slice is written over all of it, the table by gathers straight
+        into out, the generator by one call on the slice, and the other then
+        at its own points alone.  Every value is its branch's elementwise
+        expression, as with each branch on its own points, so the branch
+        moves no bit.  Direct-sweep chunks start off the interiors: on the
+        bench sweep 98.8% of their points are the generator's, which then
+        costs one pass over the slice and no gather or scatter.  The collars
+        then get the blend, at their own points.
+        """
         idx, t = self._bounds(xs)
-        for o, col in zip(out, self._table):
-            col.take(idx, out=o, mode="clip")  # unbuffered into out; idx is in range
         # t >= 1 forces x a blend width inside the region's arc, so these are
         # exactly the interiors, where the table holds; elsewhere the
         # generator, blended in the collars
-        rest = np.flatnonzero(~(t >= 1.0))
-        if rest.size == 0:
-            return
-        xr = xs[rest]
-        g = [np.asarray(e, dtype=float) for e in self.original.generator.entries(xr)]
-        for o, v in zip(out, g):
-            o[rest] = v
-        beta = self._bump(t[rest])
-        mid = np.flatnonzero(beta > 0.0)
+        inner = t >= 1.0
+        if 2 * np.count_nonzero(inner) >= xs.size:
+            for o, col in zip(out, self._table):
+                col.take(idx, out=o, mode="clip")  # unbuffered into out; idx is in range
+            rest = np.flatnonzero(~inner)
+            if rest.size:
+                for o, v in zip(out, self.original.generator.entries(xs[rest])):
+                    o[rest] = v
+        else:
+            for o, v in zip(out, self.original.generator.entries(xs)):
+                o[...] = v
+            rest = np.flatnonzero(inner)
+            for o, col in zip(out, self._table):
+                o[rest] = col.take(idx.take(rest))
+        collar = np.flatnonzero((t > 0.0) & ~inner)
+        beta = self._bump(t.take(collar))
+        mid = collar[beta > 0.0]
         if mid.size:
             # xi = log(A^-1 M), blended by beta, applied back through A
-            g = [v[mid] for v in g]
-            blend = idx[rest[mid]]
+            g = [o.take(mid) for o in out]
             xi = log_sl2_arrays(*_mul(g[3], -g[1], -g[2], g[0],
-                                      *(col.take(blend) for col in self._table)))
-            for o, v in zip(out, _mul(*g, *exp_traceless_arrays(*(v * beta[mid] for v in xi)))):
-                o[rest[mid]] = v
+                                      *(col.take(idx.take(mid)) for col in self._table)))
+            beta = beta[beta > 0.0]
+            for o, v in zip(out, _mul(*g, *exp_traceless_arrays(*(v * beta for v in xi)))):
+                o[mid] = v
 
     # -- the direct sweep ---------------------------------------------------------
 
@@ -377,63 +397,78 @@ class PerturbedCocycle(Generator):
         As in `cocycle._blocked_tree`, a block's tree is a subtree of the
         lane's tree over all its nodes, the identity pads are that tree's
         odd-level pads, and power-of-two rescales commute: the bits are one
-        tree's per lane.  The memory is one window and one batch, and five
-        floats per lane and window.  It all runs on the calling thread: on the
+        tree's per lane.  The memory is one window, the walk's node buffer
+        and one batch, and five floats per lane and window.
+
+        The walk is segmented (`walk`): on the steered fixtures' n0 sweeps
+        (6.3 and 7.6 M steps, 96 lanes) it takes a few hundred rounds of
+        about 20 lockstep steps, where one walker a lane took 45-63 k steps.
+        What remains is arithmetic: the chunks' generator values and trees,
+        and the windows' trees.  It all runs on the calling thread: on the
         bench sweep, chunk batches on two threads took 0.47 s against 0.40.
         """
         x0 = np.atleast_1d(np.asarray(xs, dtype=float))
         if n < 1:
             raise CocycleLabError("need n >= 1")
-        roots = []
-        for start, region in self._windows(x0, n):
-            nodes = [np.where(region >= 0, v.take(region, mode="clip"), one)
-                     for v, one in zip(self._suffix, (1.0, 0.0, 0.0, 1.0, 0.0))]
-            chunk = np.flatnonzero(region == -1)
-            for c in (chunk[s:s + _BATCH] for s in range(0, chunk.size, _BATCH)):
-                for v, p in zip(nodes, self._chunk_products(x0[c // _WINDOW], start.take(c), n)):
-                    v.put(c, p)
-            *root, e = tree_product(*nodes[:4])
-            roots.append((*root, e + nodes[4].sum(axis=1)))
+        roots = [self._window_root(x0, *window, n) for window in self._windows(x0, n)]
         if not roots:
             return np.empty(0)
         a, b, c, d, e = (np.stack(v, axis=1) for v in zip(*roots))
         *top, e_top = tree_product(a, b, c, d)
         return log_norm(*top, e_top + e.sum(axis=1))
 
+    def _window_root(self, x0: np.ndarray, start: np.ndarray, region: np.ndarray, n: int):
+        """tree_product (pa, pb, pc, pd, E) of each lane's nodes in a window
+        of the walk: a node's suffix row, its chunk product or, past the
+        lane's end, the identity, the suffix table's last row."""
+        rows = np.maximum(region, -1)
+        nodes = [v.take(rows) for v in self._suffix[:4]]
+        # integers in floats, so any order sums them exactly; a chunk's row reads 0
+        exp2 = self._suffix[4].take(rows).sum(axis=1)
+        del rows
+        lane, step = np.nonzero(region == -1)
+        for s in range(0, lane.size, _BATCH):
+            c, k = lane[s:s + _BATCH], step[s:s + _BATCH]
+            *p, e = self._chunk_products(x0.take(c), start[c, k], n)
+            for v, q in zip(nodes, p):
+                v[c, k] = q
+            np.add.at(exp2, c, e)
+        *root, e = tree_product(*nodes)
+        return (*root, e + exp2)
+
     def _windows(self, x0: np.ndarray, n: int):
-        """The walk of lanes x0 over n steps, `_WINDOW` iterations at a time:
-        (lanes, _WINDOW) arrays (start, region) of each lane's node in each
-        iteration.  A lane's point, taken from its anchor as `orbit_floats`
-        takes it, starts a node of its region's suffix row where it lies a
-        blend width plus the drift (class docstring) inside the region's arc
-        and the column ends within n; any other node is a chunk of `_CHUNK`
-        steps, region -1.  Past a lane's end the region is -2.
+        """The walk of lanes x0 over n steps, `_WINDOW` nodes at a time
+        (`walk.windows`): (lanes, _WINDOW) arrays (start, region) of each
+        lane's next nodes.  A lane's point, taken from its anchor as
+        `orbit_floats` takes it, starts a node of its region's suffix row
+        where it lies a blend width plus the drift (class docstring) inside
+        the region's arc and the column ends within n; any other node is a
+        chunk of `_CHUNK` steps, region -1.  Past a lane's end the region is
+        -2.  A window is a view, valid until the next one is asked for.
         """
         alpha = self.original.base.alpha_float
         drift = 2.0**-36 + 4.0 * math.ulp(n + 1.0) + int(self.label_heights.max()) * 2.0**-53
         reach = 1.0 + drift / self.blend_width  # in blend widths, as `_bounds` measures
-        steps, active = np.zeros(x0.size, dtype=np.int64), np.arange(x0.size)
-        while active.size:
-            start, region = np.zeros((x0.size, _WINDOW), np.int64), np.full((x0.size, _WINDOW), -2)
-            for k in range(_WINDOW):
-                s = steps.take(active)
-                r, t = self._bounds(wrap_floats(x0.take(active) + s * alpha))
-                top = self._to_top.take(r)
-                inside = (t >= reach) & (top <= n - s)
-                start[active, k], region[active, k] = s, np.where(inside, r, -1)
-                steps[active] = s + np.where(inside, top, _CHUNK)
-                active = active[steps.take(active) < n]
-                if not active.size:
-                    break
-            yield start, region
+
+        def node(anchors, steps):
+            r, t = self._bounds(wrap_floats(anchors + steps * alpha))
+            top = self._to_top.take(r)
+            inside = (t >= reach) & (top <= n - steps)
+            return np.where(inside, r, -1), steps + np.where(inside, top, _CHUNK)
+
+        longest = max(_CHUNK, int(self.label_heights.max()))
+        return walk.windows(node, x0, n, longest, _CHUNK, _WINDOW)
 
     def _chunk_products(self, anchors: np.ndarray, start: np.ndarray, n: int):
         """tree_product (pa, pb, pc, pd, E) of the entries of each chunk of
         `_CHUNK` steps from step start[i] of anchor anchors[i], with the
-        identity at step n and past it."""
+        identity at step n and past it; the identity is written only in a
+        batch with a chunk that reaches n."""
         k = start[:, None] + np.arange(_CHUNK)
         ents = self.entries(wrap_floats(anchors[:, None] + k * self.original.base.alpha_float))
-        return tree_product(*(np.where(k < n, v, one) for v, one in zip(ents, (1.0, 0.0, 0.0, 1.0))))
+        if start.max() + _CHUNK > n:
+            ents = (np.where(k < n, v, one) for v, one in zip(ents, (1.0, 0.0, 0.0, 1.0)))
+        return tree_product(*ents)
 
     # -- certificates ------------------------------------------------------------
 

@@ -5,13 +5,16 @@ exact covering sweep, both independent of the three-distance closed form
 that `basedyn.first_return` uses.  For the planner: the whole-copy versions
 of `perturb._masked_products` and `perturb._certify_chunk`, which mask or
 overlay full (L, N) copies of the entry arrays before one scan.  For the
-surgery: `certify_distance` as one generator call over every probe, and the
-direct sweep as a whole walk whose nodes are merged by one tree per lane.  For
+surgery: `certify_distance` as one generator call over every probe, the
+blended map with each branch on its own points, and the direct sweep as one
+walker a lane from step 0, whose nodes are merged by one tree per lane.  For
 the tangent chart: `sl2.exp_traceless_arrays` and `sl2.log_sl2_arrays` with
 every branch gathered and scattered by its mask.  For long products: log
-sigma1 of the product of a sequence of doubles in mpmath.
+sigma1 of the product of a sequence of doubles in mpmath.  For plan lists:
+the digest that `plans_digest.py` prints.
 """
 
+import hashlib
 import math
 from bisect import bisect_left, bisect_right
 
@@ -21,7 +24,8 @@ from cocyclelab import basedyn as bd
 from cocyclelab.errors import HorizonExceeded
 from cocyclelab.exact import mod1
 from cocyclelab.errors import LogDomain
-from cocyclelab.sl2 import _TRACE_FLOOR, general_operator_norm, log_norm, scan_lanes, tree_product
+from cocyclelab.sl2 import (_TRACE_FLOOR, _mul, general_operator_norm, log_norm, scan_lanes,
+                            tree_product)
 from cocyclelab.surgery import _CHUNK
 
 
@@ -144,6 +148,40 @@ def certify_distance_one_shot(pc) -> float:
     return float(general_operator_norm(pa - ga, pb - gb, pc_ - gc, pd - gd).max())
 
 
+def entries_by_branch(pc, xs):
+    """`PerturbedCocycle.entries` with each branch on its own points alone:
+    the table gathered at the region interiors, the generator evaluated at
+    the other points only, and in the collars the blend, from the generator
+    evaluated at the collar points alone."""
+    flat = np.asarray(xs, dtype=float).reshape(-1)
+    on_circle = np.mod(flat, 1.0)  # 1.0 is 0.0 on the circle
+    idx, inside = bd.locate(pc.region_lo, pc.region_hi, on_circle)
+    t = np.clip(np.minimum(on_circle - pc.arc_lo[idx], pc.arc_hi[idx] - on_circle)
+                / pc.blend_width, 0.0, 1.0)
+    beta = np.where(inside, t * t * (3.0 - 2.0 * t), 0.0)
+    full = inside & (t >= 1.0)
+    mid = inside & (t < 1.0) & (beta > 0.0)
+    out = [np.empty(flat.size) for _ in range(4)]
+    for o, col in zip(out, pc._table):
+        o[full] = col[idx[full]]
+    for o, v in zip(out, pc.original.generator.entries(flat[~full])):
+        o[~full] = v
+    if mid.any():
+        g = [np.asarray(e, dtype=float) for e in pc.original.generator.entries(flat[mid])]
+        xi = log_sl2_masked(*_mul(g[3], -g[1], -g[2], g[0], *(col[idx[mid]] for col in pc._table)))
+        for o, v in zip(out, _mul(*g, *exp_traceless_masked(*(v * beta[mid] for v in xi)))):
+            o[mid] = v
+    return tuple(o.reshape(np.shape(xs)) for o in out)
+
+
+def chunk_products_masked(pc, anchors, start, n: int):
+    """`PerturbedCocycle._chunk_products` with the identity written at every
+    step at or past n, whether or not a chunk reaches n."""
+    k = start[:, None] + np.arange(_CHUNK)
+    ents = pc.entries(bd.wrap_floats(anchors[:, None] + k * pc.original.base.alpha_float))
+    return tree_product(*(np.where(k < n, v, one) for v, one in zip(ents, (1.0, 0.0, 0.0, 1.0))))
+
+
 def reference_walk(pc, x0: np.ndarray, n: int):
     """The direct sweep's nodes of lanes x0 over n steps, the whole walk at
     once, as arrays (lane, start, region) in order of lane and then of start:
@@ -191,6 +229,17 @@ def reference_log_norms(pc, xs, n: int) -> np.ndarray:
     return out
 
 
+def unstable_field_whole(co, xs, depth: int = 96) -> np.ndarray:
+    """`cocycle._unstable_field` over every point at once: one (points,
+    depth) set of entry arrays for the whole grid."""
+    vx, vy = np.ones(xs.size), np.zeros(xs.size)
+    for a, b, c, d in zip(*(e.T for e in co.entries_along(xs, depth, -depth))):
+        vx, vy = a * vx + b * vy, c * vx + d * vy
+        nrm = np.hypot(vx, vy)
+        vx, vy = vx / nrm, vy / nrm
+    return np.mod(np.arctan2(vy, vx), math.pi)
+
+
 def exp_traceless_masked(t1, t2, t3):
     """`sl2.exp_traceless_arrays`, each branch on its own masked elements."""
     t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
@@ -227,6 +276,16 @@ def log_sl2_masked(a, b, c, d):
     u = np.sqrt(np.maximum(1.0 - te * te, 1e-300))
     kappa[ell] = np.arccos(np.clip(te, -1.0, 1.0)) / u
     return kappa * (a - t), kappa * np.asarray(b, dtype=float), kappa * np.asarray(c, dtype=float)
+
+
+def plans_digest(plans) -> str:
+    """sha1 over each plan's `to_text()`, `repr(product_log_norm)` and
+    `repr(max_distance)`, concatenated, plan after plan: the digest of a
+    list of segment plans that CHANGES.md pins for the `plans` bench input."""
+    h = hashlib.sha1()
+    for p in plans:
+        h.update((p.to_text() + repr(p.product_log_norm) + repr(p.max_distance)).encode())
+    return h.hexdigest()
 
 
 def mpmath_log_norm(a, b, c, d, dps: int):

@@ -21,6 +21,7 @@ from cocyclelab import surgery as sg
 from cocyclelab.basedyn import BasePoint
 from cocyclelab.errors import CocycleLabError, Overflow
 from cocyclelab.sl2 import Mat2, _mul, exp_traceless_arrays, log_norm, operator_norm, scan_product
+from oracles import unstable_field_whole
 
 
 # -- test-local helpers: sequential log-norms, empirical measures, witnesses -----
@@ -404,6 +405,27 @@ class TestUhCertify:
     def test_weak_coupling_inconclusive(self):
         res = cy.uh_certify(schrodinger(1.105))
         assert not isinstance(res, cy.Certificate)
+
+    @pytest.mark.parametrize("co", [
+        cy.Cocycle(golden(1024), cy.twisted_table(1.2, 1024)),
+        schrodinger(1.5),
+        cy.Cocycle(golden(1024),
+                   cy.HopfRestrictionGenerator(alpha=2 * math.pi * golden().alpha_float)),
+    ], ids=["twisted", "schrodinger", "hopf"])
+    def test_field_chunks_keep_bits(self, monkeypatch, co):
+        """The candidate field pushed in chunks of 100 points, a partial last
+        one too, is bit for bit the field over the whole grid at once, and
+        so is a certificate's cone field."""
+        xs = co.base.grid_floats()
+        want = unstable_field_whole(co, xs)
+        whole = cy.uh_certify(co)
+        monkeypatch.setattr(cy, "_FIELD_LANES", 100)
+        assert xs.size % 100 and cy._unstable_field(co, xs).tobytes() == want.tobytes()
+        chunked = cy.uh_certify(co)
+        assert type(chunked) is type(whole)
+        if isinstance(whole, cy.Certificate):
+            assert chunked.cone_angles.tobytes() == whole.cone_angles.tobytes() == want.tobytes()
+            assert (chunked.expansion, chunked.margin) == (whole.expansion, whole.margin)
 
 
 class TestEmpirical:

@@ -13,6 +13,7 @@ from cocyclelab import basedyn as bd
 from cocyclelab import cli
 from cocyclelab import cocycle as cy
 from cocyclelab import surgery as sg
+from cocyclelab import walk
 from cocyclelab.errors import (CertificationFailed, CocycleLabError, NotApplicable,
                                ResolutionExceeded)
 from cocyclelab.exact import QuadExt, column_suffixes, mod1
@@ -20,8 +21,8 @@ from cocyclelab.perturb import (EarlyExit, Steered, choose_steering_window, plan
                                 plan_segments)
 from cocyclelab.sl2 import Mat2, _mul, exp_traceless_arrays, general_operator_norm, log_sl2_arrays
 from disjoint import first_overlap
-from oracles import (certify_distance_one_shot, distance_probes, mpmath_log_norm,
-                     reference_log_norms, reference_walk)
+from oracles import (certify_distance_one_shot, chunk_products_masked, distance_probes,
+                     entries_by_branch, mpmath_log_norm, reference_log_norms, reference_walk)
 
 
 def golden(grid=1024):
@@ -659,6 +660,168 @@ class TestColumnWalk:
         row = np.array([0, 0, pc.region_lo.size - 1])
         for got, col in zip(pc.entries(xs), pc._table):
             assert got.tobytes() == col[row].tobytes()
+
+
+def perturbed(request, fixture):
+    """The PerturbedCocycle of a module fixture."""
+    return next(v for v in request.getfixturevalue(fixture) if isinstance(v, sg.PerturbedCocycle))
+
+
+def segment_steps(pc):
+    """Steps of one walker's segment in a round of the direct sweep's walk
+    (`walk._round`), and the longest node."""
+    longest = max(sg._CHUNK, int(pc.label_heights.max()))
+    span = -(-sg._WINDOW // walk.SEGMENTS)
+    return sg._CHUNK * -(-span * longest // sg._CHUNK), longest
+
+
+def recorded_rounds(monkeypatch):
+    """A list that gains (lane bases, next starts) for each round of a walk."""
+    rounds, real = [], walk._round
+    monkeypatch.setattr(walk, "_round", lambda node, x0, base, *args: rounds.append(
+        (base.copy(), out := real(node, x0, base, *args))) or out)
+    return rounds
+
+
+class TestSegmentedWalk:
+    """The direct sweep's walk in rounds of segmented walkers (`walk`) gives
+    the nodes of `reference_walk`, one walker a lane from step 0, at any
+    segment count, and when no two walkers meet."""
+
+    @staticmethod
+    def same_nodes(pc, xs, n):
+        got, want = window_nodes(pc, xs, n), reference_walk(pc, xs, n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, walk.SEGMENTS])
+    @pytest.mark.parametrize("fixture, n",
+                             [("bench_pipeline", 60_000), ("steered_surgery", 90_000)])
+    def test_nodes_equal_reference(self, request, monkeypatch, fixture, n, segments):
+        """Over several rounds; past one walker, later walkers serve the walk."""
+        pc = perturbed(request, fixture)
+        monkeypatch.setattr(walk, "SEGMENTS", segments)
+        rounds = recorded_rounds(monkeypatch)
+        self.same_nodes(pc, sweep_lanes(pc), n)
+        seg, longest = segment_steps(pc)
+        assert len(rounds) > 1
+        # walker 0 never walks past its segment, the look-ahead and one node
+        stitched = any((out[3] >= base + seg + (walk.LOOKAHEAD + 1) * longest).any()
+                       for base, out in rounds)
+        assert stitched == (segments > 1)
+
+    @pytest.mark.parametrize("fixture", ["bench_pipeline", "steered_surgery"])
+    @pytest.mark.parametrize("n", [1, 63, 500])
+    def test_horizon_shorter_than_a_segment(self, request, fixture, n):
+        pc = perturbed(request, fixture)
+        assert n < segment_steps(pc)[0]
+        self.same_nodes(pc, sweep_lanes(pc), n)
+
+    @pytest.mark.parametrize("windows", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("fixture", ["bench_pipeline", "steered_surgery"])
+    def test_nodes_at_window_edges(self, request, fixture, windows, offset):
+        """At the horizon where lane 0 ends with 256 windows + offset nodes,
+        as in `TestColumnWalk.test_equals_reference_at_window_edges`: the
+        start of that node in a longer walk whose n + 1 lies in the same
+        binade."""
+        pc = perturbed(request, fixture)
+        xs, k = sweep_lanes(pc), 256 * windows + offset
+        for bits in range(14 + windows, 20):
+            starts = reference_walk(pc, xs[:1], (1 << bits) - 2)[1]
+            if starts.size > k and starts[k] + 1 >= 1 << (bits - 1):
+                break
+        n = int(starts[k])
+        assert np.count_nonzero(reference_walk(pc, xs[:1], n)[0] == 0) == k
+        self.same_nodes(pc, xs, n)
+
+    @pytest.mark.parametrize("fixture, n",
+                             [("bench_pipeline", 30_000), ("steered_surgery", 40_000)])
+    def test_walkers_that_never_meet(self, request, monkeypatch, fixture, n):
+        """With no look-ahead no walker has a node past its segment, so none
+        meets the next one: every round ends after walker 0, at the node
+        after its segment, and the next round starts there."""
+        pc = perturbed(request, fixture)
+        monkeypatch.setattr(walk, "LOOKAHEAD", 0)
+        rounds = recorded_rounds(monkeypatch)
+        self.same_nodes(pc, sweep_lanes(pc)[::7], n)
+        seg, longest = segment_steps(pc)
+        for base, out in rounds:
+            assert (out[3] >= np.minimum(base + seg, n)).all()
+            assert (out[3] < base + seg + longest).all()
+        assert len(rounds) > n // seg
+
+    def test_sweep_bits_at_any_segment_count(self, bench_pipeline, monkeypatch):
+        """The bench sweep's pinned lanes at one walker a lane too."""
+        co, cfg, pc, cert = bench_pipeline
+        monkeypatch.setattr(walk, "SEGMENTS", 1)
+        lanes = pc.log_norms(np.arange(96) / 96, cert.n) / cert.n
+        assert lanes.tobytes() == cert.direct.tobytes()
+
+
+class TestChunkPath:
+    """The blended map by branch (`_entries_slice`) and the chunk products
+    (`_chunk_products`) against oracles that run each branch, and each
+    identity mask, everywhere it applies."""
+
+    @staticmethod
+    def point_sets(pc):
+        """A slice of mostly interiors and one of mostly other points: gaps,
+        collars and a few interiors."""
+        w = pc.blend_width
+        inner = interior_points(pc, 900)
+        collars = np.concatenate([pc.region_lo[::97] + 0.5 * w, pc.region_hi[::89] - 0.25 * w])
+        other = np.concatenate([collars, gap_points(pc)])
+        rng = np.random.default_rng(3)
+        mostly_inner = rng.permutation(np.concatenate([inner, other[:100]]))
+        mostly_other = rng.permutation(np.concatenate([other[:900], inner[:100]]))
+        return mostly_inner[:1000], mostly_other[:1000]
+
+    @pytest.mark.parametrize("fixture", ["bench_pipeline", "steered_schrodinger"])
+    def test_entries_equal_per_branch_oracle(self, request, monkeypatch, fixture):
+        """Each slice runs the branch that holds most of its points over the
+        whole slice, and the bits are each branch's on its own points.  The
+        Schrodinger generator's b, c and d are read-only broadcasts."""
+        pc = perturbed(request, fixture)
+        monkeypatch.setattr(sg, "_SLICE", 1000)
+        mostly_inner, mostly_other = self.point_sets(pc)
+        for xs, most in ((mostly_inner, "table"), (mostly_other, "generator")):
+            t = pc._bounds(xs)[1]
+            assert (np.count_nonzero(t >= 1.0) > xs.size / 2) == (most == "table")
+            assert ((t > 0.0) & (t < 1.0)).any()
+        gen, sizes = pc.original.generator, []
+        real = gen.entries
+        monkeypatch.setattr(gen, "entries", lambda xs: sizes.append(np.size(xs)) or real(xs))
+        if fixture == "steered_schrodinger":
+            assert not real(mostly_other[:4])[1].flags.writeable
+        xs = np.concatenate([mostly_inner, mostly_other, mostly_inner[:7]])
+        got = pc.entries(xs)
+        want = entries_by_branch(pc, xs)
+        for g, v in zip(got, want):
+            assert g.tobytes() == v.tobytes()
+        assert 1000 in sizes and min(sizes) < 500  # the generator over a slice, and at a minority
+
+    @pytest.mark.parametrize("fixture", ["bench_pipeline", "steered_surgery"])
+    def test_chunk_products_mask_only_at_n(self, request, fixture):
+        """A batch with no chunk past step n skips the identity mask with the
+        same bits, and a batch with one that crosses n masks it alone."""
+        pc = perturbed(request, fixture)
+        rng = np.random.default_rng(11)
+        n = 50_000
+        anchors = rng.random(40)
+        start = rng.integers(0, n - sg._CHUNK, 40)
+        crossing = np.append(start, n - 10)
+        anchors_x = np.append(anchors, 0.3)
+        short = pc._chunk_products(anchors, start, n)
+        long = pc._chunk_products(anchors_x, crossing, n)
+        for got, want in ((short, chunk_products_masked(pc, anchors, start, n)),
+                          (long, chunk_products_masked(pc, anchors_x, crossing, n))):
+            for g, v in zip(got, want):
+                assert g.tobytes() == v.tobytes()
+        for g, v in zip(short, long):
+            assert g.tobytes() == v[:-1].tobytes()
+        unmasked = pc._chunk_products(anchors_x[-1:], crossing[-1:], n + sg._CHUNK)
+        assert any(g.tobytes() != v[-1:].tobytes() for g, v in zip(unmasked, long))
 
 
 def test_no_pool_without_threads(monkeypatch):
